@@ -45,17 +45,22 @@ def _load_registries():
     return nuclide_registry(extra_files=nuclide_files), films
 
 
-def _cmd_run(args) -> int:
-    try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+def _validated(path):
+    """Read and validate a config file, printing any problems to stderr.
+
+    Returns (config or None, nuclide registry, films).
+    """
+    text = Path(path).read_text(encoding="utf-8")
     reg, films = _load_registries()
     config, errors = validate_config(text, reg, films)
-    if errors:
-        for e in errors:
-            print(e, file=sys.stderr)
+    for e in errors:
+        print(e, file=sys.stderr)
+    return config, reg, films
+
+
+def _cmd_run(args) -> int:
+    config, reg, films = _validated(args.config)
+    if config is None:
         return 1
     tables = run_scenario(config, threads=args.threads, seed=args.seed,
                           registry=reg, films=films)
@@ -65,16 +70,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    reg, films = _load_registries()
-    config, errors = validate_config(text, reg, films)
-    if errors:
-        for e in errors:
-            print(e, file=sys.stderr)
+    config, _, _ = _validated(args.config)
+    if config is None:
         return 1
     print("ok: %s scenario for %s" % (config.scenario, config.nuclide))
     return 0

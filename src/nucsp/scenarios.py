@@ -10,11 +10,13 @@ Five scenarios cover the library surface:
   brems-compare   resonant line vs bremsstrahlung continuum, spectrally and
                   in time
 
-Validation reports every problem it can find in one pass, each tagged with
-the config path that caused it.  Runs are deterministic: rows are computed
-independently (optionally on a thread pool) and assembled in input order, so
-the emitted tables are byte-identical for any thread count.  The only
-non-reproducible output line is the timestamp metadata entry.
+Validation checks each scenario's parameters against one table (PARAMS),
+then its cross-field rules once every field has passed, and reports every
+problem found, each tagged with the config path that caused it.  Runs are
+deterministic: rows are computed independently (optionally on a thread pool)
+and assembled in input order, so the emitted tables are byte-identical for
+any thread count.  The only non-reproducible output line is the timestamp
+metadata entry.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 import yaml
@@ -49,9 +51,6 @@ __all__ = [
     "parse_result_table",
     "SCENARIOS",
 ]
-
-SCENARIOS = ("nuclide-info", "single-sweep", "array-pattern",
-             "crystal-yield", "brems-compare")
 
 _TOP_KEYS = {"scenario", "nuclide", "probe", "params", "output"}
 _PROBE_KEYS = {"species", "beta", "kinetic_energy_eV", "rest_energy_eV", "z_charge"}
@@ -76,41 +75,12 @@ class ScenarioConfig:
 def _as_number(v) -> float | None:
     """Coerce a YAML scalar to float; tolerates '9.4e8'-style strings, which
     YAML 1.1 loads as text because the exponent lacks a sign."""
-    if isinstance(v, bool):
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
         return None
-    if isinstance(v, (int, float)):
+    try:
         return float(v)
-    if isinstance(v, str):
-        try:
-            return float(v)
-        except ValueError:
-            return None
-    return None
-
-
-def _get_float(block, key, default, errors, path, positive=False):
-    v = block.get(key, default)
-    if v is None:
+    except ValueError:
         return None
-    num = _as_number(v)
-    if num is None:
-        errors.append("%s.%s: must be a number" % (path, key))
-        return default
-    if positive and not num > 0:
-        errors.append("%s.%s: must be positive" % (path, key))
-        return default
-    return num
-
-
-def _get_int(block, key, default, errors, path, minimum=None):
-    v = block.get(key, default)
-    if not isinstance(v, int) or isinstance(v, bool):
-        errors.append("%s.%s: must be an integer" % (path, key))
-        return default
-    if minimum is not None and v < minimum:
-        errors.append("%s.%s: must be at least %d" % (path, key, minimum))
-        return default
-    return v
 
 
 def _check_keys(block, allowed, errors, path):
@@ -165,99 +135,132 @@ def _build_probe(block, errors) -> Probe | None:
         return None
 
 
-def _monotone_values(block, key, errors, path, lo=None, hi=None):
-    vals = block.get(key)
-    if vals is None:
-        return None
-    if not isinstance(vals, list) or not vals:
-        errors.append("%s.%s: must be a non-empty list" % (path, key))
-        return None
-    out = []
-    for i, v in enumerate(vals):
+def _coerce(kind, v, bound, at):
+    """Check a given, non-null value against its kind and bound; returns it
+    normalised, or raises ValueError carrying the message for path `at`."""
+    if kind == "positive":
         num = _as_number(v)
-        if num is None:
-            errors.append("%s.%s[%d]: must be a number" % (path, key, i))
-            return None
-        if (lo is not None and not num > lo) or (hi is not None and not num < hi):
-            errors.append("%s.%s[%d]: out of range" % (path, key, i))
-            return None
-        out.append(num)
-    if any(b <= a for a, b in zip(out, out[1:])):
-        errors.append("%s.%s: values must be strictly increasing" % (path, key))
-        return None
-    return out
+        if num is None or not num > 0:
+            raise ValueError(at + (": must be a number" if num is None
+                                   else ": must be positive"))
+        return num
+    if kind == "increasing":  # a non-empty list inside (lo, hi); hi None is open
+        lo, hi = bound
+        if not isinstance(v, list) or not v:
+            raise ValueError("%s: must be a non-empty list" % at)
+        out = [_as_number(x) for x in v]
+        for i, num in enumerate(out):
+            if num is None or not num > lo or (hi is not None and not num < hi):
+                raise ValueError("%s[%d]: %s" % (at, i, "must be a number" if num is None
+                                                  else "out of range"))
+        if any(b <= a for a, b in zip(out, out[1:])):
+            raise ValueError("%s: values must be strictly increasing" % at)
+        return out
+    if kind == "bool" and not isinstance(v, bool):
+        raise ValueError("%s: must be a boolean" % at)
+    if kind in ("int", "nonzero") and (not isinstance(v, int) or isinstance(v, bool)):
+        raise ValueError("%s: must be an integer" % at)
+    if kind == "int" and v < bound:
+        raise ValueError("%s: must be at least %d" % (at, bound))
+    if kind == "nonzero" and v == 0:
+        raise ValueError("%s: must be non-zero" % at)
+    if kind == "choice" and v not in bound:
+        raise ValueError("%s: must be %s" % (at, " or ".join(bound)))
+    if kind == "lattice" and (not isinstance(v, str) or v not in bound):
+        raise ValueError("%s: unknown lattice %r (available: %s)"
+                         % (at, v, ", ".join(sorted(bound))))
+    return v
+
+
+class Param(NamedTuple):
+    """A default of None lets an explicit null through, REQUIRED makes the key
+    mandatory; a callable bound is evaluated as bound(params so far, films)."""
+
+    name: str
+    kind: str
+    default: Any
+    bound: Any = None
+
+
+REQUIRED = "required"
+
+PARAMS = {
+    "nuclide-info": (),
+    "single-sweep": (
+        Param("sweep_variable", "choice", "beta", ("beta", "r_perp_nm")),
+        Param("sweep_values", "increasing", REQUIRED,
+              lambda p, films: (0.0, 1.0 if p["sweep_variable"] == "beta" else None)),
+        Param("r_perp_nm", "positive", 0.001),
+        Param("br_z_nucleus", "nonzero", 26),
+        Param("br_window_eV", "positive", 1.0),
+    ),
+    "array-pattern": (
+        Param("n_nuclei", "int", 10, 2),
+        Param("spacing_nm", "positive", 0.286),
+        Param("standoff_nm", "positive", 0.01),
+        Param("n_points", "int", 801, 2),
+    ),
+    "crystal-yield": (
+        Param("lattice", "lattice", "bcc100", lambda p, films: films),
+        Param("a_nm", "positive", None),
+        Param("r_min_nm", "positive", 0.001),
+        Param("smooth_cutoff", "bool", False),
+        Param("betas", "increasing", None, (0.0, 1.0)),
+        Param("order_cap", "int", 12, 1),
+        Param("n_layers", "int", 1, 1),
+    ),
+    "brems-compare": (
+        Param("r_perp_nm", "positive", 0.001),
+        Param("br_z_nucleus", "nonzero", 26),
+        Param("half_span_line_widths", "positive", 25.0),
+        Param("n_energy", "int", 41, 3),
+        Param("time_max_lifetimes", "positive", 5.0),
+        Param("n_time", "int", 51, 2),
+    ),
+}
+SCENARIOS = tuple(PARAMS)
+
+# Cap on the (2m+1)^2 index grid crystal_sp._enumerate_g builds per order; all
+# presets pass at r_min_nm = 0.001 smooth (fcc100 is largest, 1,890,625).
+MAX_G_GRID = 2_000_000
+
+
+def _rule_errors(scenario, p, rec, films):
+    """Cross-field rules, run once every field has passed its own check."""
+    if scenario == "single-sweep" and p["br_window_eV"] >= 2.0 * rec.e0_eV:
+        yield "params.br_window_eV: window extends to non-positive photon energies"
+    if scenario == "brems-compare" and (
+            rec.e0_eV <= p["half_span_line_widths"] * spectral_profile(rec).fwhm_eV):
+        yield "params.half_span_line_widths: span reaches zero energy; omega must be positive"
+    if scenario == "crystal-yield":
+        film = films[p["lattice"]]
+        if p["a_nm"] is not None and film != builtin_presets().get(p["lattice"]):
+            yield "params.a_nm: a_nm can only override built-in lattice presets"
+        radius = CutoffPolicy(p["r_min_nm"], p["smooth_cutoff"]).enumeration_radius()
+        m = radius * (film.a_nm if p["a_nm"] is None else p["a_nm"]) / (2.0 * math.pi)
+        if not m < MAX_G_GRID or (2 * math.floor(m) + 1) ** 2 > MAX_G_GRID:
+            yield "params.r_min_nm: reciprocal grid exceeds %d entries per order" % MAX_G_GRID
 
 
 def _validate_params(scenario, block, errors, films):
     p: dict[str, Any] = {}
-    path = "params"
-    if block is None:
-        block = {}
-    if not isinstance(block, dict):
+    if not isinstance(block, (dict, type(None))):
         errors.append("params: must be a mapping")
         return p
-    if scenario == "nuclide-info":
-        _check_keys(block, set(), errors, path)
-    elif scenario == "single-sweep":
-        _check_keys(block, {"sweep_variable", "sweep_values", "r_perp_nm",
-                            "br_z_nucleus", "br_window_eV"}, errors, path)
-        var = block.get("sweep_variable", "beta")
-        if var not in ("beta", "r_perp_nm"):
-            errors.append("params.sweep_variable: must be beta or r_perp_nm")
-            var = "beta"
-        p["sweep_variable"] = var
-        bounds = (0.0, 1.0) if var == "beta" else (0.0, None)
-        vals = _monotone_values(block, "sweep_values", errors, path,
-                                lo=bounds[0], hi=bounds[1])
-        if vals is None and "sweep_values" not in block:
-            errors.append("params.sweep_values: required")
-        p["sweep_values"] = vals or []
-        p["r_perp_nm"] = _get_float(block, "r_perp_nm", 0.001, errors, path, positive=True)
-        p["br_z_nucleus"] = _get_int(block, "br_z_nucleus", 26, errors, path)
-        if p["br_z_nucleus"] == 0:
-            errors.append("params.br_z_nucleus: must be non-zero")
-            p["br_z_nucleus"] = 26
-        p["br_window_eV"] = _get_float(block, "br_window_eV", 1.0, errors, path, positive=True)
-    elif scenario == "array-pattern":
-        _check_keys(block, {"n_nuclei", "spacing_nm", "standoff_nm", "n_points"},
-                    errors, path)
-        p["n_nuclei"] = _get_int(block, "n_nuclei", 10, errors, path, minimum=2)
-        p["spacing_nm"] = _get_float(block, "spacing_nm", 0.286, errors, path, positive=True)
-        p["standoff_nm"] = _get_float(block, "standoff_nm", 0.01, errors, path, positive=True)
-        p["n_points"] = _get_int(block, "n_points", 801, errors, path, minimum=2)
-    elif scenario == "crystal-yield":
-        _check_keys(block, {"lattice", "a_nm", "r_min_nm", "smooth_cutoff",
-                            "betas", "order_cap", "n_layers"}, errors, path)
-        lattice = block.get("lattice", "bcc100")
-        if not isinstance(lattice, str) or lattice not in films:
-            errors.append("params.lattice: unknown lattice %r (available: %s)"
-                          % (lattice, ", ".join(sorted(films))))
-            lattice = "bcc100"
-        p["lattice"] = lattice
-        p["a_nm"] = _get_float(block, "a_nm", None, errors, path, positive=True)
-        p["r_min_nm"] = _get_float(block, "r_min_nm", 0.001, errors, path, positive=True)
-        smooth = block.get("smooth_cutoff", False)
-        if not isinstance(smooth, bool):
-            errors.append("params.smooth_cutoff: must be a boolean")
-            smooth = False
-        p["smooth_cutoff"] = smooth
-        p["betas"] = _monotone_values(block, "betas", errors, path, lo=0.0, hi=1.0)
-        p["order_cap"] = _get_int(block, "order_cap", 12, errors, path, minimum=1)
-        p["n_layers"] = _get_int(block, "n_layers", 1, errors, path, minimum=1)
-    elif scenario == "brems-compare":
-        _check_keys(block, {"r_perp_nm", "br_z_nucleus", "half_span_line_widths",
-                            "n_energy", "time_max_lifetimes", "n_time"}, errors, path)
-        p["r_perp_nm"] = _get_float(block, "r_perp_nm", 0.001, errors, path, positive=True)
-        p["br_z_nucleus"] = _get_int(block, "br_z_nucleus", 26, errors, path)
-        if p["br_z_nucleus"] == 0:
-            errors.append("params.br_z_nucleus: must be non-zero")
-            p["br_z_nucleus"] = 26
-        p["half_span_line_widths"] = _get_float(block, "half_span_line_widths",
-                                                25.0, errors, path, positive=True)
-        p["n_energy"] = _get_int(block, "n_energy", 41, errors, path, minimum=3)
-        p["time_max_lifetimes"] = _get_float(block, "time_max_lifetimes", 5.0,
-                                             errors, path, positive=True)
-        p["n_time"] = _get_int(block, "n_time", 51, errors, path, minimum=2)
+    block = block or {}
+    _check_keys(block, {row.name for row in PARAMS[scenario]}, errors, "params")
+    for name, kind, default, bound in PARAMS[scenario]:
+        if name not in block or (block[name] is None and default in (None, REQUIRED)):
+            if default is REQUIRED:
+                errors.append("params.%s: required" % name)
+            p[name] = default
+            continue
+        try:
+            bound = bound(p, films) if callable(bound) else bound
+            p[name] = _coerce(kind, block[name], bound, "params." + name)
+        except ValueError as exc:
+            errors.append(str(exc))
+            p[name] = default
     return p
 
 
@@ -305,6 +308,8 @@ def validate_config(text: str, registry: Mapping[str, NuclideRecord] | None = No
 
     params = _validate_params(scenario, doc.get("params"), errors, film_map) \
         if scenario is not None else {}
+    if not errors:
+        errors.extend(_rule_errors(scenario, params, reg.get(nuclide), film_map))
 
     out_block = doc.get("output", {})
     prefix = "result"
@@ -470,12 +475,8 @@ def _run_array_pattern(config, reg, films, threads):
 def _run_crystal_yield(config, reg, films, threads):
     rec = reg[config.nuclide]
     p = config.params
-    if p["lattice"] in _PRESET_NAMES:
-        film = make_film(p["lattice"], a_nm=p["a_nm"], n_layers=p["n_layers"])
-    else:
-        if p["a_nm"] is not None:
-            raise ValueError("a_nm can only override built-in lattice presets")
-        film = dataclasses.replace(films[p["lattice"]], n_layers=p["n_layers"])
+    film = make_film(p["lattice"], a_nm=p["a_nm"]) if p["a_nm"] else films[p["lattice"]]
+    film = dataclasses.replace(film, n_layers=p["n_layers"])
     policy = CutoffPolicy(p["r_min_nm"], p["smooth_cutoff"])
     betas = p["betas"] if p["betas"] is not None else [config.probe.beta]
 
@@ -523,8 +524,6 @@ def _run_brems_compare(config, reg, films, threads):
     t_cols = ("time_s", "excited_fraction", "emission_rate_per_s")
     return [(s_cols, spectral), (t_cols, temporal, "_temporal")]
 
-
-_PRESET_NAMES = ("bcc100", "fcc100", "sc100")
 
 _RUNNERS = {
     "nuclide-info": _run_nuclide_info,

@@ -1,6 +1,11 @@
 import pytest
 
+from nucsp import crystal_sp
 from nucsp.cli import main
+from nucsp.crystal_sp import CutoffPolicy, LatticeFilm, emission_cones, make_film
+from nucsp.nuclide import registry
+from nucsp.probe import electron
+from nucsp.scenarios import parse_result_table
 
 
 GOOD_CONFIG = """
@@ -122,3 +127,61 @@ def test_threads_do_not_change_output(config_file, tmp_path, capsys):
                 if not l.startswith("# timestamp")]
 
     assert body(out1 / "film.csv") == body(out4 / "film.csv")
+
+
+# ---------------------------------------------------------------------------
+# cross-field rules: caught by validate and by run (exit 1, nothing written)
+
+_TETRA = ("name = tetra\na_nm = 0.30\nb_par_x_nm = 0.15\n"
+          "b_par_y_nm = 0.15\nb_z_nm = 0.21\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("config,message", [
+    pytest.param("scenario: crystal-yield\nprobe: {species: electron, beta: 0.9}\n"
+                 "params: {lattice: tetra, a_nm: 0.3, r_min_nm: 0.004}\n",
+                 "a_nm can only override built-in lattice presets", id="a_nm-data-lattice"),
+    pytest.param("scenario: single-sweep\nprobe: {species: electron, beta: 0.9}\n"
+                 "params: {sweep_values: [0.9], br_window_eV: 3.0e+4}\n",
+                 "window extends to non-positive photon energies", id="window-2E0"),
+    pytest.param("scenario: brems-compare\nprobe: {species: electron, beta: 0.9}\n"
+                 "params: {half_span_line_widths: 1.0e+13}\n",
+                 "omega must be positive", id="half-span-E0"),
+    pytest.param("scenario: crystal-yield\nprobe: {species: electron, beta: 0.9}\n"
+                 "params: {lattice: bcc100, r_min_nm: 1.0e-5}\n",
+                 "params.r_min_nm: reciprocal grid exceeds", id="grid-cap"),
+])
+def test_cross_field_rules_exit_1(command, config, message, tmp_path, capsys,
+                                  monkeypatch):
+    (tmp_path / "lattices.dat").write_text(_TETRA)
+    monkeypatch.setenv("NUCSP_DATA_DIR", str(tmp_path))
+
+    def no_grid(*args):
+        raise AssertionError("reciprocal grid built for a rejected config")
+
+    monkeypatch.setattr(crystal_sp, "_enumerate_g", no_grid)
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(config)
+    out_dir = tmp_path / "out"
+    assert main([command, str(cfg)] + (["--out", str(out_dir)] if command == "run" else [])) == 1
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_data_file_lattice_overrides_preset(config_file, tmp_path, capsys, monkeypatch):
+    (tmp_path / "lattices.dat").write_text(
+        "name = bcc100\na_nm = 0.40\nb_par_x_nm = 0.20\nb_par_y_nm = 0.20\nb_z_nm = 0.20\n")
+    monkeypatch.setenv("NUCSP_DATA_DIR", str(tmp_path))
+    out_dir = tmp_path / "out"
+    assert main(["run", str(config_file), "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    _, _, rows = parse_result_table((out_dir / "film.csv").read_text())
+
+    def cone_rows(film):
+        cones = emission_cones(electron(beta=0.94), registry()["Fe-57"], film,
+                               CutoffPolicy(0.004), order_cap=12)
+        return [(c.n, c.cos_theta, c.weight) for c in cones]
+
+    written = [(int(r[1]), float(r[2]), float(r[3])) for r in rows[:-1]]
+    assert written == cone_rows(LatticeFilm("bcc100", 0.40, (0.20, 0.20), 0.20))
+    assert written != cone_rows(make_film("bcc100"))

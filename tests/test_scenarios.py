@@ -1,12 +1,18 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from nucsp.crystal_sp import CutoffPolicy, emission_cones, make_film
+from nucsp.crystal_sp import CutoffPolicy, builtin_presets, emission_cones, make_film
 from nucsp.nuclide import registry
 from nucsp.probe import electron
 from nucsp.scenarios import (
+    PARAMS,
+    REQUIRED,
+    SCENARIOS,
     ResultTable,
     parse_result_table,
     run_scenario,
@@ -302,3 +308,64 @@ def test_run_metadata(tmp_path):
     assert meta["version"]
     assert len(meta["config_sha256"]) == 64
     assert "timestamp" in meta
+
+
+# ---------------------------------------------------------------------------
+# parameter tables
+
+_PROBE = "probe: {species: electron, beta: 0.9}\n"
+_REQUIRED_PARAMS = {"single-sweep": "  sweep_values: [0.5]\n"}
+
+
+@pytest.mark.parametrize("scenario,key", [
+    (scenario, row.name) for scenario, table in PARAMS.items() for row in table
+    if row.kind == "positive" and row.default is not None])
+def test_null_float_parameter_is_rejected(scenario, key):
+    _, errors = validate_config("scenario: %s\n%sparams:\n%s  %s: null\n"
+                                % (scenario, _PROBE, _REQUIRED_PARAMS.get(scenario, ""), key))
+    assert errors == ["params.%s: must be a number" % key]
+
+
+def test_null_sweep_values_is_required():
+    _, errors = validate_config("scenario: single-sweep\n" + _PROBE
+                                + "params: {sweep_values: null}\n")
+    assert errors == ["params.sweep_values: required"]
+
+
+def test_null_allowed_where_default_is_null():
+    config = _cfg("scenario: crystal-yield\n" + _PROBE
+                  + "params: {a_nm: null, betas: null, r_min_nm: 0.004}\n")
+    assert config.params["a_nm"] is None and config.params["betas"] is None
+
+
+@pytest.mark.parametrize("preset", sorted(builtin_presets()))
+def test_grid_cap_admits_presets_at_smooth_default_cutoff(preset):
+    _cfg("scenario: crystal-yield\n" + _PROBE
+         + "params: {lattice: %s, r_min_nm: 0.001, smooth_cutoff: true}\n" % preset)
+
+
+def _readme_params():
+    """{scenario: [(param, default text or None)]} from the README table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    out = {}
+    for line in text.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and re.fullmatch(r"`[a-z-]+`", cells[0]):
+            out[cells[0].strip("`")] = re.findall(r"`(\w+)`(?: \(([^)]*)\))?", cells[2])
+    return out
+
+
+def test_readme_parameter_table_matches_scenario_tables():
+    readme = _readme_params()
+    assert list(readme) == list(SCENARIOS)
+    for scenario, table in PARAMS.items():
+        shown = readme[scenario]
+        assert [name for name, _ in shown] == [row.name for row in table], scenario
+        for row, (name, text) in zip(table, shown):
+            if row.default is REQUIRED:
+                assert text == "", name
+            elif row.default is None:
+                assert text, "%s: describe the null default in words" % name
+            else:
+                value = yaml.safe_load(text)
+                assert (type(value), value) == (type(row.default), row.default), name
