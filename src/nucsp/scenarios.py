@@ -120,7 +120,7 @@ def _build_probe(block, errors) -> Probe | None:
             return proton(beta=beta, kinetic_energy_eV=ke)
         rest = _as_number(block.get("rest_energy_eV"))
         charge = block.get("z_charge")
-        if rest is None or not rest > 0:
+        if rest is None or not 0 < rest < math.inf:
             errors.append("probe.rest_energy_eV: custom species needs a positive number")
             return None
         if not isinstance(charge, int) or isinstance(charge, bool) or charge == 0:
@@ -143,6 +143,8 @@ def _coerce(kind, v, bound, at):
         if num is None or not num > 0:
             raise ValueError(at + (": must be a number" if num is None
                                    else ": must be positive"))
+        if not math.isfinite(num):
+            raise ValueError(at + ": must be finite")
         return num
     if kind == "increasing":  # a non-empty list inside (lo, hi); hi None is open
         lo, hi = bound
@@ -153,6 +155,8 @@ def _coerce(kind, v, bound, at):
             if num is None or not num > lo or (hi is not None and not num < hi):
                 raise ValueError("%s[%d]: %s" % (at, i, "must be a number" if num is None
                                                   else "out of range"))
+            if not math.isfinite(num):
+                raise ValueError("%s[%d]: must be finite" % (at, i))
         if any(b <= a for a, b in zip(out, out[1:])):
             raise ValueError("%s: values must be strictly increasing" % at)
         return out
@@ -160,8 +164,10 @@ def _coerce(kind, v, bound, at):
         raise ValueError("%s: must be a boolean" % at)
     if kind in ("int", "nonzero") and (not isinstance(v, int) or isinstance(v, bool)):
         raise ValueError("%s: must be an integer" % at)
-    if kind == "int" and v < bound:
-        raise ValueError("%s: must be at least %d" % (at, bound))
+    if kind == "int" and v < bound[0]:  # (lo, hi) inclusive; hi None is open
+        raise ValueError("%s: must be at least %d" % (at, bound[0]))
+    if kind == "int" and bound[1] is not None and v > bound[1]:
+        raise ValueError("%s: must be at most %d" % (at, bound[1]))
     if kind == "nonzero" and v == 0:
         raise ValueError("%s: must be non-zero" % at)
     if kind == "choice" and v not in bound:
@@ -195,10 +201,10 @@ PARAMS = {
         Param("br_window_eV", "positive", 1.0),
     ),
     "array-pattern": (
-        Param("n_nuclei", "int", 10, 2),
+        Param("n_nuclei", "int", 10, (2, 1_000_000)),
         Param("spacing_nm", "positive", 0.286),
         Param("standoff_nm", "positive", 0.01),
-        Param("n_points", "int", 801, 2),
+        Param("n_points", "int", 801, (2, 20_000)),
     ),
     "crystal-yield": (
         Param("lattice", "lattice", "bcc100", lambda p, films: films),
@@ -206,16 +212,16 @@ PARAMS = {
         Param("r_min_nm", "positive", 0.001),
         Param("smooth_cutoff", "bool", False),
         Param("betas", "increasing", None, (0.0, 1.0)),
-        Param("order_cap", "int", 12, 1),
-        Param("n_layers", "int", 1, 1),
+        Param("order_cap", "int", 12, (1, 100)),
+        Param("n_layers", "int", 1, (1, None)),
     ),
     "brems-compare": (
         Param("r_perp_nm", "positive", 0.001),
         Param("br_z_nucleus", "nonzero", 26),
         Param("half_span_line_widths", "positive", 25.0),
-        Param("n_energy", "int", 41, 3),
+        Param("n_energy", "int", 41, (3, 10_000)),
         Param("time_max_lifetimes", "positive", 5.0),
-        Param("n_time", "int", 51, 2),
+        Param("n_time", "int", 51, (2, 100_000)),
     ),
 }
 SCENARIOS = tuple(PARAMS)
@@ -223,6 +229,10 @@ SCENARIOS = tuple(PARAMS)
 # Cap on the (2m+1)^2 index grid crystal_sp._enumerate_g builds per order; all
 # presets pass at r_min_nm = 0.001 smooth (fcc100 is largest, 1,890,625).
 MAX_G_GRID = 2_000_000
+# Cap on the far-field terms of an array-pattern run, one per nucleus and
+# angle at about 2.6 us each; with the n_points cap (about 1 ms of fixed cost
+# per angle) a run stays under about a minute on one core.
+MAX_ARRAY_TERMS = 10_000_000
 
 
 def _rule_errors(scenario, p, rec, films):
@@ -232,6 +242,8 @@ def _rule_errors(scenario, p, rec, films):
     if scenario == "brems-compare" and (
             rec.e0_eV <= p["half_span_line_widths"] * spectral_profile(rec).fwhm_eV):
         yield "params.half_span_line_widths: span reaches zero energy; omega must be positive"
+    if scenario == "array-pattern" and p["n_nuclei"] * p["n_points"] > MAX_ARRAY_TERMS:
+        yield "params.n_points: n_nuclei * n_points exceeds %d terms" % MAX_ARRAY_TERMS
     if scenario == "crystal-yield":
         film = films[p["lattice"]]
         if p["a_nm"] is not None and film != builtin_presets().get(p["lattice"]):

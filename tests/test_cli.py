@@ -130,10 +130,14 @@ def test_threads_do_not_change_output(config_file, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# cross-field rules: caught by validate and by run (exit 1, nothing written)
+# cross-field rules, non-finite floats and size caps: caught by validate and
+# by run (exit 1, nothing written)
 
 _TETRA = ("name = tetra\na_nm = 0.30\nb_par_x_nm = 0.15\n"
           "b_par_y_nm = 0.15\nb_z_nm = 0.21\n")
+_SWEEP = "scenario: single-sweep\nprobe: {species: electron, beta: 0.9}\n"
+_ARRAY = "scenario: array-pattern\nprobe: {species: electron, beta: 0.94}\n"
+_BREMS = "scenario: brems-compare\nprobe: {species: electron, beta: 0.9}\n"
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -150,6 +154,31 @@ _TETRA = ("name = tetra\na_nm = 0.30\nb_par_x_nm = 0.15\n"
     pytest.param("scenario: crystal-yield\nprobe: {species: electron, beta: 0.9}\n"
                  "params: {lattice: bcc100, r_min_nm: 1.0e-5}\n",
                  "params.r_min_nm: reciprocal grid exceeds", id="grid-cap"),
+    pytest.param(_SWEEP + "params: {sweep_values: [0.9], r_perp_nm: .inf}\n",
+                 "params.r_perp_nm: must be finite", id="r_perp-inf"),
+    pytest.param(_SWEEP + "params: {sweep_variable: r_perp_nm, sweep_values: [0.001, .inf]}\n",
+                 "params.sweep_values[1]: must be finite", id="sweep-value-inf"),
+    pytest.param("scenario: single-sweep\nparams: {sweep_values: [0.9]}\nprobe:\n"
+                 "  {species: custom, beta: 0.9, rest_energy_eV: .inf, z_charge: 1}\n",
+                 "probe.rest_energy_eV: custom species needs a positive number",
+                 id="rest-energy-inf"),
+    pytest.param(_BREMS + "params: {time_max_lifetimes: .inf}\n",
+                 "params.time_max_lifetimes: must be finite", id="time-max-inf"),
+    pytest.param(_ARRAY + "params: {spacing_nm: .inf}\n",
+                 "params.spacing_nm: must be finite", id="spacing-inf"),
+    pytest.param(_ARRAY + "params: {n_nuclei: 100000000, n_points: 2}\n",
+                 "params.n_nuclei: must be at most 1000000", id="n_nuclei-cap"),
+    pytest.param(_ARRAY + "params: {n_nuclei: 1000000, n_points: 11}\n",
+                 "params.n_points: n_nuclei * n_points exceeds 10000000", id="array-terms-cap"),
+    pytest.param(_ARRAY + "params: {n_points: 20001}\n",
+                 "params.n_points: must be at most 20000", id="n_points-cap"),
+    pytest.param(_BREMS + "params: {n_energy: 10001}\n",
+                 "params.n_energy: must be at most 10000", id="n_energy-cap"),
+    pytest.param(_BREMS + "params: {n_time: 100001}\n",
+                 "params.n_time: must be at most 100000", id="n_time-cap"),
+    pytest.param("scenario: crystal-yield\nprobe: {species: electron, beta: 0.9}\n"
+                 "params: {order_cap: 101}\n",
+                 "params.order_cap: must be at most 100", id="order_cap-cap"),
 ])
 def test_cross_field_rules_exit_1(command, config, message, tmp_path, capsys,
                                   monkeypatch):

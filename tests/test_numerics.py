@@ -1,9 +1,13 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from nucsp import numerics
 from nucsp.numerics import (
     CONSTANTS,
     EULER_GAMMA,
@@ -51,6 +55,54 @@ def test_bessel_accuracy_near_branch_crossover():
     ref1 = np.array([float(mp.besselk(1, mp.mpf(float(x)))) for x in xs])
     np.testing.assert_allclose(k0, ref0, rtol=1e-13)
     np.testing.assert_allclose(k1, ref1, rtol=1e-13)
+
+
+def _mp_k01(xs):
+    """mpmath K0, and K1 from the Wronskian I0 K1 + I1 K0 = 1/x (A&S 9.6.15),
+    which costs far less than mpmath's besselk(1, x)."""
+    k0, k1 = [], []
+    with mp.workdps(20):
+        for x in xs:
+            x = mp.mpf(float(x))
+            k = mp.besselk(0, x)
+            k0.append(float(k))
+            k1.append(float((1 / x - mp.besseli(1, x) * k) / mp.besseli(0, x)))
+    return np.array(k0), np.array(k1)
+
+
+def test_bessel_dense_sweep_against_mpmath():
+    # log-spaced sweep, plus the neighbourhoods of the branch point x = 2 and
+    # of the underflow cut x = 700, where the result must switch to exactly 0
+    def around(x):
+        return [x - 1e-12, x - 1e-13, np.nextafter(x, 0.0), x,
+                np.nextafter(x, np.inf), x + 1e-13, x + 1e-12]
+
+    xs = np.concatenate([np.geomspace(1e-8, 700.0, 4001), around(2.0), around(700.0)[:4]])
+    k0, k1 = bessel_k01(xs)
+    ref0, ref1 = _mp_k01(xs)
+    np.testing.assert_allclose(k0, ref0, rtol=1e-12)
+    np.testing.assert_allclose(k1, ref1, rtol=1e-12)
+    above = np.array(around(700.0)[4:])
+    assert not np.any(np.concatenate(bessel_k01(above)))
+    assert [bessel_k01(float(x)) for x in above] == [(0.0, 0.0)] * above.size
+
+
+@pytest.mark.parametrize("lo,hi", [(1e-8, 2.0), (2.0, 700.0)])
+def test_bessel_scalar_path_matches_array_path(lo, hi):
+    xs = np.concatenate([np.geomspace(lo, hi, 400), [np.nextafter(hi, 0.0)]])
+    k0, k1 = bessel_k01(xs)
+    scalar = np.array([bessel_k01(float(x)) for x in xs])
+    np.testing.assert_allclose(scalar[:, 0], k0, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(scalar[:, 1], k1, rtol=1e-15, atol=0.0)
+
+
+def test_bessel_coefficients_match_generator():
+    # the literals in numerics.py are the generator's output, digit for digit
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, str(root / "tools" / "gen_bessel_coeffs.py")],
+                         check=True, capture_output=True, text=True, timeout=60).stdout
+    assert out.startswith("# BEGIN generated")
+    assert out in Path(numerics.__file__).read_text(encoding="utf-8")
 
 
 def test_bessel_frozen_unit_argument():

@@ -344,6 +344,31 @@ def test_grid_cap_admits_presets_at_smooth_default_cutoff(preset):
          + "params: {lattice: %s, r_min_nm: 0.001, smooth_cutoff: true}\n" % preset)
 
 
+@pytest.mark.parametrize("scenario,key", [
+    (scenario, row.name) for scenario, table in PARAMS.items() for row in table
+    if row.kind == "positive"])
+def test_infinite_float_parameter_is_rejected(scenario, key):
+    _, errors = validate_config("scenario: %s\n%sparams:\n%s  %s: .inf\n"
+                                % (scenario, _PROBE, _REQUIRED_PARAMS.get(scenario, ""), key))
+    assert errors == ["params.%s: must be finite" % key]
+
+
+@pytest.mark.parametrize("config", [
+    "scenario: array-pattern\nparams: {n_nuclei: 1000000, n_points: 10}\n",
+    "scenario: array-pattern\nparams: {n_nuclei: 500, n_points: 20000}\n",
+    "scenario: brems-compare\nparams: {n_energy: 10000, n_time: 100000}\n",
+    "scenario: crystal-yield\nparams: {order_cap: 100, r_min_nm: 0.004}\n",
+])
+def test_size_caps_admit_their_limits(config):
+    _cfg(_PROBE + config)
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parents[1] / "configs")
+                                        .glob("*.yaml")), ids=lambda p: p.name)
+def test_shipped_configs_validate(path):
+    _cfg(path.read_text())
+
+
 def _readme_params():
     """{scenario: [(param, default text or None)]} from the README table."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -1,0 +1,96 @@
+"""Print the K0/K1 coefficient tables that ``nucsp.numerics`` holds as literals.
+
+    python3 tools/gen_bessel_coeffs.py
+
+The output is the block between the ``BEGIN``/``END generated`` markers in
+``src/nucsp/numerics.py``, byte for byte; ``tests/test_numerics.py`` checks
+that.  Needs mpmath, a test extra: nucsp itself never imports it.
+
+Series tables (x < 2), power k of q = x^2/4, k = 0 .. SERIES_TERMS - 1
+(Abramowitz & Stegun 9.6.10, 9.6.11, 9.6.13), with psi the digamma function:
+
+    I0(x) = sum_k q^k / (k!)^2
+    K0(x) = sum_k psi(k+1) q^k / (k!)^2 - ln(x/2) I0(x)
+    K1(x) = 1/x + (x/2) sum_k [ln(x/2) - (psi(k+1) + psi(k+2))/2] q^k / (k! (k+1)!)
+
+Chebyshev tables (x >= 2), u = 4/x - 1 maps [2, inf) onto (-1, 1]:
+
+    sqrt(x) e^x K_nu(x) = c_0/2 + sum_{n>=1} c_n T_n(u)
+
+as in Cody, Math. Comp. 29 (1975) 1089 and Cephes k0/k1.  The c_n come from
+the discrete cosine transform of the function at CHEB_NODES Chebyshev nodes,
+whose aliasing error is below 1e-30 here; the first entry is printed halved.
+"""
+
+from __future__ import annotations
+
+import mpmath as mp
+
+SERIES_TERMS = 14  # the first term left out is below 1e-20 of K0, K1 at x = 2
+CHEB_TERMS = 27  # the terms left out sum to below 2e-19, for both orders
+CHEB_NODES = 48
+DPS = 40
+PER_LINE = 3
+
+
+def series_tables():
+    """(I0, K0, I1, K1) power-series coefficients in q, lowest power first."""
+    i0, k0, i1, k1 = [], [], [], []
+    for k in range(SERIES_TERMS):
+        a = 1 / mp.factorial(k) ** 2
+        b = 1 / (mp.factorial(k) * mp.factorial(k + 1))
+        i0.append(a)
+        k0.append(mp.digamma(k + 1) * a)
+        i1.append(b)
+        k1.append((mp.digamma(k + 1) + mp.digamma(k + 2)) / 2 * b)
+    return i0, k0, i1, k1
+
+
+def chebyshev_tables():
+    """(K0, K1) Chebyshev coefficients of sqrt(x) e^x K(x) in u, c_0 halved."""
+    n = CHEB_NODES
+    thetas = [mp.pi * (j + mp.mpf(1) / 2) / n for j in range(n)]
+    f0, f1 = [], []
+    for t in thetas:
+        x = 4 / (mp.cos(t) + 1)
+        s = mp.sqrt(x) * mp.exp(x)
+        f0.append(s * mp.besselk(0, x))
+        f1.append(s * mp.besselk(1, x))
+    tables = []
+    for f in (f0, f1):
+        c = [2 * mp.fsum(fj * mp.cos(m * t) for fj, t in zip(f, thetas)) / n
+             for m in range(CHEB_TERMS)]
+        c[0] /= 2
+        tables.append(c)
+    return tables
+
+
+def _literal(name, comment, values):
+    lines = ["%s = (  # %s" % (name, comment)]
+    vals = [repr(float(v)) for v in values]
+    for i in range(0, len(vals), PER_LINE):
+        lines.append("    " + ", ".join(vals[i:i + PER_LINE]) + ",")
+    lines.append(")")
+    return "\n".join(lines)
+
+
+def block() -> str:
+    """The generated block of numerics.py, markers included."""
+    mp.mp.dps = DPS
+    i0, k0, i1, k1 = series_tables()
+    c0, c1 = chebyshev_tables()
+    parts = [
+        "# BEGIN generated by tools/gen_bessel_coeffs.py",
+        _literal("_SERIES_I0", "1/(k!)^2", i0),
+        _literal("_SERIES_K0", "psi(k+1)/(k!)^2", k0),
+        _literal("_SERIES_I1", "1/(k!(k+1)!)", i1),
+        _literal("_SERIES_K1", "(psi(k+1)+psi(k+2))/(2 k!(k+1)!)", k1),
+        _literal("_CHEB_K0", "sqrt(x) e^x K0(x) in T_n(4/x - 1), c_0 halved", c0),
+        _literal("_CHEB_K1", "sqrt(x) e^x K1(x) in T_n(4/x - 1), c_0 halved", c1),
+        "# END generated by tools/gen_bessel_coeffs.py",
+    ]
+    return "\n".join(parts) + "\n"
+
+
+if __name__ == "__main__":
+    print(block(), end="")
