@@ -16,8 +16,9 @@ For order n and azimuth phi the per-layer emission probability is
 
 with Q = k_par + G, Delta = omega0 / (v gamma), A = a^2 the cell area, and
 the prime restricting G to vectors whose interplane phase matches the order:
-n b_z / d + (G . b_par) / (2 pi) must be an integer.  The equivalent form
-Q^2 cos^2(theta_n) + (Q . r_hat)^2 of the numerator is also provided.
+n b_z / d + (G . b_par) / (2 pi) must be an integer.  The sum is assembled
+with the equivalent numerator Q^2 cos^2(theta_n) + (Q . r_hat)^2, in one
+helper that also serves the single-plane average below.
 
 The sum over G diverges logarithmically and is cut off at g_max = 1/R_min,
 where R_min is the closest impact parameter the beam can reach.
@@ -258,33 +259,38 @@ def _cone_cos(probe: Probe, rec: NuclideRecord, film: LatticeFilm, n: int) -> fl
     return c
 
 
-def _gsum_terms(probe: Probe, rec: NuclideRecord, film: LatticeFilm, n: int,
-                phi, policy: CutoffPolicy, kernel: str = "projection") -> np.ndarray:
-    """Weighted per-G summands of the azimuthal profile, phi broadcast first."""
-    if kernel not in ("projection", "transverse"):
-        raise ValueError("kernel must be 'projection' or 'transverse'")
-    cos_t = _cone_cos(probe, rec, film, n)
+def _gsum_terms(probe: Probe, rec: NuclideRecord, g: np.ndarray, w: np.ndarray,
+                cos_t: float, phi) -> np.ndarray:
+    """Weighted per-G summands w (Q^2 cos^2(theta) + (Q . r_hat)^2) / (Q^2 + Delta^2)^2.
+
+    g (M, 2) holds the reciprocal vectors and w their cutoff weights; the
+    result is (n_phi, M), phi broadcast first.  The numerator equals
+    Q^2 (1 - (r_hat . phi_hat_Q)^2) for any direction, on a cone or not.
+    """
     sin_t = math.sqrt(max(0.0, (1.0 - cos_t) * (1.0 + cos_t)))
-    g = _enumerate_g(film, policy, n)
     phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
+    cos_p = np.cos(phi_arr)
+    sin_p = np.sin(phi_arr)
     k0 = rec.omega0_rad_s / CONSTANTS.c_nm_s
-    kx = k0 * sin_t * np.cos(phi_arr)
-    ky = k0 * sin_t * np.sin(phi_arr)
-    qx = kx[:, None] + g[None, :, 0]
-    qy = ky[:, None] + g[None, :, 1]
+    qx = (k0 * sin_t * cos_p)[:, None] + g[:, 0]
+    qy = (k0 * sin_t * sin_p)[:, None] + g[:, 1]
     q2 = qx * qx + qy * qy
     delta = rec.omega0_rad_s / (probe.velocity_nm_s * probe.gamma)
     den = (q2 + delta * delta) ** 2
-    if kernel == "projection":
-        qdotr = qx * sin_t * np.cos(phi_arr)[:, None] + qy * sin_t * np.sin(phi_arr)[:, None]
-        num = q2 * cos_t * cos_t + qdotr * qdotr
-    else:
-        # Q^2 (1 - (r_hat . phi_hat_Q)^2) with the 1/|Q| of phi_hat_Q cancelled
-        rdotphat = (-qy * np.cos(phi_arr)[:, None]
-                    + qx * np.sin(phi_arr)[:, None]) * sin_t
-        num = q2 - rdotphat * rdotphat
-    w = policy.weights(np.hypot(g[:, 0], g[:, 1]))[None, :]
+    qdotr = qx * sin_t * cos_p[:, None] + qy * sin_t * sin_p[:, None]
+    num = q2 * cos_t * cos_t + qdotr * qdotr
     return w * num / den
+
+
+def _cone_profile(probe: Probe, rec: NuclideRecord, film: LatticeFilm, n: int,
+                  policy: CutoffPolicy):
+    """phi -> per-layer profile array on cone n, with the angle-independent
+    set-up (G, weights, cone cosine, prefactor) done once."""
+    cos_t = _cone_cos(probe, rec, film, n)
+    g = _enumerate_g(film, policy, n)
+    w = policy.weights(np.hypot(g[:, 0], g[:, 1]))
+    pref = film.n_layers * _layer_prefactor(probe, rec, film)
+    return lambda phi: pref * np.sum(_gsum_terms(probe, rec, g, w, cos_t, phi), axis=1)
 
 
 def _layer_prefactor(probe: Probe, rec: NuclideRecord, film: LatticeFilm) -> float:
@@ -297,20 +303,14 @@ def _layer_prefactor(probe: Probe, rec: NuclideRecord, film: LatticeFilm) -> flo
 
 
 def azimuthal_profile(probe: Probe, rec: NuclideRecord, film: LatticeFilm,
-                      n: int, phi, policy: CutoffPolicy,
-                      kernel: str = "projection"):
+                      n: int, phi, policy: CutoffPolicy):
     """Per-layer emission probability per azimuthal radian on cone n.
 
     Scalar phi gives a float; an array gives the profile sampled pointwise.
-    kernel picks between two algebraically equal angular factors, kept for
-    cross-checking: "projection" assembles Q^2 cos^2(theta) + (Q . r_hat)^2,
-    "transverse" assembles Q^2 (1 - (r_hat . phi_hat_Q)^2).
+    The angular factor is assembled as Q^2 cos^2(theta) + (Q . r_hat)^2.
     """
-    terms = _gsum_terms(probe, rec, film, n, phi, policy, kernel)
-    pref = film.n_layers * _layer_prefactor(probe, rec, film)
-    out = pref * np.sum(terms, axis=1)
-    phi_arr = np.asarray(phi)
-    return float(out[0]) if phi_arr.ndim == 0 else out
+    out = _cone_profile(probe, rec, film, n, policy)(phi)
+    return float(out[0]) if np.ndim(phi) == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,13 +331,11 @@ def emission_cones(probe: Probe, rec: NuclideRecord, film: LatticeFilm,
     cones = []
     for n, cos_t in sp_angles(probe.beta, film.z_period_nm, rec.wavelength_nm,
                               order_cap):
+        profile = _cone_profile(probe, rec, film, n, policy)
         phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-        profile = azimuthal_profile(probe, rec, film, n, phis, policy)
-        weight = integrate_periodic(
-            lambda p: azimuthal_profile(probe, rec, film, n, p, policy),
-            rel_tol=rel_tol)
         cones.append(EmissionCone(n=n, cos_theta=cos_t, phis=phis,
-                                  phi_profile=profile, weight=weight))
+                                  phi_profile=profile(phis),
+                                  weight=integrate_periodic(profile, rel_tol=rel_tol)))
     return cones
 
 
@@ -362,15 +360,7 @@ def single_plane_averaged_intensity(probe: Probe, rec: NuclideRecord,
                                       / (Q^2 + Delta^2)^2.
     """
     g = _enumerate_g(film, policy, None)
-    sin_t = math.sin(theta)
-    k0 = rec.omega0_rad_s / CONSTANTS.c_nm_s
-    qx = k0 * sin_t * math.cos(phi) + g[:, 0]
-    qy = k0 * sin_t * math.sin(phi) + g[:, 1]
-    q2 = qx * qx + qy * qy
-    delta = rec.omega0_rad_s / (probe.velocity_nm_s * probe.gamma)
-    rdotphat = (-qy * math.cos(phi) + qx * math.sin(phi)) * sin_t
-    num = np.where(q2 > 0.0, q2 - rdotphat * rdotphat, 0.0)
     w = policy.weights(np.hypot(g[:, 0], g[:, 1]))
     vg = probe.velocity_nm_s * probe.gamma
     pref = (2.0 * math.pi * vg / (film.cell_area_nm2 * rec.omega0_rad_s)) ** 2
-    return pref * float(np.sum(w * num / (q2 + delta * delta) ** 2))
+    return pref * float(np.sum(_gsum_terms(probe, rec, g, w, math.cos(theta), phi)))

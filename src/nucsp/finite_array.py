@@ -15,8 +15,10 @@ angle-resolved coherent emission probability is then
     Gamma_coh(Omega) = [9 Z^2 alpha / (8 pi (v/c)^2 gamma^2)]
                        [kappa_r^2 / (omega0 kappa)] |r_hat x g|^2.
 
-Direct sums accumulate with Neumaier-compensated summation and reduced phase
-arguments, so large arrays stay at full double precision.
+Direct sums are correctly rounded (math.fsum) over reduced phase arguments,
+so large arrays stay at full double precision.  Angles may be scalars or
+broadcastable arrays: the angle-independent work is done once per call, and
+the terms are formed in blocks of _BLOCK_TERMS, so memory is O(N) in nuclei.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
 # and are skipped in the Monte-Carlo batch path.
 _ARG_CUT = 45.0
 _MC_CHUNK = 2000
+_BLOCK_TERMS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,20 +97,6 @@ class AngularGrid:
         return np.cos(self.thetas)
 
 
-def _neumaier_sum(values: np.ndarray) -> float:
-    """Compensated (Neumaier) sum of a 1D float array."""
-    s = 0.0
-    comp = 0.0
-    for v in values:
-        t = s + v
-        if abs(s) >= abs(v):
-            comp += (s - t) + v
-        else:
-            comp += (v - t) + s
-        s = t
-    return s + comp
-
-
 def _impact_point(r_p) -> np.ndarray:
     if isinstance(r_p, TransverseGeometry):
         return r_p.as_array()
@@ -117,9 +106,20 @@ def _impact_point(r_p) -> np.ndarray:
     return rp
 
 
+def _direction(theta, phi) -> np.ndarray:
+    """Unit vectors r_hat with shape broadcast(theta, phi) + (3,)."""
+    sin_t = np.sin(theta)
+    return np.stack(np.broadcast_arrays(sin_t * np.cos(phi), sin_t * np.sin(phi),
+                                        np.cos(theta)), axis=-1)
+
+
 def far_field_amplitude(probe: Probe, rec: NuclideRecord, nuclei: NucleusSet,
-                        r_p, theta: float, phi: float) -> np.ndarray:
-    """Dimensionless far-field amplitude g(Omega) in Cartesian components."""
+                        r_p, theta, phi) -> np.ndarray:
+    """Dimensionless far-field amplitude g(Omega) in Cartesian components.
+
+    theta and phi broadcast against each other; the result has their shape
+    plus a trailing axis of 3, so scalar angles give shape (3,).
+    """
     rp = _impact_point(r_p)
     pos = nuclei.positions
     d = pos[:, :2] - rp[None, :]
@@ -130,34 +130,43 @@ def far_field_amplitude(probe: Probe, rec: NuclideRecord, nuclei: NucleusSet,
     vg = probe.velocity_nm_s * probe.gamma
     k1 = bessel_k1(rec.omega0_rad_s * dist / vg)
     k0n = rec.omega0_rad_s / CONSTANTS.c_nm_s
-    rhat = np.array([math.sin(theta) * math.cos(phi),
-                     math.sin(theta) * math.sin(phi),
-                     math.cos(theta)])
-    # phases from reduced arguments; the two contributions are kept separate
-    # so each stays well inside one period's worth of precision
     two_pi = 2.0 * math.pi
-    ph = (np.mod(rec.omega0_rad_s * pos[:, 2] / probe.velocity_nm_s, two_pi)
-          - np.mod(k0n * (pos @ rhat), two_pi))
-    unit = np.stack([-d[:, 1] / dist, d[:, 0] / dist, np.zeros_like(dist)], axis=1)
-    terms = (k1 * np.exp(1j * ph))[:, None] * unit
-    return np.array([complex(_neumaier_sum(terms[:, i].real),
-                             _neumaier_sum(terms[:, i].imag)) for i in range(3)])
-
-
-def _cross_sq(rhat: np.ndarray, g: np.ndarray) -> float:
-    """|r_hat x g|^2 = |g|^2 - |r_hat . g|^2 for complex g and real unit r_hat."""
-    return float(np.sum(np.abs(g) ** 2) - np.abs(rhat @ g) ** 2)
+    z_phase = np.mod(rec.omega0_rad_s * pos[:, 2] / probe.velocity_nm_s, two_pi)
+    ux, uy = -d[:, 1] / dist, d[:, 0] / dist
+    rhat = _direction(theta, phi)
+    flat = rhat.reshape(-1, 3)
+    g = np.zeros(flat.shape, dtype=complex)  # phi_hat_jp is in-plane: g_z = 0
+    step = max(1, _BLOCK_TERMS // pos.shape[0])
+    for lo in range(0, flat.shape[0], step):
+        r = flat[lo:lo + step, :, None]
+        # phases from reduced arguments; the two contributions are kept
+        # separate so each stays well inside one period's worth of precision
+        amp = 1j * (z_phase - np.mod(
+            k0n * (pos[:, 0] * r[:, 0] + pos[:, 1] * r[:, 1] + pos[:, 2] * r[:, 2]),
+            two_pi))
+        np.exp(amp, out=amp)
+        amp *= k1
+        for i, a in enumerate(amp, lo):
+            g[i, :2] = [complex(math.fsum(a.real * u), math.fsum(a.imag * u))
+                        for u in (ux, uy)]
+    return g.reshape(rhat.shape)
 
 
 def angular_density(probe: Probe, rec: NuclideRecord, nuclei: NucleusSet,
-                    r_p, theta: float, phi: float) -> float:
-    """Coherent emission probability per solid angle for a finite set."""
+                    r_p, theta, phi):
+    """Coherent emission probability per solid angle for a finite set.
+
+    Scalar angles give a float; arrays give their broadcast shape.
+    """
     g = far_field_amplitude(probe, rec, nuclei, r_p, theta, phi)
-    rhat = np.array([math.sin(theta) * math.cos(phi),
-                     math.sin(theta) * math.sin(phi),
-                     math.cos(theta)])
+    rhat = _direction(theta, phi)
+    # |r_hat x g|^2 = |g|^2 - |r_hat . g|^2 for complex g, real unit r_hat
+    # and g_z = 0
+    cross = (np.abs(g[..., 0]) ** 2 + np.abs(g[..., 1]) ** 2
+             - np.abs(rhat[..., 0] * g[..., 0] + rhat[..., 1] * g[..., 1]) ** 2)
     pref = 9.0 / (8.0 * math.pi) * _dimensionless_scale(probe, rec)
-    return pref * _cross_sq(rhat, g)
+    out = pref * cross
+    return float(out) if out.ndim == 0 else out
 
 
 def linear_array_pattern(probe: Probe, rec: NuclideRecord, n_nuclei: int,
@@ -174,13 +183,11 @@ def linear_array_pattern(probe: Probe, rec: NuclideRecord, n_nuclei: int,
     if not d_nm > 0 or not standoff_nm > 0:
         raise ValueError("d_nm and standoff_nm must be positive")
     z = d_nm * np.arange(n_nuclei)
-    positions = np.column_stack([np.zeros_like(z), np.zeros_like(z), z])
-    nuclei = NucleusSet(positions)
-    r_p = np.array([standoff_nm, 0.0])
+    nuclei = NucleusSet(np.column_stack([np.zeros_like(z), np.zeros_like(z), z]))
     cos_grid = np.linspace(1.0, -1.0, n_points)  # theta ascending
-    values = np.array([[angular_density(probe, rec, nuclei, r_p,
-                                        math.acos(c), 0.0)] for c in cos_grid])
-    return AngularGrid(thetas=np.arccos(cos_grid), phis=np.array([0.0]), values=values)
+    thetas = np.array([math.acos(c) for c in cos_grid])
+    values = angular_density(probe, rec, nuclei, (standoff_nm, 0.0), thetas, 0.0)
+    return AngularGrid(thetas=thetas, phis=np.array([0.0]), values=values[:, None])
 
 
 # ---------------------------------------------------------------------------

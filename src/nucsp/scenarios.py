@@ -113,6 +113,9 @@ def _build_probe(block, errors) -> Probe | None:
     if "kinetic_energy_eV" in block and (ke is None or not ke > 0):
         errors.append("probe.kinetic_energy_eV: must be a positive number")
         return None
+    if ke is not None and not math.isfinite(ke):
+        errors.append("probe.kinetic_energy_eV: must be finite")
+        return None
     try:
         if species == "electron":
             return electron(beta=beta, kinetic_energy_eV=ke)
@@ -472,16 +475,12 @@ def _run_array_pattern(config, reg, films, threads):
     p = config.params
     z = p["spacing_nm"] * np.arange(p["n_nuclei"])
     nuclei = NucleusSet(np.column_stack([np.zeros_like(z), np.zeros_like(z), z]))
-    r_p = np.array([p["standoff_nm"], 0.0])
-    cos_grid = np.linspace(1.0, -1.0, p["n_points"])
-
-    def row(c):
-        theta = math.acos(c)
-        return (float(c), theta,
-                angular_density(config.probe, rec, nuclei, r_p, theta, 0.0))
-
+    cos_grid = np.linspace(1.0, -1.0, p["n_points"]).tolist()
+    thetas = [math.acos(c) for c in cos_grid]  # np.arccos may differ in the last bit
+    density = angular_density(config.probe, rec, nuclei, (p["standoff_nm"], 0.0),
+                              np.array(thetas), 0.0)
     columns = ("cos_theta", "theta_rad", "density_per_sr")
-    return [(columns, _map(threads, row, cos_grid))]
+    return [(columns, list(zip(cos_grid, thetas, density.tolist())))]
 
 
 def _run_crystal_yield(config, reg, films, threads):

@@ -162,6 +162,9 @@ _BREMS = "scenario: brems-compare\nprobe: {species: electron, beta: 0.9}\n"
                  "  {species: custom, beta: 0.9, rest_energy_eV: .inf, z_charge: 1}\n",
                  "probe.rest_energy_eV: custom species needs a positive number",
                  id="rest-energy-inf"),
+    pytest.param("scenario: single-sweep\nparams: {sweep_values: [0.9]}\n"
+                 "probe: {species: electron, kinetic_energy_eV: .inf}\n",
+                 "probe.kinetic_energy_eV: must be finite", id="kinetic-energy-inf"),
     pytest.param(_BREMS + "params: {time_max_lifetimes: .inf}\n",
                  "params.time_max_lifetimes: must be finite", id="time-max-inf"),
     pytest.param(_ARRAY + "params: {spacing_nm: .inf}\n",

@@ -232,15 +232,54 @@ def test_layer_prefactor_equivalent_forms(p94, fe):
 # azimuthal profiles and yields
 
 
+def _transverse_sum(probe, rec, g, w, theta, phi):
+    """Oracle for the G sum in its transverse form,
+
+        sum_G w Q^2 (1 - (r_hat . phi_hat_Q)^2) / (Q^2 + Delta^2)^2,
+
+    per entry of phi; the library assembles Q^2 cos^2(theta) + (Q . r_hat)^2."""
+    k0 = rec.omega0_rad_s / CONSTANTS.c_nm_s
+    delta = rec.omega0_rad_s / (probe.velocity_nm_s * probe.gamma)
+    sin_t = math.sin(theta)
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))[:, None]
+    qx = k0 * sin_t * np.cos(phi) + g[:, 0]
+    qy = k0 * sin_t * np.sin(phi) + g[:, 1]
+    q2 = qx * qx + qy * qy
+    # r_hat . phi_hat_Q times |Q|, with phi_hat_Q = z_hat x Q / |Q|
+    r_dot = sin_t * (np.sin(phi) * qx - np.cos(phi) * qy)
+    return np.sum(w * (q2 - r_dot * r_dot) / (q2 + delta * delta) ** 2, axis=1)
+
+
 def test_kernel_forms_agree(p94, fe):
     # Q^2 cos^2(theta) + (Q . r_hat)^2 equals Q^2 (1 - (r_hat . phi_hat_Q)^2)
-    # on the emission cone
     film = make_film("bcc100")
-    pol = CutoffPolicy(0.001)
     phis = np.array([0.0, 0.35, 1.2, 2.9, 4.4])
-    proj = azimuthal_profile(p94, fe, film, 2, phis, pol, kernel="projection")
-    trans = azimuthal_profile(p94, fe, film, 2, phis, pol, kernel="transverse")
-    np.testing.assert_allclose(proj, trans, rtol=1e-12)
+    cos_t = dict(sp_angles(0.94, film.z_period_nm, fe.wavelength_nm))[2]
+    for pol in (CutoffPolicy(0.001), CutoffPolicy(0.004, smooth=True)):
+        g = reciprocal_vectors(film, 2, pol)
+        w = pol.weights(np.hypot(g[:, 0], g[:, 1]))
+        oracle = (film.n_layers * _layer_prefactor(p94, fe, film)
+                  * _transverse_sum(p94, fe, g, w, math.acos(cos_t), phis))
+        np.testing.assert_allclose(azimuthal_profile(p94, fe, film, 2, phis, pol),
+                                   oracle, rtol=1e-12)
+
+
+def test_plane_average_matches_transverse_oracle(fe):
+    # off every cone (cos_n = 1/0.9 - 0.3015 n on sc100), one theta > pi/2
+    probe = electron(beta=0.9)
+    film = make_film("sc100")
+    pol = CutoffPolicy(0.001)
+    g_unit = 2.0 * math.pi / film.a_nm
+    m = int(pol.g_max_nm // g_unit)
+    i, j = np.meshgrid(np.arange(-m, m + 1), np.arange(-m, m + 1), indexing="ij")
+    inside = (i * i + j * j) * g_unit ** 2 <= pol.g_max_nm ** 2
+    g = g_unit * np.column_stack([i[inside], j[inside]]).astype(float)
+    vg = probe.velocity_nm_s * probe.gamma
+    pref = (2.0 * math.pi * vg / (film.cell_area_nm2 * fe.omega0_rad_s)) ** 2
+    for theta, phi in [(1.0, 0.3), (2.2, 1.9), (0.6, 4.0)]:
+        oracle = pref * _transverse_sum(probe, fe, g, np.ones(len(g)), theta, phi)[0]
+        got = single_plane_averaged_intensity(probe, fe, film, theta, phi, pol)
+        assert got == pytest.approx(oracle, rel=1e-12)
 
 
 def test_azimuthal_profile_scalar_and_array(p94, fe):
@@ -272,7 +311,10 @@ def test_azimuthal_profile_rejects_silent_order(fe):
 def test_gsum_terms_compose_profile(p94, fe):
     film = make_film("bcc100")
     pol = CutoffPolicy(0.002)
-    terms = _gsum_terms(p94, fe, film, 1, 0.3, pol)
+    g = reciprocal_vectors(film, 1, pol)
+    w = pol.weights(np.hypot(g[:, 0], g[:, 1]))
+    cos_t = dict(sp_angles(0.94, film.z_period_nm, fe.wavelength_nm))[1]
+    terms = _gsum_terms(p94, fe, g, w, cos_t, 0.3)
     pref = film.n_layers * _layer_prefactor(p94, fe, film)
     total = azimuthal_profile(p94, fe, film, 1, 0.3, pol)
     assert pref * terms.sum() == pytest.approx(total, rel=1e-12)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -211,3 +212,52 @@ def test_mc_plane_average_validation(probe, fe):
         mc_plane_average(probe, fe, 0.2856, 8, 1.0, 0.0, -0.001, 100)
     with pytest.raises(ValueError):
         mc_plane_average(probe, fe, 0.2856, 8, 1.0, 0.0, 0.001, 0)
+
+
+def test_angle_arrays_equal_scalar_calls(probe, fe):
+    # broadcast (3, 1) x (3,) angles; 20,000 nuclei puts 3 angles per block
+    rng = np.random.default_rng(11)
+    thetas = np.array([[0.3], [1.2], [2.8]])
+    phis = np.array([0.0, 2.0, 5.1])
+    rp = (0.015, -0.003)
+    for n in (6, 20_000):
+        nuclei = NucleusSet(np.column_stack([rng.uniform(-0.01, 0.01, n),
+                                             rng.uniform(-0.01, 0.01, n),
+                                             rng.uniform(0.0, 2.0, n)]))
+        g = far_field_amplitude(probe, fe, nuclei, rp, thetas, phis)
+        dens = angular_density(probe, fe, nuclei, rp, thetas, phis)
+        assert g.shape == (3, 3, 3) and dens.shape == (3, 3)
+        for i, j in np.ndindex(3, 3):
+            th, ph = float(thetas[i, 0]), float(phis[j])
+            single = far_field_amplitude(probe, fe, nuclei, rp, th, ph)
+            assert single.shape == (3,) and np.all(g[i, j] == single)
+            s = angular_density(probe, fe, nuclei, rp, th, ph)
+            assert isinstance(s, float) and dens[i, j] == s
+
+
+def test_long_row_sum_against_mpmath(fe):
+    # 1e5 nuclei along z at the first zero past the order-1 cone, where the
+    # row factor sin(N a / 2) / sin(a / 2) vanishes (a = 2 pi (1 + 1/N)):
+    # the terms, each of size K1 ~ 3.5, cancel to ~5e-6, so an uncompensated
+    # sum would be off by ~1e-4 relative.  The reference rebuilds the same
+    # terms with the module's reduced-phase formula and adds them exactly.
+    probe = electron(beta=0.94)
+    n, d, standoff = 100_000, 0.286, 0.01
+    z = d * np.arange(n)
+    nuclei = NucleusSet(np.column_stack([np.zeros(n), np.zeros(n), z]))
+    theta = math.acos(1.0 / probe.beta - fe.wavelength_nm / d * (1.0 + 1.0 / n))
+    g = far_field_amplitude(probe, fe, nuclei, (standoff, 0.0), theta, 0.0)
+
+    two_pi = 2.0 * math.pi
+    k0 = fe.omega0_rad_s / CONSTANTS.c_nm_s
+    ph = (np.mod(fe.omega0_rad_s * z / probe.velocity_nm_s, two_pi)
+          - np.mod(k0 * (z * np.cos(theta)), two_pi))
+    k1 = bessel_k1(fe.omega0_rad_s * standoff / (probe.velocity_nm_s * probe.gamma))
+    terms = k1 * np.exp(1j * ph)
+    with mp.workprec(256):
+        # phi_hat points along -y for every nucleus
+        ref = -complex(mp.fsum(terms.real.tolist()), mp.fsum(terms.imag.tolist()))
+    assert abs(ref) < 1e-5 * k1
+    assert g[0] == 0.0 and g[2] == 0.0
+    assert g[1].real == pytest.approx(ref.real, rel=1e-12)
+    assert g[1].imag == pytest.approx(ref.imag, rel=1e-12)
