@@ -52,6 +52,12 @@ def _prefactor(probe: Probe, z_nucleus: int, omega: float) -> float:
 def _density_values(probe: Probe, z_nucleus: int, r_perp_nm: float,
                     cos_t: np.ndarray, phi: np.ndarray, omega: float) -> np.ndarray:
     """Vectorized density on an outer product of cos(theta) and phi nodes."""
+    if not r_perp_nm > 0:
+        raise ValueError("r_perp_nm must be positive")
+    if not omega > 0:
+        raise ValueError("omega must be positive")
+    if z_nucleus == 0:
+        raise ValueError("z_nucleus must be non-zero")
     beta = probe.beta
     gamma = probe.gamma
     ct = cos_t[:, None]
@@ -83,12 +89,6 @@ def _density_values(probe: Probe, z_nucleus: int, r_perp_nm: float,
 def br_density(probe: Probe, z_nucleus: int, r_perp_nm: float,
                theta: float, phi: float, omega: float) -> float:
     """Photon density per sr per unit angular frequency, in seconds."""
-    if not r_perp_nm > 0:
-        raise ValueError("r_perp_nm must be positive")
-    if not omega > 0:
-        raise ValueError("omega must be positive")
-    if z_nucleus == 0:
-        raise ValueError("z_nucleus must be non-zero")
     val = _density_values(probe, z_nucleus, r_perp_nm,
                           np.array([math.cos(theta)]), np.array([float(phi)]),
                           omega)
@@ -102,10 +102,6 @@ def br_spectral_density(probe: Probe, z_nucleus: int, r_perp_nm: float,
     Gauss-Legendre in cos(theta) times a uniform phi grid, with the node
     count doubled until two successive estimates agree to rel_tol.
     """
-    if not r_perp_nm > 0:
-        raise ValueError("r_perp_nm must be positive")
-    if not omega > 0:
-        raise ValueError("omega must be positive")
     prev = None
     estimates = []
     n = 32

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import CONSTANTS, integrate_periodic
-from .nuclide import DataFileError, NuclideRecord, parse_kv_blocks, radiative_rate
+from .nuclide import NuclideRecord, parse_record_file, radiative_rate
 from .probe import Probe
 
 __all__ = [
@@ -134,36 +134,14 @@ _LATTICE_FIELDS = {
     "b_par_y_nm": float,
     "b_z_nm": float,
 }
-_LATTICE_REQUIRED = ("name", "a_nm", "b_par_x_nm", "b_par_y_nm", "b_z_nm")
 
 
 def parse_lattice_file(path) -> dict[str, LatticeFilm]:
     """Read film geometries from key = value blocks separated by blank lines."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    films: dict[str, LatticeFilm] = {}
-    for lineno, block in parse_kv_blocks(text, str(path)):
-        for key in block:
-            if key not in _LATTICE_FIELDS:
-                raise DataFileError(str(path), lineno, "unknown key %r" % key)
-        for key in _LATTICE_REQUIRED:
-            if key not in block:
-                raise DataFileError(str(path), lineno, "missing key %r" % key)
-        conv = {}
-        for key, raw in block.items():
-            try:
-                conv[key] = _LATTICE_FIELDS[key](raw)
-            except ValueError:
-                raise DataFileError(str(path), lineno,
-                                    "invalid value %r for key %r" % (raw, key))
-        try:
-            films[conv["name"]] = LatticeFilm(
-                preset=conv["name"], a_nm=conv["a_nm"],
-                b_par_nm=(conv["b_par_x_nm"], conv["b_par_y_nm"]),
-                b_z_nm=conv["b_z_nm"])
-        except ValueError as exc:
-            raise DataFileError(str(path), lineno, str(exc))
-    return films
+    films = parse_record_file(path, _LATTICE_FIELDS, lambda v: LatticeFilm(
+        preset=v["name"], a_nm=v["a_nm"], b_par_nm=(v["b_par_x_nm"], v["b_par_y_nm"]),
+        b_z_nm=v["b_z_nm"]))
+    return {film.preset: film for film in films}
 
 
 @dataclass(frozen=True)

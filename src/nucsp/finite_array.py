@@ -248,11 +248,21 @@ def mc_plane_average(probe: Probe, rec: NuclideRecord, a_nm: float,
     encounters, so by default the nearest-site contribution inside a capture
     radius is subtracted per sample and restored analytically from the exact
     radial integral; this brings ~1e5 samples to sub-percent precision.
+    r_min_nm must be below a/2, and below the capture radius 0.35 a when the
+    control variate is on.
     """
     if not r_min_nm > 0:
         raise ValueError("r_min_nm must be positive")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
+    # draws lie within a/sqrt(2) of a site, so r_min >= a/sqrt(2) keeps none;
+    # below a/2 the excluded disk leaves at least 1 - pi/4 of the cell
+    if not r_min_nm < 0.5 * a_nm:
+        raise ValueError("r_min_nm must be below a_nm / 2")
+    capture = 0.35 * a_nm  # control-variate radius, safely inside the cell
+    if control_variate and not r_min_nm < capture:
+        raise ValueError("r_min_nm must be below the control-variate capture "
+                         "radius 0.35 * a_nm")
     sites = square_plane_sites(a_nm, half_extent)
     delta = rec.omega0_rad_s / (probe.velocity_nm_s * probe.gamma)  # 1/nm
     k0 = rec.omega0_rad_s / CONSTANTS.c_nm_s
@@ -265,7 +275,6 @@ def mc_plane_average(probe: Probe, rec: NuclideRecord, a_nm: float,
     if sites.shape[0] == 0:
         return 0.0
 
-    capture = 0.35 * a_nm  # control-variate radius, safely inside the cell
     rng = np.random.default_rng(seed)
     total = 0.0
     kept = 0

@@ -2,16 +2,21 @@
 
 A target nucleus is modeled as a two-level system with ground and excited
 total angular momenta (j_g, j_e), |j_e - j_g| = 1, coupled by a pure magnetic
-dipole (M1) transition.  Sublevel-resolved transition strengths follow from
-squared matrix elements of the spherical harmonics Y_1m between states
+dipole (M1) transition.  By the Wigner-Eckart theorem every sublevel matrix
+element of a rank-1 operator T_1 is one reduced element times a
+Clebsch-Gordan coefficient,
 
-    |l j mu> = sum_s C_{l j mu s} Y_{l, mu - s} |s>
+    <j_e mu_e| T_1q |j_g mu_g> = <j_g mu_g; 1 q | j_e mu_e> <j_e||T_1||j_g>
+                                 / sqrt(2 j_e + 1),
 
-built from half-integer Clebsch-Gordan coefficients in closed form.  From
-the strength diagram we obtain the coherent fraction f (the m-independent
-average of the downward strengths, i.e. the probability that excitation plus
-radiative decay returns the nucleus to its original sublevel), the coherent
-radiative rate
+so the reduced element cancels from the strengths normalized per excited
+sublevel: the strength of (mu_e, mu_g) is |<j_g mu_g; 1 q | j_e mu_e>|^2,
+and orthonormality of the coefficients makes the downward strengths from
+each excited sublevel sum to 1.  All coefficients come from one exact Racah
+sum.  From the strength diagram we obtain the coherent fraction f (the
+m-independent average of the downward strengths, i.e. the probability that
+excitation plus radiative decay returns the nucleus to its original
+sublevel), the coherent radiative rate
 
     kappa_r = kappa * f / (1 + alpha_IC) / branch_divisor,
 
@@ -29,8 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .numerics import CONSTANTS
 
@@ -48,16 +52,15 @@ __all__ = [
     "registry",
     "parse_nuclide_file",
     "parse_kv_blocks",
+    "parse_record_file",
 ]
 
 FOUR_PI = 4.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
-# exact arithmetic helpers: values of the form sign * sqrt(rational) are kept
-# as (sign, rational-square) pairs so products and commensurate sums stay exact
-
-_SignedSq = tuple[int, Fraction]
+# exact Clebsch-Gordan coefficients: a coefficient sign * sqrt(rational) is
+# kept as the (sign, rational square) pair, so strengths stay exact
 
 
 def _doubled(x, name: str) -> int:
@@ -68,30 +71,6 @@ def _doubled(x, name: str) -> int:
     return int(d)
 
 
-def _ssq_mul(a: _SignedSq, b: _SignedSq) -> _SignedSq:
-    return (a[0] * b[0], a[1] * b[1])
-
-
-def _ssq_add(a: _SignedSq, b: _SignedSq) -> _SignedSq:
-    """Add two signed square roots; their ratio must be a perfect rational square."""
-    if a[0] == 0:
-        return b
-    if b[0] == 0:
-        return a
-    r = a[1] / b[1]
-    sn, sd = isqrt(r.numerator), isqrt(r.denominator)
-    if sn * sn != r.numerator or sd * sd != r.denominator:
-        raise ValueError("cannot add incommensurate radicals exactly")
-    c = a[0] * Fraction(sn, sd) + b[0]
-    if c == 0:
-        return (0, Fraction(0))
-    return ((1 if c > 0 else -1), c * c * b[1])
-
-
-def _ssq_float(a: _SignedSq) -> float:
-    return a[0] * math.sqrt(a[1])
-
-
 def _fact_half(nd: int) -> int:
     """Factorial of nd/2 where nd is an even, non-negative doubled integer."""
     if nd < 0 or nd % 2:
@@ -99,7 +78,7 @@ def _fact_half(nd: int) -> int:
     return math.factorial(nd // 2)
 
 
-def _cg_sq(j1d: int, m1d: int, j2d: int, m2d: int, jd: int, md: int) -> _SignedSq:
+def _cg_sq(j1d: int, m1d: int, j2d: int, m2d: int, jd: int, md: int) -> tuple[int, Fraction]:
     """General Clebsch-Gordan coefficient <j1 m1; j2 m2 | j m> via the Racah
     sum, on doubled-integer arguments.  Returns (sign, value^2) exactly."""
     if md != m1d + m2d:
@@ -135,29 +114,12 @@ def _cg_sq(j1d: int, m1d: int, j2d: int, m2d: int, jd: int, md: int) -> _SignedS
     return ((1 if total > 0 else -1), pref * total * total)
 
 
-def _cg_half_sq(l: int, jd: int, mud: int, sd: int) -> _SignedSq:
-    """Closed-form C_{l j mu s} for spin-1/2 coupling, as (sign, value^2).
-
-    l must be (jd +- 1)/2; sd is the doubled spin projection (+1 or -1).
-    """
-    j = Fraction(jd, 2)
-    mu = Fraction(mud, 2)
-    if 2 * l == jd + 1:
-        if sd == -1:
-            return (1, Fraction(j + mu + 1, 2 * (j + 1))) if j + mu + 1 else (0, Fraction(0))
-        return (-1, Fraction(j - mu + 1, 2 * (j + 1))) if j - mu + 1 else (0, Fraction(0))
-    if 2 * l == jd - 1:
-        if sd == -1:
-            return (1, Fraction(j - mu, 2 * j)) if j != mu else (0, Fraction(0))
-        return (1, Fraction(j + mu, 2 * j)) if j != -mu else (0, Fraction(0))
-    raise ValueError("l must equal j + 1/2 or j - 1/2")
-
-
 def clebsch_gordan_half(l: int, j, mu, s) -> float:
-    """Signed coefficient C_{l j mu s} coupling orbital l and spin 1/2 to (j, mu).
+    """Signed coefficient <l, mu - s; 1/2 s | j mu> coupling orbital l and
+    spin 1/2 to (j, mu).
 
-    l must be one of j +- 1/2; vanishing coefficients (|mu - s| > l or a zero
-    closed form) return 0.0 rather than raising.
+    l must be one of j +- 1/2; vanishing coefficients (|mu - s| > l) return
+    0.0 rather than raising.
     """
     jd = _doubled(j, "j")
     mud = _doubled(mu, "mu")
@@ -172,64 +134,44 @@ def clebsch_gordan_half(l: int, j, mu, s) -> float:
         raise ValueError("l must be a non-negative integer")
     if 2 * l not in (jd + 1, jd - 1):
         raise ValueError("l must equal j + 1/2 or j - 1/2")
-    if abs(mud - sd) > 2 * l:
-        return 0.0
-    return _ssq_float(_cg_half_sq(l, jd, mud, sd))
+    sign, sq = _cg_sq(2 * l, mud - sd, 1, sd, jd, mud)
+    return sign * math.sqrt(sq)
 
 
-def _gaunt_y1_sq(lp: int, mp: int, q: int, l: int, m: int) -> _SignedSq:
-    """Integral of Y*_{lp mp} Y_{1 q} Y_{l m} over the sphere, as
-    (sign, 4*pi*value^2).  Closed form via two Clebsch-Gordan factors."""
-    if mp != m + q or abs(m) > l or abs(mp) > lp:
-        return (0, Fraction(0))
-    c0 = _cg_sq(2 * l, 0, 2, 0, 2 * lp, 0)
-    c1 = _cg_sq(2 * l, 2 * m, 2, 2 * q, 2 * lp, 2 * mp)
-    pref = Fraction(3 * (2 * l + 1), (2 * lp + 1))
-    return (c0[0] * c1[0], pref * c0[1] * c1[1])
-
-
-def _y1m_sq(je_d: int, mue_d: int, jg_d: int, mug_d: int, upper: bool) -> _SignedSq:
-    """<e_mue| Y_1m |g_mug> with m = mue - mug, as (sign, 4*pi*value^2).
-
-    upper selects the realization l = j + 1/2 for both levels; the lower
-    realization uses l = j - 1/2.  The physical value is realization
-    independent (asserted by tests rather than assumed).
-    """
-    md = mue_d - mug_d
-    if abs(md) > 2:
-        return (0, Fraction(0))
-    le = (je_d + 1) // 2 if upper else (je_d - 1) // 2
-    lg = (jg_d + 1) // 2 if upper else (jg_d - 1) // 2
-    out: _SignedSq = (0, Fraction(0))
-    for sd in (-1, 1):
-        if abs(mue_d - sd) > 2 * le or abs(mug_d - sd) > 2 * lg:
-            continue
-        ce = _cg_half_sq(le, je_d, mue_d, sd)
-        cg = _cg_half_sq(lg, jg_d, mug_d, sd)
-        g = _gaunt_y1_sq(le, (mue_d - sd) // 2, md // 2, lg, (mug_d - sd) // 2)
-        out = _ssq_add(out, _ssq_mul(_ssq_mul(ce, cg), g))
-    return out
-
-
-def y1m_matrix_element(j_e, mu_e, j_g, mu_g, realization: str = "upper") -> float:
+def y1m_matrix_element(j_e, mu_e, j_g, mu_g) -> float:
     """Matrix element <e_{mu_e}| Y_{1m} |g_{mu_g}> with m = mu_e - mu_g.
 
-    Zero when |m| > 1 (dipole selection rule).  realization picks the orbital
-    quantum numbers l = j + 1/2 ("upper", default) or l = j - 1/2 ("lower")
-    for both levels; the two give identical values.
+    The levels are the spin-1/2 states
+
+        |l j mu> = sum_s <l, mu - s; 1/2 s | j mu> Y_{l, mu - s} |s>
+
+    with orbital l = j + 1/2 (l = j - 1/2 gives the same values, which the
+    tests check against an explicit construction).  By the Wigner-Eckart
+    theorem the element is a reduced element times <j_g mu_g; 1 m | j_e mu_e>,
+    and for Y_1 between these states
+
+        4 pi |<e|Y_1m|g>|^2 = 3 (2 j_g + 1) / (2 j_e + 1)
+                              * <j_g 1/2; 1 0 | j_e 1/2>^2
+                              * <j_g mu_g; 1 m | j_e mu_e>^2,
+
+    with the sign of the product of the two coefficients.  Zero when |m| > 1
+    (dipole selection rule), and when j_e + j_g is odd: Y_1 has odd parity,
+    so it connects l_e = l_g +- 1 only.
     """
     je_d = _doubled(j_e, "j_e")
     jg_d = _doubled(j_g, "j_g")
     mue_d = _doubled(mu_e, "mu_e")
     mug_d = _doubled(mu_g, "mu_g")
+    if je_d % 2 == 0 or jg_d % 2 == 0:
+        raise ValueError("j_e and j_g must be half-integers")
     if abs(mue_d) > je_d or abs(mug_d) > jg_d:
         raise ValueError("sublevel index exceeds its total angular momentum")
-    if realization not in ("upper", "lower"):
-        raise ValueError("realization must be 'upper' or 'lower'")
-    if realization == "lower" and min(je_d, jg_d) < 1:
-        raise ValueError("lower realization needs j >= 1/2")
-    sgn, q4pi = _y1m_sq(je_d, mue_d, jg_d, mug_d, realization == "upper")
-    return sgn * math.sqrt(q4pi / FOUR_PI)
+    if (je_d + jg_d) % 4:
+        return 0.0
+    s_red, red = _cg_sq(jg_d, 1, 2, 0, je_d, 1)
+    s_cg, cg = _cg_sq(jg_d, mug_d, 2, mue_d - mug_d, je_d, mue_d)
+    q4pi = Fraction(3 * (jg_d + 1), je_d + 1) * red * cg
+    return s_red * s_cg * math.sqrt(q4pi / FOUR_PI)
 
 
 @dataclass(frozen=True)
@@ -257,7 +199,8 @@ class TransitionDiagram:
 def transition_diagram(j_g, j_e) -> TransitionDiagram:
     """Strength diagram for an M1 pair (j_g, j_e) with |j_e - j_g| = 1.
 
-    Entries are squared Y_1m matrix elements, normalized per excited sublevel.
+    Entries are the squared coefficients <j_g mu_g; 1 q | j_e mu_e>^2 over
+    |q| <= 1; each excited sublevel's entries sum to 1 by orthonormality.
     """
     jg_d = _doubled(j_g, "j_g")
     je_d = _doubled(j_e, "j_e")
@@ -266,19 +209,12 @@ def transition_diagram(j_g, j_e) -> TransitionDiagram:
     if abs(je_d - jg_d) != 2:
         raise ValueError("only |j_e - j_g| = 1 dipole pairs are supported")
 
-    raw: dict[tuple[Fraction, Fraction], Fraction] = {}
-    for mue_d in range(-je_d, je_d + 1, 2):
-        for mug_d in range(-jg_d, jg_d + 1, 2):
-            _, q4pi = _y1m_sq(je_d, mue_d, jg_d, mug_d, upper=True)
-            if q4pi:
-                raw[(Fraction(mue_d, 2), Fraction(mug_d, 2))] = q4pi
     strengths: dict[tuple[Fraction, Fraction], Fraction] = {}
     for mue_d in range(-je_d, je_d + 1, 2):
-        mue = Fraction(mue_d, 2)
-        tot = sum((q for (me, _), q in raw.items() if me == mue), Fraction(0))
-        for (me, mg), q in raw.items():
-            if me == mue:
-                strengths[(me, mg)] = q / tot
+        for mug_d in range(mue_d - 2, mue_d + 3, 2):
+            w = _cg_sq(jg_d, mug_d, 2, mue_d - mug_d, je_d, mue_d)[1]
+            if w:
+                strengths[(Fraction(mue_d, 2), Fraction(mug_d, 2))] = w
     return TransitionDiagram(jg2=jg_d, je2=je_d, strengths=strengths)
 
 
@@ -448,6 +384,39 @@ def parse_kv_blocks(text: str, path: str = "<data>") -> list[tuple[int, dict[str
     return blocks
 
 
+def parse_record_file(path, fields: Mapping[str, Callable[[str], object]],
+                      build: Callable[[dict], object], optional: tuple[str, ...] = ()) -> list:
+    """Read one record per key/value block of a data file.
+
+    fields maps each allowed key to the converter for its value; every key
+    not listed in optional is required.  build turns the converted mapping
+    into a record.  Unknown or missing keys, unconvertible values and a
+    ValueError from build raise DataFileError at the block's first line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    records = []
+    for start, block in parse_kv_blocks(text, str(path)):
+        for key in block:
+            if key not in fields:
+                raise DataFileError(str(path), start, f"unknown key '{key}'")
+        for key in fields:
+            if key not in block and key not in optional:
+                raise DataFileError(str(path), start, f"missing key '{key}'")
+        values = {}
+        for key, raw in block.items():
+            try:
+                values[key] = fields[key](raw)
+            except ValueError:
+                raise DataFileError(str(path), start,
+                                    f"bad value for '{key}': {raw!r}") from None
+        try:
+            records.append(build(values))
+        except ValueError as exc:
+            raise DataFileError(str(path), start, str(exc)) from None
+    return records
+
+
 _NUCLIDE_FIELDS = {
     "name": str,
     "e0_keV": float,
@@ -457,31 +426,9 @@ _NUCLIDE_FIELDS = {
     "je2": int,
     "branch_divisor": float,
 }
-_NUCLIDE_REQUIRED = ("name", "e0_keV", "lifetime_s", "alpha_ic", "jg2", "je2")
 
 
 def parse_nuclide_file(path: str) -> list[NuclideRecord]:
     """Load nuclide records from a key/value data file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    records = []
-    for start, block in parse_kv_blocks(text, str(path)):
-        for key in block:
-            if key not in _NUCLIDE_FIELDS:
-                raise DataFileError(str(path), start, f"unknown key '{key}'")
-        for key in _NUCLIDE_REQUIRED:
-            if key not in block:
-                raise DataFileError(str(path), start, f"missing key '{key}'")
-        kwargs = {}
-        for key, value in block.items():
-            conv = _NUCLIDE_FIELDS[key]
-            try:
-                kwargs[key] = conv(value)
-            except ValueError:
-                raise DataFileError(str(path), start,
-                                    f"bad value for '{key}': {value!r}") from None
-        try:
-            records.append(NuclideRecord(**kwargs))
-        except ValueError as exc:
-            raise DataFileError(str(path), start, str(exc)) from None
-    return records
+    return parse_record_file(path, _NUCLIDE_FIELDS, lambda v: NuclideRecord(**v),
+                             optional=("branch_divisor",))

@@ -251,6 +251,8 @@ def integrate_periodic(f: Callable, rel_tol: float = 1e-8,
     integrands; the grid is doubled until two successive estimates agree to
     rel_tol.  f may accept a numpy array of angles or a scalar.
     """
+    if n_start < 1 or max_doublings < 1:
+        raise ValueError("n_start and max_doublings must be at least 1")
     n = n_start
     t = 2.0 * np.pi * np.arange(n) / n
     total = float(np.sum(_eval_vec(f, t)))

@@ -140,3 +140,11 @@ def test_window_yield_validation(fe):
         br_window_yield(probe, 26, 0.001, -14000.0, 1.0)
     with pytest.raises(ValueError):
         br_window_yield(probe, 26, 0.001, 0.4, 1.0)  # window crosses zero
+
+
+def test_zero_nuclear_charge_rejected_on_every_path(fe):
+    probe = electron(beta=0.9)
+    with pytest.raises(ValueError, match="z_nucleus"):
+        br_spectral_density(probe, 0, 0.001, fe.omega0_rad_s)
+    with pytest.raises(ValueError, match="z_nucleus"):
+        br_window_yield(probe, 0, 0.001, fe.e0_eV, 1.0)

@@ -214,6 +214,18 @@ def test_mc_plane_average_validation(probe, fe):
         mc_plane_average(probe, fe, 0.2856, 8, 1.0, 0.0, 0.001, 0)
 
 
+def test_mc_plane_average_rejects_r_min_before_sampling(probe, fe):
+    # r_min >= a/2 keeps too few draws (none at all from a/sqrt(2) on), and
+    # with the control variate r_min must lie inside the capture radius 0.35 a
+    a = 0.2856
+    for r_min, cv in ((0.1, True), (0.15, False), (0.21, False)):
+        with pytest.raises(ValueError, match="r_min_nm"):
+            mc_plane_average(probe, fe, a, 8, 1.0, 0.0, r_min, 10,
+                             control_variate=cv)
+    assert mc_plane_average(probe, fe, a, 8, 1.0, 0.0, 0.1, 10,
+                            control_variate=False) > 0.0
+
+
 def test_angle_arrays_equal_scalar_calls(probe, fe):
     # broadcast (3, 1) x (3,) angles; 20,000 nuclei puts 3 angles per block
     rng = np.random.default_rng(11)

@@ -1,7 +1,9 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from scipy.special import sph_harm_y
 
 from nucsp.nuclide import (
     DataFileError,
@@ -82,13 +84,91 @@ def test_dipole_matrix_elements_match_tabulated_pattern():
     assert abs(val) == pytest.approx(math.sqrt(1.0 / 3.0) * inv, rel=1e-14)
 
 
+# Oracle: the orbital x spin-1/2 construction the library's Wigner-Eckart
+# form replaces.  |l j mu> = sum_s <l, mu - s; 1/2 s | j mu> Y_{l, mu - s} |s>
+# with the coefficients from the closed-form table and the Gaunt integrals
+# from quadrature of scipy's spherical harmonics, so nothing here shares
+# code with nucsp's Racah sum.
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+_N_PHI = 16
+
+
+def _spin_half_cg(l, j, mu, s):
+    """<l, mu - s; 1/2 s | j mu> from the closed-form table (Condon-Shortley)."""
+    if abs(mu - s) > l:
+        return 0.0
+    if j == l + 0.5:
+        return math.sqrt((l + 2 * s * mu + 0.5) / (2 * l + 1))
+    return -2 * s * math.sqrt((l - 2 * s * mu + 0.5) / (2 * l + 1))
+
+
+def _gaunt_y1(lp, mp, q, l, m):
+    """Integral of conj(Y_{lp mp}) Y_{1 q} Y_{l m} over the sphere.
+
+    The integrand is a polynomial of degree <= lp + l + 1 in cos(theta) times
+    exp(i (m + q - mp) phi), so 16 Gauss-Legendre by 16 uniform-phi nodes
+    are exact for lp, l <= 7.
+    """
+    theta = np.arccos(_GL_X)[:, None]
+    phi = 2.0 * math.pi * np.arange(_N_PHI)[None, :] / _N_PHI
+    f = (np.conj(sph_harm_y(lp, mp, theta, phi)) * sph_harm_y(1, q, theta, phi)
+         * sph_harm_y(l, m, theta, phi))
+    val = complex(_GL_W @ f.sum(axis=1)) * 2.0 * math.pi / _N_PHI
+    assert abs(val.imag) < 1e-15
+    return val.real
+
+
+def _orbital_y1m(j_e, mu_e, j_g, mu_g, upper):
+    """<e_{mu_e}| Y_1m |g_{mu_g}> built from the spin-1/2 states, with orbital
+    l = j + 1/2 (upper) or l = j - 1/2 for both levels."""
+    l_e = int(j_e + 0.5) if upper else int(j_e - 0.5)
+    l_g = int(j_g + 0.5) if upper else int(j_g - 0.5)
+    q = int(mu_e - mu_g)
+    if abs(q) > 1:
+        return 0.0
+    total = 0.0
+    for s in (0.5, -0.5):
+        if abs(mu_e - s) > l_e or abs(mu_g - s) > l_g:
+            continue
+        total += (_spin_half_cg(l_e, j_e, mu_e, s) * _spin_half_cg(l_g, j_g, mu_g, s)
+                  * _gaunt_y1(l_e, int(mu_e - s), q, l_g, int(mu_g - s)))
+    return total
+
+
+def _sublevels(j):
+    return [F(m2, 2) for m2 in range(-int(2 * j), int(2 * j) + 1, 2)]
+
+
 def test_dipole_matrix_elements_realizations_agree_in_magnitude():
-    cases = [(F(3, 2), m, F(1, 2), mu) for m in (F(3, 2), F(1, 2), -F(1, 2))
-             for mu in (F(1, 2), -F(1, 2))]
-    for je_m, mu_e, jg, mu_g in cases:
-        up = y1m_matrix_element(je_m, mu_e, jg, mu_g, realization="upper")
-        lo = y1m_matrix_element(je_m, mu_e, jg, mu_g, realization="lower")
-        assert abs(up) == pytest.approx(abs(lo), abs=1e-15)
+    # y1m_matrix_element against the explicit construction in both
+    # realizations, sign included, on every sublevel pair; j_e = j_g is
+    # parity forbidden (l_e = l_g) and must vanish
+    nonzero = 0
+    for jg, je in ((F(1, 2), F(3, 2)), (F(5, 2), F(7, 2)),
+                   (F(3, 2), F(1, 2)), (F(7, 2), F(5, 2)), (F(3, 2), F(3, 2))):
+        for mu_e in _sublevels(je):
+            for mu_g in _sublevels(jg):
+                val = y1m_matrix_element(je, mu_e, jg, mu_g)
+                args = (float(je), float(mu_e), float(jg), float(mu_g))
+                up = _orbital_y1m(*args, upper=True)
+                lo = _orbital_y1m(*args, upper=False)
+                assert val == pytest.approx(up, abs=1e-15)
+                assert val == pytest.approx(lo, abs=1e-15)
+                nonzero += val != 0.0
+    assert nonzero == 3 * (2 + 6 + 2 + 6)  # 3(2 j_min + 1) per dipole pair
+
+
+def test_spin_half_oracle_table_matches_library():
+    for l in range(0, 5):
+        for twoj in (2 * l - 1, 2 * l + 1):
+            if twoj < 1:
+                continue
+            j = F(twoj, 2)
+            for mu in _sublevels(j):
+                for s in (F(1, 2), -F(1, 2)):
+                    assert clebsch_gordan_half(l, j, mu, s) == pytest.approx(
+                        _spin_half_cg(l, float(j), float(mu), float(s)), abs=1e-15)
 
 
 def test_dipole_selection_rule():
@@ -132,6 +212,24 @@ def test_coherent_fraction_equals_mean_nonzero_strength():
         diag = transition_diagram(jg, je)
         weights = list(diag.strengths.values())
         assert coherent_fraction(jg, je) == sum(weights) / len(weights)
+
+
+@pytest.mark.parametrize("jg, je, f", [
+    (F(3, 2), F(1, 2), F(1, 3)),
+    (F(3, 2), F(5, 2), F(1, 2)),
+    (F(5, 2), F(3, 2), F(1, 3)),
+    (F(7, 2), F(5, 2), F(1, 3)),
+    (F(7, 2), F(9, 2), F(5, 12)),
+    (F(9, 2), F(7, 2), F(1, 3)),
+    (F(9, 2), F(11, 2), F(2, 5)),
+])
+def test_coherent_fraction_and_sum_rules_both_directions(jg, je, f):
+    assert coherent_fraction(jg, je) == f
+    diag = transition_diagram(jg, je)
+    for mu_e in _sublevels(je):
+        assert diag.downward_sum(mu_e) == F(1)
+    for mu_g in _sublevels(jg):
+        assert diag.upward_sum(mu_g) == (2 * je + 1) / (2 * jg + 1)
 
 
 # ---------------------------------------------------------------------------

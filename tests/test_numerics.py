@@ -183,6 +183,12 @@ def test_periodic_integral_reports_failure():
     assert b == pytest.approx(4.0, rel=1e-3)
 
 
+def test_periodic_integral_rejects_empty_grid_or_no_doublings():
+    for kw in (dict(n_start=0), dict(max_doublings=0), dict(n_start=-4)):
+        with pytest.raises(ValueError):
+            integrate_periodic(np.cos, **kw)
+
+
 def test_adaptive_integral_known_values():
     assert integrate_adaptive(math.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-10)
     assert integrate_adaptive(lambda x: math.exp(-x), 0.0, 10.0) == pytest.approx(
