@@ -26,6 +26,7 @@ bremsstrahlung power.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -95,6 +96,16 @@ def br_density(probe: Probe, z_nucleus: int, r_perp_nm: float,
     return float(val[0, 0])
 
 
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre (nodes, weights) on [-1, 1], built once per n and
+    read-only, since every caller shares them."""
+    nodes, wts = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    wts.flags.writeable = False
+    return nodes, wts
+
+
 def br_spectral_density(probe: Probe, z_nucleus: int, r_perp_nm: float,
                         omega: float, rel_tol: float = 1e-4) -> float:
     """Solid-angle integral of the density at fixed omega, in seconds.
@@ -106,7 +117,7 @@ def br_spectral_density(probe: Probe, z_nucleus: int, r_perp_nm: float,
     estimates = []
     n = 32
     while n <= 1024:
-        nodes, wts = np.polynomial.legendre.leggauss(n)
+        nodes, wts = _gauss_legendre(n)
         phis = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
         vals = _density_values(probe, z_nucleus, r_perp_nm, nodes, phis, omega)
         est = float(wts @ vals.sum(axis=1)) * (2.0 * math.pi / n)
@@ -125,14 +136,14 @@ def br_window_yield(probe: Probe, z_nucleus: int, r_perp_nm: float,
 
     Integrates the spectral density over omega in [center - w/2, center + w/2]
     with three-point Simpson quadrature; the integrand is nearly linear in
-    omega over any window narrow compared to the center energy.
+    omega over any window narrow compared to the center energy.  An empty
+    window gives 0.0 through the (hi - lo) factor, after the same argument
+    checks as any other window.
     """
     if not center_eV > 0:
         raise ValueError("center_eV must be positive")
     if window_eV < 0:
         raise ValueError("window_eV must be non-negative")
-    if window_eV == 0:
-        return 0.0
     hbar = CONSTANTS.hbar_eV_s
     lo = (center_eV - 0.5 * window_eV) / hbar
     mid = center_eV / hbar

@@ -20,19 +20,41 @@ n b_z / d + (G . b_par) / (2 pi) must be an integer.  The sum is assembled
 with the equivalent numerator Q^2 cos^2(theta_n) + (Q . r_hat)^2, in one
 helper that also serves the single-plane average below.
 
+The cone weight is the integral of Gamma_n over phi, which is done in closed
+form for each G.  With c = cos(theta_n), s = sin(theta_n), k = |k_par| =
+k0 s and psi the angle between k_par and G, Q^2 = k^2 + G^2 + 2 k G cos(psi)
+and Q . r_hat = s (k + G cos(psi)).  Writing A = k^2 + G^2 + Delta^2 and
+R = sqrt(((k - G)^2 + Delta^2) ((k + G)^2 + Delta^2)), which is positive
+since Delta > 0,
+
+    int_0^{2 pi} (Q^2 c^2 + (Q . r_hat)^2) / (Q^2 + Delta^2)^2 dphi
+        = 2 pi [k^2 (k^2 - G^2 + Delta^2)^2 + P R + c^2 G^2 R^2]
+          / (R^3 (A + R)),      P = (k^2 - G^2)^2 + (k^2 + G^2) Delta^2.
+
+It equals the textbook 2 pi [(k^2 + c^2 G^2) A - B^2] / R^3 + s^2 G^2 X2,
+with B = 2 k G and X2 = int cos^2(psi) / (A + B cos(psi))^2 dpsi, but the
+terms of its numerator are all non-negative, so nothing cancels, at B = 0
+(G = 0) included.  The textbook terms cancel where Q passes near zero
+(|G| ~ k with Delta << k, i.e. beta -> 1); at beta = 0.99999 they are off
+by 3e-6.  The integral depends on |G| alone, so a cone weight is one
+compensated sum over the admissible G.
+
 The sum over G diverges logarithmically and is cut off at g_max = 1/R_min,
 where R_min is the closest impact parameter the beam can reach.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .numerics import CONSTANTS, integrate_periodic
+from .numerics import CONSTANTS
+from .numerics import integrate_periodic  # noqa: F401  (traced by perfbench/spans.py)
 from .nuclide import NuclideRecord, parse_record_file, radiative_rate
 from .probe import Probe
 
@@ -54,6 +76,8 @@ __all__ = [
 _PARITY_TOL = 1e-9
 _MAX_STACK_PERIOD = 16
 _SMOOTH_EXTENT = 12.0
+# Largest n_phi x n_G temporary formed when a profile is sampled.
+_BLOCK_TERMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -260,15 +284,30 @@ def _gsum_terms(probe: Probe, rec: NuclideRecord, g: np.ndarray, w: np.ndarray,
     return w * num / den
 
 
-def _cone_profile(probe: Probe, rec: NuclideRecord, film: LatticeFilm, n: int,
-                  policy: CutoffPolicy):
-    """phi -> per-layer profile array on cone n, with the angle-independent
-    set-up (G, weights, cone cosine, prefactor) done once."""
+def _cone_setup(probe: Probe, rec: NuclideRecord, film: LatticeFilm, n: int,
+                policy: CutoffPolicy):
+    """Angle-independent inputs of cone n: cosine, G vectors, weights, prefactor."""
     cos_t = _cone_cos(probe, rec, film, n)
     g = _enumerate_g(film, policy, n)
     w = policy.weights(np.hypot(g[:, 0], g[:, 1]))
     pref = film.n_layers * _layer_prefactor(probe, rec, film)
-    return lambda phi: pref * np.sum(_gsum_terms(probe, rec, g, w, cos_t, phi), axis=1)
+    return cos_t, g, w, pref
+
+
+def _phi_integrals(probe: Probe, rec: NuclideRecord, cos_t: float,
+                   g_norm: np.ndarray) -> np.ndarray:
+    """Closed-form integral over phi of one _gsum_terms summand (unit weight),
+    per |G|; the formula and why it is free of cancellation are in the module
+    docstring."""
+    sin_t = math.sqrt(max(0.0, (1.0 - cos_t) * (1.0 + cos_t)))
+    k = rec.omega0_rad_s / CONSTANTS.c_nm_s * sin_t
+    d2 = (rec.omega0_rad_s / (probe.velocity_nm_s * probe.gamma)) ** 2
+    g2 = g_norm * g_norm
+    r = np.sqrt(((k - g_norm) ** 2 + d2) * ((k + g_norm) ** 2 + d2))
+    k2mg2 = (k - g_norm) * (k + g_norm)
+    p = k2mg2 * k2mg2 + (k * k + g2) * d2
+    num = k * k * (k2mg2 + d2) ** 2 + p * r + cos_t * cos_t * g2 * r * r
+    return 2.0 * math.pi * num / (r ** 3 * (k * k + g2 + d2 + r))
 
 
 def _layer_prefactor(probe: Probe, rec: NuclideRecord, film: LatticeFilm) -> float:
@@ -285,43 +324,61 @@ def azimuthal_profile(probe: Probe, rec: NuclideRecord, film: LatticeFilm,
     """Per-layer emission probability per azimuthal radian on cone n.
 
     Scalar phi gives a float; an array gives the profile sampled pointwise.
-    The angular factor is assembled as Q^2 cos^2(theta) + (Q . r_hat)^2.
+    The angular factor is assembled as Q^2 cos^2(theta) + (Q . r_hat)^2, in
+    G blocks of at most _BLOCK_TERMS summands, so memory stays O(n_G).
     """
-    out = _cone_profile(probe, rec, film, n, policy)(phi)
+    cos_t, g, w, pref = _cone_setup(probe, rec, film, n, policy)
+    phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
+    out = np.zeros(phi_arr.shape)
+    step = max(1, _BLOCK_TERMS // phi_arr.size)
+    for lo in range(0, g.shape[0], step):
+        out += np.sum(_gsum_terms(probe, rec, g[lo:lo + step], w[lo:lo + step],
+                                  cos_t, phi_arr), axis=1)
+    out *= pref
     return float(out[0]) if np.ndim(phi) == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
 class EmissionCone:
-    """One radiating order: direction, azimuthal profile, integrated weight."""
+    """One radiating order: direction, azimuthal profile, integrated weight.
+
+    phi_profile is azimuthal_profile on the phis grid, evaluated when first
+    read.
+    """
 
     n: int
     cos_theta: float
     phis: np.ndarray
-    phi_profile: np.ndarray
     weight: float
+    _profile: Callable = field(repr=False)
+
+    @functools.cached_property
+    def phi_profile(self) -> np.ndarray:
+        return self._profile(self.phis)
 
 
 def emission_cones(probe: Probe, rec: NuclideRecord, film: LatticeFilm,
                    policy: CutoffPolicy, order_cap: int | None = None,
-                   rel_tol: float = 1e-8, n_phi: int = 64) -> list[EmissionCone]:
+                   n_phi: int = 64) -> list[EmissionCone]:
     """All radiating orders with phi profiles and integrated cone weights."""
     cones = []
-    for n, cos_t in sp_angles(probe.beta, film.z_period_nm, rec.wavelength_nm,
-                              order_cap):
-        profile = _cone_profile(probe, rec, film, n, policy)
-        phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-        cones.append(EmissionCone(n=n, cos_theta=cos_t, phis=phis,
-                                  phi_profile=profile(phis),
-                                  weight=integrate_periodic(profile, rel_tol=rel_tol)))
+    for n, _ in sp_angles(probe.beta, film.z_period_nm, rec.wavelength_nm,
+                          order_cap):
+        cos_t, g, w, pref = _cone_setup(probe, rec, film, n, policy)
+        integrals = _phi_integrals(probe, rec, cos_t, np.hypot(g[:, 0], g[:, 1]))
+        cones.append(EmissionCone(
+            n=n, cos_theta=cos_t,
+            phis=np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False),
+            weight=pref * math.fsum(w * integrals),
+            _profile=functools.partial(azimuthal_profile, probe, rec, film, n,
+                                       policy=policy)))
     return cones
 
 
 def layer_yield(probe: Probe, rec: NuclideRecord, film: LatticeFilm,
-                policy: CutoffPolicy, order_cap: int | None = None,
-                rel_tol: float = 1e-8) -> float:
+                policy: CutoffPolicy, order_cap: int | None = None) -> float:
     """Total emission probability per layer and per unit charge squared."""
-    cones = emission_cones(probe, rec, film, policy, order_cap, rel_tol)
+    cones = emission_cones(probe, rec, film, policy, order_cap)
     return sum(c.weight for c in cones) / (probe.z_charge ** 2 * film.n_layers)
 
 

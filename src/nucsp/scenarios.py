@@ -238,7 +238,7 @@ MAX_G_GRID = 2_000_000
 MAX_ARRAY_TERMS = 10_000_000
 
 
-def _rule_errors(scenario, p, rec, films):
+def _rule_errors(scenario, p, rec, films, probe):
     """Cross-field rules, run once every field has passed its own check."""
     if scenario == "single-sweep" and p["br_window_eV"] >= 2.0 * rec.e0_eV:
         yield "params.br_window_eV: window extends to non-positive photon energies"
@@ -251,10 +251,34 @@ def _rule_errors(scenario, p, rec, films):
         film = films[p["lattice"]]
         if p["a_nm"] is not None and film != builtin_presets().get(p["lattice"]):
             yield "params.a_nm: a_nm can only override built-in lattice presets"
+        elif p["a_nm"] is not None:
+            film = make_film(p["lattice"], a_nm=p["a_nm"])
         radius = CutoffPolicy(p["r_min_nm"], p["smooth_cutoff"]).enumeration_radius()
         m = radius * (film.a_nm if p["a_nm"] is None else p["a_nm"]) / (2.0 * math.pi)
         if not m < MAX_G_GRID or (2 * math.floor(m) + 1) ** 2 > MAX_G_GRID:
             yield "params.r_min_nm: reciprocal grid exceeds %d entries per order" % MAX_G_GRID
+        yield from _order_cap_errors(p, rec, film, probe)
+
+
+def _order_cap_errors(p, rec, film, probe):
+    """Betas at which order_cap drops every radiating order.
+
+    cos(theta_n) = 1/beta - n lambda/d, computed as sp_angles computes it,
+    falls by lambda/d per order, so the first order with cos <= 1 lies
+    within one of x = (1/beta - 1) d/lambda.
+    """
+    lam, d, cap = rec.wavelength_nm, film.z_period_nm, p["order_cap"]
+    for beta in p["betas"] if p["betas"] is not None else [probe.beta]:
+        x = (1.0 / beta - 1.0) * d / lam
+        if not x < 2.0 ** 40:  # past this, rounding in 1/beta spans whole orders
+            yield ("params.order_cap: %d drops every radiating order at beta = %g "
+                   "(the first is beyond n = 2^40)" % (cap, beta))
+            continue
+        start = max(1, math.ceil(x) - 1)
+        first = next(n for n in range(start, start + 3) if 1.0 / beta - n * lam / d <= 1.0)
+        if first > cap and 1.0 / beta - first * lam / d >= -1.0:
+            yield ("params.order_cap: %d drops every radiating order at beta = %g "
+                   "(the first is n = %d)" % (cap, beta, first))
 
 
 def _validate_params(scenario, block, errors, films):
@@ -324,7 +348,7 @@ def validate_config(text: str, registry: Mapping[str, NuclideRecord] | None = No
     params = _validate_params(scenario, doc.get("params"), errors, film_map) \
         if scenario is not None else {}
     if not errors:
-        errors.extend(_rule_errors(scenario, params, reg.get(nuclide), film_map))
+        errors.extend(_rule_errors(scenario, params, reg.get(nuclide), film_map, probe))
 
     out_block = doc.get("output", {})
     prefix = "result"

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from nucsp.brems import br_density, br_spectral_density, br_window_yield
+from nucsp.brems import _gauss_legendre, br_density, br_spectral_density, br_window_yield
 from nucsp.numerics import CONSTANTS
 from nucsp.nuclide import registry
 from nucsp.probe import Probe, electron, proton
@@ -148,3 +148,22 @@ def test_zero_nuclear_charge_rejected_on_every_path(fe):
         br_spectral_density(probe, 0, 0.001, fe.omega0_rad_s)
     with pytest.raises(ValueError, match="z_nucleus"):
         br_window_yield(probe, 0, 0.001, fe.e0_eV, 1.0)
+
+
+def test_empty_window_still_checks_its_arguments(fe):
+    probe = electron(beta=0.9)
+    with pytest.raises(ValueError, match="r_perp_nm"):
+        br_window_yield(probe, 0, -1.0, fe.e0_eV, 0.0)
+    with pytest.raises(ValueError, match="z_nucleus"):
+        br_window_yield(probe, 0, 0.001, fe.e0_eV, 0.0)
+
+
+def test_gauss_legendre_nodes_are_shared_read_only():
+    for n in (32, 64, 128):
+        nodes, wts = _gauss_legendre(n)
+        ref_nodes, ref_wts = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(nodes, ref_nodes) and np.array_equal(wts, ref_wts)
+        assert not nodes.flags.writeable and not wts.flags.writeable
+        assert _gauss_legendre(n)[0] is nodes
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0

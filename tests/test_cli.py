@@ -182,6 +182,10 @@ _BREMS = "scenario: brems-compare\nprobe: {species: electron, beta: 0.9}\n"
     pytest.param("scenario: crystal-yield\nprobe: {species: electron, beta: 0.9}\n"
                  "params: {order_cap: 101}\n",
                  "params.order_cap: must be at most 100", id="order_cap-cap"),
+    pytest.param("scenario: crystal-yield\nprobe: {species: electron, beta: 0.9}\n"
+                 "params: {lattice: bcc100, betas: [0.2, 0.9]}\n",
+                 "params.order_cap: 12 drops every radiating order at beta = 0.2 "
+                 "(the first is n = 14)", id="order_cap-drops-all"),
 ])
 def test_cross_field_rules_exit_1(command, config, message, tmp_path, capsys,
                                   monkeypatch):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -8,6 +9,7 @@ from nucsp.crystal_sp import (
     LatticeFilm,
     _gsum_terms,
     _layer_prefactor,
+    _phi_integrals,
     azimuthal_profile,
     builtin_presets,
     emission_cones,
@@ -20,7 +22,7 @@ from nucsp.crystal_sp import (
 )
 from nucsp.finite_array import mc_plane_average
 from nucsp.nuclide import radiative_rate, registry
-from nucsp.numerics import CONSTANTS
+from nucsp.numerics import CONSTANTS, integrate_periodic
 from nucsp.probe import electron
 
 
@@ -333,6 +335,91 @@ def test_emission_cones_structure(p94, fe):
         # to well under a percent (the profile is nearly flat)
         trap = c.phi_profile.mean() * 2.0 * math.pi
         assert c.weight == pytest.approx(trap, rel=1e-3)
+
+
+def _phi_integral_oracle(probe, rec, cos_t, g_norm, g_angle=0.7):
+    """mpmath quadrature over phi of one unit-weight summand in its transverse
+    form, Q^2 (1 - (r_hat . phi_hat_Q)^2) / (Q^2 + Delta^2)^2, for
+    G = g_norm (cos g_angle, sin g_angle)."""
+    with mp.workdps(30):
+        k0 = mp.mpf(rec.omega0_rad_s) / mp.mpf(CONSTANTS.c_nm_s)
+        delta = mp.mpf(rec.omega0_rad_s) / (mp.mpf(probe.velocity_nm_s)
+                                            * mp.mpf(probe.gamma))
+        c = mp.mpf(cos_t)
+        s = mp.sqrt((1 - c) * (1 + c))
+        gx = mp.mpf(g_norm) * mp.cos(g_angle)
+        gy = mp.mpf(g_norm) * mp.sin(g_angle)
+
+        def f(phi):
+            qx = k0 * s * mp.cos(phi) + gx
+            qy = k0 * s * mp.sin(phi) + gy
+            q2 = qx * qx + qy * qy
+            r_dot = s * (mp.sin(phi) * qx - mp.cos(phi) * qy)
+            return (q2 - r_dot * r_dot) / (q2 + delta * delta) ** 2
+
+        # |Q| is smallest at phi = g_angle + pi, where the integrand peaks
+        # with width ~ Delta / k: crowd breakpoints towards it
+        peak = mp.mpf(g_angle) + mp.pi
+        gaps = [mp.pi * mp.mpf(10) ** -e for e in range(9)]
+        pts = [peak - x for x in gaps] + [peak] + [peak + x for x in reversed(gaps)]
+        return float(mp.quad(f, pts))
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.94, 0.99999])
+@pytest.mark.parametrize("cos_t", [1.0 - 1e-6, 0.3, -0.6, -1.0 + 1e-6])
+def test_phi_integral_closed_form_matches_mpmath(fe, beta, cos_t):
+    # G = 0 (B = 0), the first bcc100 shell, |G| = |k_par| (Q passes through
+    # zero; at beta -> 1, Delta << k and the textbook form cancels there) and
+    # the 1/r_min = 1000/nm cutoff
+    probe = electron(beta=beta)
+    k = fe.omega0_rad_s / CONSTANTS.c_nm_s * math.sqrt((1 - cos_t) * (1 + cos_t))
+    g_norms = np.array([0.0, 2.0 * math.pi / 0.2856, k, 1000.0])
+    got = _phi_integrals(probe, fe, cos_t, g_norms)
+    for gn, val in zip(g_norms, got):
+        assert val == pytest.approx(_phi_integral_oracle(probe, fe, cos_t, gn),
+                                    rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("preset,pol", [
+    ("bcc100", CutoffPolicy(0.002)),
+    ("fcc100", CutoffPolicy(0.002)),
+    ("sc100", CutoffPolicy(0.002)),
+    ("bcc100", CutoffPolicy(0.004, smooth=True)),
+])
+def test_cone_weights_match_periodic_quadrature(fe, preset, pol):
+    # the azimuthal quadrature the closed form replaced, run tighter
+    probe = electron(beta=0.9)
+    film = make_film(preset)
+    cones = emission_cones(probe, fe, film, pol)
+    assert cones
+    for c in cones:
+        quad = integrate_periodic(
+            lambda phi: azimuthal_profile(probe, fe, film, c.n, phi, pol), rel_tol=1e-10)
+        assert c.weight == pytest.approx(quad, rel=1e-8)
+
+
+def test_phi_profile_is_azimuthal_profile_read_lazily(p94, fe):
+    film = make_film("fcc100")
+    pol = CutoffPolicy(0.002)
+    for c in emission_cones(p94, fe, film, pol):
+        assert "phi_profile" not in vars(c)
+        profile = c.phi_profile
+        assert c.phi_profile is profile
+        assert np.array_equal(profile, azimuthal_profile(p94, fe, film, c.n, c.phis, pol))
+
+
+def test_profile_blocks_match_one_pass_sum(p94, fe):
+    # 4096 angles against 812 vectors: the profile is summed in 51 G blocks
+    film = make_film("bcc100")
+    pol = CutoffPolicy(0.002)
+    g = reciprocal_vectors(film, 1, pol)
+    w = pol.weights(np.hypot(g[:, 0], g[:, 1]))
+    cos_t = dict(sp_angles(0.94, film.z_period_nm, fe.wavelength_nm))[1]
+    phis = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+    one_pass = (film.n_layers * _layer_prefactor(p94, fe, film)
+                * np.sum(_gsum_terms(p94, fe, g, w, cos_t, phis), axis=1))
+    np.testing.assert_allclose(azimuthal_profile(p94, fe, film, 1, phis, pol),
+                               one_pass, rtol=1e-13)
 
 
 def test_layer_yield_frozen_value(p94, fe):
