@@ -96,6 +96,13 @@ def br_density(probe: Probe, z_nucleus: int, r_perp_nm: float,
     return float(val[0, 0])
 
 
+# Uniform azimuth grid of br_spectral_density: exact for |V|^2, whose phi
+# dependence has degree at most 4 (see there).
+_N_PHI = 8
+_PHIS = np.linspace(0.0, 2.0 * math.pi, _N_PHI, endpoint=False)
+_PHIS.flags.writeable = False
+
+
 @functools.cache
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre (nodes, weights) on [-1, 1], built once per n and
@@ -110,17 +117,21 @@ def br_spectral_density(probe: Probe, z_nucleus: int, r_perp_nm: float,
                         omega: float, rel_tol: float = 1e-4) -> float:
     """Solid-angle integral of the density at fixed omega, in seconds.
 
-    Gauss-Legendre in cos(theta) times a uniform phi grid, with the node
-    count doubled until two successive estimates agree to rel_tol.
+    Gauss-Legendre in cos(theta), with the node count doubled from 32 until
+    two successive estimates agree to rel_tol, times a fixed uniform grid of
+    _N_PHI azimuths.  At fixed theta each component of V is a trigonometric
+    polynomial of degree at most 2 in phi, so |V|^2 has degree at most 4
+    (its cos 4 phi terms cancel in the sum over components), and an N-point
+    uniform rule integrates every degree below N exactly: the phi integral
+    carries no error to refine.
     """
     prev = None
     estimates = []
     n = 32
     while n <= 1024:
         nodes, wts = _gauss_legendre(n)
-        phis = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        vals = _density_values(probe, z_nucleus, r_perp_nm, nodes, phis, omega)
-        est = float(wts @ vals.sum(axis=1)) * (2.0 * math.pi / n)
+        vals = _density_values(probe, z_nucleus, r_perp_nm, nodes, _PHIS, omega)
+        est = float(wts @ vals.sum(axis=1)) * (2.0 * math.pi / _N_PHI)
         estimates.append(est)
         if prev is not None and abs(est - prev) <= rel_tol * max(abs(est), abs(prev)):
             return est

@@ -65,6 +65,7 @@ __all__ = [
     "builtin_presets",
     "make_film",
     "parse_lattice_file",
+    "first_radiating_order",
     "sp_angles",
     "reciprocal_vectors",
     "azimuthal_profile",
@@ -197,21 +198,44 @@ class CutoffPolicy:
         return np.ones_like(g_norm)
 
 
+def first_radiating_order(beta: float, d_nm: float, lambda_nm: float) -> int:
+    """Smallest n >= 1 with cos(theta_n) = 1/beta - n lambda / d <= 1, with
+    cos(theta_n) computed as sp_angles computes it.
+
+    That value falls monotonically in n and crosses 1 at
+    x = (1/beta - 1) d / lambda, up to rounding that stays far below one
+    order while x < 2^40.  So the first order is not below ceil(x) - 1, and
+    a step or two up from there finds it.  Raises ValueError when x is 2^40
+    or more: past that, rounding in 1/beta spans whole orders.
+    """
+    x = (1.0 / beta - 1.0) * d_nm / lambda_nm
+    if not x < 2.0 ** 40:
+        raise ValueError("beta = %g puts the first radiating order beyond n = 2^40"
+                         % beta)
+    n = max(1, math.ceil(x) - 1)
+    while 1.0 / beta - n * lambda_nm / d_nm > 1.0:
+        n += 1
+    return n
+
+
 def sp_angles(beta: float, d_nm: float, lambda_nm: float,
               order_cap: int | None = None) -> list[tuple[int, float]]:
-    """Orders n and cone cosines cos(theta_n) = 1/beta - n lambda / d."""
+    """Orders n and cone cosines cos(theta_n) = 1/beta - n lambda / d.
+
+    Starts at first_radiating_order, so the cost does not grow with 1/beta,
+    and raises its ValueError when the first order lies beyond n = 2^40.
+    """
     if not 0 < beta < 1:
         raise ValueError("beta must be in (0, 1)")
     if not d_nm > 0 or not lambda_nm > 0:
         raise ValueError("d_nm and lambda_nm must be positive")
     out = []
-    n = 1
+    n = first_radiating_order(beta, d_nm, lambda_nm)
     while order_cap is None or n <= order_cap:
         c = 1.0 / beta - n * lambda_nm / d_nm
         if c < -1.0:
             break
-        if c <= 1.0:
-            out.append((n, c))
+        out.append((n, c))
         n += 1
     return out
 

@@ -19,6 +19,18 @@ Direct sums are correctly rounded (math.fsum) over reduced phase arguments,
 so large arrays stay at full double precision.  Angles may be scalars or
 broadcastable arrays: the angle-independent work is done once per call, and
 the terms are formed in blocks of _BLOCK_TERMS, so memory is O(N) in nuclei.
+
+The Monte-Carlo average over impact parameters in one z = 0 plane forms g
+for a chunk of m samples and n sites at once, with real arithmetic only:
+w = K1 / dist on the (m x n) grid, then g_x = (w (-dy)) @ B and
+g_y = (w dx) @ B with B = [cos phase_j, -sin phase_j] the (n x 2) site
+phases, whose two columns give the real and imaginary parts.  Its control
+variate subtracts the nearest site's own term inside a capture disk and adds
+back that term's exact mean, from the closed-form integral
+
+    int x K1(x)^2 dx = F(x) = (x^2/2)(K1^2 - K0^2) - x K0 K1,
+
+so no quadrature runs.
 """
 
 from __future__ import annotations
@@ -28,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import CONSTANTS, bessel_k1, integrate_adaptive
+from .numerics import CONSTANTS, bessel_k01, bessel_k1
+from .numerics import integrate_adaptive  # noqa: F401  (traced by perfbench/spans.py)
 from .nuclide import NuclideRecord
 from .probe import Probe, TransverseGeometry
 from .single_nucleus import _dimensionless_scale
@@ -210,26 +223,52 @@ def _plane_terms(sites: np.ndarray, rps: np.ndarray, rhat: np.ndarray,
     contribution K1^2 (1 - (r_hat . phi_hat)^2) for control-variate use.
     Matches the per-point far_field_amplitude assembly to rounding.
     """
-    d = sites[None, :, :] - rps[:, None, :]
-    dist = np.hypot(d[..., 0], d[..., 1])
+    # site-minus-sample offsets as two (m x n) arrays: an (m x n x 2) array
+    # would run every elementwise loop over a length-2 inner axis
+    dx = sites[:, 0] - rps[:, 0, None]
+    dy = sites[:, 1] - rps[:, 1, None]
+    dist = np.hypot(dx, dy)
     arg = delta * dist
     k1 = np.zeros_like(arg)
     small = arg < _ARG_CUT
     k1[small] = bessel_k1(arg[small])
-    phase = np.exp(-1j * k0 * (rhat[0] * sites[:, 0] + rhat[1] * sites[:, 1]))[None, :]
-    gx = np.sum(k1 * phase * (-d[..., 1]) / dist, axis=1)
-    gy = np.sum(k1 * phase * (d[..., 0]) / dist, axis=1)
-    x = (np.abs(gx) ** 2 + np.abs(gy) ** 2
-         - np.abs(rhat[0] * gx + rhat[1] * gy) ** 2)
+    # g = sum_j (K1_j / dist_j) (-dy_j, dx_j) e^{-i phase_j}: two real
+    # (m x n) @ (n x 2) products, whose columns are the real and imaginary
+    # parts of g_x and g_y
+    w = k1 / dist
+    phase = k0 * (rhat[0] * sites[:, 0] + rhat[1] * sites[:, 1])
+    basis = np.column_stack([np.cos(phase), -np.sin(phase)])
+    gx = (w * -dy) @ basis
+    gy = (w * dx) @ basis
+    # |r_hat x g|^2 = |g|^2 - |r_hat . g|^2 for g_z = 0, summed over the
+    # real and imaginary columns
+    rg = rhat[0] * gx + rhat[1] * gy
+    x = np.sum(gx * gx + gy * gy - rg * rg, axis=1)
 
     rows = np.arange(rps.shape[0])
     jmin = np.argmin(dist, axis=1)
     dn = dist[rows, jmin]
     k1n = k1[rows, jmin]
-    px = -d[rows, jmin, 1] / dn
-    py = d[rows, jmin, 0] / dn
+    px = -dy[rows, jmin] / dn
+    py = dx[rows, jmin] / dn
     self_term = k1n ** 2 * (1.0 - (rhat[0] * px + rhat[1] * py) ** 2)
     return x, dn, self_term
+
+
+def _k1_sq_disk_integral(delta: float, r_lo: float, r_hi: float) -> float:
+    """int_{r_lo}^{r_hi} K1(delta r)^2 2 pi r dr, in closed form.
+
+    F(x) = (x^2/2)(K1^2 - K0^2) - x K0 K1 has F'(x) = x K1(x)^2 and
+    F(inf) = 0: it is the K analogue of the Lommel integral (DLMF 10.22.5),
+    int x K1^2 dx = (x^2/2)(K1^2 - K0 K2), with K2 = K0 + 2 K1 / x.  The
+    integral is (2 pi / delta^2) [F(delta r_hi) - F(delta r_lo)].
+    """
+    def antiderivative(x):
+        k0, k1 = bessel_k01(x)
+        return 0.5 * x * x * (k1 * k1 - k0 * k0) - x * k0 * k1
+
+    return (2.0 * math.pi / (delta * delta)
+            * (antiderivative(delta * r_hi) - antiderivative(delta * r_lo)))
 
 
 def mc_plane_average(probe: Probe, rec: NuclideRecord, a_nm: float,
@@ -246,10 +285,16 @@ def mc_plane_average(probe: Probe, rec: NuclideRecord, a_nm: float,
 
     The variance of the plain estimator is dominated by rare close
     encounters, so by default the nearest-site contribution inside a capture
-    radius is subtracted per sample and restored analytically from the exact
-    radial integral; this brings ~1e5 samples to sub-percent precision.
-    r_min_nm must be below a/2, and below the capture radius 0.35 a when the
-    control variate is on.
+    radius is subtracted per sample and restored analytically, from the
+    radial integral in closed form (_k1_sq_disk_integral); this brings ~1e5
+    samples to sub-percent precision.  r_min_nm must be below a/2, and below
+    the capture radius 0.35 a when the control variate is on.
+
+    Draw contract: the draws, and so the mean for a given seed, depend only
+    on the arguments.  Samples come from numpy's default_rng(seed), m =
+    min(_MC_CHUNK, 4 x the samples still needed) uniform points per chunk; a
+    rejected point is dropped, the first n_samples kept points are summed,
+    and no result depends on the BLAS thread count.
     """
     if not r_min_nm > 0:
         raise ValueError("r_min_nm must be positive")
@@ -294,12 +339,9 @@ def mc_plane_average(probe: Probe, rec: NuclideRecord, a_nm: float,
     mean = total / n_samples
 
     if control_variate:
-        # exact mean of the subtracted term: radial integral over the capture
-        # disk times the azimuthal average of 1 - (r_hat . phi_hat)^2
-        area = a_nm * a_nm
+        # exact mean of the subtracted term: the capture-disk integral of
+        # K1(delta r)^2 over the cell area, times the azimuthal average of
+        # 1 - (r_hat . phi_hat)^2
         ang = 1.0 - 0.5 * math.sin(theta) ** 2
-        radial = integrate_adaptive(
-            lambda r: bessel_k1(delta * r) ** 2 * 2.0 * math.pi * r / area,
-            r_min_nm, capture, tol=1e-10)
-        mean += ang * radial
+        mean += ang * _k1_sq_disk_integral(delta, r_min_nm, capture) / (a_nm * a_nm)
     return mean

@@ -1,5 +1,10 @@
 """Shared numerical kernel: physical constants, modified Bessel functions,
-and the two quadrature rules used throughout the package.
+and two generic quadrature rules.
+
+No code in the package calls the quadrature rules any more: the cone weights
+and the Monte-Carlo control variate are in closed form.  integrate_periodic
+and integrate_adaptive stay, still imported by crystal_sp and finite_array,
+because the benchmark's spans (perfbench/spans.py) bind them there.
 
 Unit system
 -----------
@@ -23,9 +28,11 @@ with psi the digamma function and I0(x) = sum_k q^k / (k!)^2.  The
 coefficients are the literals between the "generated" markers below, printed
 by tools/gen_bessel_coeffs.py from mpmath.  Both branches agree with a
 high-precision reference to a few ulp (worst 2e-15 relative, on the series
-side of x = 2) over [1e-8, 700].  A scalar argument runs through the same
-two helpers as a Python float with math.exp/math.log, so it skips numpy's
-per-call set-up; an array runs through them with numpy.
+side of x = 2) over [1e-8, 700].  Each branch has one helper, which runs the
+rows of one order: bessel_k1 and bessel_k0 evaluate only their own order,
+bit-identical to the matching half of bessel_k01.  A scalar argument runs
+through the helpers as a Python float with math.exp/math.log, so it skips
+numpy's per-call set-up; an array runs through them with numpy.
 """
 
 from __future__ import annotations
@@ -151,42 +158,71 @@ _CHEB_K1 = (  # sqrt(x) e^x K1(x) in T_n(4/x - 1), c_0 halved
 )
 # END generated by tools/gen_bessel_coeffs.py
 
-# One row per power of q, highest first, for the Horner loop; one row per
-# Chebyshev degree, highest first, for the Clenshaw loop.
-_SERIES_ROWS = tuple(zip(_SERIES_I0, _SERIES_K0, _SERIES_I1, _SERIES_K1))[::-1]
-_CHEB_ROWS = tuple(zip(_CHEB_K0, _CHEB_K1))[::-1]
+# Per order n: the Horner rows (I_n coefficient, K_n coefficient), highest
+# power of q first; and the Clenshaw coefficients from the highest degree down
+# to degree 1, with the halved c_0 apart.
+_SERIES_ROWS = (tuple(zip(_SERIES_I0, _SERIES_K0))[::-1],
+                tuple(zip(_SERIES_I1, _SERIES_K1))[::-1])
+_CHEB_ROWS = tuple((c[:0:-1], c[0]) for c in (_CHEB_K0, _CHEB_K1))
 
 
-def _k01_series(x, xp):
-    """(K0, K1) for 0 < x < 2: the power series in q = x^2/4, by Horner.
+def _k_series(x, xp, n):
+    """K_n(x), n = 0 or 1, for 0 < x < 2: the power series in q = x^2/4, by
+    Horner.
 
     Plain arithmetic, so x may be a float (xp = math) or an array (xp = numpy).
     """
     q = 0.25 * x * x
-    i0 = k0 = i1 = k1 = 0.0
-    for a, b, c, d in _SERIES_ROWS:
-        i0 = i0 * q + a
-        k0 = k0 * q + b
-        i1 = i1 * q + c
-        k1 = k1 * q + d
+    i = k = 0.0
+    for a, b in _SERIES_ROWS[n]:
+        i = i * q + a
+        k = k * q + b
     lg = xp.log(0.5 * x)
-    return k0 - lg * i0, 1.0 / x + 0.5 * x * (lg * i1 - k1)
+    if n == 0:
+        return k - lg * i
+    return 1.0 / x + 0.5 * x * (lg * i - k)
 
 
-def _k01_chebyshev(x, xp):
-    """(K0, K1) for x >= 2: Chebyshev series in u = 4/x - 1, by Clenshaw.
+def _k_chebyshev(x, xp, n):
+    """K_n(x), n = 0 or 1, for x >= 2: Chebyshev series in u = 4/x - 1, by
+    Clenshaw.
 
     Plain arithmetic, so x may be a float (xp = math) or an array (xp = numpy).
     """
     u = 4.0 / x - 1.0
     u2 = u + u
-    a1 = a2 = b1 = b2 = 0.0
-    for ca, cb in _CHEB_ROWS[:-1]:
-        a1, a2 = u2 * a1 - a2 + ca, a1
-        b1, b2 = u2 * b1 - b2 + cb, b1
-    ca, cb = _CHEB_ROWS[-1]
-    scale = xp.exp(-x) / xp.sqrt(x)
-    return (u * a1 - a2 + ca) * scale, (u * b1 - b2 + cb) * scale
+    b1 = b2 = 0.0
+    rows, last = _CHEB_ROWS[n]
+    for c in rows:
+        b1, b2 = u2 * b1 - b2 + c, b1
+    return (u * b1 - b2 + last) * (xp.exp(-x) / xp.sqrt(x))
+
+
+def _bessel(x, orders):
+    """Tuple of K_n(x) for each n in orders; see bessel_k01 for the contract."""
+    if isinstance(x, float) or np.ndim(x) == 0:
+        xf = float(x)
+        if not xf > 0.0:
+            raise ValueError(_BAD_ARGUMENT)
+        if xf < _SERIES_CUT:
+            return tuple(_k_series(xf, math, n) for n in orders)
+        if xf <= _X_UNDERFLOW:
+            return tuple(_k_chebyshev(xf, math, n) for n in orders)
+        return (0.0,) * len(orders)
+
+    arr = np.asarray(x, dtype=float)
+    if not np.all(arr > 0.0):
+        raise ValueError(_BAD_ARGUMENT)
+    out = tuple(np.zeros_like(arr) for _ in orders)
+    lo = arr < _SERIES_CUT
+    hi = ~lo & (arr <= _X_UNDERFLOW)
+    # x > 700: left as 0
+    for mask, kernel in ((lo, _k_series), (hi, _k_chebyshev)):
+        if np.any(mask):
+            part = arr[mask]
+            for k, n in zip(out, orders):
+                k[mask] = kernel(part, np, n)
+    return out
 
 
 def bessel_k01(x) -> tuple[np.ndarray | float, np.ndarray | float]:
@@ -197,39 +233,23 @@ def bessel_k01(x) -> tuple[np.ndarray | float, np.ndarray | float]:
     1/x pole the pole value is returned (clamping is the caller's job).  A
     scalar runs through the same expansions as a Python float.
     """
-    if isinstance(x, float) or np.ndim(x) == 0:
-        xf = float(x)
-        if not xf > 0.0:
-            raise ValueError(_BAD_ARGUMENT)
-        if xf < _SERIES_CUT:
-            return _k01_series(xf, math)
-        if xf <= _X_UNDERFLOW:
-            return _k01_chebyshev(xf, math)
-        return 0.0, 0.0
-
-    arr = np.asarray(x, dtype=float)
-    if not np.all(arr > 0.0):
-        raise ValueError(_BAD_ARGUMENT)
-    k0 = np.zeros_like(arr)
-    k1 = np.zeros_like(arr)
-    lo = arr < _SERIES_CUT
-    hi = ~lo & (arr <= _X_UNDERFLOW)
-    if np.any(lo):
-        k0[lo], k1[lo] = _k01_series(arr[lo], np)
-    if np.any(hi):
-        k0[hi], k1[hi] = _k01_chebyshev(arr[hi], np)
-    # x > 700: leave as 0
-    return k0, k1
+    return _bessel(x, (0, 1))
 
 
 def bessel_k0(x):
-    """Modified Bessel function of the second kind, order 0."""
-    return bessel_k01(x)[0]
+    """Modified Bessel function of the second kind, order 0.
+
+    Runs only the K0 rows, so it is bit-identical to bessel_k01(x)[0].
+    """
+    return _bessel(x, (0,))[0]
 
 
 def bessel_k1(x):
-    """Modified Bessel function of the second kind, order 1."""
-    return bessel_k01(x)[1]
+    """Modified Bessel function of the second kind, order 1.
+
+    Runs only the K1 rows, so it is bit-identical to bessel_k01(x)[1].
+    """
+    return _bessel(x, (1,))[0]
 
 
 def _eval_vec(f: Callable, t: np.ndarray) -> np.ndarray:

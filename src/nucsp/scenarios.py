@@ -35,7 +35,8 @@ import yaml
 
 from . import __version__
 from .brems import br_spectral_density, br_window_yield
-from .crystal_sp import CutoffPolicy, LatticeFilm, builtin_presets, emission_cones, make_film
+from .crystal_sp import (CutoffPolicy, LatticeFilm, builtin_presets, emission_cones,
+                         first_radiating_order, make_film)
 from .finite_array import NucleusSet, angular_density
 from .nuclide import NuclideRecord, radiative_rate, registry as nuclide_registry
 from .numerics import CONSTANTS
@@ -261,21 +262,15 @@ def _rule_errors(scenario, p, rec, films, probe):
 
 
 def _order_cap_errors(p, rec, film, probe):
-    """Betas at which order_cap drops every radiating order.
-
-    cos(theta_n) = 1/beta - n lambda/d, computed as sp_angles computes it,
-    falls by lambda/d per order, so the first order with cos <= 1 lies
-    within one of x = (1/beta - 1) d/lambda.
-    """
+    """Betas at which order_cap drops every radiating order."""
     lam, d, cap = rec.wavelength_nm, film.z_period_nm, p["order_cap"]
     for beta in p["betas"] if p["betas"] is not None else [probe.beta]:
-        x = (1.0 / beta - 1.0) * d / lam
-        if not x < 2.0 ** 40:  # past this, rounding in 1/beta spans whole orders
+        try:
+            first = first_radiating_order(beta, d, lam)
+        except ValueError:
             yield ("params.order_cap: %d drops every radiating order at beta = %g "
                    "(the first is beyond n = 2^40)" % (cap, beta))
             continue
-        start = max(1, math.ceil(x) - 1)
-        first = next(n for n in range(start, start + 3) if 1.0 / beta - n * lam / d <= 1.0)
         if first > cap and 1.0 / beta - first * lam / d >= -1.0:
             yield ("params.order_cap: %d drops every radiating order at beta = %g "
                    "(the first is n = %d)" % (cap, beta, first))

@@ -4,7 +4,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from nucsp.brems import _gauss_legendre, br_density, br_spectral_density, br_window_yield
+from nucsp.brems import (
+    _density_values,
+    _gauss_legendre,
+    br_density,
+    br_spectral_density,
+    br_window_yield,
+)
 from nucsp.numerics import CONSTANTS
 from nucsp.nuclide import registry
 from nucsp.probe import Probe, electron, proton
@@ -116,6 +122,36 @@ def test_spectral_density_vs_brute_grid(fe):
                   for p in phis)
         total += w * row * (2.0 * math.pi / n_phi)
     assert val == pytest.approx(total, rel=1e-5)
+
+
+def _n_point_phi_spectral_density(probe, z_nucleus, r_perp_nm, omega, rel_tol=1e-4):
+    """The same cos(theta) doubling with an n-point phi grid that grows with
+    the n Gauss-Legendre nodes."""
+    prev = None
+    n = 32
+    while n <= 1024:
+        nodes, wts = _gauss_legendre(n)
+        phis = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        vals = _density_values(probe, z_nucleus, r_perp_nm, nodes, phis, omega)
+        est = float(wts @ vals.sum(axis=1)) * (2.0 * math.pi / n)
+        if prev is not None and abs(est - prev) <= rel_tol * max(abs(est), abs(prev)):
+            return est
+        prev = est
+        n *= 2
+    raise AssertionError("oracle did not settle")
+
+
+def test_fixed_phi_grid_matches_growing_grid():
+    # |V|^2 has phi degree at most 4, so the 8-point phi grid and an n-point
+    # one are both exact and agree to rounding
+    lines = [rec.omega0_rad_s for rec in registry().values()]
+    for probe in (electron(beta=0.9), electron(beta=0.5), proton(beta=0.6)):
+        for z in (26, 66):
+            for r in (0.0005, 0.001, 0.002):
+                for omega in lines:
+                    assert br_spectral_density(probe, z, r, omega) == pytest.approx(
+                        _n_point_phi_spectral_density(probe, z, r, omega), rel=1e-14,
+                        abs=0.0)
 
 
 def test_window_yield_scales_linearly(fe):

@@ -13,6 +13,7 @@ from nucsp.crystal_sp import (
     azimuthal_profile,
     builtin_presets,
     emission_cones,
+    first_radiating_order,
     layer_yield,
     make_film,
     parse_lattice_file,
@@ -136,6 +137,51 @@ def test_sp_angles_slow_probe_skips_low_orders(fe):
 def test_sp_angles_order_cap(fe):
     angles = sp_angles(0.94, 0.286, fe.wavelength_nm, order_cap=3)
     assert [n for n, _ in angles] == [1, 2, 3]
+
+
+def _brute_sp_angles(beta, d_nm, lambda_nm, order_cap=None, start=1):
+    """Every order from start up, as a plain scan."""
+    out = []
+    n = start
+    while order_cap is None or n <= order_cap:
+        c = 1.0 / beta - n * lambda_nm / d_nm
+        if c < -1.0:
+            break
+        if c <= 1.0:
+            out.append((n, c))
+        n += 1
+    return out
+
+
+def test_sp_angles_match_brute_force_scan():
+    # sp_angles starts at first_radiating_order; a scan from n = 1 must give
+    # the same orders and the same cosines, on every preset and nuclide.  The
+    # betas 1 / (1 + k lambda / d) put order k's cosine at 1 up to rounding,
+    # where the first order can fall just below the real crossing x = k.
+    grid = np.concatenate([np.linspace(0.02, 0.999, 240), [0.05, 0.1, 0.2, 0.3]])
+    for rec in registry().values():
+        for film in builtin_presets().values():
+            d, lam = film.z_period_nm, rec.wavelength_nm
+            edges = [1.0 / (1.0 + k * lam / d) for k in range(1, 60)]
+            for beta in np.concatenate([grid, edges]):
+                for cap in (None, 1, 3, 12):
+                    assert sp_angles(beta, d, lam, cap) == _brute_sp_angles(beta, d, lam, cap)
+
+
+def test_sp_angles_slow_probe_is_not_a_loop_over_orders():
+    # at beta = 1e-6 the first radiating order is ~3.3 million; a scan from
+    # n = 1, here in one vectorized pass with the same arithmetic, gives the
+    # same seven orders
+    beta, d, lam = 1e-6, 0.2856, 0.08602
+    angles = sp_angles(beta, d, lam)
+    n = np.arange(1, 3_400_000)
+    c = 1.0 / beta - n * lam / d
+    keep = (c <= 1.0) & (c >= -1.0)
+    assert len(angles) == 7
+    assert angles == list(zip(n[keep].tolist(), c[keep].tolist()))
+    assert first_radiating_order(beta, d, lam) == angles[0][0]
+    with pytest.raises(ValueError, match="2\\^40"):
+        sp_angles(1e-13, d, lam)
 
 
 def test_sp_angles_validation(fe):

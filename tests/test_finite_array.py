@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -7,6 +11,7 @@ import pytest
 from nucsp.finite_array import (
     AngularGrid,
     NucleusSet,
+    _k1_sq_disk_integral,
     _plane_terms,
     angular_density,
     far_field_amplitude,
@@ -205,6 +210,64 @@ def test_mc_control_variate_consistency(probe, fe):
     with_cv = mc_plane_average(probe, fe, control_variate=True, **kw)
     without = mc_plane_average(probe, fe, control_variate=False, **kw)
     assert with_cv == pytest.approx(without, rel=0.25)
+
+
+@pytest.mark.parametrize("delta", [10.4, 35.375, 120.0])
+@pytest.mark.parametrize("r_min", [1e-4, 1e-3, 3e-3])
+def test_capture_disk_integral_closed_form_matches_mpmath(delta, r_min):
+    # the control variate's radial term, over [r_min, 0.35 a] with a = 0.2856:
+    # delta 10.4, 35.4 and 120/nm are beta 0.99, 0.9 and ~0.53 for Fe-57
+    # The reference integrates over t = ln r, where the integrand is smooth.
+    capture = 0.35 * 0.2856
+    with mp.workdps(20):
+        d = mp.mpf(delta)
+        ref = mp.quad(lambda t: mp.besselk(1, d * mp.exp(t)) ** 2 * 2 * mp.pi * mp.exp(2 * t),
+                      [mp.log(r_min), mp.log(capture)], method="gauss-legendre")
+    got = _k1_sq_disk_integral(delta, r_min, capture)
+    assert got == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
+
+# Means recorded with the complex-sum batch path and the adaptive-Simpson
+# radial integral they replaced, at (beta, theta, phi, r_min, seed) over an
+# a = 0.2856 nm, 17 x 17 plane with 3000 samples: with the control variate
+# they may move by rounding and by that quadrature's error (1.6e-10 relative
+# at beta 0.5), without it by rounding only.
+_RECORDED_MC = [
+    ((0.9, 1.0, 0.3, 0.001, 5), 0.11771640920637404, 0.09228633645641034),
+    ((0.5, 2.0, 1.1, 0.002, 7), 0.0030180127728311017, 0.0026372154488535754),
+    ((0.99, 0.6, 4.0, 0.001, 9), 2.529305336423161, 2.0077926814130698),
+]
+
+
+@pytest.mark.parametrize("case,with_cv,without", _RECORDED_MC)
+def test_mc_plane_average_matches_recorded_means(fe, case, with_cv, without):
+    beta, theta, phi, r_min, seed = case
+    probe = electron(beta=beta)
+    args = (probe, fe, 0.2856, 8, theta, phi, r_min, 3000)
+    assert mc_plane_average(*args, seed=seed) == pytest.approx(with_cv, rel=1e-9, abs=0.0)
+    assert mc_plane_average(*args, seed=seed, control_variate=False) == pytest.approx(
+        without, rel=1e-13, abs=0.0)
+
+
+def test_mc_means_do_not_depend_on_blas_threads():
+    # the g sums are BLAS matrix products; the means must not change with
+    # the BLAS thread count
+    script = (
+        "from nucsp.finite_array import mc_plane_average\n"
+        "from nucsp.nuclide import registry\n"
+        "from nucsp.probe import electron\n"
+        "fe = registry()['Fe-57']\n"
+        "for beta, th, ph, cv in ((0.9, 1.0, 0.3, True), (0.99, 2.2, 5.0, False)):\n"
+        "    print(repr(mc_plane_average(electron(beta=beta), fe, 0.2856, 20, th, ph,\n"
+        "                                0.001, 4000, seed=2, control_variate=cv)))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        outs.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                   capture_output=True, text=True, timeout=120).stdout)
+    assert len(outs[0].split()) == 2 and outs[0] == outs[1]
 
 
 def test_mc_plane_average_validation(probe, fe):

@@ -96,6 +96,28 @@ def test_bessel_scalar_path_matches_array_path(lo, hi):
     np.testing.assert_allclose(scalar[:, 1], k1, rtol=1e-15, atol=0.0)
 
 
+def test_single_order_paths_are_bit_identical_to_k01():
+    # bessel_k1 and bessel_k0 run only their own order's rows, with the same
+    # arithmetic in the same order, so they equal bessel_k01 bit for bit:
+    # both branches, x = 2 and 700 and their neighbouring doubles, and past
+    # the underflow cut
+    edges = [np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, np.inf),
+             np.nextafter(700.0, 0.0), 700.0, np.nextafter(700.0, np.inf), 701.0, 1e6]
+    xs = np.concatenate([np.geomspace(1e-8, 750.0, 2002), edges])
+    k0, k1 = bessel_k01(xs)
+    assert np.array_equal(bessel_k1(xs), k1) and np.array_equal(bessel_k0(xs), k0)
+    assert np.array_equal(bessel_k1(xs.reshape(-1, 10)), k1.reshape(-1, 10))
+    assert not np.any(bessel_k1(np.array(edges[-3:])))
+    for x in np.concatenate([xs[::37], edges]):
+        pair = bessel_k01(float(x))
+        assert (bessel_k0(float(x)), bessel_k1(float(x))) == pair
+        assert bessel_k1(np.float64(x)) == pair[1]
+    for bad in (0.0, -1.0, math.nan, np.array([1.0, 0.0]), np.array([math.nan, 3.0])):
+        for f in (bessel_k1, bessel_k0, bessel_k01):
+            with pytest.raises(ValueError):
+                f(bad)
+
+
 def test_bessel_coefficients_match_generator():
     # the literals in numerics.py are the generator's output, digit for digit
     root = Path(__file__).resolve().parents[1]
