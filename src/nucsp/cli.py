@@ -62,8 +62,7 @@ def _cmd_run(args) -> int:
     config, reg, films = _validated(args.config)
     if config is None:
         return 1
-    tables = run_scenario(config, threads=args.threads, seed=args.seed,
-                          registry=reg, films=films)
+    tables = run_scenario(config, seed=args.seed, registry=reg, films=films)
     for path in write_tables(tables, args.out):
         print(path)
     return 0
@@ -112,8 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a scenario config")
     p_run.add_argument("config", help="YAML scenario file")
     p_run.add_argument("--out", default=".", help="output directory (default: .)")
-    p_run.add_argument("--threads", type=int, default=1,
-                       help="worker threads for row evaluation (default: 1)")
     p_run.add_argument("--seed", type=int, default=1,
                        help="random seed recorded in table metadata (default: 1)")
     p_run.set_defaults(func=_cmd_run)

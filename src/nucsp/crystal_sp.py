@@ -92,6 +92,8 @@ class LatticeFilm:
     n_layers: int = 1
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a_nm, *self.b_par_nm, self.b_z_nm))):
+            raise ValueError("lattice lengths must be finite")
         if not self.a_nm > 0 or not self.b_z_nm > 0:
             raise ValueError("lattice periods must be positive")
         if len(self.b_par_nm) != 2:

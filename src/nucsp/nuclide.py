@@ -250,6 +250,9 @@ class NuclideRecord:
     def __post_init__(self):
         if not self.name:
             raise ValueError("name must be non-empty")
+        for tag in ("e0_keV", "lifetime_s", "alpha_ic", "branch_divisor"):
+            if not math.isfinite(getattr(self, tag)):
+                raise ValueError(f"{tag} must be finite")
         if not self.e0_keV > 0:
             raise ValueError("e0_keV must be positive")
         if not self.lifetime_s > 0:

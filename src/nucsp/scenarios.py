@@ -13,10 +13,9 @@ Five scenarios cover the library surface:
 Validation checks each scenario's parameters against one table (PARAMS),
 then its cross-field rules once every field has passed, and reports every
 problem found, each tagged with the config path that caused it.  Runs are
-deterministic: rows are computed independently (optionally on a thread pool)
-and assembled in input order, so the emitted tables are byte-identical for
-any thread count.  The only non-reproducible output line is the timestamp
-metadata entry.
+deterministic: rows are computed in input order on the calling thread, so no
+output can depend on a thread count.  The only non-reproducible output line
+is the timestamp metadata entry.
 """
 
 from __future__ import annotations
@@ -24,11 +23,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from typing import Any, Iterable, Mapping, NamedTuple
 
 import numpy as np
 import yaml
@@ -436,21 +434,11 @@ def write_tables(tables: Iterable[ResultTable], out_dir) -> list[Path]:
 # runners
 
 
-def _map(threads: int, fn: Callable, items) -> list:
-    # results are assembled in input order, so the emitted tables do not
-    # depend on the worker count
-    items = list(items)
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
-
-
 def _half_str(doubled: int) -> str:
     return "%d/2" % doubled if doubled % 2 else str(doubled // 2)
 
 
-def _run_nuclide_info(config, reg, films, threads):
+def _run_nuclide_info(config, reg, films):
     names = list(reg) if config.nuclide == "all" else [config.nuclide]
 
     def row(name):
@@ -464,10 +452,10 @@ def _run_nuclide_info(config, reg, films, threads):
     columns = ("name", "e0_keV", "lifetime_s", "radiative_lifetime_s",
                "alpha_ic", "coherent_fraction", "coherent_fraction_exact",
                "j_ground", "j_excited")
-    return [(columns, _map(threads, row, names))]
+    return [(columns, [row(name) for name in names])]
 
 
-def _run_single_sweep(config, reg, films, threads):
+def _run_single_sweep(config, reg, films):
     rec = reg[config.nuclide]
     p = config.params
 
@@ -486,10 +474,10 @@ def _run_single_sweep(config, reg, films, threads):
 
     columns = ("beta", "gamma", "r_perp_nm", "resonant_yield",
                "brems_window_yield", "brems_over_resonant")
-    return [(columns, _map(threads, row, p["sweep_values"]))]
+    return [(columns, [row(val) for val in p["sweep_values"]])]
 
 
-def _run_array_pattern(config, reg, films, threads):
+def _run_array_pattern(config, reg, films):
     rec = reg[config.nuclide]
     p = config.params
     z = p["spacing_nm"] * np.arange(p["n_nuclei"])
@@ -502,7 +490,7 @@ def _run_array_pattern(config, reg, films, threads):
     return [(columns, list(zip(cos_grid, thetas, density.tolist())))]
 
 
-def _run_crystal_yield(config, reg, films, threads):
+def _run_crystal_yield(config, reg, films):
     rec = reg[config.nuclide]
     p = config.params
     film = make_film(p["lattice"], a_nm=p["a_nm"]) if p["a_nm"] else films[p["lattice"]]
@@ -518,12 +506,12 @@ def _run_crystal_yield(config, reg, films, threads):
         out.append((beta, 0, "", sum(c.weight for c in cones) / z2))
         return out
 
-    rows = [r for chunk in _map(threads, rows_for, betas) for r in chunk]
+    rows = [r for beta in betas for r in rows_for(beta)]
     columns = ("beta", "order_n", "cos_theta", "yield_per_layer_per_z2")
     return [(columns, rows)]
 
 
-def _run_brems_compare(config, reg, films, threads):
+def _run_brems_compare(config, reg, films):
     rec = reg[config.nuclide]
     p = config.params
     probe = config.probe
@@ -531,26 +519,20 @@ def _run_brems_compare(config, reg, films, threads):
     spectrum = spectral_profile(rec)
     half = p["half_span_line_widths"] * spectrum.fwhm_eV
     offsets = np.linspace(-half, half, p["n_energy"])
+    energies = rec.e0_eV + offsets
     hbar = CONSTANTS.hbar_eV_s
-
-    def srow(de):
-        e = rec.e0_eV + de
-        res = y * spectrum.density(e)
-        br = br_spectral_density(probe, p["br_z_nucleus"], p["r_perp_nm"],
-                                 e / hbar) / hbar
-        return (float(de), res, br)
-
-    spectral = _map(threads, srow, offsets)
+    # the bremsstrahlung density stays per energy: its cos(theta) doubling
+    # converges separately for each omega
+    brems = [br_spectral_density(probe, p["br_z_nucleus"], p["r_perp_nm"], e / hbar) / hbar
+             for e in energies]
+    spectral = zip(offsets.tolist(), (y * spectrum.density(energies)).tolist(), brems)
     s_cols = ("energy_offset_eV", "resonant_per_eV_per_passage",
               "brems_per_eV_per_passage")
 
     dp = decay_profile(rec)
     times = np.linspace(0.0, p["time_max_lifetimes"] * rec.lifetime_s, p["n_time"])
-
-    def trow(t):
-        return (float(t), dp.survival(t), y * dp.profile(t))
-
-    temporal = _map(threads, trow, times)
+    temporal = zip(times.tolist(), dp.survival(times).tolist(),
+                   (y * dp.profile(times)).tolist())
     t_cols = ("time_s", "excited_fraction", "emission_rate_per_s")
     return [(s_cols, spectral), (t_cols, temporal, "_temporal")]
 
@@ -567,12 +549,15 @@ _RUNNERS = {
 def run_scenario(config: ScenarioConfig, threads: int = 1, seed: int = 1,
                  registry: Mapping[str, NuclideRecord] | None = None,
                  films: Mapping[str, LatticeFilm] | None = None) -> list[ResultTable]:
-    """Execute a validated config and return its result tables."""
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
+    """Execute a validated config and return its result tables.
+
+    threads is accepted and ignored: rows always run in order on the calling
+    thread.  The keyword stays only because perfbench/workloads.py passes it,
+    and goes with the next change to that harness.
+    """
     reg = nuclide_registry() if registry is None else registry
     film_map = builtin_presets() if films is None else films
-    produced = _RUNNERS[config.scenario](config, reg, film_map, threads)
+    produced = _RUNNERS[config.scenario](config, reg, film_map)
     meta = {
         "scenario": config.scenario,
         "nuclide": config.nuclide,

@@ -7,8 +7,6 @@ them is a behaviour change, not a test fix.
 """
 
 import math
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -277,25 +275,3 @@ def test_decay_time_constants():
     _ok("excited-state survival reaches 1/e at exactly 142 ns (Fe-57) "
         "and 1.2 ns (Dy-161)")
 
-
-def test_cli_output_independent_of_thread_count(tmp_path):
-    config = tmp_path / "config.yaml"
-    config.write_text(
-        "scenario: crystal-yield\n"
-        "probe: {species: electron, beta: 0.9}\n"
-        "params: {betas: [0.9, 0.94], r_min_nm: 0.002}\n"
-        "output: {prefix: film}\n")
-
-    def run(threads, sub):
-        out = tmp_path / sub
-        res = subprocess.run(
-            [sys.executable, "-m", "nucsp.cli", "run", str(config),
-             "--out", str(out), "--threads", str(threads)],
-            capture_output=True, text=True)
-        assert res.returncode == 0, res.stderr
-        body = (out / "film.csv").read_text().splitlines()
-        return [l for l in body if not l.startswith("# timestamp")]
-
-    assert run(1, "t1") == run(4, "t4")
-    _ok("CLI output byte-identical for 1 and 4 worker threads "
-        "(timestamp line aside)")

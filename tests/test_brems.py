@@ -47,7 +47,7 @@ def test_density_matches_reference_assembly(fe):
     for theta, phi in [(0.2, 0.0), (1.0, 0.7), (2.4, 3.9), (3.0, 1.0)]:
         got = br_density(probe, 26, 0.001, theta, phi, fe.omega0_rad_s)
         ref = _slow_density(probe, 26, 0.001, theta, phi, fe.omega0_rad_s)
-        assert got == pytest.approx(ref, rel=1e-12)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_density_units_are_seconds_scale(fe):
@@ -64,7 +64,7 @@ def test_density_mass_scaling_is_exact(fe):
     ratio = (br_density(p, 26, 0.001, 1.0, 0.5, fe.omega0_rad_s)
              / br_density(e, 26, 0.001, 1.0, 0.5, fe.omega0_rad_s))
     expected = (510998.95 / 938272088.16) ** 2
-    assert ratio == pytest.approx(expected, rel=1e-12)
+    assert ratio == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_density_charge_scaling(fe):
@@ -72,9 +72,9 @@ def test_density_charge_scaling(fe):
     e2 = Probe(z_charge=-2, rest_energy_eV=e1.rest_energy_eV, beta=0.9)
     base = br_density(e1, 26, 0.001, 1.0, 0.5, fe.omega0_rad_s)
     assert br_density(e2, 26, 0.001, 1.0, 0.5, fe.omega0_rad_s) == pytest.approx(
-        16.0 * base, rel=1e-13)
+        16.0 * base, rel=1e-13, abs=0.0)
     assert br_density(e1, 52, 0.001, 1.0, 0.5, fe.omega0_rad_s) == pytest.approx(
-        4.0 * base, rel=1e-13)
+        4.0 * base, rel=1e-13, abs=0.0)
 
 
 def test_density_mirror_symmetry(fe):
@@ -83,7 +83,7 @@ def test_density_mirror_symmetry(fe):
     for theta, phi in [(0.4, 0.9), (1.3, 2.2), (2.5, 0.6)]:
         a = br_density(probe, 26, 0.001, theta, phi, fe.omega0_rad_s)
         b = br_density(probe, 26, 0.001, theta, -phi, fe.omega0_rad_s)
-        assert a == pytest.approx(b, rel=1e-13)
+        assert a == pytest.approx(b, rel=1e-13, abs=0.0)
     # but the emission is not azimuthally uniform
     in_plane = br_density(probe, 26, 0.001, 1.0, 0.0, fe.omega0_rad_s)
     out_plane = br_density(probe, 26, 0.001, 1.0, 0.5 * math.pi, fe.omega0_rad_s)
@@ -104,7 +104,7 @@ def test_spectral_density_converges(fe):
     probe = electron(beta=0.9)
     loose = br_spectral_density(probe, 26, 0.001, fe.omega0_rad_s, rel_tol=1e-4)
     tight = br_spectral_density(probe, 26, 0.001, fe.omega0_rad_s, rel_tol=1e-7)
-    assert loose == pytest.approx(tight, rel=1e-3)
+    assert loose == pytest.approx(tight, rel=1e-3, abs=0.0)
     assert tight > 0.0
 
 
@@ -121,7 +121,7 @@ def test_spectral_density_vs_brute_grid(fe):
         row = sum(br_density(probe, 26, 0.001, th, p, fe.omega0_rad_s)
                   for p in phis)
         total += w * row * (2.0 * math.pi / n_phi)
-    assert val == pytest.approx(total, rel=1e-5)
+    assert val == pytest.approx(total, rel=1e-5, abs=0.0)
 
 
 def _n_point_phi_spectral_density(probe, z_nucleus, r_perp_nm, omega, rel_tol=1e-4):
@@ -158,14 +158,14 @@ def test_window_yield_scales_linearly(fe):
     probe = electron(beta=0.9)
     y1 = br_window_yield(probe, 26, 0.001, fe.e0_eV, 1.0)
     y2 = br_window_yield(probe, 26, 0.001, fe.e0_eV, 2.0)
-    assert y2 == pytest.approx(2.0 * y1, rel=1e-4)
+    assert y2 == pytest.approx(2.0 * y1, rel=1e-4, abs=0.0)
     assert br_window_yield(probe, 26, 0.001, fe.e0_eV, 0.0) == 0.0
 
 
 def test_window_yield_frozen_magnitude(fe):
     probe = electron(beta=0.9)
     y = br_window_yield(probe, 26, 0.001, fe.e0_eV, 1.0)
-    assert y == pytest.approx(6.7374e-10, rel=1e-3)
+    assert y == pytest.approx(6.7374e-10, rel=1e-3, abs=0.0)
 
 
 def test_window_yield_validation(fe):

@@ -1,7 +1,10 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from nucsp import crystal_sp
-from nucsp.cli import main
+from nucsp.cli import build_parser, main
 from nucsp.crystal_sp import CutoffPolicy, LatticeFilm, emission_cones, make_film
 from nucsp.nuclide import registry
 from nucsp.probe import electron
@@ -115,18 +118,48 @@ def test_data_dir_parse_error_exits_2(tmp_path, capsys, monkeypatch):
     assert "nuclides.dat:1" in err
 
 
-def test_threads_do_not_change_output(config_file, tmp_path, capsys):
-    out1 = tmp_path / "t1"
-    out4 = tmp_path / "t4"
-    assert main(["run", str(config_file), "--out", str(out1), "--threads", "1"]) == 0
-    assert main(["run", str(config_file), "--out", str(out4), "--threads", "4"]) == 0
-    capsys.readouterr()
+_DATA_FILES = {
+    "nuclides.dat": ("list-nuclides", "name = Tm-169\ne0_keV = 8.410\nlifetime_s = 5.9e-9\n"
+                     "alpha_ic = 285.0\njg2 = 1\nje2 = 3\nbranch_divisor = 1.0\n"),
+    "lattices.dat": ("list-lattices", "name = tetra\na_nm = 0.30\nb_par_x_nm = 0.15\n"
+                     "b_par_y_nm = 0.15\nb_z_nm = 0.21\n"),
+}
 
-    def body(path):
-        return [l for l in path.read_text().splitlines()
-                if not l.startswith("# timestamp")]
 
-    assert body(out1 / "film.csv") == body(out4 / "film.csv")
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("filename, key", [
+    ("nuclides.dat", "e0_keV"), ("nuclides.dat", "lifetime_s"),
+    ("nuclides.dat", "alpha_ic"), ("nuclides.dat", "branch_divisor"),
+    ("lattices.dat", "a_nm"), ("lattices.dat", "b_par_x_nm"),
+    ("lattices.dat", "b_par_y_nm"), ("lattices.dat", "b_z_nm"),
+])
+def test_data_file_non_finite_value_exits_2(filename, key, value, tmp_path, capsys,
+                                            monkeypatch):
+    command, text = _DATA_FILES[filename]
+    # a good block first, so the error must point at the second block's first line
+    bad = re.sub(r"(?m)^%s = .*$" % key, "%s = %s" % (key, value), text)
+    assert bad != text
+    (tmp_path / filename).write_text(text + "\n" + bad)
+    monkeypatch.setenv("NUCSP_DATA_DIR", str(tmp_path))
+    assert main([command]) == 2
+    line = text.count("\n") + 2
+    assert capsys.readouterr().err.startswith("error: %s:%d: " % (tmp_path / filename, line))
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split()[1:] for line in block.splitlines() if line.startswith("nucsp ")]
+    assert commands
+    for argv in commands:
+        assert build_parser().parse_args(argv).command == argv[0]
+
+
+def test_threads_flag_is_rejected(config_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(config_file), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from nucsp.scenarios import (
     validate_config,
     write_tables,
 )
-from nucsp.single_nucleus import coherent_yield
+from nucsp.single_nucleus import coherent_yield, decay_profile, spectral_profile
 
 
 def _cfg(text):
@@ -286,18 +287,37 @@ output: {prefix: cmp}
                                                 rel=1e-12)
 
 
-def test_run_is_thread_count_invariant():
+@pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parents[1] / "configs")
+                                        .glob("*.yaml")), ids=lambda p: p.name)
+def test_run_starts_no_thread(path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a scenario run started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert run_scenario(_cfg(path.read_text()), threads=4)
+
+
+@pytest.mark.parametrize("nuclide", ["Fe-57", "Dy-161"])
+def test_brems_compare_array_columns_match_per_row_calls(nuclide):
     config = _cfg("""
-scenario: crystal-yield
+scenario: brems-compare
+nuclide: %s
 probe: {species: electron, beta: 0.9}
-params: {betas: [0.9, 0.94], r_min_nm: 0.004}
-""")
-    def body(threads):
-        tables = run_scenario(config, threads=threads)
-        return ["\n".join(l for l in t.to_csv().splitlines()
-                          if not l.startswith("# timestamp"))
-                for t in tables]
-    assert body(1) == body(4)
+params: {n_energy: 41, n_time: 100000}
+""" % nuclide)
+    spectral, temporal = run_scenario(config)
+    p = config.params
+    rec = registry()[nuclide]
+    y = coherent_yield(config.probe, rec, p["r_perp_nm"])
+    spectrum = spectral_profile(rec)
+    half = p["half_span_line_widths"] * spectrum.fwhm_eV
+    offsets = np.linspace(-half, half, p["n_energy"])
+    assert [row[:2] for row in spectral.rows] == [
+        (float(de), y * spectrum.density(rec.e0_eV + de)) for de in offsets]
+    dp = decay_profile(rec)
+    times = np.linspace(0.0, p["time_max_lifetimes"] * rec.lifetime_s, p["n_time"])
+    assert list(temporal.rows) == [
+        (float(t), dp.survival(t), y * dp.profile(t)) for t in times]
 
 
 def test_run_metadata(tmp_path):
