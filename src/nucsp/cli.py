@@ -4,11 +4,12 @@ Subcommands:
 
   run CONFIG        validate a YAML scenario config, execute it, write CSVs
   validate CONFIG   check a config and report every problem found
-  list-nuclides     show the resonance registry
-  list-lattices     show the film geometry presets
+  list-nuclides     show the resonance registry under the nuclides.dat keys
+  list-lattices     show the film presets under the lattices.dat keys
 
 Exit codes: 0 on success, 1 for validation problems, 2 for runtime failures
-(unreadable files, data file errors, non-converging integrals).
+(unreadable files, data file errors).  A reader that closes the output pipe
+early, as in `nucsp list-nuclides | head -1`, ends the command quietly with 0.
 
 If the NUCSP_DATA_DIR environment variable points at a directory, any
 nuclides.dat and lattices.dat files inside it are loaded on top of the
@@ -22,9 +23,8 @@ import os
 import sys
 from pathlib import Path
 
-from .crystal_sp import builtin_presets, parse_lattice_file
-from .nuclide import DataFileError, radiative_rate, registry as nuclide_registry
-from .numerics import ConvergenceError
+from .crystal_sp import _LATTICE_FIELDS, builtin_presets, parse_lattice_file
+from .nuclide import _NUCLIDE_FIELDS, radiative_rate, registry as nuclide_registry
 from .scenarios import run_scenario, validate_config, write_tables
 
 DATA_DIR_ENV = "NUCSP_DATA_DIR"
@@ -78,26 +78,23 @@ def _cmd_validate(args) -> int:
 
 def _cmd_list_nuclides(args) -> int:
     reg, _ = _load_registries()
-    print("%-10s %12s %12s %12s %10s %8s" % (
-        "name", "E0_keV", "lifetime_s", "tau_rad_s", "alpha_IC", "f"))
+    print("%-10s %10s %12s %10s %4s %4s %14s %12s %8s" % (
+        *_NUCLIDE_FIELDS, "tau_rad_s", "f"))
     for rec in reg.values():
         f = rec.coherent_fraction
-        print("%-10s %12.4f %12.4g %12.4g %10.4g %8s" % (
-            rec.name, rec.e0_eV / 1e3, rec.lifetime_s,
-            1.0 / radiative_rate(rec), rec.alpha_ic,
-            "%d/%d" % (f.numerator, f.denominator)))
+        print("%-10s %10.4f %12.4g %10.4g %4d %4d %14.4g %12.4g %8s" % (
+            *(getattr(rec, key) for key in _NUCLIDE_FIELDS),
+            1.0 / radiative_rate(rec), "%d/%d" % (f.numerator, f.denominator)))
     return 0
 
 
 def _cmd_list_lattices(args) -> int:
     _, films = _load_registries()
-    print("%-10s %8s %18s %10s %10s %7s" % (
-        "name", "a_nm", "offset_nm", "b_z_nm", "d_nm", "planes"))
+    print("%-10s %8s %10s %10s %10s %10s %7s" % (*_LATTICE_FIELDS, "d_nm", "planes"))
     for name, film in films.items():
-        print("%-10s %8.4f %18s %10.4f %10.4f %7d" % (
-            name, film.a_nm,
-            "(%.4f, %.4f)" % film.b_par_nm,
-            film.b_z_nm, film.z_period_nm, film.stack_period))
+        print("%-10s %8.4f %10.4f %10.4f %10.4f %10.4f %7d" % (
+            name, film.a_nm, *film.b_par_nm, film.b_z_nm,
+            film.z_period_nm, film.stack_period))
     return 0
 
 
@@ -130,14 +127,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except DataFileError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the exit flush
+        return code
+    except BrokenPipeError:
+        # the reader stopped early; stdout's buffer goes to devnull, so the
+        # exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    except (ValueError, OSError) as exc:  # DataFileError is a ValueError
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -521,8 +521,8 @@ def _run_brems_compare(config, reg, films):
     offsets = np.linspace(-half, half, p["n_energy"])
     energies = rec.e0_eV + offsets
     hbar = CONSTANTS.hbar_eV_s
-    # the bremsstrahlung density stays per energy: its cos(theta) doubling
-    # converges separately for each omega
+    # one bremsstrahlung call per energy: one call over n_energy (<= 10,000)
+    # x 64 x 8 nodes would hold complex temporaries of about 82 MB each
     brems = [br_spectral_density(probe, p["br_z_nucleus"], p["r_perp_nm"], e / hbar) / hbar
              for e in energies]
     spectral = zip(offsets.tolist(), (y * spectrum.density(energies)).tolist(), brems)

@@ -1,12 +1,14 @@
+import itertools
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
 from nucsp.brems import (
     _density_values,
-    _gauss_legendre,
+    _legendre_64,
     br_density,
     br_spectral_density,
     br_window_yield,
@@ -100,18 +102,47 @@ def test_density_validation(fe):
         br_density(probe, 0, 0.001, 1.0, 0.0, fe.omega0_rad_s)
 
 
-def test_spectral_density_converges(fe):
-    probe = electron(beta=0.9)
-    loose = br_spectral_density(probe, 26, 0.001, fe.omega0_rad_s, rel_tol=1e-4)
-    tight = br_spectral_density(probe, 26, 0.001, fe.omega0_rad_s, rel_tol=1e-7)
-    assert loose == pytest.approx(tight, rel=1e-3, abs=0.0)
-    assert tight > 0.0
+def _quad_spectral_density(probe, z_nucleus, r_perp_nm, omega, epsrel):
+    """scipy quad in cos(theta), split at 1 - 4^j / gamma^2 so each panel
+    holds one scale of the forward cone, times an exact 16-point phi grid."""
+    phis = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+
+    def f(c):
+        vals = _density_values(probe, z_nucleus, r_perp_nm, np.array([c]), phis, omega)
+        return float(vals.sum()) * (2.0 * math.pi / 16)
+
+    g2 = probe.gamma ** 2
+    cuts = [1.0 - 4.0 ** j / g2 for j in range(40, -2, -1) if 4.0 ** j / g2 < 2.0]
+    edges = [-1.0] + cuts + [1.0]
+    return math.fsum(quad(f, a, b, epsabs=0.0, epsrel=epsrel, limit=200)[0]
+                     for a, b in zip(edges, edges[1:]))
+
+
+@pytest.mark.filterwarnings("ignore", category=IntegrationWarning)
+def test_spectral_density_vs_quad():
+    # 64 fixed nodes in u = ln(1 - beta cos(theta)) must hold up to
+    # gamma ~ 2e4, where a rule in cos(theta) misses the forward 1/gamma cone
+    # (at beta = 0.999999, r = 0.1 nm and 43.8 keV such a rule was 1.9e-4 off)
+    hbar = CONSTANTS.hbar_eV_s
+    cases = itertools.product((electron, proton), (0.5, 0.9, 0.999, 0.999999),
+                              (1e-4, 0.1), (6e3, 43.8e3, 100e3))
+    for species, beta, r, e_eV in cases:
+        probe = species(beta=beta)
+        assert br_spectral_density(probe, 26, r, e_eV / hbar) == pytest.approx(
+            _quad_spectral_density(probe, 26, r, e_eV / hbar, 1e-13), rel=1e-12, abs=0.0)
+    # near beta = 1 the double cos(theta) itself limits both sides
+    cases = itertools.product((electron, proton), (1.0 - 1e-8, 1.0 - 1e-9),
+                              (1e-4, 0.1), (6e3, 100e3))
+    for species, beta, r, e_eV in cases:
+        probe = species(beta=beta)
+        assert br_spectral_density(probe, 26, r, e_eV / hbar) == pytest.approx(
+            _quad_spectral_density(probe, 26, r, e_eV / hbar, 1e-10), rel=1e-9, abs=0.0)
 
 
 def test_spectral_density_vs_brute_grid(fe):
     # compare against an independent fixed high-order quadrature
     probe = electron(beta=0.9)
-    val = br_spectral_density(probe, 26, 0.001, fe.omega0_rad_s, rel_tol=1e-6)
+    val = br_spectral_density(probe, 26, 0.001, fe.omega0_rad_s)
     nodes, wts = np.polynomial.legendre.leggauss(192)
     n_phi = 96
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
@@ -124,21 +155,16 @@ def test_spectral_density_vs_brute_grid(fe):
     assert val == pytest.approx(total, rel=1e-5, abs=0.0)
 
 
-def _n_point_phi_spectral_density(probe, z_nucleus, r_perp_nm, omega, rel_tol=1e-4):
-    """The same cos(theta) doubling with an n-point phi grid that grows with
-    the n Gauss-Legendre nodes."""
-    prev = None
-    n = 32
-    while n <= 1024:
-        nodes, wts = _gauss_legendre(n)
-        phis = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        vals = _density_values(probe, z_nucleus, r_perp_nm, nodes, phis, omega)
-        est = float(wts @ vals.sum(axis=1)) * (2.0 * math.pi / n)
-        if prev is not None and abs(est - prev) <= rel_tol * max(abs(est), abs(prev)):
-            return est
-        prev = est
-        n *= 2
-    raise AssertionError("oracle did not settle")
+def _n_point_phi_spectral_density(probe, z_nucleus, r_perp_nm, omega, n):
+    """The same 64 nodes in u = ln(1 - beta cos(theta)) with an n-point phi
+    grid."""
+    beta = probe.beta
+    lo, hi = math.log1p(-beta), math.log1p(beta)
+    nodes, wts = np.polynomial.legendre.leggauss(64)
+    eu = np.exp(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo))
+    phis = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    vals = _density_values(probe, z_nucleus, r_perp_nm, (1.0 - eu) / beta, phis, omega)
+    return float((wts * eu) @ vals.sum(axis=1)) * (0.5 * (hi - lo) / beta) * (2.0 * math.pi / n)
 
 
 def test_fixed_phi_grid_matches_growing_grid():
@@ -150,7 +176,7 @@ def test_fixed_phi_grid_matches_growing_grid():
             for r in (0.0005, 0.001, 0.002):
                 for omega in lines:
                     assert br_spectral_density(probe, z, r, omega) == pytest.approx(
-                        _n_point_phi_spectral_density(probe, z, r, omega), rel=1e-14,
+                        _n_point_phi_spectral_density(probe, z, r, omega, 64), rel=1e-14,
                         abs=0.0)
 
 
@@ -195,11 +221,13 @@ def test_empty_window_still_checks_its_arguments(fe):
 
 
 def test_gauss_legendre_nodes_are_shared_read_only():
-    for n in (32, 64, 128):
-        nodes, wts = _gauss_legendre(n)
-        ref_nodes, ref_wts = np.polynomial.legendre.leggauss(n)
-        assert np.array_equal(nodes, ref_nodes) and np.array_equal(wts, ref_wts)
-        assert not nodes.flags.writeable and not wts.flags.writeable
-        assert _gauss_legendre(n)[0] is nodes
-        with pytest.raises(ValueError):
-            nodes[0] = 0.0
+    nodes, wts = _legendre_64()
+    ref_nodes, ref_wts = np.polynomial.legendre.leggauss(64)
+    assert np.array_equal(nodes, ref_nodes) and np.array_equal(wts, ref_wts)
+    assert not nodes.flags.writeable and not wts.flags.writeable
+    again = _legendre_64()
+    assert again[0] is nodes and again[1] is wts
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        wts[0] = 0.0

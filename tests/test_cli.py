@@ -1,12 +1,15 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from nucsp import crystal_sp
 from nucsp.cli import build_parser, main
-from nucsp.crystal_sp import CutoffPolicy, LatticeFilm, emission_cones, make_film
-from nucsp.nuclide import registry
+from nucsp.crystal_sp import _LATTICE_FIELDS, CutoffPolicy, LatticeFilm, emission_cones, make_film
+from nucsp.nuclide import _NUCLIDE_FIELDS, registry
 from nucsp.probe import electron
 from nucsp.scenarios import parse_result_table
 
@@ -80,6 +83,36 @@ def test_list_lattices(capsys):
     assert main(["list-lattices"]) == 0
     out = capsys.readouterr().out
     assert "bcc100" in out and "fcc100" in out and "sc100" in out
+
+
+@pytest.mark.parametrize("command, fields, derived", [
+    ("list-nuclides", _NUCLIDE_FIELDS, ["tau_rad_s", "f"]),
+    ("list-lattices", _LATTICE_FIELDS, ["d_nm", "planes"]),
+])
+def test_list_header_names_the_data_file_keys(command, fields, derived, capsys):
+    # a data file written from the printed header must parse
+    assert main([command]) == 0
+    assert capsys.readouterr().out.splitlines()[0].split() == list(fields) + derived
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_pipe_exits_quietly(unbuffered):
+    # the read end is closed before the command writes, as `| head -1` does
+    # once it has its line; both stdout buffering modes must end quietly
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "nucsp.cli", "list-nuclides"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_data_dir_overlay(tmp_path, capsys, monkeypatch):
