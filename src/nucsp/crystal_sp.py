@@ -36,8 +36,12 @@ with B = 2 k G and X2 = int cos^2(psi) / (A + B cos(psi))^2 dpsi, but the
 terms of its numerator are all non-negative, so nothing cancels, at B = 0
 (G = 0) included.  The textbook terms cancel where Q passes near zero
 (|G| ~ k with Delta << k, i.e. beta -> 1); at beta = 0.99999 they are off
-by 3e-6.  The integral depends on |G| alone, so a cone weight is one
-compensated sum over the admissible G.
+by 3e-6.  The integral depends on |G| alone, and the admissible G depend on
+n only through its stacking class n mod p.  So the distinct |G| of a class,
+with their multiplicities, are found once and shared by every order and beta
+in it; a cone weight is summed over those distinct |G|, each term counted
+with its multiplicity, and a Veltkamp split keeps that sum exactly equal to
+the compensated sum over the individual vectors.
 
 The sum over G diverges logarithmically and is cut off at g_max = 1/R_min,
 where R_min is the closest impact parameter the beam can reach.
@@ -280,6 +284,40 @@ def reciprocal_vectors(film: LatticeFilm, n: int,
     return g
 
 
+# A few films and policies times their stacking classes.  Each entry is three
+# per-|G| arrays: 1.5 MB at the largest grid validation admits (fcc100, 1 pm
+# smooth: 742,573 vectors on 63,749 distinct |G|), where per-vector arrays
+# would take 24 MB.
+@functools.lru_cache(maxsize=16)
+def _class_shells(film: LatticeFilm, policy: CutoffPolicy, cls: int):
+    """Distinct |G| admissible for stacking class cls = n mod stack_period.
+
+    Returns read-only (norms, weights, counts): the sorted distinct
+    np.hypot(G) values, their cutoff weights and the number of vectors with
+    each.  Norms are grouped by their float value, not by i^2 + j^2, since
+    hypot(3u, 4u) and hypot(5u, 0) can differ in the last bit.
+    """
+    g = _enumerate_g(film, policy, cls)
+    norms, counts = np.unique(np.hypot(g[:, 0], g[:, 1]), return_counts=True)
+    shells = (norms, policy.weights(norms), counts)
+    for arr in shells:
+        arr.flags.writeable = False
+    return shells
+
+
+def _counted_fsum(x: np.ndarray, counts: np.ndarray) -> float:
+    """math.fsum of each x[k] repeated counts[k] times, bit for bit.
+
+    The Veltkamp split x = hi + lo leaves at most 26 significant bits in each
+    half, so count * hi and count * lo are exact while counts stay below 2^27
+    and x is a normal float; fsum of the exact parts is then the correctly
+    rounded total.
+    """
+    t = x * (2.0 ** 27 + 1.0)
+    hi = t - (t - x)
+    return math.fsum(np.concatenate([counts * hi, counts * (x - hi)]).tolist())
+
+
 def _cone_cos(probe: Probe, rec: NuclideRecord, film: LatticeFilm, n: int) -> float:
     c = 1.0 / probe.beta - n * rec.wavelength_nm / film.z_period_nm
     if n < 1 or abs(c) > 1.0:
@@ -308,16 +346,6 @@ def _gsum_terms(probe: Probe, rec: NuclideRecord, g: np.ndarray, w: np.ndarray,
     qdotr = qx * sin_t * cos_p[:, None] + qy * sin_t * sin_p[:, None]
     num = q2 * cos_t * cos_t + qdotr * qdotr
     return w * num / den
-
-
-def _cone_setup(probe: Probe, rec: NuclideRecord, film: LatticeFilm, n: int,
-                policy: CutoffPolicy):
-    """Angle-independent inputs of cone n: cosine, G vectors, weights, prefactor."""
-    cos_t = _cone_cos(probe, rec, film, n)
-    g = _enumerate_g(film, policy, n)
-    w = policy.weights(np.hypot(g[:, 0], g[:, 1]))
-    pref = film.n_layers * _layer_prefactor(probe, rec, film)
-    return cos_t, g, w, pref
 
 
 def _phi_integrals(probe: Probe, rec: NuclideRecord, cos_t: float,
@@ -353,7 +381,10 @@ def azimuthal_profile(probe: Probe, rec: NuclideRecord, film: LatticeFilm,
     The angular factor is assembled as Q^2 cos^2(theta) + (Q . r_hat)^2, in
     G blocks of at most _BLOCK_TERMS summands, so memory stays O(n_G).
     """
-    cos_t, g, w, pref = _cone_setup(probe, rec, film, n, policy)
+    cos_t = _cone_cos(probe, rec, film, n)
+    g = _enumerate_g(film, policy, n)
+    w = policy.weights(np.hypot(g[:, 0], g[:, 1]))
+    pref = film.n_layers * _layer_prefactor(probe, rec, film)
     phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
     out = np.zeros(phi_arr.shape)
     step = max(1, _BLOCK_TERMS // phi_arr.size)
@@ -386,16 +417,25 @@ class EmissionCone:
 def emission_cones(probe: Probe, rec: NuclideRecord, film: LatticeFilm,
                    policy: CutoffPolicy, order_cap: int | None = None,
                    n_phi: int = 64) -> list[EmissionCone]:
-    """All radiating orders with phi profiles and integrated cone weights."""
+    """All radiating orders with phi profiles and integrated cone weights.
+
+    An order whose stacking class has no reciprocal vector inside the cutoff
+    gets weight 0.0 and a RuntimeWarning naming it.
+    """
+    pref = film.n_layers * _layer_prefactor(probe, rec, film)
+    period = film.stack_period
     cones = []
-    for n, _ in sp_angles(probe.beta, film.z_period_nm, rec.wavelength_nm,
-                          order_cap):
-        cos_t, g, w, pref = _cone_setup(probe, rec, film, n, policy)
-        integrals = _phi_integrals(probe, rec, cos_t, np.hypot(g[:, 0], g[:, 1]))
+    for n, cos_t in sp_angles(probe.beta, film.z_period_nm, rec.wavelength_nm,
+                              order_cap):
+        norms, w, counts = _class_shells(film, policy, n % period)
+        if not counts.size:
+            warnings.warn("no reciprocal vectors pass the cutoff for order %d" % n,
+                          RuntimeWarning, stacklevel=2)
+        integrals = _phi_integrals(probe, rec, cos_t, norms)
         cones.append(EmissionCone(
             n=n, cos_theta=cos_t,
             phis=np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False),
-            weight=pref * math.fsum(w * integrals),
+            weight=pref * _counted_fsum(w * integrals, counts),
             _profile=functools.partial(azimuthal_profile, probe, rec, film, n,
                                        policy=policy)))
     return cones

@@ -31,6 +31,7 @@ identities rather than to rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -218,8 +219,13 @@ def transition_diagram(j_g, j_e) -> TransitionDiagram:
     return TransitionDiagram(jg2=jg_d, je2=je_d, strengths=strengths)
 
 
+@functools.lru_cache(maxsize=64)
 def coherent_fraction(j_g, j_e) -> Fraction:
-    """Arithmetic mean of the nonzero downward strengths, as an exact rational."""
+    """Arithmetic mean of the nonzero downward strengths, as an exact rational.
+
+    Cached on (j_g, j_e): the result depends on the two spins alone and is an
+    immutable Fraction, so every caller can share it.
+    """
     diagram = transition_diagram(j_g, j_e)
     weights = list(diagram.strengths.values())
     return sum(weights, Fraction(0)) / len(weights)

@@ -228,8 +228,9 @@ PARAMS = {
 }
 SCENARIOS = tuple(PARAMS)
 
-# Cap on the (2m+1)^2 index grid crystal_sp._enumerate_g builds per order; all
-# presets pass at r_min_nm = 0.001 smooth (fcc100 is largest, 1,890,625).
+# Cap on the (2m+1)^2 index grid crystal_sp._enumerate_g builds once per
+# stacking class; all presets pass at r_min_nm = 0.001 smooth (fcc100 is
+# largest, 1,890,625).
 MAX_G_GRID = 2_000_000
 # Cap on the far-field terms of an array-pattern run, one per nucleus and
 # angle at about 2.6 us each; with the n_points cap (about 1 ms of fixed cost
@@ -255,7 +256,8 @@ def _rule_errors(scenario, p, rec, films, probe):
         radius = CutoffPolicy(p["r_min_nm"], p["smooth_cutoff"]).enumeration_radius()
         m = radius * (film.a_nm if p["a_nm"] is None else p["a_nm"]) / (2.0 * math.pi)
         if not m < MAX_G_GRID or (2 * math.floor(m) + 1) ** 2 > MAX_G_GRID:
-            yield "params.r_min_nm: reciprocal grid exceeds %d entries per order" % MAX_G_GRID
+            yield ("params.r_min_nm: reciprocal grid exceeds %d entries per stacking class"
+                   % MAX_G_GRID)
         yield from _order_cap_errors(p, rec, film, probe)
 
 

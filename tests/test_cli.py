@@ -115,6 +115,28 @@ def test_closed_pipe_exits_quietly(unbuffered):
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+def test_empty_stacking_class_is_named_on_stderr(tmp_path):
+    # at r_min = 0.05 nm the odd bcc100 orders keep no reciprocal vector: the
+    # run still succeeds and writes 0.0 for them, and stderr names each one
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("scenario: crystal-yield\nprobe: {species: electron, beta: 0.94}\n"
+                   "params: {lattice: bcc100, r_min_nm: 0.05}\n")
+    out_dir = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "nucsp.cli", "run", str(cfg),
+                           "--out", str(out_dir)],
+                          capture_output=True, env=env, text=True, timeout=120)
+    assert proc.returncode == 0
+    named = re.findall(r"RuntimeWarning: no reciprocal vectors pass the cutoff for order (\d+)",
+                       proc.stderr)
+    assert named == ["1", "3", "5"]
+    (path,) = out_dir.iterdir()
+    _, _, rows = parse_result_table(path.read_text())
+    assert [float(r[3]) == 0.0 for r in rows[:-1]] == [True, False] * 3
+
+
 def test_data_dir_overlay(tmp_path, capsys, monkeypatch):
     (tmp_path / "nuclides.dat").write_text(
         "name = Tm-169\n"

@@ -240,6 +240,21 @@ def test_empty_reciprocal_set_warns():
     assert g.shape == (0, 2)
 
 
+def test_empty_stacking_class_warns_and_weighs_zero(p94, fe):
+    # at r_min = 0.05 nm only G = 0 is inside the cutoff, and on bcc100 it
+    # serves the even orders alone: each odd cone is named, weighed 0.0
+    film = make_film("bcc100")
+    pol = CutoffPolicy(0.05)
+    with pytest.warns(RuntimeWarning) as record:
+        cones = emission_cones(p94, fe, film, pol)
+    assert [str(w.message) for w in record] == [
+        "no reciprocal vectors pass the cutoff for order %d" % n for n in (1, 3, 5)]
+    assert [c.weight == 0.0 for c in cones] == [True, False] * 3
+    with pytest.warns(RuntimeWarning):
+        assert [c.weight for c in cones] == [
+            _per_vector_weight(p94, fe, film, c.n, pol) for c in cones]
+
+
 def test_cutoff_policy():
     pol = CutoffPolicy(0.001)
     assert pol.g_max_nm == pytest.approx(1000.0)
@@ -442,6 +457,45 @@ def test_cone_weights_match_periodic_quadrature(fe, preset, pol):
         quad = integrate_periodic(
             lambda phi: azimuthal_profile(probe, fe, film, c.n, phi, pol), rel_tol=1e-10)
         assert c.weight == pytest.approx(quad, rel=1e-8)
+
+
+def _per_vector_weight(probe, rec, film, n, pol):
+    """Cone weight as one compensated sum over every admissible G of order n,
+    each with its own np.hypot norm."""
+    cos_t = dict(sp_angles(probe.beta, film.z_period_nm, rec.wavelength_nm))[n]
+    g = reciprocal_vectors(film, n, pol)
+    norm = np.hypot(g[:, 0], g[:, 1])
+    return (film.n_layers * _layer_prefactor(probe, rec, film)
+            * math.fsum(pol.weights(norm) * _phi_integrals(probe, rec, cos_t, norm)))
+
+
+_QUARTER_LATTICE = ("name = quarter\na_nm = 0.30\nb_par_x_nm = 0.075\n"
+                    "b_par_y_nm = 0.075\nb_z_nm = 0.10\n")
+
+
+@pytest.mark.parametrize("pol", [CutoffPolicy(0.001), CutoffPolicy(0.004, smooth=True)],
+                         ids=["hard", "smooth"])
+@pytest.mark.parametrize("lattice", ["bcc100", "fcc100", "sc100", "quarter", "bcc100-3"])
+def test_cone_weights_equal_per_vector_fsum(lattice, pol, tmp_path):
+    # weights summed over distinct |G| with multiplicities are the per-vector
+    # sum bit for bit; the quarter-offset data-file lattice stacks four
+    # planes, so orders of all four classes are summed
+    if lattice == "quarter":
+        (tmp_path / "lattices.dat").write_text(_QUARTER_LATTICE)
+        film = parse_lattice_file(tmp_path / "lattices.dat")["quarter"]
+        assert film.stack_period == 4
+    elif lattice == "bcc100-3":
+        film = make_film("bcc100", n_layers=3)
+    else:
+        film = make_film(lattice)
+    classes = set()
+    for rec in registry().values():
+        for beta in (0.6, 0.94, 0.99):
+            probe = electron(beta=beta)
+            for c in emission_cones(probe, rec, film, pol):
+                assert c.weight == _per_vector_weight(probe, rec, film, c.n, pol)
+                classes.add(c.n % film.stack_period)
+    assert classes == set(range(film.stack_period))
 
 
 def test_phi_profile_is_azimuthal_profile_read_lazily(p94, fe):

@@ -1,12 +1,14 @@
 import math
 import re
 import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from nucsp import crystal_sp, nuclide
 from nucsp.crystal_sp import CutoffPolicy, builtin_presets, emission_cones, make_film
 from nucsp.nuclide import registry
 from nucsp.probe import electron
@@ -262,6 +264,42 @@ params: {betas: [0.94], r_min_nm: 0.004}
     cones = emission_cones(electron(beta=0.94), registry()["Fe-57"],
                            make_film("bcc100"), CutoffPolicy(0.004))
     assert float(rows[0][3]) == pytest.approx(cones[0].weight, rel=1e-12)
+
+
+@pytest.mark.parametrize("lattice", ["bcc100", "sc100"])
+def test_crystal_yield_builds_each_stacking_class_once(lattice, monkeypatch):
+    # every order and beta of a run shares its stacking class's |G| shells,
+    # and the spin algebra behind the prefactor runs once
+    crystal_sp._class_shells.cache_clear()
+    nuclide.coherent_fraction.cache_clear()
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(crystal_sp, "_enumerate_g",
+                        counted("enumerate_g", crystal_sp._enumerate_g))
+    monkeypatch.setattr(nuclide, "transition_diagram",
+                        counted("transition_diagram", nuclide.transition_diagram))
+    config = _cfg("""
+scenario: crystal-yield
+probe: {species: electron, beta: 0.9}
+params: {lattice: %s, betas: [0.6, 0.8, 0.9, 0.94, 0.99], r_min_nm: 0.002}
+""" % lattice)
+    (table,) = run_scenario(config)
+    _, _, rows = parse_result_table(table.to_csv())
+    film = make_film(lattice)
+    assert len(rows) > 5 * film.stack_period
+    assert 1 <= calls["enumerate_g"] <= film.stack_period
+    assert calls["transition_diagram"] <= 1
+    misses = crystal_sp._class_shells.cache_info().misses
+    for cls in range(film.stack_period):
+        for arr in crystal_sp._class_shells(film, CutoffPolicy(0.002), cls):
+            assert not arr.flags.writeable
+    assert crystal_sp._class_shells.cache_info().misses == misses
 
 
 def test_run_brems_compare_tables():
