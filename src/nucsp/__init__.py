@@ -29,23 +29,16 @@ from .nuclide import (
     NuclideRecord,
     TransitionDiagram,
     builtin_records,
-    clebsch_gordan_half,
     coherent_fraction,
     parse_nuclide_file,
-    polarizability,
     radiative_rate,
     registry,
     transition_diagram,
-    y1m_matrix_element,
 )
 from .probe import (
     Probe,
-    RMinEstimate,
-    TransverseGeometry,
     beta_from_kinetic,
     electron,
-    estimate_r_min,
-    evanescent_field_magnitude,
     kinetic_from_beta,
     lorentz_gamma,
     proton,
@@ -60,11 +53,9 @@ from .single_nucleus import (
     spectral_profile,
 )
 from .finite_array import (
-    AngularGrid,
     NucleusSet,
     angular_density,
     far_field_amplitude,
-    linear_array_pattern,
     mc_plane_average,
     square_plane_sites,
 )
@@ -105,21 +96,14 @@ __all__ = [
     "NuclideRecord",
     "TransitionDiagram",
     "builtin_records",
-    "clebsch_gordan_half",
     "coherent_fraction",
     "parse_nuclide_file",
-    "polarizability",
     "radiative_rate",
     "registry",
     "transition_diagram",
-    "y1m_matrix_element",
     "Probe",
-    "RMinEstimate",
-    "TransverseGeometry",
     "beta_from_kinetic",
     "electron",
-    "estimate_r_min",
-    "evanescent_field_magnitude",
     "kinetic_from_beta",
     "lorentz_gamma",
     "proton",
@@ -130,11 +114,9 @@ __all__ = [
     "decay_profile",
     "incoherent_angular",
     "spectral_profile",
-    "AngularGrid",
     "NucleusSet",
     "angular_density",
     "far_field_amplitude",
-    "linear_array_pattern",
     "mc_plane_average",
     "square_plane_sites",
     "CutoffPolicy",

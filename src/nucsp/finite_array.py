@@ -43,15 +43,13 @@ import numpy as np
 from .numerics import CONSTANTS, bessel_k01, bessel_k1
 from .numerics import integrate_adaptive  # noqa: F401  (traced by perfbench/spans.py)
 from .nuclide import NuclideRecord
-from .probe import Probe, TransverseGeometry
+from .probe import Probe
 from .single_nucleus import _dimensionless_scale
 
 __all__ = [
     "NucleusSet",
-    "AngularGrid",
     "far_field_amplitude",
     "angular_density",
-    "linear_array_pattern",
     "square_plane_sites",
     "mc_plane_average",
 ]
@@ -83,36 +81,7 @@ class NucleusSet:
         return self.positions.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class AngularGrid:
-    """Sampled per-solid-angle probability densities on a (theta, phi) grid."""
-
-    thetas: np.ndarray
-    phis: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        thetas = np.asarray(self.thetas, dtype=float)
-        phis = np.asarray(self.phis, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if np.any(np.diff(thetas) <= 0) or np.any(np.diff(phis) <= 0):
-            raise ValueError("grid axes must be strictly increasing")
-        if values.shape != (thetas.size, phis.size):
-            raise ValueError("values must have shape (n_theta, n_phi)")
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
-            raise ValueError("densities must be finite and non-negative")
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "phis", phis)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def cos_thetas(self) -> np.ndarray:
-        return np.cos(self.thetas)
-
-
 def _impact_point(r_p) -> np.ndarray:
-    if isinstance(r_p, TransverseGeometry):
-        return r_p.as_array()
     rp = np.asarray(r_p, dtype=float)
     if rp.shape != (2,):
         raise ValueError("impact point must have two transverse components")
@@ -180,27 +149,6 @@ def angular_density(probe: Probe, rec: NuclideRecord, nuclei: NucleusSet,
     pref = 9.0 / (8.0 * math.pi) * _dimensionless_scale(probe, rec)
     out = pref * cross
     return float(out) if out.ndim == 0 else out
-
-
-def linear_array_pattern(probe: Probe, rec: NuclideRecord, n_nuclei: int,
-                         d_nm: float, standoff_nm: float,
-                         n_points: int = 801) -> AngularGrid:
-    """Angular pattern of a z-aligned linear array, observed in its plane.
-
-    The nuclei sit at (0, 0, j d); the beam passes at (standoff, 0) and the
-    pattern is sampled at phi = 0 on a grid uniform in cos(theta), so every
-    interference order has the same sampling width.
-    """
-    if n_nuclei < 2:
-        raise ValueError("n_nuclei must be at least 2")
-    if not d_nm > 0 or not standoff_nm > 0:
-        raise ValueError("d_nm and standoff_nm must be positive")
-    z = d_nm * np.arange(n_nuclei)
-    nuclei = NucleusSet(np.column_stack([np.zeros_like(z), np.zeros_like(z), z]))
-    cos_grid = np.linspace(1.0, -1.0, n_points)  # theta ascending
-    thetas = np.array([math.acos(c) for c in cos_grid])
-    values = angular_density(probe, rec, nuclei, (standoff_nm, 0.0), thetas, 0.0)
-    return AngularGrid(thetas=thetas, phis=np.array([0.0]), values=values[:, None])
 
 
 # ---------------------------------------------------------------------------

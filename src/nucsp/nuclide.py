@@ -16,17 +16,13 @@ each excited sublevel sum to 1.  All coefficients come from one exact Racah
 sum.  From the strength diagram we obtain the coherent fraction f (the
 m-independent average of the downward strengths, i.e. the probability that
 excitation plus radiative decay returns the nucleus to its original
-sublevel), the coherent radiative rate
+sublevel), and the coherent radiative rate
 
-    kappa_r = kappa * f / (1 + alpha_IC) / branch_divisor,
+    kappa_r = kappa * f / (1 + alpha_IC) / branch_divisor.
 
-and the isotropic magnetic polarizability
-
-    alpha_M(omega) = (3 / 4 k^3) * kappa_r / (omega0 - omega - i kappa / 2),
-
-with k = omega0 / c.  All spin arithmetic is exact: half-integers are stored
-as doubled integers and strengths as rationals, so the sum rules hold as
-identities rather than to rounding.
+All spin arithmetic is exact: half-integers are stored as doubled integers
+and strengths as rationals, so the sum rules hold as identities rather than
+to rounding.
 """
 
 from __future__ import annotations
@@ -43,12 +39,9 @@ __all__ = [
     "NuclideRecord",
     "TransitionDiagram",
     "DataFileError",
-    "clebsch_gordan_half",
-    "y1m_matrix_element",
     "transition_diagram",
     "coherent_fraction",
     "radiative_rate",
-    "polarizability",
     "builtin_records",
     "registry",
     "parse_nuclide_file",
@@ -56,12 +49,9 @@ __all__ = [
     "parse_record_file",
 ]
 
-FOUR_PI = 4.0 * math.pi
-
-
 # ---------------------------------------------------------------------------
-# exact Clebsch-Gordan coefficients: a coefficient sign * sqrt(rational) is
-# kept as the (sign, rational square) pair, so strengths stay exact
+# exact Clebsch-Gordan coefficients, kept as rational squares so strengths
+# stay exact
 
 
 def _doubled(x, name: str) -> int:
@@ -79,15 +69,15 @@ def _fact_half(nd: int) -> int:
     return math.factorial(nd // 2)
 
 
-def _cg_sq(j1d: int, m1d: int, j2d: int, m2d: int, jd: int, md: int) -> tuple[int, Fraction]:
-    """General Clebsch-Gordan coefficient <j1 m1; j2 m2 | j m> via the Racah
-    sum, on doubled-integer arguments.  Returns (sign, value^2) exactly."""
+def _cg_sq(j1d: int, m1d: int, j2d: int, m2d: int, jd: int, md: int) -> Fraction:
+    """Square of the Clebsch-Gordan coefficient <j1 m1; j2 m2 | j m> via the
+    Racah sum, on doubled-integer arguments, as an exact rational."""
     if md != m1d + m2d:
-        return (0, Fraction(0))
+        return Fraction(0)
     if not (abs(j1d - j2d) <= jd <= j1d + j2d) or (j1d + j2d + jd) % 2:
-        return (0, Fraction(0))
+        return Fraction(0)
     if abs(m1d) > j1d or abs(m2d) > j2d or abs(md) > jd:
-        return (0, Fraction(0))
+        return Fraction(0)
 
     pref = Fraction(
         (jd + 1)
@@ -110,69 +100,7 @@ def _cg_sq(j1d: int, m1d: int, j2d: int, m2d: int, jd: int, md: int) -> tuple[in
                 den *= _fact_half(x)
             total += Fraction((-1) ** (kd // 2), den)
         kd += 2
-    if total == 0:
-        return (0, Fraction(0))
-    return ((1 if total > 0 else -1), pref * total * total)
-
-
-def clebsch_gordan_half(l: int, j, mu, s) -> float:
-    """Signed coefficient <l, mu - s; 1/2 s | j mu> coupling orbital l and
-    spin 1/2 to (j, mu).
-
-    l must be one of j +- 1/2; vanishing coefficients (|mu - s| > l) return
-    0.0 rather than raising.
-    """
-    jd = _doubled(j, "j")
-    mud = _doubled(mu, "mu")
-    sd = _doubled(s, "s")
-    if jd <= 0 or jd % 2 == 0:
-        raise ValueError("j must be a positive half-integer")
-    if sd not in (-1, 1):
-        raise ValueError("s must be +1/2 or -1/2")
-    if abs(mud) > jd:
-        raise ValueError("|mu| must not exceed j")
-    if not isinstance(l, int) or l < 0:
-        raise ValueError("l must be a non-negative integer")
-    if 2 * l not in (jd + 1, jd - 1):
-        raise ValueError("l must equal j + 1/2 or j - 1/2")
-    sign, sq = _cg_sq(2 * l, mud - sd, 1, sd, jd, mud)
-    return sign * math.sqrt(sq)
-
-
-def y1m_matrix_element(j_e, mu_e, j_g, mu_g) -> float:
-    """Matrix element <e_{mu_e}| Y_{1m} |g_{mu_g}> with m = mu_e - mu_g.
-
-    The levels are the spin-1/2 states
-
-        |l j mu> = sum_s <l, mu - s; 1/2 s | j mu> Y_{l, mu - s} |s>
-
-    with orbital l = j + 1/2 (l = j - 1/2 gives the same values, which the
-    tests check against an explicit construction).  By the Wigner-Eckart
-    theorem the element is a reduced element times <j_g mu_g; 1 m | j_e mu_e>,
-    and for Y_1 between these states
-
-        4 pi |<e|Y_1m|g>|^2 = 3 (2 j_g + 1) / (2 j_e + 1)
-                              * <j_g 1/2; 1 0 | j_e 1/2>^2
-                              * <j_g mu_g; 1 m | j_e mu_e>^2,
-
-    with the sign of the product of the two coefficients.  Zero when |m| > 1
-    (dipole selection rule), and when j_e + j_g is odd: Y_1 has odd parity,
-    so it connects l_e = l_g +- 1 only.
-    """
-    je_d = _doubled(j_e, "j_e")
-    jg_d = _doubled(j_g, "j_g")
-    mue_d = _doubled(mu_e, "mu_e")
-    mug_d = _doubled(mu_g, "mu_g")
-    if je_d % 2 == 0 or jg_d % 2 == 0:
-        raise ValueError("j_e and j_g must be half-integers")
-    if abs(mue_d) > je_d or abs(mug_d) > jg_d:
-        raise ValueError("sublevel index exceeds its total angular momentum")
-    if (je_d + jg_d) % 4:
-        return 0.0
-    s_red, red = _cg_sq(jg_d, 1, 2, 0, je_d, 1)
-    s_cg, cg = _cg_sq(jg_d, mug_d, 2, mue_d - mug_d, je_d, mue_d)
-    q4pi = Fraction(3 * (jg_d + 1), je_d + 1) * red * cg
-    return s_red * s_cg * math.sqrt(q4pi / FOUR_PI)
+    return pref * total * total
 
 
 @dataclass(frozen=True)
@@ -213,7 +141,7 @@ def transition_diagram(j_g, j_e) -> TransitionDiagram:
     strengths: dict[tuple[Fraction, Fraction], Fraction] = {}
     for mue_d in range(-je_d, je_d + 1, 2):
         for mug_d in range(mue_d - 2, mue_d + 3, 2):
-            w = _cg_sq(jg_d, mug_d, 2, mue_d - mug_d, je_d, mue_d)[1]
+            w = _cg_sq(jg_d, mug_d, 2, mue_d - mug_d, je_d, mue_d)
             if w:
                 strengths[(Fraction(mue_d, 2), Fraction(mug_d, 2))] = w
     return TransitionDiagram(jg2=jg_d, je2=je_d, strengths=strengths)
@@ -307,20 +235,6 @@ def radiative_rate(rec: NuclideRecord) -> float:
     """Coherent radiative rate kappa_r in 1/s."""
     f = float(rec.coherent_fraction)
     return rec.kappa_s * f / (1.0 + rec.alpha_ic) / rec.branch_divisor
-
-
-def polarizability(rec: NuclideRecord, omega: float) -> complex:
-    """Magnetic dipole polarizability alpha_M(omega) in nm^3.
-
-    Lorentzian response of half-width kappa/2 about omega0, with the resonant
-    wavevector k = omega0/c in the prefactor (the kappa-neighborhood where
-    alpha_M is ever evaluated makes the k(omega) distinction O(kappa/omega0)).
-    """
-    if not omega > 0:
-        raise ValueError("omega must be positive")
-    k = rec.omega0_rad_s / CONSTANTS.c_nm_s  # 1/nm
-    return (3.0 / (4.0 * k ** 3)) * radiative_rate(rec) / complex(
-        rec.omega0_rad_s - omega, -0.5 * rec.kappa_s)
 
 
 def builtin_records() -> tuple[NuclideRecord, ...]:

@@ -1,17 +1,5 @@
-"""Probe kinematics, the evanescent field of a uniformly moving charge, and
-the transverse-energy estimate of the minimum approach distance.
-
-A charge eZ moving with velocity v = beta*c along +z carries the evanescent
-magnetic field
-
-    |H_ext(R, omega)| = (2 e Z omega / (v c gamma)) K1(omega R / (v gamma)),
-
-azimuthal about the trajectory, with R the transverse distance and
-gamma = 1/sqrt(1 - beta^2).  The prefactor and Bessel kernel are exposed
-separately so each factor is testable on its own.  Field magnitudes come out
-in sqrt(eV/nm^3) with e = sqrt(e^2) taken from the shared constants; every
-emission probability downstream is assembled from dimensionless groupings
-instead, so this routine serves diagnostics and cross-checks.
+"""Probe kinematics: a charge eZ moving with velocity v = beta*c along +z,
+its Lorentz factor gamma = 1/sqrt(1 - beta^2), speed and kinetic energy.
 """
 
 from __future__ import annotations
@@ -19,26 +7,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .numerics import CONSTANTS, bessel_k1
+from .numerics import CONSTANTS
 
 __all__ = [
     "Probe",
-    "TransverseGeometry",
-    "RMinEstimate",
     "lorentz_gamma",
     "beta_from_kinetic",
     "kinetic_from_beta",
     "electron",
     "proton",
-    "evanescent_field_prefactor",
-    "evanescent_field_magnitude",
-    "estimate_r_min",
 ]
-
-# closed-form R_min below this floor is clamped and flagged
-_R_MIN_FLOOR_NM = 1e-8
 
 
 def lorentz_gamma(beta: float) -> float:
@@ -112,71 +90,3 @@ def _species(z: int, rest_eV: float, beta, e_kin) -> Probe:
     if beta is None:
         beta = beta_from_kinetic(e_kin, rest_eV)
     return Probe(z_charge=z, rest_energy_eV=rest_eV, beta=beta)
-
-
-@dataclass(frozen=True)
-class TransverseGeometry:
-    """Impact point R_p in the plane perpendicular to the beam axis (+z)."""
-
-    r_p: tuple[float, float]
-
-    def __post_init__(self):
-        if len(self.r_p) != 2 or not all(math.isfinite(c) for c in self.r_p):
-            raise ValueError("r_p must be two finite components")
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.r_p, dtype=float)
-
-
-def evanescent_field_prefactor(probe: Probe, omega: float) -> float:
-    """Amplitude factor 2 e Z omega / (v c gamma) in sqrt(eV/nm^3)."""
-    if not omega > 0:
-        raise ValueError("omega must be positive")
-    e_charge = math.sqrt(CONSTANTS.e2_eV_nm)
-    c = CONSTANTS.c_nm_s
-    return 2.0 * e_charge * probe.z_charge * omega / (probe.velocity_nm_s * c * probe.gamma)
-
-
-def evanescent_field_magnitude(probe: Probe, r_perp_nm: float, omega: float) -> float:
-    """|H_ext| at transverse distance r_perp: prefactor times K1(omega r / v gamma).
-
-    The e^{i omega z / v} phase and the azimuthal direction are left to
-    callers.  r_perp must be positive; clamping to a minimum approach
-    distance happens upstream.
-    """
-    if not r_perp_nm > 0:
-        raise ValueError("r_perp_nm must be positive")
-    x = omega * r_perp_nm / (probe.velocity_nm_s * probe.gamma)
-    return evanescent_field_prefactor(probe, omega) * bessel_k1(x)
-
-
-@dataclass(frozen=True)
-class RMinEstimate:
-    """Closed-form minimum approach distance, with an underflow-clamp flag."""
-
-    r_min_nm: float
-    clamped: bool
-
-
-def estimate_r_min(theta_inc_rad: float, e_kinetic_eV: float,
-                   z_row: int, a_nm: float) -> RMinEstimate:
-    """Minimum beam-nucleus distance from transverse energetics.
-
-    Balances the transverse kinetic energy E_perp = theta_inc^2 E0 against the
-    row-averaged Coulomb barrier E_Coul = (2 z_row e^2 / a) ln(a / 2 R_min),
-    giving R_min = (a/2) exp(-E_perp a / (2 z_row e^2)).  Atomic-electron
-    screening is neglected.  Results below 1e-8 nm are clamped and flagged.
-    """
-    if not 0.0 < theta_inc_rad < 0.2:
-        raise ValueError("theta_inc_rad must lie in (0, 0.2) rad")
-    if not e_kinetic_eV > 0:
-        raise ValueError("e_kinetic_eV must be positive")
-    if not (isinstance(z_row, (int, np.integer)) and z_row >= 1):
-        raise ValueError("z_row must be a positive integer")
-    if not a_nm > 0:
-        raise ValueError("a_nm must be positive")
-    e_perp = theta_inc_rad ** 2 * e_kinetic_eV
-    r_min = 0.5 * a_nm * math.exp(-e_perp * a_nm / (2.0 * z_row * CONSTANTS.e2_eV_nm))
-    if r_min < _R_MIN_FLOOR_NM:
-        return RMinEstimate(r_min_nm=_R_MIN_FLOOR_NM, clamped=True)
-    return RMinEstimate(r_min_nm=r_min, clamped=False)

@@ -30,6 +30,7 @@ from .probe import Probe
 __all__ = [
     "EmissionSpectrum",
     "DecayProfile",
+    "bessel_argument",
     "coherent_yield",
     "spectral_profile",
     "decay_profile",

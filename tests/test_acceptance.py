@@ -8,6 +8,7 @@ them is a behaviour change, not a test fix.
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,12 +22,7 @@ from nucsp.crystal_sp import (
     make_film,
     reciprocal_vectors,
 )
-from nucsp.finite_array import (
-    NucleusSet,
-    angular_density,
-    linear_array_pattern,
-    mc_plane_average,
-)
+from nucsp.finite_array import NucleusSet, angular_density, mc_plane_average
 from nucsp.numerics import CONSTANTS
 from nucsp.nuclide import (
     coherent_fraction,
@@ -35,6 +31,7 @@ from nucsp.nuclide import (
     transition_diagram,
 )
 from nucsp.probe import electron, proton
+from nucsp.scenarios import run_scenario, validate_config
 from nucsp.single_nucleus import (
     coherent_yield,
     decay_profile,
@@ -43,6 +40,7 @@ from nucsp.single_nucleus import (
 )
 
 F = Fraction
+ROOT = Path(__file__).resolve().parents[1]
 FE = registry()["Fe-57"]
 DY = registry()["Dy-161"]
 
@@ -117,13 +115,15 @@ def test_total_yield_equals_angular_quadrature():
 
 
 def test_array_pattern_peaks_at_cone_angles():
-    # 10 nuclei spaced 0.286 nm, beta = 0.94: all six interference orders
-    # appear as local maxima within 0.02 in cos(theta) of the cone condition
-    probe = electron(beta=0.94)
+    # configs/array_pattern.yaml, 10 nuclei spaced 0.286 nm, beta = 0.94:
+    # all six interference orders appear as local maxima within 0.02 in
+    # cos(theta) of the cone condition
+    config, errors = validate_config((ROOT / "configs" / "array_pattern.yaml").read_text())
+    assert not errors
+    (table,) = run_scenario(config)
+    rows = np.array(table.rows)
+    cos_grid, vals = rows[:, 0], rows[:, 2]
     d = 0.286
-    grid = linear_array_pattern(probe, FE, 10, d, 0.01, n_points=801)
-    vals = grid.values[:, 0]
-    cos_grid = grid.cos_thetas
     interior = (vals[1:-1] > vals[:-2]) & (vals[1:-1] > vals[2:])
     peak_idx = np.where(interior & (vals[1:-1] >= 0.1 * vals.max()))[0] + 1
     predicted = [1.0 / 0.94 - n * FE.wavelength_nm / d for n in range(1, 7)]

@@ -9,19 +9,18 @@ import numpy as np
 import pytest
 
 from nucsp.finite_array import (
-    AngularGrid,
     NucleusSet,
     _k1_sq_disk_integral,
     _plane_terms,
     angular_density,
     far_field_amplitude,
-    linear_array_pattern,
     mc_plane_average,
     square_plane_sites,
 )
 from nucsp.numerics import CONSTANTS, bessel_k1
 from nucsp.nuclide import registry
 from nucsp.probe import electron
+from nucsp.scenarios import run_scenario, validate_config
 from nucsp.single_nucleus import coherent_yield
 
 
@@ -129,34 +128,37 @@ def test_two_nucleus_longitudinal_interference(probe, fe):
     assert d2 == pytest.approx(4.0 * d1, rel=1e-9)
 
 
-def test_angular_grid_validation():
-    with pytest.raises(ValueError):
-        AngularGrid(np.array([0.0, 0.0]), np.array([0.0]), np.zeros((2, 1)))
-    with pytest.raises(ValueError):
-        AngularGrid(np.array([0.0, 1.0]), np.array([0.0]), np.zeros((3, 1)))
-    with pytest.raises(ValueError):
-        AngularGrid(np.array([0.0, 1.0]), np.array([0.0]), -np.ones((2, 1)))
-    grid = AngularGrid(np.array([0.5, 1.0]), np.array([0.0]), np.ones((2, 1)))
-    np.testing.assert_allclose(grid.cos_thetas, np.cos([0.5, 1.0]))
+ARRAY_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "array_pattern.yaml"
 
 
-def test_linear_array_pattern_grid(probe, fe):
-    grid = linear_array_pattern(probe, fe, 4, 0.286, 0.01, n_points=101)
-    assert grid.values.shape == (101, 1)
-    assert grid.thetas.size == 101
-    # uniform in cos(theta)
-    np.testing.assert_allclose(np.diff(grid.cos_thetas), -0.02, atol=1e-12)
-    with pytest.raises(ValueError):
-        linear_array_pattern(probe, fe, 1, 0.286, 0.01)
+def _shipped_array_pattern():
+    """(cos_theta, density) columns of configs/array_pattern.yaml, as
+    run_scenario returns them."""
+    config, errors = validate_config(ARRAY_CONFIG.read_text())
+    assert not errors
+    (table,) = run_scenario(config)
+    assert table.columns == ("cos_theta", "theta_rad", "density_per_sr")
+    rows = np.array(table.rows)
+    np.testing.assert_array_equal(rows[:, 1], [math.acos(c) for c in rows[:, 0]])
+    return rows[:, 0], rows[:, 2]
+
+
+def test_linear_array_pattern_grid():
+    # the runner samples phi = 0 on a grid uniform in cos(theta), from 1 to -1
+    cos_grid, vals = _shipped_array_pattern()
+    assert cos_grid.size == vals.size == 801
+    assert cos_grid[0] == 1.0 and cos_grid[-1] == -1.0
+    np.testing.assert_allclose(np.diff(cos_grid), -2.0 / 800, atol=1e-12)
+    assert np.all(vals >= 0.0)
+    text = ARRAY_CONFIG.read_text()
+    assert "n_nuclei: 10" in text
+    assert validate_config(text.replace("n_nuclei: 10", "n_nuclei: 1"))[0] is None
 
 
 def test_linear_array_peaks_near_cone_angles(fe):
-    probe = electron(beta=0.94)
-    d = 0.286
-    grid = linear_array_pattern(probe, fe, 10, d, 0.01, n_points=801)
-    vals = grid.values[:, 0]
-    cos_grid = grid.cos_thetas
-    predicted = [1.0 / 0.94 - n * fe.wavelength_nm / d for n in range(1, 7)]
+    # configs/array_pattern.yaml: 10 nuclei spaced 0.286 nm, beta = 0.94
+    cos_grid, vals = _shipped_array_pattern()
+    predicted = [1.0 / 0.94 - n * fe.wavelength_nm / 0.286 for n in range(1, 7)]
     peak_level = vals.max()
     for cos_n in predicted:
         mask = np.abs(cos_grid - cos_n) <= 0.02

@@ -8,16 +8,14 @@ from scipy.special import sph_harm_y
 from nucsp.nuclide import (
     DataFileError,
     NuclideRecord,
+    _cg_sq,
     builtin_records,
-    clebsch_gordan_half,
     coherent_fraction,
     parse_kv_blocks,
     parse_nuclide_file,
-    polarizability,
     radiative_rate,
     registry,
     transition_diagram,
-    y1m_matrix_element,
 )
 from nucsp.numerics import CONSTANTS
 
@@ -38,50 +36,36 @@ def dy():
 # angular momentum coupling
 
 
+def _spin_half_sq(l, j, mu, s):
+    """<l, mu - s; 1/2 s | j mu>^2 from the library's Racah sum."""
+    return _cg_sq(2 * l, int(2 * (mu - s)), 1, int(2 * s), int(2 * j), int(2 * mu))
+
+
 def test_orbital_spin_coupling_closed_forms():
-    # l = 1 coupled with spin 1/2 to j = 1/2: the two weights are
-    # -sqrt((l - mu + 1/2)/(2l + 1)) and sqrt((l + mu + 1/2)/(2l + 1))
-    assert clebsch_gordan_half(1, F(1, 2), F(1, 2), F(1, 2)) == pytest.approx(
-        -math.sqrt(1.0 / 3.0), abs=1e-15)
-    assert clebsch_gordan_half(1, F(1, 2), F(1, 2), -F(1, 2)) == pytest.approx(
-        math.sqrt(2.0 / 3.0), abs=1e-15)
+    # l = 1 coupled with spin 1/2 to j = 1/2: the two squared weights are
+    # (l - mu + 1/2)/(2l + 1) and (l + mu + 1/2)/(2l + 1)
+    assert _spin_half_sq(1, F(1, 2), F(1, 2), F(1, 2)) == F(1, 3)
+    assert _spin_half_sq(1, F(1, 2), F(1, 2), -F(1, 2)) == F(2, 3)
     # j = l + 1/2 stretched state couples with weight 1
-    assert clebsch_gordan_half(1, F(3, 2), F(3, 2), F(1, 2)) == pytest.approx(
-        1.0, abs=1e-15)
+    assert _spin_half_sq(1, F(3, 2), F(3, 2), F(1, 2)) == F(1)
 
 
 def test_orbital_spin_coupling_is_normalized():
     for l in (1, 2, 3):
         for twoj in (2 * l - 1, 2 * l + 1):
             j = F(twoj, 2)
-            mu = -j
-            while mu <= j:
-                total = sum(clebsch_gordan_half(l, j, mu, s) ** 2
-                            for s in (F(1, 2), -F(1, 2)))
-                assert total == pytest.approx(1.0, abs=1e-14)
-                mu += 1
+            for mu in _sublevels(j):
+                assert sum(_spin_half_sq(l, j, mu, s) for s in (F(1, 2), -F(1, 2))) == 1
 
 
 def test_coupling_rejects_invalid_quantum_numbers():
-    with pytest.raises(ValueError):
-        clebsch_gordan_half(2, F(1, 2), F(1, 2), F(1, 2))  # l not j +- 1/2
-    with pytest.raises(ValueError):
-        clebsch_gordan_half(1, F(3, 2), F(5, 2), F(1, 2))  # |mu| > j
-    with pytest.raises(ValueError):
-        clebsch_gordan_half(1, F(3, 2), F(1, 2), F(1, 3))  # s not +-1/2
-
-
-def test_dipole_matrix_elements_match_tabulated_pattern():
-    # 1/2 -> 3/2 transition: |<3/2 mu'|Y_1q|1/2 mu>|, in units of
-    # 1/sqrt(4 pi), is 1 for stretched, sqrt(2/3) for q = 0, sqrt(1/3)
-    # for the remaining allowed q
-    inv = 1.0 / math.sqrt(4.0 * math.pi)
-    val = y1m_matrix_element(F(3, 2), F(3, 2), F(1, 2), F(1, 2))
-    assert abs(val) == pytest.approx(inv, rel=1e-14)
-    val = y1m_matrix_element(F(3, 2), F(1, 2), F(1, 2), F(1, 2))
-    assert abs(val) == pytest.approx(math.sqrt(2.0 / 3.0) * inv, rel=1e-14)
-    val = y1m_matrix_element(F(3, 2), -F(1, 2), F(1, 2), F(1, 2))
-    assert abs(val) == pytest.approx(math.sqrt(1.0 / 3.0) * inv, rel=1e-14)
+    # the Racah sum is zero outside the coupling rules ...
+    assert _spin_half_sq(2, F(1, 2), F(1, 2), F(1, 2)) == 0  # l not j +- 1/2
+    assert _cg_sq(2, 4, 1, 1, 3, 5) == 0  # |m| > l and |mu| > j
+    # ... and the diagram built on it rejects invalid spins
+    for jg, je in ((F(1, 3), F(4, 3)), (1, 2), (F(1, 2), F(5, 2)), (-F(1, 2), F(1, 2))):
+        with pytest.raises(ValueError):
+            transition_diagram(jg, je)
 
 
 # Oracle: the orbital x spin-1/2 construction the library's Wigner-Eckart
@@ -141,22 +125,25 @@ def _sublevels(j):
 
 
 def test_dipole_matrix_elements_realizations_agree_in_magnitude():
-    # y1m_matrix_element against the explicit construction in both
-    # realizations, sign included, on every sublevel pair; j_e = j_g is
-    # parity forbidden (l_e = l_g) and must vanish
-    nonzero = 0
+    # each diagram strength is the squared orbital construction, normalized
+    # over the excited sublevel, in both realizations; j_e = j_g is parity
+    # forbidden (l_e = l_g) and is rejected
+    entries = 0
     for jg, je in ((F(1, 2), F(3, 2)), (F(5, 2), F(7, 2)),
-                   (F(3, 2), F(1, 2)), (F(7, 2), F(5, 2)), (F(3, 2), F(3, 2))):
-        for mu_e in _sublevels(je):
-            for mu_g in _sublevels(jg):
-                val = y1m_matrix_element(je, mu_e, jg, mu_g)
-                args = (float(je), float(mu_e), float(jg), float(mu_g))
-                up = _orbital_y1m(*args, upper=True)
-                lo = _orbital_y1m(*args, upper=False)
-                assert val == pytest.approx(up, abs=1e-15)
-                assert val == pytest.approx(lo, abs=1e-15)
-                nonzero += val != 0.0
-    assert nonzero == 3 * (2 + 6 + 2 + 6)  # 3(2 j_min + 1) per dipole pair
+                   (F(3, 2), F(1, 2)), (F(7, 2), F(5, 2))):
+        strengths = transition_diagram(jg, je).strengths
+        entries += len(strengths)
+        for upper in (True, False):
+            for mu_e in _sublevels(je):
+                sq = {mu_g: _orbital_y1m(float(je), float(mu_e), float(jg), float(mu_g),
+                                         upper=upper) ** 2 for mu_g in _sublevels(jg)}
+                norm = sum(sq.values())
+                for mu_g, v in sq.items():
+                    assert float(strengths.get((mu_e, mu_g), 0)) == pytest.approx(
+                        v / norm, abs=1e-15)
+    assert entries == 3 * (2 + 6 + 2 + 6)  # 3(2 j_min + 1) per dipole pair
+    with pytest.raises(ValueError):
+        transition_diagram(F(3, 2), F(3, 2))
 
 
 def test_spin_half_oracle_table_matches_library():
@@ -167,12 +154,13 @@ def test_spin_half_oracle_table_matches_library():
             j = F(twoj, 2)
             for mu in _sublevels(j):
                 for s in (F(1, 2), -F(1, 2)):
-                    assert clebsch_gordan_half(l, j, mu, s) == pytest.approx(
-                        _spin_half_cg(l, float(j), float(mu), float(s)), abs=1e-15)
+                    assert float(_spin_half_sq(l, j, mu, s)) == pytest.approx(
+                        _spin_half_cg(l, float(j), float(mu), float(s)) ** 2, abs=1e-15)
 
 
 def test_dipole_selection_rule():
-    assert y1m_matrix_element(F(3, 2), F(3, 2), F(1, 2), -F(1, 2)) == 0.0
+    for jg, je in ((F(1, 2), F(3, 2)), (F(5, 2), F(7, 2)), (F(7, 2), F(5, 2))):
+        assert all(abs(mu_e - mu_g) <= 1 for mu_e, mu_g in transition_diagram(jg, je).strengths)
 
 
 # ---------------------------------------------------------------------------
@@ -257,22 +245,6 @@ def test_radiative_rates_match_tabulated_lifetimes(fe, dy):
     # kappa_r = f kappa / (1 + alpha_IC), with the Dy branching divisor
     assert 1.0 / radiative_rate(fe) == pytest.approx(2.03e-6, rel=2e-3)
     assert 1.0 / radiative_rate(dy) == pytest.approx(3.17e-8, rel=2e-3)
-
-
-def test_polarizability_peak_and_symmetry(fe):
-    on_peak = polarizability(fe, fe.omega0_rad_s)
-    assert on_peak.real == pytest.approx(0.0, abs=1e-30)
-    assert on_peak.imag > 0.0
-    # amplitude at resonance: (3/4k^3) * kappa_r / (kappa/2)
-    k = fe.omega0_rad_s / CONSTANTS.c_nm_s
-    expected = 0.75 / k ** 3 * radiative_rate(fe) / (0.5 * fe.kappa_s)
-    assert abs(on_peak) == pytest.approx(expected, rel=1e-12)
-    # detuned symmetrically, the magnitudes match
-    d = 5.0 * fe.kappa_s
-    lo = polarizability(fe, fe.omega0_rad_s - d)
-    hi = polarizability(fe, fe.omega0_rad_s + d)
-    assert abs(lo) == pytest.approx(abs(hi), rel=1e-12)
-    assert lo.real > 0.0 > hi.real
 
 
 def test_record_validation():

@@ -1,17 +1,12 @@
 import math
 
-import numpy as np
 import pytest
 
-from nucsp.numerics import CONSTANTS, bessel_k1
+from nucsp.numerics import CONSTANTS
 from nucsp.probe import (
     Probe,
-    TransverseGeometry,
     beta_from_kinetic,
     electron,
-    estimate_r_min,
-    evanescent_field_magnitude,
-    evanescent_field_prefactor,
     kinetic_from_beta,
     lorentz_gamma,
     proton,
@@ -80,52 +75,3 @@ def test_probe_validation():
         Probe(z_charge=1, rest_energy_eV=-1.0, beta=0.5)
     with pytest.raises(ValueError):
         Probe(z_charge=1, rest_energy_eV=1.0, beta=1.0)
-
-
-def test_transverse_geometry():
-    g = TransverseGeometry((0.1, -0.2))
-    assert g.as_array().tolist() == [0.1, -0.2]
-    with pytest.raises(ValueError):
-        TransverseGeometry((math.inf, 0.0))
-
-
-def test_evanescent_field_shape():
-    # E ~ K1(omega r / v gamma): ratio of two radii isolates the Bessel factor
-    e = electron(beta=0.9)
-    omega = 2.19e19
-    scale = probe_arg = omega / (e.velocity_nm_s * e.gamma)
-    r1, r2 = 0.001, 0.002
-    ratio = (evanescent_field_magnitude(e, r2, omega)
-             / evanescent_field_magnitude(e, r1, omega))
-    assert ratio == pytest.approx(bessel_k1(scale * r2) / bessel_k1(probe_arg * r1),
-                                  rel=1e-12)
-    assert evanescent_field_magnitude(e, r1, omega) == pytest.approx(
-        evanescent_field_prefactor(e, omega) * bessel_k1(scale * r1), rel=1e-12)
-    with pytest.raises(ValueError):
-        evanescent_field_magnitude(e, 0.0, omega)
-
-
-def test_closest_approach_estimate():
-    # grazing 1 MeV electrons on a row of Z = 26 atoms spaced 0.2856 nm
-    est = estimate_r_min(math.radians(2.0), 1e6, 26, 0.2856)
-    assert not est.clamped
-    assert est.r_min_nm == pytest.approx(1.3688381e-3, rel=1e-6)
-    # smaller angle -> weaker transverse kick -> larger closest approach
-    est2 = estimate_r_min(math.radians(1.0), 1e6, 26, 0.2856)
-    assert est2.r_min_nm > est.r_min_nm
-
-
-def test_closest_approach_clamps_at_floor():
-    # steep incidence pushes the estimate below the physical floor
-    est = estimate_r_min(0.19, 1e9, 79, 0.4)
-    assert est.clamped
-    assert est.r_min_nm == 1e-8
-
-
-def test_closest_approach_validation():
-    with pytest.raises(ValueError):
-        estimate_r_min(0.0, 1e6, 26, 0.2856)
-    with pytest.raises(ValueError):
-        estimate_r_min(0.3, 1e6, 26, 0.2856)  # beyond grazing regime
-    with pytest.raises(ValueError):
-        estimate_r_min(0.02, 1e6, -3, 0.2856)
