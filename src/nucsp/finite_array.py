@@ -24,9 +24,13 @@ The Monte-Carlo average over impact parameters in one z = 0 plane forms g
 for a chunk of m samples and n sites at once, with real arithmetic only:
 w = K1 / dist on the (m x n) grid, then g_x = (w (-dy)) @ B and
 g_y = (w dx) @ B with B = [cos phase_j, -sin phase_j] the (n x 2) site
-phases, whose two columns give the real and imaginary parts.  Its control
-variate subtracts the nearest site's own term inside a capture disk and adds
-back that term's exact mean, from the closed-form integral
+phases, whose two columns give the real and imaginary parts.  A chunk holds
+m = _BLOCK_TERMS // n samples, a term budget as for the angle blocks, and
+its (m x n) grids are written into work arrays allocated once per call, so
+the chunk loop makes no (m x n) temporaries of its own.  The chunk size
+does not change which samples are kept.  Its control variate subtracts the
+nearest site's own term inside a capture disk and adds back that term's
+exact mean, from the closed-form integral
 
     int x K1(x)^2 dx = F(x) = (x^2/2)(K1^2 - K0^2) - x K0 K1,
 
@@ -36,6 +40,7 @@ so no quadrature runs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +62,6 @@ __all__ = [
 # Bessel arguments beyond this bound contribute below 3e-20 of a unit term
 # and are skipped in the Monte-Carlo batch path.
 _ARG_CUT = 45.0
-_MC_CHUNK = 2000
 _BLOCK_TERMS = 1 << 16
 
 
@@ -163,37 +167,44 @@ def square_plane_sites(a_nm: float, half_extent: int) -> np.ndarray:
 
 
 def _plane_terms(sites: np.ndarray, rps: np.ndarray, rhat: np.ndarray,
-                 delta: float, k0: float):
+                 delta: float, k0: float, work: np.ndarray):
     """Per-sample |r_hat x g|^2 for a z = 0 plane, plus nearest-site data.
 
     Returns (x, dn, self_term): the squared transverse amplitude for each
     impact point in rps, the nearest-site distance, and that site's own
     contribution K1^2 (1 - (r_hat . phi_hat)^2) for control-variate use.
     Matches the per-point far_field_amplitude assembly to rounding.
+
+    work is an (8, rows, n_sites) float array with rows >= len(rps): the
+    eight (m x n) grids below are written into its leading rows, so a caller
+    looping over chunks allocates them once.
     """
+    m = rps.shape[0]
     # site-minus-sample offsets as two (m x n) arrays: an (m x n x 2) array
     # would run every elementwise loop over a length-2 inner axis
-    dx = sites[:, 0] - rps[:, 0, None]
-    dy = sites[:, 1] - rps[:, 1, None]
-    dist = np.hypot(dx, dy)
-    arg = delta * dist
-    k1 = np.zeros_like(arg)
+    dx, dy, dist, arg, k1, w, wdy, wdx = (a[:m] for a in work)
+    np.subtract(sites[:, 0], rps[:, 0, None], out=dx)
+    np.subtract(sites[:, 1], rps[:, 1, None], out=dy)
+    np.hypot(dx, dy, out=dist)
+    np.multiply(dist, delta, out=arg)
     small = arg < _ARG_CUT
+    k1.fill(0.0)
     k1[small] = bessel_k1(arg[small])
     # g = sum_j (K1_j / dist_j) (-dy_j, dx_j) e^{-i phase_j}: two real
     # (m x n) @ (n x 2) products, whose columns are the real and imaginary
-    # parts of g_x and g_y
-    w = k1 / dist
+    # parts of g_x and g_y; negating the product is exact, so g_x is
+    # -((w dy) @ B) rather than (w (-dy)) @ B
+    np.divide(k1, dist, out=w)
     phase = k0 * (rhat[0] * sites[:, 0] + rhat[1] * sites[:, 1])
     basis = np.column_stack([np.cos(phase), -np.sin(phase)])
-    gx = (w * -dy) @ basis
-    gy = (w * dx) @ basis
+    gx = -(np.multiply(w, dy, out=wdy) @ basis)
+    gy = np.multiply(w, dx, out=wdx) @ basis
     # |r_hat x g|^2 = |g|^2 - |r_hat . g|^2 for g_z = 0, summed over the
     # real and imaginary columns
     rg = rhat[0] * gx + rhat[1] * gy
     x = np.sum(gx * gx + gy * gy - rg * rg, axis=1)
 
-    rows = np.arange(rps.shape[0])
+    rows = np.arange(m)
     jmin = np.argmin(dist, axis=1)
     dn = dist[rows, jmin]
     k1n = k1[rows, jmin]
@@ -239,15 +250,33 @@ def mc_plane_average(probe: Probe, rec: NuclideRecord, a_nm: float,
     the capture radius 0.35 a when the control variate is on.
 
     Draw contract: the draws, and so the mean for a given seed, depend only
-    on the arguments.  Samples come from numpy's default_rng(seed), m =
-    min(_MC_CHUNK, 4 x the samples still needed) uniform points per chunk; a
-    rejected point is dropped, the first n_samples kept points are summed,
-    and no result depends on the BLAS thread count.
+    on the arguments.  Samples come from numpy's default_rng(seed) in chunks
+    of m = min(rows, 4 x the samples still needed) uniform points, with rows
+    = _BLOCK_TERMS // n_sites a term budget; a rejected point is dropped and
+    the first n_samples kept points are summed.  The stream is consumed in
+    order and each point is kept or rejected on its own, so the kept samples
+    are the first n_samples accepted points of the stream whatever the chunk
+    size; the chunk size moves the mean only by rounding, through the
+    grouping of the per-chunk sums and the summation order of the BLAS
+    product.  The chunk's (rows x n_sites) work arrays are allocated once
+    per call.  No result depends on the BLAS thread count.
+
+    Raises ValueError, naming the parameter, for a non-finite or
+    non-positive a_nm, non-finite angles, a half_extent that is not an
+    integer >= 0, an n_samples that is not an integer >= 1, and r_min_nm
+    outside the bounds above.
     """
+    if not (a_nm > 0 and math.isfinite(a_nm)):
+        raise ValueError("a_nm must be positive and finite")
+    for name, value in (("theta", theta), ("phi", phi)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+    for name, value, least in (("half_extent", half_extent, 0),
+                               ("n_samples", n_samples, 1)):
+        if not isinstance(value, numbers.Integral) or value < least:
+            raise ValueError(f"{name} must be an integer of at least {least}")
     if not r_min_nm > 0:
         raise ValueError("r_min_nm must be positive")
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
     # draws lie within a/sqrt(2) of a site, so r_min >= a/sqrt(2) keeps none;
     # below a/2 the excluded disk leaves at least 1 - pi/4 of the cell
     if not r_min_nm < 0.5 * a_nm:
@@ -262,19 +291,26 @@ def mc_plane_average(probe: Probe, rec: NuclideRecord, a_nm: float,
     rhat = np.array([math.sin(theta) * math.cos(phi),
                      math.sin(theta) * math.sin(phi),
                      math.cos(theta)])
-    # drop sites that can never matter for samples inside the central cell
-    reach = _ARG_CUT / delta + a_nm
+    # every draw lies within a/sqrt(2) of the origin site, so a site beyond
+    # this reach is beyond Bessel argument 45 from every draw; the origin
+    # site is always kept
+    reach = _ARG_CUT / delta + a_nm / math.sqrt(2.0)
     sites = sites[np.hypot(sites[:, 0], sites[:, 1]) <= reach]
-    if sites.shape[0] == 0:
-        return 0.0
+    rows = max(1, _BLOCK_TERMS // sites.shape[0])
+    # one block for the eight grids, none reused for a second quantity:
+    # glibc's malloc sets its heap trim threshold to twice the largest mapped
+    # block freed, and a block this size keeps the Bessel kernel's per-chunk
+    # temporaries in retained heap pages (with four or five grids they were
+    # faulted in afresh every chunk at beta 0.99)
+    work = np.empty((8, rows, sites.shape[0]))
 
     rng = np.random.default_rng(seed)
     total = 0.0
     kept = 0
     while kept < n_samples:
-        m = min(_MC_CHUNK, 4 * (n_samples - kept))
+        m = min(rows, 4 * (n_samples - kept))
         rps = rng.uniform(-0.5 * a_nm, 0.5 * a_nm, size=(m, 2))
-        x, dn, self_term = _plane_terms(sites, rps, rhat, delta, k0)
+        x, dn, self_term = _plane_terms(sites, rps, rhat, delta, k0, work)
         ok = dn >= r_min_nm
         x = x[ok]
         dn = dn[ok]

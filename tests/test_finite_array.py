@@ -2,12 +2,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from nucsp import finite_array
 from nucsp.finite_array import (
     NucleusSet,
     _k1_sq_disk_integral,
@@ -183,7 +185,8 @@ def test_plane_terms_match_reference_amplitude(probe, fe):
     rhat = np.array([math.sin(theta) * math.cos(phi),
                      math.sin(theta) * math.sin(phi), math.cos(theta)])
     rps = np.array([[0.04, 0.02], [-0.1, 0.013], [0.001, 0.001]])
-    x, dn, self_term = _plane_terms(sites, rps, rhat, delta, k0)
+    x, dn, self_term = _plane_terms(sites, rps, rhat, delta, k0,
+                                    np.empty((8, len(rps), len(sites))))
     nuclei = NucleusSet(positions)
     for i, rp in enumerate(rps):
         g = far_field_amplitude(probe, fe, nuclei, rp, theta, phi)
@@ -277,6 +280,69 @@ def test_mc_plane_average_validation(probe, fe):
         mc_plane_average(probe, fe, 0.2856, 8, 1.0, 0.0, -0.001, 100)
     with pytest.raises(ValueError):
         mc_plane_average(probe, fe, 0.2856, 8, 1.0, 0.0, 0.001, 0)
+
+
+@pytest.mark.parametrize("name,bad", [
+    ("half_extent", dict(half_extent=-1)),
+    ("half_extent", dict(half_extent=2.5)),
+    ("theta", dict(theta=math.nan)),
+    ("phi", dict(phi=math.inf)),
+    ("n_samples", dict(n_samples=2.5)),
+    ("a_nm", dict(a_nm=math.nan)),
+    ("a_nm", dict(a_nm=-0.2856)),
+])
+def test_mc_plane_average_names_bad_arguments(probe, fe, name, bad):
+    # unchecked, these give 0.0 or nan, or fail inside numpy
+    kw = dict(a_nm=0.2856, half_extent=8, theta=1.0, phi=0.0, r_min_nm=0.001,
+              n_samples=100)
+    with pytest.raises(ValueError, match=f"^{name} "):
+        mc_plane_average(probe, fe, **dict(kw, **bad))
+
+
+def test_mc_mean_does_not_depend_on_chunk_size(monkeypatch, probe, fe):
+    # the kept samples are the first n_samples accepted points of the stream
+    # whatever the chunk size, so chunks of one row, the default term budget
+    # and 2000 rows give one mean up to rounding.  r_min 0.1 nm without the
+    # control variate rejects ~38% of draws, so the last chunks are the
+    # 4 x needed top-ups.
+    chunks = []
+    plane_terms = finite_array._plane_terms
+
+    def spy(sites, rps, rhat, delta, k0, work):
+        chunks.append((len(rps), work.shape[1], work.shape[2]))
+        return plane_terms(sites, rps, rhat, delta, k0, work)
+
+    monkeypatch.setattr(finite_array, "_plane_terms", spy)
+    mc_plane_average(probe, fe, 0.2856, 8, 1.0, 0.3, 0.001, 10)
+    n_sites = chunks[0][2]
+    default_rows = finite_array._BLOCK_TERMS // n_sites
+    for r_min, cv in ((0.001, True), (0.1, False)):
+        means = []
+        for rows in (default_rows, 1, 2000):
+            monkeypatch.setattr(finite_array, "_BLOCK_TERMS", rows * n_sites)
+            chunks.clear()
+            means.append(mc_plane_average(probe, fe, 0.2856, 8, 1.0, 0.3, r_min, 1500,
+                                          seed=4, control_variate=cv))
+            assert {c[1] for c in chunks} == {rows}
+            if not cv and rows > 1:
+                assert chunks[-1][0] < rows  # a 4 x needed top-up ran
+        assert means[1] == pytest.approx(means[0], rel=1e-14, abs=0.0)
+        assert means[2] == pytest.approx(means[0], rel=1e-14, abs=0.0)
+
+
+def test_mc_plane_average_allocation_peak(probe, fe):
+    # a warm 1e4-sample call writes each chunk's grids into work arrays
+    # allocated once per call and peaks near 8 MB; fresh (2000 x 97)
+    # temporaries in every chunk would peak at 18 MB
+    args = (probe, fe, 0.2856, 20, 1.0, 0.3, 0.001, 10_000)
+    mc_plane_average(*args)
+    tracemalloc.start()
+    try:
+        mc_plane_average(*args, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_mc_plane_average_rejects_r_min_before_sampling(probe, fe):
