@@ -83,6 +83,8 @@ _MAX_STACK_PERIOD = 16
 _SMOOTH_EXTENT = 12.0
 # Largest n_phi x n_G temporary formed when a profile is sampled.
 _BLOCK_TERMS = 1 << 16
+# Points of each cone's phi_profile grid.
+_N_PHI = 64
 
 
 @dataclass(frozen=True)
@@ -415,8 +417,8 @@ class EmissionCone:
 
 
 def emission_cones(probe: Probe, rec: NuclideRecord, film: LatticeFilm,
-                   policy: CutoffPolicy, order_cap: int | None = None,
-                   n_phi: int = 64) -> list[EmissionCone]:
+                   policy: CutoffPolicy,
+                   order_cap: int | None = None) -> list[EmissionCone]:
     """All radiating orders with phi profiles and integrated cone weights.
 
     An order whose stacking class has no reciprocal vector inside the cutoff
@@ -434,7 +436,7 @@ def emission_cones(probe: Probe, rec: NuclideRecord, film: LatticeFilm,
         integrals = _phi_integrals(probe, rec, cos_t, norms)
         cones.append(EmissionCone(
             n=n, cos_theta=cos_t,
-            phis=np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False),
+            phis=np.linspace(0.0, 2.0 * math.pi, _N_PHI, endpoint=False),
             weight=pref * _counted_fsum(w * integrals, counts),
             _profile=functools.partial(azimuthal_profile, probe, rec, film, n,
                                        policy=policy)))

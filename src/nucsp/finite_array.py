@@ -251,8 +251,8 @@ def mc_plane_average(probe: Probe, rec: NuclideRecord, a_nm: float,
 
     Draw contract: the draws, and so the mean for a given seed, depend only
     on the arguments.  Samples come from numpy's default_rng(seed) in chunks
-    of m = min(rows, 4 x the samples still needed) uniform points, with rows
-    = _BLOCK_TERMS // n_sites a term budget; a rejected point is dropped and
+    of m = min(rows, the samples still needed) uniform points, with rows =
+    _BLOCK_TERMS // n_sites a term budget; a rejected point is dropped and
     the first n_samples kept points are summed.  The stream is consumed in
     order and each point is kept or rejected on its own, so the kept samples
     are the first n_samples accepted points of the stream whatever the chunk
@@ -308,7 +308,7 @@ def mc_plane_average(probe: Probe, rec: NuclideRecord, a_nm: float,
     total = 0.0
     kept = 0
     while kept < n_samples:
-        m = min(rows, 4 * (n_samples - kept))
+        m = min(rows, n_samples - kept)
         rps = rng.uniform(-0.5 * a_nm, 0.5 * a_nm, size=(m, 2))
         x, dn, self_term = _plane_terms(sites, rps, rhat, delta, k0, work)
         ok = dn >= r_min_nm

@@ -18,6 +18,11 @@ __all__ = [
     "proton",
 ]
 
+# Smallest speed a Probe takes: below about 1.2e-77, the beta^4 that the
+# bremsstrahlung prefactor divides by leaves the normal-double range, and by
+# 1e-85 it underflows to zero.
+BETA_MIN = 1e-70
+
 
 def lorentz_gamma(beta: float) -> float:
     """Lorentz factor 1/sqrt(1 - beta^2) for 0 <= beta < 1."""
@@ -57,8 +62,8 @@ class Probe:
             raise ValueError("z_charge must be non-zero")
         if not self.rest_energy_eV > 0:
             raise ValueError("rest_energy_eV must be positive")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie strictly between 0 and 1")
+        if not BETA_MIN <= self.beta < 1.0:
+            raise ValueError("beta must lie in [%g, 1)" % BETA_MIN)
 
     @property
     def gamma(self) -> float:

@@ -10,12 +10,13 @@ Five scenarios cover the library surface:
   brems-compare   resonant line vs bremsstrahlung continuum, spectrally and
                   in time
 
-Validation checks each scenario's parameters against one table (PARAMS),
-then its cross-field rules once every field has passed, and reports every
-problem found, each tagged with the config path that caused it.  Runs are
-deterministic: rows are computed in input order on the calling thread, so no
-output can depend on a thread count.  The only non-reproducible output line
-is the timestamp metadata entry.
+Validation checks the probe, params and output blocks against one table of
+rows each (PROBE, PARAMS per scenario, OUTPUT), then the cross-field rules
+once every field has passed, and reports every problem found, each tagged
+with the config path that caused it.  Runs are deterministic: rows are
+computed in input order on the calling thread, so no output can depend on a
+thread count.  The only non-reproducible output line is the timestamp
+metadata entry.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .crystal_sp import (CutoffPolicy, LatticeFilm, builtin_presets, emission_co
 from .finite_array import NucleusSet, angular_density
 from .nuclide import NuclideRecord, radiative_rate, registry as nuclide_registry
 from .numerics import CONSTANTS
-from .probe import Probe, electron, proton
+from .probe import BETA_MIN, Probe, beta_from_kinetic, electron, proton
 from .single_nucleus import coherent_yield, decay_profile, spectral_profile
 
 __all__ = [
@@ -52,7 +53,6 @@ __all__ = [
 ]
 
 _TOP_KEYS = {"scenario", "nuclide", "probe", "params", "output"}
-_PROBE_KEYS = {"species", "beta", "kinetic_energy_eV", "rest_energy_eV", "z_charge"}
 
 
 @dataclass(frozen=True)
@@ -88,55 +88,6 @@ def _check_keys(block, allowed, errors, path):
             errors.append("%s.%s: unknown key" % (path, key))
 
 
-def _build_probe(block, errors) -> Probe | None:
-    if block is None:
-        errors.append("probe: required for this scenario")
-        return None
-    if not isinstance(block, dict):
-        errors.append("probe: must be a mapping")
-        return None
-    _check_keys(block, _PROBE_KEYS, errors, "probe")
-    species = block.get("species", "electron")
-    if species not in ("electron", "proton", "custom"):
-        errors.append("probe.species: must be electron, proton, or custom")
-        return None
-    if ("beta" in block) == ("kinetic_energy_eV" in block):
-        errors.append("probe: give exactly one of beta or kinetic_energy_eV")
-        return None
-    beta = _as_number(block["beta"]) if "beta" in block else None
-    ke = _as_number(block["kinetic_energy_eV"]) \
-        if "kinetic_energy_eV" in block else None
-    if "beta" in block and (beta is None or not 0 < beta < 1):
-        errors.append("probe.beta: must be a number in (0, 1)")
-        return None
-    if "kinetic_energy_eV" in block and (ke is None or not ke > 0):
-        errors.append("probe.kinetic_energy_eV: must be a positive number")
-        return None
-    if ke is not None and not math.isfinite(ke):
-        errors.append("probe.kinetic_energy_eV: must be finite")
-        return None
-    try:
-        if species == "electron":
-            return electron(beta=beta, kinetic_energy_eV=ke)
-        if species == "proton":
-            return proton(beta=beta, kinetic_energy_eV=ke)
-        rest = _as_number(block.get("rest_energy_eV"))
-        charge = block.get("z_charge")
-        if rest is None or not 0 < rest < math.inf:
-            errors.append("probe.rest_energy_eV: custom species needs a positive number")
-            return None
-        if not isinstance(charge, int) or isinstance(charge, bool) or charge == 0:
-            errors.append("probe.z_charge: custom species needs a non-zero integer")
-            return None
-        if beta is None:
-            from .probe import beta_from_kinetic
-            beta = beta_from_kinetic(ke, rest)
-        return Probe(z_charge=charge, rest_energy_eV=float(rest), beta=float(beta))
-    except ValueError as exc:
-        errors.append("probe: %s" % exc)
-        return None
-
-
 def _coerce(kind, v, bound, at):
     """Check a given, non-null value against its kind and bound; returns it
     normalised, or raises ValueError carrying the message for path `at`."""
@@ -148,17 +99,15 @@ def _coerce(kind, v, bound, at):
         if not math.isfinite(num):
             raise ValueError(at + ": must be finite")
         return num
-    if kind == "increasing":  # a non-empty list inside (lo, hi); hi None is open
-        lo, hi = bound
+    if kind == "beta":
+        num = _as_number(v)
+        if num is None or not BETA_MIN <= num < 1.0:
+            raise ValueError("%s: must be a number in [%g, 1)" % (at, BETA_MIN))
+        return num
+    if kind == "increasing":  # a non-empty list of values of kind `bound`
         if not isinstance(v, list) or not v:
             raise ValueError("%s: must be a non-empty list" % at)
-        out = [_as_number(x) for x in v]
-        for i, num in enumerate(out):
-            if num is None or not num > lo or (hi is not None and not num < hi):
-                raise ValueError("%s[%d]: %s" % (at, i, "must be a number" if num is None
-                                                  else "out of range"))
-            if not math.isfinite(num):
-                raise ValueError("%s[%d]: must be finite" % (at, i))
+        out = [_coerce(bound, x, None, "%s[%d]" % (at, i)) for i, x in enumerate(v)]
         if any(b <= a for a, b in zip(out, out[1:])):
             raise ValueError("%s: values must be strictly increasing" % at)
         return out
@@ -177,12 +126,15 @@ def _coerce(kind, v, bound, at):
     if kind == "lattice" and (not isinstance(v, str) or v not in bound):
         raise ValueError("%s: unknown lattice %r (available: %s)"
                          % (at, v, ", ".join(sorted(bound))))
+    if kind == "prefix" and (not isinstance(v, str) or not v
+                             or not all(c.isalnum() or c in "_-." for c in v)):
+        raise ValueError("%s: must use only letters, digits, '_', '-', '.'" % at)
     return v
 
 
 class Param(NamedTuple):
     """A default of None lets an explicit null through, REQUIRED makes the key
-    mandatory; a callable bound is evaluated as bound(params so far, films)."""
+    mandatory; a callable bound is evaluated as bound(block so far, films)."""
 
     name: str
     kind: str
@@ -192,12 +144,21 @@ class Param(NamedTuple):
 
 REQUIRED = "required"
 
+# the probe's cross-field rules are in _build_probe
+PROBE = (
+    Param("species", "choice", "electron", ("electron", "proton", "custom")),
+    Param("beta", "beta", None),
+    Param("kinetic_energy_eV", "positive", None),
+    Param("rest_energy_eV", "positive", None),
+    Param("z_charge", "nonzero", None),
+)
+OUTPUT = (Param("prefix", "prefix", "result"),)
 PARAMS = {
     "nuclide-info": (),
     "single-sweep": (
         Param("sweep_variable", "choice", "beta", ("beta", "r_perp_nm")),
         Param("sweep_values", "increasing", REQUIRED,
-              lambda p, films: (0.0, 1.0 if p["sweep_variable"] == "beta" else None)),
+              lambda p, films: "beta" if p["sweep_variable"] == "beta" else "positive"),
         Param("r_perp_nm", "positive", 0.001),
         Param("br_z_nucleus", "nonzero", 26),
         Param("br_window_eV", "positive", 1.0),
@@ -213,7 +174,7 @@ PARAMS = {
         Param("a_nm", "positive", None),
         Param("r_min_nm", "positive", 0.001),
         Param("smooth_cutoff", "bool", False),
-        Param("betas", "increasing", None, (0.0, 1.0)),
+        Param("betas", "increasing", None, "beta"),
         Param("order_cap", "int", 12, (1, 100)),
         Param("n_layers", "int", 1, (1, None)),
     ),
@@ -276,26 +237,59 @@ def _order_cap_errors(p, rec, film, probe):
                    "(the first is n = %d)" % (cap, beta, first))
 
 
-def _validate_params(scenario, block, errors, films):
+def _validate_block(path, rows, block, errors, films):
+    """Check a config block against its table of rows; returns the values by
+    name, defaults applied, and appends a message per unknown or failing key."""
     p: dict[str, Any] = {}
     if not isinstance(block, (dict, type(None))):
-        errors.append("params: must be a mapping")
+        errors.append("%s: must be a mapping" % path)
         return p
     block = block or {}
-    _check_keys(block, {row.name for row in PARAMS[scenario]}, errors, "params")
-    for name, kind, default, bound in PARAMS[scenario]:
+    _check_keys(block, {row.name for row in rows}, errors, path)
+    for name, kind, default, bound in rows:
         if name not in block or (block[name] is None and default in (None, REQUIRED)):
             if default is REQUIRED:
-                errors.append("params.%s: required" % name)
+                errors.append("%s.%s: required" % (path, name))
             p[name] = default
             continue
         try:
             bound = bound(p, films) if callable(bound) else bound
-            p[name] = _coerce(kind, block[name], bound, "params." + name)
+            p[name] = _coerce(kind, block[name], bound, "%s.%s" % (path, name))
         except ValueError as exc:
             errors.append(str(exc))
             p[name] = default
     return p
+
+
+def _build_probe(block, errors) -> Probe | None:
+    """The probe from a block whose keys have passed PROBE, or None after
+    appending the errors; cross-field rules run only once every key passed."""
+    if block is None:
+        errors.append("probe: required for this scenario")
+        return None
+    n_errors = len(errors)
+    p = _validate_block("probe", PROBE, block, errors, None)
+    if len(errors) > n_errors:
+        return None
+    beta, ke, custom = p["beta"], p["kinetic_energy_eV"], p["species"] == "custom"
+    if (beta is None) == (ke is None):
+        errors.append("probe: give exactly one of beta or kinetic_energy_eV")
+    for key in ("rest_energy_eV", "z_charge"):
+        if (p[key] is None) == custom:
+            errors.append("probe.%s: %s" % (key, "required for custom species" if custom
+                                            else "only custom species take it"))
+    if len(errors) > n_errors:
+        return None
+    try:
+        if not custom:
+            species = electron if p["species"] == "electron" else proton
+            return species(beta=beta, kinetic_energy_eV=ke)
+        rest = p["rest_energy_eV"]
+        beta = beta_from_kinetic(ke, rest) if beta is None else beta
+        return Probe(z_charge=p["z_charge"], rest_energy_eV=rest, beta=beta)
+    except ValueError as exc:
+        errors.append("probe: %s" % exc)
+        return None
 
 
 def validate_config(text: str, registry: Mapping[str, NuclideRecord] | None = None,
@@ -340,27 +334,16 @@ def validate_config(text: str, registry: Mapping[str, NuclideRecord] | None = No
     if scenario is not None and scenario != "nuclide-info":
         probe = _build_probe(doc.get("probe"), errors)
 
-    params = _validate_params(scenario, doc.get("params"), errors, film_map) \
-        if scenario is not None else {}
+    params = _validate_block("params", PARAMS[scenario], doc.get("params"), errors,
+                             film_map) if scenario is not None else {}
     if not errors:
         errors.extend(_rule_errors(scenario, params, reg.get(nuclide), film_map, probe))
-
-    out_block = doc.get("output", {})
-    prefix = "result"
-    if not isinstance(out_block, dict):
-        errors.append("output: must be a mapping")
-    else:
-        _check_keys(out_block, {"prefix"}, errors, "output")
-        prefix = out_block.get("prefix", "result")
-        if (not isinstance(prefix, str) or not prefix
-                or not all(c.isalnum() or c in "_-." for c in prefix)):
-            errors.append("output.prefix: must use only letters, digits, '_', '-', '.'")
-            prefix = "result"
+    output = _validate_block("output", OUTPUT, doc.get("output"), errors, None)
 
     if errors:
         return None, errors
     return ScenarioConfig(scenario=scenario, nuclide=nuclide, probe=probe,
-                          params=params, prefix=prefix, raw_text=text), []
+                          params=params, prefix=output["prefix"], raw_text=text), []
 
 
 # ---------------------------------------------------------------------------

@@ -248,8 +248,18 @@ _BREMS = "scenario: brems-compare\nprobe: {species: electron, beta: 0.9}\n"
                  "params.sweep_values[1]: must be finite", id="sweep-value-inf"),
     pytest.param("scenario: single-sweep\nparams: {sweep_values: [0.9]}\nprobe:\n"
                  "  {species: custom, beta: 0.9, rest_energy_eV: .inf, z_charge: 1}\n",
-                 "probe.rest_energy_eV: custom species needs a positive number",
-                 id="rest-energy-inf"),
+                 "probe.rest_energy_eV: must be finite", id="rest-energy-inf"),
+    pytest.param("scenario: single-sweep\nparams: {sweep_values: [0.9]}\nprobe:\n"
+                 "  {species: electron, beta: 0.9, rest_energy_eV: 5, z_charge: 3}\n",
+                 "probe.rest_energy_eV: only custom species take it", id="non-custom-rest-energy"),
+    pytest.param("scenario: array-pattern\nprobe: {species: electron, beta: 1.0e-71}\n",
+                 "probe.beta: must be a number in [1e-70, 1)", id="beta-below-floor"),
+    pytest.param("scenario: array-pattern\n"
+                 "probe: {species: electron, kinetic_energy_eV: 1.0e-140}\n",
+                 "probe: beta must lie in [1e-70, 1)", id="kinetic-energy-below-floor"),
+    pytest.param(_SWEEP + "params: {sweep_values: [1.0e-71, 0.9]}\n",
+                 "params.sweep_values[0]: must be a number in [1e-70, 1)",
+                 id="sweep-beta-below-floor"),
     pytest.param("scenario: single-sweep\nparams: {sweep_values: [0.9]}\n"
                  "probe: {species: electron, kinetic_energy_eV: .inf}\n",
                  "probe.kinetic_energy_eV: must be finite", id="kinetic-energy-inf"),

@@ -303,8 +303,8 @@ def test_mc_mean_does_not_depend_on_chunk_size(monkeypatch, probe, fe):
     # the kept samples are the first n_samples accepted points of the stream
     # whatever the chunk size, so chunks of one row, the default term budget
     # and 2000 rows give one mean up to rounding.  r_min 0.1 nm without the
-    # control variate rejects ~38% of draws, so the last chunks are the
-    # 4 x needed top-ups.
+    # control variate rejects ~38% of draws, so the last chunks are top-ups
+    # of the samples still needed.
     chunks = []
     plane_terms = finite_array._plane_terms
 
@@ -325,9 +325,25 @@ def test_mc_mean_does_not_depend_on_chunk_size(monkeypatch, probe, fe):
                                           seed=4, control_variate=cv))
             assert {c[1] for c in chunks} == {rows}
             if not cv and rows > 1:
-                assert chunks[-1][0] < rows  # a 4 x needed top-up ran
+                assert chunks[-1][0] < rows  # a top-up of the samples still needed ran
         assert means[1] == pytest.approx(means[0], rel=1e-14, abs=0.0)
         assert means[2] == pytest.approx(means[0], rel=1e-14, abs=0.0)
+
+
+def test_mc_draws_no_more_points_than_it_needs(monkeypatch, probe, fe):
+    # at r_min 1 fm almost no draw is rejected (about 4e-11 of the cell), so
+    # the chunks of a 1500-sample call draw exactly 1500 points
+    drawn = []
+    plane_terms = finite_array._plane_terms
+
+    def spy(sites, rps, *args):
+        drawn.append(len(rps))
+        return plane_terms(sites, rps, *args)
+
+    monkeypatch.setattr(finite_array, "_plane_terms", spy)
+    mc_plane_average(probe, fe, 0.2856, 8, 1.0, 0.3, 1e-6, 1500)
+    assert len(drawn) > 1
+    assert sum(drawn) == 1500
 
 
 def test_mc_plane_average_allocation_peak(probe, fe):

@@ -4,6 +4,7 @@ import pytest
 
 from nucsp.numerics import CONSTANTS
 from nucsp.probe import (
+    BETA_MIN,
     Probe,
     beta_from_kinetic,
     electron,
@@ -75,3 +76,12 @@ def test_probe_validation():
         Probe(z_charge=1, rest_energy_eV=-1.0, beta=0.5)
     with pytest.raises(ValueError):
         Probe(z_charge=1, rest_energy_eV=1.0, beta=1.0)
+
+
+def test_probe_beta_floor():
+    # below about 1.2e-77 beta^4 leaves the normal-double range
+    assert Probe(z_charge=92, rest_energy_eV=1e12, beta=BETA_MIN).beta == BETA_MIN
+    with pytest.raises(ValueError, match=r"^beta must lie in \[1e-70, 1\)$"):
+        Probe(z_charge=1, rest_energy_eV=1.0, beta=math.nextafter(BETA_MIN, 0.0))
+    with pytest.raises(ValueError):
+        electron(kinetic_energy_eV=1e-140)  # beta 2e-73

@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 import threading
@@ -11,9 +12,11 @@ import yaml
 from nucsp import crystal_sp, nuclide
 from nucsp.crystal_sp import CutoffPolicy, builtin_presets, emission_cones, make_film
 from nucsp.nuclide import registry
-from nucsp.probe import electron
+from nucsp.probe import BETA_MIN, electron
 from nucsp.scenarios import (
+    OUTPUT,
     PARAMS,
+    PROBE,
     REQUIRED,
     SCENARIOS,
     ResultTable,
@@ -124,6 +127,17 @@ scenario: array-pattern
 probe: {species: custom, beta: 0.8}
 """)
     assert any("rest_energy_eV" in e for e in errors)
+
+
+def test_validate_custom_only_probe_keys_are_rejected_for_other_species():
+    # they used to be dropped, leaving a Z = -1 electron
+    _, errors = validate_config("""
+scenario: single-sweep
+probe: {species: electron, beta: 0.9, rest_energy_eV: 5, z_charge: 3}
+params: {sweep_values: [0.5]}
+""")
+    assert errors == ["probe.rest_energy_eV: only custom species take it",
+                      "probe.z_charge: only custom species take it"]
 
 
 def test_validate_all_nuclide_only_for_info():
@@ -452,3 +466,82 @@ def test_readme_parameter_table_matches_scenario_tables():
             else:
                 value = yaml.safe_load(text)
                 assert (type(value), value) == (type(row.default), row.default), name
+
+
+# ---------------------------------------------------------------------------
+# the beta floor: beta^4 leaves the normal-double range near 1.2e-77
+
+_FLOOR = "%.1e" % BETA_MIN
+_SWEEP_AT = "scenario: single-sweep\nprobe: {}\nparams: {{sweep_values: {}}}\n"
+_HEAVY = "{species: custom, beta: %s, rest_energy_eV: 1.0e+12, z_charge: 92}" % _FLOOR
+
+
+@pytest.mark.parametrize("config", [
+    "scenario: single-sweep\nprobe: {species: electron, beta: 0.9}\n"
+    "params: {sweep_values: [%s, 0.5]}\n" % _FLOOR,
+    "scenario: single-sweep\nprobe: %s\n"
+    "params: {sweep_variable: r_perp_nm, sweep_values: [0.001, 1.0]}\n" % _HEAVY,
+    "scenario: array-pattern\nprobe: {species: electron, beta: %s}\n"
+    "params: {n_points: 21}\n" % _FLOOR,
+    "scenario: crystal-yield\nprobe: {species: proton, beta: %s}\n"
+    "params: {betas: [0.94], r_min_nm: 0.004}\n" % _FLOOR,
+    "scenario: brems-compare\nprobe: {species: electron, beta: %s}\n"
+    "params: {n_energy: 5, n_time: 5}\n" % _FLOOR,
+    "scenario: brems-compare\nprobe: %s\nparams: {n_energy: 5, n_time: 5}\n" % _HEAVY,
+], ids=["sweep-beta", "sweep-r-heavy", "array", "crystal", "brems", "brems-heavy"])
+def test_every_scenario_runs_at_the_beta_floor(config):
+    for table in run_scenario(_cfg(config)):
+        assert table.to_csv()  # raises on a non-finite cell
+
+
+@pytest.mark.parametrize("config,message", [
+    (_SWEEP_AT.format("{species: electron, beta: 1.0e-71}", "[0.5]"),
+     "probe.beta: must be a number in [1e-70, 1)"),
+    (_SWEEP_AT.format("{species: electron, kinetic_energy_eV: 1.0e-140}", "[0.5]"),
+     "probe: beta must lie in [1e-70, 1)"),
+    (_SWEEP_AT.format("{species: electron, beta: 0.9}", "[1.0e-71, 0.5]"),
+     "params.sweep_values[0]: must be a number in [1e-70, 1)"),
+    ("scenario: crystal-yield\n" + _PROBE + "params: {betas: [1.0e-71, 0.9]}\n",
+     "params.betas[0]: must be a number in [1e-70, 1)"),
+])
+def test_beta_below_the_floor_is_rejected(config, message):
+    assert validate_config(config)[1] == [message]
+
+
+# ---------------------------------------------------------------------------
+# every row of every table, against values of the wrong type or range
+
+_VALUES = [[1, 2], {"a": 1}, True, "x", math.nan, math.inf, -math.inf, 0, -1, None, []]
+# (kind, value) pairs that a row of that kind admits
+_ADMITTED = [("bool", True), ("nonzero", -1), ("prefix", "x")]
+
+
+def _table_rows():
+    yield from (("probe", "array-pattern", row) for row in PROBE)
+    yield from (("params", scenario, row) for scenario, table in PARAMS.items()
+                for row in table)
+    yield from (("output", "nuclide-info", row) for row in OUTPUT)
+
+
+@pytest.mark.parametrize("block,scenario,row", list(_table_rows()),
+                         ids=lambda v: v.name if hasattr(v, "kind") else v)
+def test_every_table_row_names_its_key_for_a_bad_value(block, scenario, row):
+    base = {"scenario": scenario,
+            "probe": {"species": "custom", "beta": 0.9, "rest_energy_eV": 9.4e8,
+                      "z_charge": 2},
+            "params": {"sweep_values": [0.5]} if scenario == "single-sweep" else {},
+            "output": {}}
+    for value in _VALUES:
+        doc = copy.deepcopy(base)
+        doc[block][row.name] = value
+        _, errors = validate_config(yaml.safe_dump(doc))
+        if value is None and row.default is None:
+            # null means the same as leaving the key out
+            del doc[block][row.name]
+            assert errors == validate_config(yaml.safe_dump(doc))[1], value
+        elif any(kind == row.kind and type(v) is type(value) and v == value
+                 for kind, v in _ADMITTED):
+            assert errors == [], (value, errors)
+        else:
+            assert any(e.startswith("%s.%s" % (block, row.name)) for e in errors), \
+                (value, errors)
