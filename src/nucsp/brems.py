@@ -51,11 +51,13 @@ def _prefactor(probe: Probe, z_nucleus: int, omega: float) -> float:
 
 
 def _density_values(probe: Probe, z_nucleus: int, r_perp_nm: float,
-                    cos_t: np.ndarray, phi: np.ndarray, omega: float) -> np.ndarray:
-    """Vectorized density on an outer product of cos(theta) and phi nodes."""
+                    cos_t: np.ndarray, phi: np.ndarray, omega) -> np.ndarray:
+    """Vectorized density on an outer product of cos(theta) and phi nodes,
+    shape omega.shape + (len(cos_t), len(phi)): a leading axis per omega."""
+    w = np.asarray(omega, dtype=float)[..., None, None]
     if not r_perp_nm > 0:
         raise ValueError("r_perp_nm must be positive")
-    if not omega > 0:
+    if not np.all(w > 0):
         raise ValueError("omega must be positive")
     if z_nucleus == 0:
         raise ValueError("z_nucleus must be non-zero")
@@ -67,13 +69,13 @@ def _density_values(probe: Probe, z_nucleus: int, r_perp_nm: float,
     sp = np.sin(phi)[None, :]
     doppler = 1.0 - beta * ct
 
-    # zeta depends on theta only; evaluate the Bessel pair once per node
-    zeta = (doppler * omega * r_perp_nm / probe.velocity_nm_s).ravel()
+    # zeta depends on omega and theta only; one Bessel pair per (omega, node)
+    zeta = doppler * w * r_perp_nm / probe.velocity_nm_s
     k0, k1 = bessel_k01(zeta)
 
     # F = K1 x_hat + (i / gamma^2) K0 z_hat; r_hat = (st cp, st sp, ct)
-    fx = k1[:, None]
-    fz = 1j * k0[:, None] / (gamma * gamma)
+    fx = k1
+    fz = 1j * k0 / (gamma * gamma)
     # r_hat x F = (st sp Fz - ct * 0, ct Fx - st cp Fz, -st sp Fx)
     cx = st * sp * fz
     cy = ct * fx - st * cp * fz
@@ -84,7 +86,7 @@ def _density_values(probe: Probe, z_nucleus: int, r_perp_nm: float,
     vy = doppler * cy - beta * st * cp * rdotf
     vz = doppler * cz
     mag2 = (np.abs(vx) ** 2 + np.abs(vy) ** 2 + np.abs(vz) ** 2)
-    return _prefactor(probe, z_nucleus, omega) * mag2
+    return _prefactor(probe, z_nucleus, w) * mag2
 
 
 def br_density(probe: Probe, z_nucleus: int, r_perp_nm: float,
@@ -97,6 +99,7 @@ def br_density(probe: Probe, z_nucleus: int, r_perp_nm: float,
 
 
 _N_PHI = 8
+_OMEGA_BLOCK = 8
 _PHIS = np.linspace(0.0, 2.0 * math.pi, _N_PHI, endpoint=False)
 _PHIS.flags.writeable = False
 
@@ -111,9 +114,13 @@ def _legendre_64() -> tuple[np.ndarray, np.ndarray]:
     return nodes, wts
 
 
-def br_spectral_density(probe: Probe, z_nucleus: int, r_perp_nm: float,
-                        omega: float) -> float:
+def br_spectral_density(probe: Probe, z_nucleus: int, r_perp_nm: float, omega):
     """Solid-angle integral of the density at fixed omega, in seconds.
+
+    A scalar omega gives a float, an array gives an array of its shape, both
+    through one body in blocks of _OMEGA_BLOCK = 8 frequencies, so that the
+    (block x 64 x 8) complex temporaries stay near 64 kB.  A bad omega, r_perp_nm
+    or z_nucleus raises ValueError naming it, also for an empty array.
 
     The density depends on theta through the Doppler factor
     1 - beta cos(theta) = e^u, which spans 1 - beta to 1 + beta (about
@@ -134,9 +141,16 @@ def br_spectral_density(probe: Probe, z_nucleus: int, r_perp_nm: float,
     lo, hi = math.log1p(-beta), math.log1p(beta)
     nodes, wts = _legendre_64()
     em1 = np.expm1(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo))
-    vals = _density_values(probe, z_nucleus, r_perp_nm, -em1 / beta, _PHIS, omega)
-    scale = 0.5 * (hi - lo) / beta * (2.0 * math.pi / _N_PHI)
-    return float((wts * (1.0 + em1)) @ vals.sum(axis=1)) * scale
+    weights = wts * (1.0 + em1)
+    w = np.asarray(omega, dtype=float)
+    flat = w.ravel()
+    out = np.empty(flat.size)
+    for i in range(0, max(flat.size, 1), _OMEGA_BLOCK):  # an empty omega still checks
+        block = flat[i:i + _OMEGA_BLOCK]
+        vals = _density_values(probe, z_nucleus, r_perp_nm, -em1 / beta, _PHIS, block)
+        out[i:i + _OMEGA_BLOCK] = vals.sum(axis=-1) @ weights
+    out *= 0.5 * (hi - lo) / beta * (2.0 * math.pi / _N_PHI)
+    return float(out[0]) if w.ndim == 0 else out.reshape(w.shape)
 
 
 def br_window_yield(probe: Probe, z_nucleus: int, r_perp_nm: float,
@@ -159,6 +173,5 @@ def br_window_yield(probe: Probe, z_nucleus: int, r_perp_nm: float,
     hi = (center_eV + 0.5 * window_eV) / hbar
     if lo <= 0:
         raise ValueError("window extends to non-positive photon energies")
-    f = [br_spectral_density(probe, z_nucleus, r_perp_nm, w)
-         for w in (lo, mid, hi)]
-    return (hi - lo) / 6.0 * (f[0] + 4.0 * f[1] + f[2])
+    f = br_spectral_density(probe, z_nucleus, r_perp_nm, np.array([lo, mid, hi]))
+    return (hi - lo) / 6.0 * float(f[0] + 4.0 * f[1] + f[2])

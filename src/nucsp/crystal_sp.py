@@ -57,7 +57,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import CONSTANTS
+from .numerics import CONSTANTS, _veltkamp_split
 from .numerics import integrate_periodic  # noqa: F401  (traced by perfbench/spans.py)
 from .nuclide import NuclideRecord, parse_record_file, radiative_rate
 from .probe import Probe
@@ -315,9 +315,8 @@ def _counted_fsum(x: np.ndarray, counts: np.ndarray) -> float:
     and x is a normal float; fsum of the exact parts is then the correctly
     rounded total.
     """
-    t = x * (2.0 ** 27 + 1.0)
-    hi = t - (t - x)
-    return math.fsum(np.concatenate([counts * hi, counts * (x - hi)]).tolist())
+    hi, lo = _veltkamp_split(x)
+    return math.fsum(np.concatenate([counts * hi, counts * lo]).tolist())
 
 
 def _cone_cos(probe: Probe, rec: NuclideRecord, film: LatticeFilm, n: int) -> float:

@@ -252,6 +252,14 @@ def bessel_k1(x):
     return _bessel(x, (1,))[0]
 
 
+def _veltkamp_split(x):
+    """x = hi + lo with at most 26 significant bits in each half (Veltkamp),
+    so products of halves with 26-bit factors are exact."""
+    t = x * 134217729.0  # 2^27 + 1
+    hi = t - (t - x)
+    return hi, x - hi
+
+
 def _eval_vec(f: Callable, t: np.ndarray) -> np.ndarray:
     """Evaluate f on an array of nodes, falling back to a scalar loop."""
     try:

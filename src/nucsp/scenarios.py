@@ -36,7 +36,8 @@ from . import __version__
 from .brems import br_spectral_density, br_window_yield
 from .crystal_sp import (CutoffPolicy, LatticeFilm, builtin_presets, emission_cones,
                          first_radiating_order, make_film)
-from .finite_array import NucleusSet, angular_density
+from .finite_array import _line_density
+from .finite_array import angular_density  # noqa: F401  (traced by perfbench/spans.py)
 from .nuclide import NuclideRecord, radiative_rate, registry as nuclide_registry
 from .numerics import CONSTANTS
 from .probe import BETA_MIN, Probe, beta_from_kinetic, electron, proton
@@ -80,6 +81,8 @@ def _as_number(v) -> float | None:
         return float(v)
     except ValueError:
         return None
+    except OverflowError:  # an integer beyond the double range
+        return math.inf if v > 0 else -math.inf
 
 
 def _check_keys(block, allowed, errors, path):
@@ -115,12 +118,14 @@ def _coerce(kind, v, bound, at):
         raise ValueError("%s: must be a boolean" % at)
     if kind in ("int", "nonzero") and (not isinstance(v, int) or isinstance(v, bool)):
         raise ValueError("%s: must be an integer" % at)
-    if kind == "int" and v < bound[0]:  # (lo, hi) inclusive; hi None is open
+    if kind == "int" and v < bound[0]:  # (lo, hi) inclusive
         raise ValueError("%s: must be at least %d" % (at, bound[0]))
-    if kind == "int" and bound[1] is not None and v > bound[1]:
+    if kind == "int" and v > bound[1]:
         raise ValueError("%s: must be at most %d" % (at, bound[1]))
     if kind == "nonzero" and v == 0:
         raise ValueError("%s: must be non-zero" % at)
+    if kind == "nonzero" and abs(v) > bound:
+        raise ValueError("%s: must be at most %d in magnitude" % (at, bound))
     if kind == "choice" and v not in bound:
         raise ValueError("%s: must be %s" % (at, " or ".join(bound)))
     if kind == "lattice" and (not isinstance(v, str) or v not in bound):
@@ -143,6 +148,9 @@ class Param(NamedTuple):
 
 
 REQUIRED = "required"
+# Every integer row has a finite bound, so none overflows a float.  A charge
+# is at most the heaviest known nucleus's (brems takes Z^4 Z_n^2).
+MAX_Z = 118
 
 # the probe's cross-field rules are in _build_probe
 PROBE = (
@@ -150,7 +158,7 @@ PROBE = (
     Param("beta", "beta", None),
     Param("kinetic_energy_eV", "positive", None),
     Param("rest_energy_eV", "positive", None),
-    Param("z_charge", "nonzero", None),
+    Param("z_charge", "nonzero", None, MAX_Z),
 )
 OUTPUT = (Param("prefix", "prefix", "result"),)
 PARAMS = {
@@ -160,10 +168,12 @@ PARAMS = {
         Param("sweep_values", "increasing", REQUIRED,
               lambda p, films: "beta" if p["sweep_variable"] == "beta" else "positive"),
         Param("r_perp_nm", "positive", 0.001),
-        Param("br_z_nucleus", "nonzero", 26),
+        Param("br_z_nucleus", "nonzero", 26, MAX_Z),
         Param("br_window_eV", "positive", 1.0),
     ),
     "array-pattern": (
+        # phase precision: the inputs fix the step (tens of rad) to eps of its
+        # size, so the chain's end phase to N eps |step|, 3e-9 rad at the cap
         Param("n_nuclei", "int", 10, (2, 1_000_000)),
         Param("spacing_nm", "positive", 0.286),
         Param("standoff_nm", "positive", 0.01),
@@ -176,11 +186,13 @@ PARAMS = {
         Param("smooth_cutoff", "bool", False),
         Param("betas", "increasing", None, "beta"),
         Param("order_cap", "int", 12, (1, 100)),
-        Param("n_layers", "int", 1, (1, None)),
+        # a linear factor; a million layers (0.14 mm of bcc Fe) is far past
+        # where nuclear resonant absorption would have to take over
+        Param("n_layers", "int", 1, (1, 1_000_000)),
     ),
     "brems-compare": (
         Param("r_perp_nm", "positive", 0.001),
-        Param("br_z_nucleus", "nonzero", 26),
+        Param("br_z_nucleus", "nonzero", 26, MAX_Z),
         Param("half_span_line_widths", "positive", 25.0),
         Param("n_energy", "int", 41, (3, 10_000)),
         Param("time_max_lifetimes", "positive", 5.0),
@@ -193,10 +205,6 @@ SCENARIOS = tuple(PARAMS)
 # stacking class; all presets pass at r_min_nm = 0.001 smooth (fcc100 is
 # largest, 1,890,625).
 MAX_G_GRID = 2_000_000
-# Cap on the far-field terms of an array-pattern run, one per nucleus and
-# angle at about 2.6 us each; with the n_points cap (about 1 ms of fixed cost
-# per angle) a run stays under about a minute on one core.
-MAX_ARRAY_TERMS = 10_000_000
 
 
 def _rule_errors(scenario, p, rec, films, probe):
@@ -206,8 +214,6 @@ def _rule_errors(scenario, p, rec, films, probe):
     if scenario == "brems-compare" and (
             rec.e0_eV <= p["half_span_line_widths"] * spectral_profile(rec).fwhm_eV):
         yield "params.half_span_line_widths: span reaches zero energy; omega must be positive"
-    if scenario == "array-pattern" and p["n_nuclei"] * p["n_points"] > MAX_ARRAY_TERMS:
-        yield "params.n_points: n_nuclei * n_points exceeds %d terms" % MAX_ARRAY_TERMS
     if scenario == "crystal-yield":
         film = films[p["lattice"]]
         if p["a_nm"] is not None and film != builtin_presets().get(p["lattice"]):
@@ -333,6 +339,8 @@ def validate_config(text: str, registry: Mapping[str, NuclideRecord] | None = No
     probe = None
     if scenario is not None and scenario != "nuclide-info":
         probe = _build_probe(doc.get("probe"), errors)
+    elif scenario == "nuclide-info" and doc.get("probe") is not None:
+        errors.append("probe: nuclide-info takes no probe block")
 
     params = _validate_block("params", PARAMS[scenario], doc.get("params"), errors,
                              film_map) if scenario is not None else {}
@@ -360,12 +368,20 @@ class ResultTable:
     meta: Mapping[str, str]
 
     def to_csv(self) -> str:
+        """The CSV text, a column at a time: all-float columns by repr."""
         lines = ["# %s = %s" % (k, v) for k, v in self.meta.items()]
         lines.append(",".join(self.columns))
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError("row width does not match header")
-            lines.append(",".join(_format_cell(c) for c in row))
+        if any(len(row) != len(self.columns) for row in self.rows):
+            raise ValueError("row width does not match header")
+        cells = []
+        for col in zip(*self.rows):
+            if all(type(v) is float for v in col):
+                if not all(map(math.isfinite, col)):
+                    raise ValueError("non-finite value in result table")
+                cells.append(map(repr, col))
+            else:
+                cells.append(map(_format_cell, col))
+        lines.extend(map(",".join, zip(*cells)))
         return "\n".join(lines) + "\n"
 
 
@@ -463,16 +479,13 @@ def _run_single_sweep(config, reg, films):
 
 
 def _run_array_pattern(config, reg, films):
-    rec = reg[config.nuclide]
     p = config.params
-    z = p["spacing_nm"] * np.arange(p["n_nuclei"])
-    nuclei = NucleusSet(np.column_stack([np.zeros_like(z), np.zeros_like(z), z]))
-    cos_grid = np.linspace(1.0, -1.0, p["n_points"]).tolist()
-    thetas = [math.acos(c) for c in cos_grid]  # np.arccos may differ in the last bit
-    density = angular_density(config.probe, rec, nuclei, (p["standoff_nm"], 0.0),
-                              np.array(thetas), 0.0)
+    cos_grid = np.linspace(1.0, -1.0, p["n_points"])
+    thetas = [math.acos(c) for c in cos_grid.tolist()]  # np.arccos may differ in the last bit
+    density = _line_density(config.probe, reg[config.nuclide], p["n_nuclei"],
+                            p["spacing_nm"], p["standoff_nm"], cos_grid)
     columns = ("cos_theta", "theta_rad", "density_per_sr")
-    return [(columns, list(zip(cos_grid, thetas, density.tolist())))]
+    return [(columns, list(zip(cos_grid.tolist(), thetas, density.tolist())))]
 
 
 def _run_crystal_yield(config, reg, films):
@@ -506,11 +519,8 @@ def _run_brems_compare(config, reg, films):
     offsets = np.linspace(-half, half, p["n_energy"])
     energies = rec.e0_eV + offsets
     hbar = CONSTANTS.hbar_eV_s
-    # one bremsstrahlung call per energy: one call over n_energy (<= 10,000)
-    # x 64 x 8 nodes would hold complex temporaries of about 82 MB each
-    brems = [br_spectral_density(probe, p["br_z_nucleus"], p["r_perp_nm"], e / hbar) / hbar
-             for e in energies]
-    spectral = zip(offsets.tolist(), (y * spectrum.density(energies)).tolist(), brems)
+    brems = br_spectral_density(probe, p["br_z_nucleus"], p["r_perp_nm"], energies / hbar) / hbar
+    spectral = zip(offsets.tolist(), (y * spectrum.density(energies)).tolist(), brems.tolist())
     s_cols = ("energy_offset_eV", "resonant_per_eV_per_passage",
               "brems_per_eV_per_passage")
 

@@ -231,3 +231,45 @@ def test_gauss_legendre_nodes_are_shared_read_only():
         nodes[0] = 0.0
     with pytest.raises(ValueError):
         wts[0] = 0.0
+
+
+@pytest.mark.parametrize("size", [1, 8, 9, 41])
+def test_array_omega_equals_scalar_calls(fe, size):
+    # blocks of 8 frequencies: 1, 8, 9 and 41 cover a partial block, one full
+    # block, a full block plus one, and the brems-compare default
+    omegas = fe.omega0_rad_s * np.linspace(0.5, 2.0, size)
+    for probe in (electron(beta=0.9), proton(beta=0.6)):
+        got = br_spectral_density(probe, 26, 0.001, omegas)
+        assert isinstance(got, np.ndarray) and got.shape == (size,)
+        for w, g in zip(omegas.tolist(), got.tolist()):
+            one = br_spectral_density(probe, 26, 0.001, w)
+            assert isinstance(one, float)
+            assert g == pytest.approx(one, rel=1e-13, abs=0.0)
+        # any shape: the result takes it, element for element
+        grid = br_spectral_density(probe, 26, 0.001, omegas.reshape(-1, 1))
+        assert grid.shape == (size, 1) and np.array_equal(grid[:, 0], got)
+
+
+def test_array_omega_names_its_bad_arguments(fe):
+    probe = electron(beta=0.9)
+    omegas = fe.omega0_rad_s * np.ones(20)
+    for bad in (0.0, -1.0, math.nan):
+        w = omegas.copy()
+        w[13] = bad  # in the second block
+        with pytest.raises(ValueError, match="omega"):
+            br_spectral_density(probe, 26, 0.001, w)
+    for empty in (omegas, omegas[:0]):
+        with pytest.raises(ValueError, match="r_perp_nm"):
+            br_spectral_density(probe, 26, -1.0, empty)
+        with pytest.raises(ValueError, match="z_nucleus"):
+            br_spectral_density(probe, 0, 0.001, empty)
+    assert br_spectral_density(probe, 26, 0.001, omegas[:0]).shape == (0,)
+
+
+def test_window_yield_is_simpson_over_scalar_calls(fe):
+    probe = electron(beta=0.9)
+    hbar = CONSTANTS.hbar_eV_s
+    lo, mid, hi = ((fe.e0_eV + k * 0.5) / hbar for k in (-1, 0, 1))
+    f = [br_spectral_density(probe, 26, 0.001, w) for w in (lo, mid, hi)]
+    assert br_window_yield(probe, 26, 0.001, fe.e0_eV, 1.0) == pytest.approx(
+        (hi - lo) / 6.0 * (f[0] + 4.0 * f[1] + f[2]), rel=1e-13, abs=0.0)

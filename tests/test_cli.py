@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -269,10 +270,19 @@ _BREMS = "scenario: brems-compare\nprobe: {species: electron, beta: 0.9}\n"
                  "params.spacing_nm: must be finite", id="spacing-inf"),
     pytest.param(_ARRAY + "params: {n_nuclei: 100000000, n_points: 2}\n",
                  "params.n_nuclei: must be at most 1000000", id="n_nuclei-cap"),
-    pytest.param(_ARRAY + "params: {n_nuclei: 1000000, n_points: 11}\n",
-                 "params.n_points: n_nuclei * n_points exceeds 10000000", id="array-terms-cap"),
     pytest.param(_ARRAY + "params: {n_points: 20001}\n",
                  "params.n_points: must be at most 20000", id="n_points-cap"),
+    pytest.param(_SWEEP + "params: {sweep_values: [0.9], br_z_nucleus: 1%s}\n" % ("0" * 200),
+                 "params.br_z_nucleus: must be at most 118 in magnitude", id="br_z-huge"),
+    pytest.param("scenario: array-pattern\nprobe:\n"
+                 "  {species: custom, beta: 0.9, rest_energy_eV: 9.4e+8, z_charge: 1%s}\n"
+                 % ("0" * 200), "probe.z_charge: must be at most 118 in magnitude",
+                 id="z_charge-huge"),
+    pytest.param("scenario: crystal-yield\nprobe: {species: electron, beta: 0.9}\n"
+                 "params: {n_layers: 1%s}\n" % ("0" * 400),
+                 "params.n_layers: must be at most 1000000", id="n_layers-huge"),
+    pytest.param("scenario: nuclide-info\nprobe: {species: muon, beta: 7}\n",
+                 "probe: nuclide-info takes no probe block", id="info-probe"),
     pytest.param(_BREMS + "params: {n_energy: 10001}\n",
                  "params.n_energy: must be at most 10000", id="n_energy-cap"),
     pytest.param(_BREMS + "params: {n_time: 100001}\n",
@@ -300,6 +310,22 @@ def test_cross_field_rules_exit_1(command, config, message, tmp_path, capsys,
     assert main([command, str(cfg)] + (["--out", str(out_dir)] if command == "run" else [])) == 1
     assert message in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_array_caps_admit_their_product(command, tmp_path, capsys):
+    # the grating factor costs nothing per nucleus, so both caps at once
+    # validate and run in bounded time
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(_ARRAY + "params: {n_nuclei: 1000000, n_points: 20000}\n")
+    out_dir = tmp_path / "out"
+    start = time.perf_counter()
+    assert main([command, str(cfg)] + (["--out", str(out_dir)] if command == "run" else [])) == 0
+    assert time.perf_counter() - start < 10.0
+    capsys.readouterr()
+    if command == "run":
+        _, _, rows = parse_result_table((out_dir / "result.csv").read_text())
+        assert len(rows) == 20_000 and max(float(r[2]) for r in rows) > 0.0
 
 
 def test_data_file_lattice_overrides_preset(config_file, tmp_path, capsys, monkeypatch):

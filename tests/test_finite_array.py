@@ -1,8 +1,10 @@
+import itertools
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -13,6 +15,7 @@ from nucsp import finite_array
 from nucsp.finite_array import (
     NucleusSet,
     _k1_sq_disk_integral,
+    _line_density,
     _plane_terms,
     angular_density,
     far_field_amplitude,
@@ -23,7 +26,7 @@ from nucsp.numerics import CONSTANTS, bessel_k1
 from nucsp.nuclide import registry
 from nucsp.probe import electron
 from nucsp.scenarios import run_scenario, validate_config
-from nucsp.single_nucleus import coherent_yield
+from nucsp.single_nucleus import _dimensionless_scale, coherent_yield
 
 
 @pytest.fixture
@@ -420,3 +423,121 @@ def test_long_row_sum_against_mpmath(fe):
     assert g[0] == 0.0 and g[2] == 0.0
     assert g[1].real == pytest.approx(ref.real, rel=1e-12)
     assert g[1].imag == pytest.approx(ref.imag, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# array-pattern: one nucleus times the grating factor
+
+
+def _one_nucleus(probe, rec, standoff):
+    k1 = bessel_k1(rec.omega0_rad_s * standoff / (probe.velocity_nm_s * probe.gamma))
+    return 9.0 / (8.0 * math.pi) * _dimensionless_scale(probe, rec) * k1 * k1
+
+
+def _array_rows(beta, n, spacing, standoff, n_points=201):
+    config, errors = validate_config(
+        "scenario: array-pattern\nprobe: {species: electron, beta: %r}\n"
+        "params: {n_nuclei: %d, spacing_nm: %r, standoff_nm: %r, n_points: %d}\n"
+        % (beta, n, spacing, standoff, n_points))
+    assert not errors
+    (table,) = run_scenario(config)
+    return np.array(table.rows)
+
+
+@pytest.mark.parametrize("n", [2, 10])
+def test_array_scenario_matches_angular_density(fe, n):
+    # the golden rule: 1e-12 relative plus 1e-12 of the column maximum.  The
+    # last spacing puts order 2 at cos(theta) = 0, the grid's middle point,
+    # where sin(Phi / 2) vanishes up to the rounding of the inputs
+    on_order = 2 * 0.9 * fe.wavelength_nm
+    cases = [*itertools.product((0.5, 0.94), (0.25, 0.286, 0.32), (0.005, 0.02)),
+             (0.9, on_order, 0.01)]
+    for beta, spacing, standoff in cases:
+        rows = _array_rows(beta, n, spacing, standoff)
+        z = spacing * np.arange(n)
+        nuclei = NucleusSet(np.column_stack([np.zeros(n), np.zeros(n), z]))
+        ref = angular_density(electron(beta=beta), fe, nuclei, (standoff, 0.0), rows[:, 1], 0.0)
+        got = rows[:, 2]
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref) + 1e-12 * ref.max()), \
+            (beta, spacing, standoff)
+    assert rows[100, 0] == 0.0
+    assert rows[100, 2] == pytest.approx(n * n * _one_nucleus(electron(beta=0.9), fe, 0.01),
+                                         rel=1e-12)
+
+
+def test_grating_factor_is_n_squared_where_the_step_is_whole_turns(monkeypatch, fe):
+    # with 2 pi taken as d omega0 / v, the step at cos(theta) = 0 is exactly
+    # one turn, so sin(pi t) is exactly 0 and the N^2 branch answers
+    probe = electron(beta=0.9)
+    d = 0.286
+    monkeypatch.setattr(finite_array, "_TWO_PI", Fraction(fe.omega0_rad_s) * Fraction(d)
+                        / Fraction(probe.velocity_nm_s))
+    got = _line_density(probe, fe, 1000, d, 0.01, np.array([0.0, 0.5]))
+    assert got[0] == 1000 ** 2 * _one_nucleus(probe, fe, 0.01)
+    assert 0.0 <= got[1] < got[0]
+
+
+def _chain_sum(probe, rec, n, d, cos_vals, direct):
+    """|sum_j e^{i j Phi}|^2 at 40 digits, Phi = d (omega0 / v - omega0 cos / c)
+    exactly from the double inputs: term by term, or as the geometric series
+    in closed form."""
+    out = []
+    with mp.workdps(40):
+        w0, v, c = (mp.mpf(x) for x in (rec.omega0_rad_s, probe.velocity_nm_s, CONSTANTS.c_nm_s))
+        for cos in cos_vals:
+            phi = mp.mpf(d) * (w0 / v - w0 / c * mp.mpf(cos))
+            if direct:
+                step, term, total = mp.expj(phi), mp.mpc(1), mp.mpc(0)
+                for _ in range(n):
+                    total += term
+                    term *= step
+                out.append(abs(total) ** 2)
+            else:
+                out.append((mp.sin(n * phi / 2) / mp.sin(phi / 2)) ** 2)
+    return np.array([float(x) for x in out])
+
+
+def _near_orders(probe, rec, n, d):
+    """cos(theta) on and around the main peaks, plus a few between, each a
+    value that cos(acos(.)) reproduces, so both paths see the same input."""
+    lam = rec.wavelength_nm
+    cos_vals = [1.0 / probe.beta - k * lam / d + f * lam / (d * n)
+                for k in range(1, 30) for f in (-2.5, -1.0, -0.5, -0.2, 0.0, 0.1, 0.7, 1.3)]
+    cos_vals += np.linspace(0.99, -0.99, 7).tolist()
+    return np.array([c for c in cos_vals if abs(c) <= 1.0 and math.cos(math.acos(c)) == c])
+
+
+def test_grating_factor_against_40_digit_sums(fe):
+    # precision reached at N = 1000 and 1e6: 2e-15 of the column maximum and
+    # 1e-13 relative at every point, pattern zeros included (worst seen
+    # 7.9e-16 and 1.0e-14 over nine (beta, d) cases).  Without the exact
+    # product N t the relative error near zeros reached 1.5e-3 at N = 1e6.
+    # The per-term fsum path in angular_density is 4e-13 to 8e-13 of the
+    # column maximum off at N = 1000 on the same points.
+    standoff = 0.01
+    for beta, d in ((0.5, 0.32), (0.9, 0.286), (0.94, 0.25)):
+        probe = electron(beta=beta)
+        one = _one_nucleus(probe, fe, standoff)
+        cos_vals = _near_orders(probe, fe, 1000, d)
+        ref = one * _chain_sum(probe, fe, 1000, d, cos_vals, direct=True)
+        err = np.abs(_line_density(probe, fe, 1000, d, standoff, cos_vals) - ref)
+        assert np.all(err <= 1e-13 * ref) and err.max() <= 2e-15 * ref.max(), (beta, d)
+        nuclei = NucleusSet(np.column_stack([np.zeros(1000), np.zeros(1000),
+                                             d * np.arange(1000)]))
+        fsum = angular_density(probe, fe, nuclei, (standoff, 0.0), np.arccos(cos_vals), 0.0)
+        assert err.max() < np.abs(fsum - ref).max()
+    for beta, d in itertools.product((0.5, 0.9, 0.94), (0.25, 0.286, 0.32)):
+        probe = electron(beta=beta)
+        cos_vals = _near_orders(probe, fe, 10 ** 6, d)
+        ref = _one_nucleus(probe, fe, standoff) * _chain_sum(probe, fe, 10 ** 6, d, cos_vals,
+                                                             direct=False)
+        err = np.abs(_line_density(probe, fe, 10 ** 6, d, standoff, cos_vals) - ref)
+        assert np.all(err <= 1e-13 * ref) and err.max() <= 2e-15 * ref.max(), (beta, d)
+
+
+def test_phase_step_beyond_the_double_range_gives_nan_not_a_crash(fe):
+    # at spacing 1e308 nm the turns per unit cos(theta) exceed the double
+    # range; the density is NaN, which the CSV writer refuses, as the fsum
+    # path's overflowing phases do
+    got = _line_density(electron(beta=0.9), fe, 10, 1e308, 0.01, np.array([1.0, 0.0, -1.0]))
+    assert np.all(np.isnan(got))

@@ -20,6 +20,7 @@ from nucsp.scenarios import (
     REQUIRED,
     SCENARIOS,
     ResultTable,
+    _format_cell,
     parse_result_table,
     run_scenario,
     validate_config,
@@ -195,10 +196,36 @@ def test_result_table_floats_round_trip_exactly():
 def test_result_table_rejects_bad_cells():
     with pytest.raises(ValueError):
         ResultTable("t", ("x",), ((math.nan,),), {}).to_csv()
+    with pytest.raises(ValueError, match="non-finite"):
+        ResultTable("t", ("x",), ((1.0,), (math.nan,), (2.0,)), {}).to_csv()
     with pytest.raises(ValueError):
         ResultTable("t", ("x",), (("a,b",),), {}).to_csv()
     with pytest.raises(ValueError):
         ResultTable("t", ("x", "y"), ((1.0,),), {}).to_csv()
+
+
+def _per_cell_csv(table):
+    """The CSV as one _format_cell call per cell, row by row."""
+    lines = ["# %s = %s" % (k, v) for k, v in table.meta.items()]
+    lines.append(",".join(table.columns))
+    lines.extend(",".join(_format_cell(c) for c in row) for row in table.rows)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parents[1] / "configs")
+                                        .glob("*.yaml")), ids=lambda p: p.name)
+def test_column_formatting_writes_the_per_cell_bytes(path):
+    for table in run_scenario(_cfg(path.read_text())):
+        assert table.to_csv() == _per_cell_csv(table)
+
+
+def test_mixed_columns_go_cell_by_cell():
+    rows = ((0.5, 1, "", np.float64(0.25)), (1.5, 2, 3.0, np.float64(1e-300)))
+    table = ResultTable("t", ("a", "b", "c", "d"), rows, {})
+    assert table.to_csv() == _per_cell_csv(table) == "a,b,c,d\n0.5,1,,0.25\n1.5,2,3.0,1e-300\n"
+    for bad in (True, np.float64(math.inf), "a,b"):
+        with pytest.raises(ValueError):
+            ResultTable("t", ("a", "b"), ((1.0, 1.0), (2.0, bad)), {}).to_csv()
 
 
 def test_write_tables(tmp_path):
@@ -511,7 +538,8 @@ def test_beta_below_the_floor_is_rejected(config, message):
 # ---------------------------------------------------------------------------
 # every row of every table, against values of the wrong type or range
 
-_VALUES = [[1, 2], {"a": 1}, True, "x", math.nan, math.inf, -math.inf, 0, -1, None, []]
+_VALUES = [[1, 2], {"a": 1}, True, "x", math.nan, math.inf, -math.inf, 0, -1, None, [],
+           10 ** 400]
 # (kind, value) pairs that a row of that kind admits
 _ADMITTED = [("bool", True), ("nonzero", -1), ("prefix", "x")]
 
@@ -531,6 +559,8 @@ def test_every_table_row_names_its_key_for_a_bad_value(block, scenario, row):
                       "z_charge": 2},
             "params": {"sweep_values": [0.5]} if scenario == "single-sweep" else {},
             "output": {}}
+    if scenario == "nuclide-info":  # which takes no probe block
+        del base["probe"]
     for value in _VALUES:
         doc = copy.deepcopy(base)
         doc[block][row.name] = value
