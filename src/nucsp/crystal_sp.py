@@ -11,7 +11,7 @@ charge moving along z with velocity v emits at the cone angles
 
 For order n and azimuth phi the per-layer emission probability is
 
-    Gamma_n(phi) = N [9 pi^2 Z^2 alpha kappa_r^2 c^3 / (A^2 omega0^4 kappa b_z)]
+    Gamma_n(phi) = [9 pi^2 Z^2 alpha kappa_r^2 c^3 / (A^2 omega0^4 kappa b_z)]
                    sum_G' Q^2 (1 - (r_hat . phi_hat_Q)^2) / (Q^2 + Delta^2)^2,
 
 with Q = k_par + G, Delta = omega0 / (v gamma), A = a^2 the cell area, and
@@ -52,8 +52,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,8 +82,6 @@ _MAX_STACK_PERIOD = 16
 _SMOOTH_EXTENT = 12.0
 # Largest n_phi x n_G temporary formed when a profile is sampled.
 _BLOCK_TERMS = 1 << 16
-# Points of each cone's phi_profile grid.
-_N_PHI = 64
 
 
 @dataclass(frozen=True)
@@ -95,7 +92,6 @@ class LatticeFilm:
     a_nm: float
     b_par_nm: tuple[float, float]
     b_z_nm: float
-    n_layers: int = 1
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.a_nm, *self.b_par_nm, self.b_z_nm))):
@@ -104,8 +100,6 @@ class LatticeFilm:
             raise ValueError("lattice periods must be positive")
         if len(self.b_par_nm) != 2:
             raise ValueError("b_par_nm must have two components")
-        if self.n_layers < 1:
-            raise ValueError("n_layers must be at least 1")
         object.__setattr__(self, "b_par_nm",
                            (float(self.b_par_nm[0]), float(self.b_par_nm[1])))
         self.z_period_nm  # validate stacking closes up
@@ -133,17 +127,13 @@ class LatticeFilm:
 
 def builtin_presets() -> dict[str, "LatticeFilm"]:
     """Built-in (001) film geometries with their default lattice constants."""
-    return {
-        "bcc100": make_film("bcc100"),
-        "fcc100": make_film("fcc100"),
-        "sc100": make_film("sc100"),
-    }
+    return {name: make_film(name) for name in _PRESET_DEFAULT_A}
 
 
 _PRESET_DEFAULT_A = {"bcc100": 0.2856, "fcc100": 0.36, "sc100": 0.2856}
 
 
-def make_film(preset: str, a_nm: float | None = None, n_layers: int = 1) -> LatticeFilm:
+def make_film(preset: str, a_nm: float | None = None) -> LatticeFilm:
     """Construct a film from a named stacking preset.
 
     bcc100: offset (a/2, a/2), spacing a/2.  fcc100: offset (a/2, a/2),
@@ -154,10 +144,10 @@ def make_film(preset: str, a_nm: float | None = None, n_layers: int = 1) -> Latt
                          % (preset, ", ".join(sorted(_PRESET_DEFAULT_A))))
     a = _PRESET_DEFAULT_A[preset] if a_nm is None else float(a_nm)
     if preset == "bcc100":
-        return LatticeFilm(preset, a, (a / 2.0, a / 2.0), a / 2.0, n_layers)
+        return LatticeFilm(preset, a, (a / 2.0, a / 2.0), a / 2.0)
     if preset == "fcc100":
-        return LatticeFilm(preset, a, (a / 2.0, a / 2.0), a / math.sqrt(2.0), n_layers)
-    return LatticeFilm(preset, a, (0.0, 0.0), a, n_layers)
+        return LatticeFilm(preset, a, (a / 2.0, a / 2.0), a / math.sqrt(2.0))
+    return LatticeFilm(preset, a, (0.0, 0.0), a)
 
 
 _LATTICE_FIELDS = {
@@ -319,13 +309,6 @@ def _counted_fsum(x: np.ndarray, counts: np.ndarray) -> float:
     return math.fsum(np.concatenate([counts * hi, counts * lo]).tolist())
 
 
-def _cone_cos(probe: Probe, rec: NuclideRecord, film: LatticeFilm, n: int) -> float:
-    c = 1.0 / probe.beta - n * rec.wavelength_nm / film.z_period_nm
-    if n < 1 or abs(c) > 1.0:
-        raise ValueError("order %d does not radiate at beta = %g" % (n, probe.beta))
-    return c
-
-
 def _gsum_terms(probe: Probe, rec: NuclideRecord, g: np.ndarray, w: np.ndarray,
                 cos_t: float, phi) -> np.ndarray:
     """Weighted per-G summands w (Q^2 cos^2(theta) + (Q . r_hat)^2) / (Q^2 + Delta^2)^2.
@@ -382,10 +365,12 @@ def azimuthal_profile(probe: Probe, rec: NuclideRecord, film: LatticeFilm,
     The angular factor is assembled as Q^2 cos^2(theta) + (Q . r_hat)^2, in
     G blocks of at most _BLOCK_TERMS summands, so memory stays O(n_G).
     """
-    cos_t = _cone_cos(probe, rec, film, n)
+    cos_t = 1.0 / probe.beta - n * rec.wavelength_nm / film.z_period_nm
+    if n < 1 or abs(cos_t) > 1.0:
+        raise ValueError("order %d does not radiate at beta = %g" % (n, probe.beta))
     g = _enumerate_g(film, policy, n)
     w = policy.weights(np.hypot(g[:, 0], g[:, 1]))
-    pref = film.n_layers * _layer_prefactor(probe, rec, film)
+    pref = _layer_prefactor(probe, rec, film)
     phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
     out = np.zeros(phi_arr.shape)
     step = max(1, _BLOCK_TERMS // phi_arr.size)
@@ -396,34 +381,27 @@ def azimuthal_profile(probe: Probe, rec: NuclideRecord, film: LatticeFilm,
     return float(out[0]) if np.ndim(phi) == 0 else out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class EmissionCone:
-    """One radiating order: direction, azimuthal profile, integrated weight.
+    """One radiating order: its index, cone cosine and integrated weight.
 
-    phi_profile is azimuthal_profile on the phis grid, evaluated when first
-    read.
+    The weight is azimuthal_profile integrated over phi.
     """
 
     n: int
     cos_theta: float
-    phis: np.ndarray
     weight: float
-    _profile: Callable = field(repr=False)
-
-    @functools.cached_property
-    def phi_profile(self) -> np.ndarray:
-        return self._profile(self.phis)
 
 
 def emission_cones(probe: Probe, rec: NuclideRecord, film: LatticeFilm,
                    policy: CutoffPolicy,
                    order_cap: int | None = None) -> list[EmissionCone]:
-    """All radiating orders with phi profiles and integrated cone weights.
+    """All radiating orders with their integrated cone weights.
 
     An order whose stacking class has no reciprocal vector inside the cutoff
     gets weight 0.0 and a RuntimeWarning naming it.
     """
-    pref = film.n_layers * _layer_prefactor(probe, rec, film)
+    pref = _layer_prefactor(probe, rec, film)
     period = film.stack_period
     cones = []
     for n, cos_t in sp_angles(probe.beta, film.z_period_nm, rec.wavelength_nm,
@@ -433,12 +411,7 @@ def emission_cones(probe: Probe, rec: NuclideRecord, film: LatticeFilm,
             warnings.warn("no reciprocal vectors pass the cutoff for order %d" % n,
                           RuntimeWarning, stacklevel=2)
         integrals = _phi_integrals(probe, rec, cos_t, norms)
-        cones.append(EmissionCone(
-            n=n, cos_theta=cos_t,
-            phis=np.linspace(0.0, 2.0 * math.pi, _N_PHI, endpoint=False),
-            weight=pref * _counted_fsum(w * integrals, counts),
-            _profile=functools.partial(azimuthal_profile, probe, rec, film, n,
-                                       policy=policy)))
+        cones.append(EmissionCone(n, cos_t, pref * _counted_fsum(w * integrals, counts)))
     return cones
 
 
@@ -446,7 +419,7 @@ def layer_yield(probe: Probe, rec: NuclideRecord, film: LatticeFilm,
                 policy: CutoffPolicy, order_cap: int | None = None) -> float:
     """Total emission probability per layer and per unit charge squared."""
     cones = emission_cones(probe, rec, film, policy, order_cap)
-    return sum(c.weight for c in cones) / (probe.z_charge ** 2 * film.n_layers)
+    return sum(c.weight for c in cones) / probe.z_charge ** 2
 
 
 def single_plane_averaged_intensity(probe: Probe, rec: NuclideRecord,

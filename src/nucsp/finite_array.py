@@ -192,10 +192,8 @@ def _line_density(probe: Probe, rec: NuclideRecord, n_nuclei: int, spacing_nm: f
     k1 = bessel_k1(rec.omega0_rad_s * standoff_nm / (probe.velocity_nm_s * probe.gamma))
     rate = Fraction(rec.omega0_rad_s) * Fraction(spacing_nm) / _TWO_PI
     a_hi, a_lo = _double_double(rate / Fraction(probe.velocity_nm_s) % 1)
-    try:  # turns per spacing and unit cos(theta)
-        b_hi, b_lo = _double_double(rate / Fraction(CONSTANTS.c_nm_s))
-    except OverflowError:  # beyond the double range, as far_field_amplitude's phases
-        b_hi = b_lo = math.nan
+    # turns per spacing and unit cos(theta)
+    b_hi, b_lo = _double_double(rate / Fraction(CONSTANTS.c_nm_s))
     c = np.asarray(cos_theta, dtype=float)
     f, f_tail = _product_turns(b_hi, c)
     s = a_hi - f  # t = a - b c as head + tail; a two-sum keeps this rounding

@@ -101,6 +101,8 @@ def _coerce(kind, v, bound, at):
                                    else ": must be positive"))
         if not math.isfinite(num):
             raise ValueError(at + ": must be finite")
+        if bound is not None and num > bound:
+            raise ValueError("%s: must be at most %g" % (at, bound))
         return num
     if kind == "beta":
         num = _as_number(v)
@@ -175,7 +177,9 @@ PARAMS = {
         # phase precision: the inputs fix the step (tens of rad) to eps of its
         # size, so the chain's end phase to N eps |step|, 3e-9 rad at the cap
         Param("n_nuclei", "int", 10, (2, 1_000_000)),
-        Param("spacing_nm", "positive", 0.286),
+        # 1 mm is far above any lattice and far below the 4e298 nm (Dy-161)
+        # where the phase step per unit cos(theta) leaves the double range
+        Param("spacing_nm", "positive", 0.286, 1.0e6),
         Param("standoff_nm", "positive", 0.01),
         Param("n_points", "int", 801, (2, 20_000)),
     ),
@@ -186,9 +190,6 @@ PARAMS = {
         Param("smooth_cutoff", "bool", False),
         Param("betas", "increasing", None, "beta"),
         Param("order_cap", "int", 12, (1, 100)),
-        # a linear factor; a million layers (0.14 mm of bcc Fe) is far past
-        # where nuclear resonant absorption would have to take over
-        Param("n_layers", "int", 1, (1, 1_000_000)),
     ),
     "brems-compare": (
         Param("r_perp_nm", "positive", 0.001),
@@ -492,14 +493,13 @@ def _run_crystal_yield(config, reg, films):
     rec = reg[config.nuclide]
     p = config.params
     film = make_film(p["lattice"], a_nm=p["a_nm"]) if p["a_nm"] else films[p["lattice"]]
-    film = dataclasses.replace(film, n_layers=p["n_layers"])
     policy = CutoffPolicy(p["r_min_nm"], p["smooth_cutoff"])
     betas = p["betas"] if p["betas"] is not None else [config.probe.beta]
 
     def rows_for(beta):
         probe = dataclasses.replace(config.probe, beta=beta)
         cones = emission_cones(probe, rec, film, policy, order_cap=p["order_cap"])
-        z2 = probe.z_charge ** 2 * film.n_layers
+        z2 = probe.z_charge ** 2
         out = [(beta, c.n, c.cos_theta, c.weight / z2) for c in cones]
         out.append((beta, 0, "", sum(c.weight for c in cones) / z2))
         return out

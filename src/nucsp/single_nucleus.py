@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,21 +70,18 @@ class EmissionSpectrum:
 
     center_eV: float
     fwhm_eV: float
-    density: Callable[[np.ndarray | float], np.ndarray | float]
+
+    def density(self, e_eV):
+        """Probability per eV at photon energy e_eV."""
+        half = 0.5 * self.fwhm_eV
+        de = np.asarray(e_eV, dtype=float) - self.center_eV
+        out = (half / math.pi) / (de * de + half * half)
+        return float(out) if out.ndim == 0 else out
 
 
 def spectral_profile(rec: NuclideRecord) -> EmissionSpectrum:
     """Line shape of the emitted photons: FWHM = hbar * kappa about hbar * omega0."""
-    center = rec.e0_eV
-    fwhm = CONSTANTS.hbar_eV_s * rec.kappa_s
-    half = 0.5 * fwhm
-
-    def density(e_eV):
-        de = np.asarray(e_eV, dtype=float) - center
-        out = (half / math.pi) / (de * de + half * half)
-        return float(out) if out.ndim == 0 else out
-
-    return EmissionSpectrum(center_eV=center, fwhm_eV=fwhm, density=density)
+    return EmissionSpectrum(center_eV=rec.e0_eV, fwhm_eV=CONSTANTS.hbar_eV_s * rec.kappa_s)
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,14 @@ class DecayProfile:
     """Normalized emission-time density kappa e^{-kappa t} for t >= 0."""
 
     rate_s: float
-    profile: Callable[[np.ndarray | float], np.ndarray | float]
+
+    def profile(self, t_s):
+        """Emission probability per second at time t after excitation."""
+        t = np.asarray(t_s, dtype=float)
+        # clip both ways: the t < 0 branch is discarded but still evaluated
+        out = np.where(t < 0.0, 0.0,
+                       self.rate_s * np.exp(-np.clip(self.rate_s * t, 0.0, 700.0)))
+        return float(out) if out.ndim == 0 else out
 
     def survival(self, t_s):
         """Fraction of excited population remaining at time t."""
@@ -109,16 +113,7 @@ def decay_profile(rec: NuclideRecord) -> DecayProfile:
     population at kappa, and the photons emitted along the way inherit that
     envelope.
     """
-    kappa = rec.kappa_s
-
-    def profile(t_s):
-        t = np.asarray(t_s, dtype=float)
-        # clip both ways: the t < 0 branch is discarded but still evaluated
-        out = np.where(t < 0.0, 0.0,
-                       kappa * np.exp(-np.clip(kappa * t, 0.0, 700.0)))
-        return float(out) if out.ndim == 0 else out
-
-    return DecayProfile(rate_s=kappa, profile=profile)
+    return DecayProfile(rate_s=rec.kappa_s)
 
 
 def incoherent_angular(probe: Probe, rec: NuclideRecord,

@@ -533,11 +533,3 @@ def test_grating_factor_against_40_digit_sums(fe):
                                                              direct=False)
         err = np.abs(_line_density(probe, fe, 10 ** 6, d, standoff, cos_vals) - ref)
         assert np.all(err <= 1e-13 * ref) and err.max() <= 2e-15 * ref.max(), (beta, d)
-
-
-def test_phase_step_beyond_the_double_range_gives_nan_not_a_crash(fe):
-    # at spacing 1e308 nm the turns per unit cos(theta) exceed the double
-    # range; the density is NaN, which the CSV writer refuses, as the fsum
-    # path's overflowing phases do
-    got = _line_density(electron(beta=0.9), fe, 10, 1e308, 0.01, np.array([1.0, 0.0, -1.0]))
-    assert np.all(np.isnan(got))
