@@ -82,6 +82,11 @@ _MAX_STACK_PERIOD = 16
 _SMOOTH_EXTENT = 12.0
 # Largest n_phi x n_G temporary formed when a profile is sampled.
 _BLOCK_TERMS = 1 << 16
+# Shortest in-plane period or plane spacing, 10 fm: the size of a nucleus
+# (diameter 9 fm for Fe-57, 15 fm for U-238), so no lattice of nuclei is
+# finer.  It also keeps a^4 in the layer prefactor far from its underflow
+# below 1.5e-81 nm.
+_LATTICE_MIN_NM = 1e-5
 
 
 @dataclass(frozen=True)
@@ -96,8 +101,9 @@ class LatticeFilm:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.a_nm, *self.b_par_nm, self.b_z_nm))):
             raise ValueError("lattice lengths must be finite")
-        if not self.a_nm > 0 or not self.b_z_nm > 0:
-            raise ValueError("lattice periods must be positive")
+        if not (self.a_nm >= _LATTICE_MIN_NM and self.b_z_nm >= _LATTICE_MIN_NM):
+            raise ValueError("a_nm and b_z_nm must be at least %g nm (got %g and %g)"
+                             % (_LATTICE_MIN_NM, self.a_nm, self.b_z_nm))
         if len(self.b_par_nm) != 2:
             raise ValueError("b_par_nm must have two components")
         object.__setattr__(self, "b_par_nm",

@@ -24,9 +24,13 @@ takes one nucleus times the grating factor of the chain.
 
 The Monte-Carlo average over impact parameters in one z = 0 plane forms g
 for a chunk of m samples and n sites at once, with real arithmetic only:
+dist = sqrt(dx^2 + dy^2) from the site-minus-sample offsets (dx, dy), and
 w = K1 / dist on the (m x n) grid, then g_x = (w (-dy)) @ B and
 g_y = (w dx) @ B with B = [cos phase_j, -sin phase_j] the (n x 2) site
-phases, whose two columns give the real and imaginary parts.  A chunk holds
+phases, whose two columns give the real and imaginary parts.  dist is not
+np.hypot, which is a libm call per element and several times slower:
+offsets of lattice size square without overflow or underflow, and the two
+forms differ by at most an ulp.  A chunk holds
 m = _BLOCK_TERMS // n samples, a term budget as for the angle blocks, and
 its (m x n) grids are written into work arrays allocated once per call, so
 the chunk loop makes no (m x n) temporaries of its own.  The chunk size
@@ -237,7 +241,11 @@ def _plane_terms(sites: np.ndarray, rps: np.ndarray, rhat: np.ndarray,
     dx, dy, dist, arg, k1, w, wdy, wdx = (a[:m] for a in work)
     np.subtract(sites[:, 0], rps[:, 0, None], out=dx)
     np.subtract(sites[:, 1], rps[:, 1, None], out=dy)
-    np.hypot(dx, dy, out=dist)
+    # dist = sqrt(dx^2 + dy^2), with arg as scratch (see the module docstring)
+    np.multiply(dx, dx, out=dist)
+    np.multiply(dy, dy, out=arg)
+    dist += arg
+    np.sqrt(dist, out=dist)
     np.multiply(dist, delta, out=arg)
     small = arg < _ARG_CUT
     k1.fill(0.0)

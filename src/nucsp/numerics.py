@@ -20,19 +20,23 @@ expansions, with no convergence loop, following Cody (Math. Comp. 29 (1975)
     x < 2 :  power series in q = x^2/4, 14 terms, by Horner
              K0(x) = sum_k psi(k+1) q^k / (k!)^2 - ln(x/2) I0(x)
              K1(x) = 1/x + (x/2) sum_k [ln(x/2) - (psi(k+1) + psi(k+2))/2] q^k / (k! (k+1)!)
-    x >= 2:  sqrt(x) e^x K0,1(x) as Chebyshev series in u = 4/x - 1, 27 terms,
-             by Clenshaw
+    2 <= x < 10:    sqrt(x) e^x K0,1(x) as Chebyshev series in u = 5/x - 3/2,
+                    20 terms, by Clenshaw
+    10 <= x <= 700: the same in u = 20/x - 1, 14 terms
     x > 700: exactly 0 (below the double-precision floor)
 
 with psi the digamma function and I0(x) = sum_k q^k / (k!)^2.  The
 coefficients are the literals between the "generated" markers below, printed
-by tools/gen_bessel_coeffs.py from mpmath.  Both branches agree with a
-high-precision reference to a few ulp (worst 2e-15 relative, on the series
-side of x = 2) over [1e-8, 700].  Each branch has one helper, which runs the
-rows of one order: bessel_k1 and bessel_k0 evaluate only their own order,
-bit-identical to the matching half of bessel_k01.  A scalar argument runs
-through the helpers as a Python float with math.exp/math.log, so it skips
-numpy's per-call set-up; an array runs through them with numpy.
+by tools/gen_bessel_coeffs.py from mpmath.  Each Chebyshev series is its c_0/2
+plus a few percent, so c_0/2 is stored as a double head and tail; rounded to
+one double it would bias its whole piece by up to 0.4 ulp.  Against 30-digit
+mpmath values at 11,000 points over [1e-8, 700], the neighbourhoods of 2, 10
+and 700 included, the worst relative error is 1.0e-15 on the series side of
+x = 2 and 4.1e-16 on the Chebyshev side.  Each branch has one helper, which
+runs the rows of one order: bessel_k1 and bessel_k0 evaluate only their own
+order, bit-identical to the matching half of bessel_k01.  A scalar argument
+runs through the helpers as a Python float with math.exp/math.log, so it
+skips numpy's per-call set-up; an array runs through them with numpy.
 """
 
 from __future__ import annotations
@@ -102,6 +106,12 @@ CONSTANTS = PhysicalConstants()
 # Series / Chebyshev crossover.  Above _X_UNDERFLOW the result is below the
 # double-precision floor and is returned as exactly 0 by contract.
 _SERIES_CUT = 2.0
+# The Chebyshev range splits in two here.  One series over [2, inf) needs 27
+# terms; [10, inf), where most arguments of a plane sum lie, needs 14 for the
+# same truncation and [2, 10) needs 20.  At 10 both maps onto [-1, 1] have constants
+# exact in binary: u = 5/x - 3/2 below and u = 20/x - 1 above.  The tables are
+# generated for this value (tools/gen_bessel_coeffs.py, SPLIT).
+_CHEB_SPLIT = 10.0
 _X_UNDERFLOW = 700.0
 _BAD_ARGUMENT = "bessel_k0/k1 require positive, non-NaN arguments"
 
@@ -134,36 +144,53 @@ _SERIES_K1 = (  # (psi(k+1)+psi(k+2))/(2 k!(k+1)!)
     1.747964364846441e-12, 1.654957367625136e-14, 1.2993205660505643e-16,
     8.597616413496283e-19, 4.860603759411809e-21,
 )
-_CHEB_K0 = (  # sqrt(x) e^x K0(x) in T_n(4/x - 1), c_0 halved
-    1.2201515410329777, -0.0314481013119645, 0.0015698838857300533,
-    -0.00012849549581627802, 1.39498137188765e-05, -1.8317555227191195e-06,
-    2.766813639445015e-07, -4.660489897687948e-08, 8.574034017414225e-09,
-    -1.6975345093890614e-09, 3.5773972814003283e-10, -7.957489244477396e-11,
-    1.8559491149549264e-11, -4.514597883374519e-12, 1.1403405882073441e-12,
-    -2.9800969231481784e-13, 8.032890775068375e-14, -2.2275133267462965e-14,
-    6.340076476276646e-15, -1.848593377920907e-15, 5.5120559994043335e-16,
-    -1.6782311257549006e-16, 5.2103917776435543e-17, -1.6475805939842632e-17,
-    5.3004337711773354e-18, -1.7331712005821001e-18, 5.755109202882729e-19,
+_CHEB_LO_K0 = (  # x < 10: sqrt(x) e^x K0(x) in T_n(5/x - 1.5); c_0/2 head, tail
+    1.2133966009728212, -7.26888380250534e-17, -0.02409118214954175,
+    0.0009021449455899708, -5.4280632290854306e-05, 4.261301871952919e-06,
+    -3.9907182000082503e-07, 4.247930970216433e-08, -4.989559047540494e-09,
+    6.340893718424816e-10, -8.598240353190751e-11, 1.2313911837246605e-11,
+    -1.8480967164932276e-12, 2.888990560160635e-13, -4.681019552694723e-14,
+    7.83032965576699e-15, -1.3478290080927986e-15, 2.3807017936028795e-16,
+    -4.304993206089472e-17, 7.953610017153742e-18, -1.4987367050600273e-18,
 )
-_CHEB_K1 = (  # sqrt(x) e^x K1(x) in T_n(4/x - 1), c_0 halved
-    1.3603130952422213, 0.10392373657681724, -0.002857816859622779,
-    0.00019521551847135162, -1.936197974166083e-05, 2.406484947837217e-06,
-    -3.5019606030878126e-07, 5.7410841254500495e-08, -1.0345762465678097e-08,
-    2.0150497551970347e-09, -4.1903547593419254e-10, 9.218315187605315e-11,
-    -2.129967838427791e-11, 5.139639673482343e-12, -1.2891739609498229e-12,
-    3.348419666052243e-13, -8.976705182010146e-14, 2.4771544242195988e-14,
-    -7.0198370892147685e-15, 2.038703166239861e-15, -6.057047270643018e-16,
-    1.8380935752430455e-16, -5.689462849193648e-17, 1.7940510478863572e-17,
-    -5.7567444820733025e-18, 1.8778651901623268e-18, -6.221645287352609e-19,
+_CHEB_LO_K1 = (  # x < 10: sqrt(x) e^x K1(x) in T_n(5/x - 1.5); c_0/2 head, tail
+    1.3819371714978996, -8.861461775689364e-17, 0.08121499574667079,
+    -0.0016736350738774692, 8.39764861226722e-05, -6.019332043759903e-06,
+    5.333059932722016e-07, -5.466847277861927e-08, 6.2473479286443254e-09,
+    -7.774293616072025e-10, 1.036780531305377e-10, -1.4648014307041116e-11,
+    2.1736931791795805e-12, -3.3655686296264967e-13, 5.408461870003456e-14,
+    -8.982498636798846e-15, 1.5364208828412315e-15, -2.6986488215762955e-16,
+    4.8555225001010343e-17, -8.930291959328648e-18, 1.6759001266688406e-18,
+)
+_CHEB_HI_K0 = (  # x >= 10: sqrt(x) e^x K0(x) in T_n(20/x - 1); c_0/2 head, tail
+    1.2457859720209132, -7.503995484668926e-17, -0.007430424623409812,
+    9.548451345584704e-05, -2.182470806968627e-06, 7.061651645798565e-08,
+    -2.9164397157911135e-09, 1.4500810264132153e-10, -8.362254288770204e-12,
+    5.451005288085904e-13, -3.9420506349785003e-14, 3.1181809677849677e-15,
+    -2.668100253083234e-16, 2.447777887091864e-17, -2.390363596363694e-18,
+)
+_CHEB_HI_K1 = (  # x >= 10: sqrt(x) e^x K1(x) in T_n(20/x - 1); c_0/2 head, tail
+    1.2762989281982782, 3.087708071389627e-19, 0.022818778992713278,
+    -0.00016279173257027673, 3.123569209491164e-06, -9.276289043125869e-08,
+    3.6399583944599924e-09, -1.7491367734555544e-10, 9.843628147862831e-12,
+    -6.299917366348596e-13, 4.491135093280007e-14, -3.5118468380762122e-15,
+    2.976652231060218e-16, -2.709312068664595e-17, 2.6280145899623413e-18,
 )
 # END generated by tools/gen_bessel_coeffs.py
 
 # Per order n: the Horner rows (I_n coefficient, K_n coefficient), highest
-# power of q first; and the Clenshaw coefficients from the highest degree down
-# to degree 1, with the halved c_0 apart.
+# power of q first.  Per Chebyshev piece (below, above the split) and order n:
+# the Clenshaw coefficients from the highest degree down to degree 1, the
+# head and tail of c_0/2, and (a, b) of the map u = a/x + b, derived from the
+# split.
 _SERIES_ROWS = (tuple(zip(_SERIES_I0, _SERIES_K0))[::-1],
                 tuple(zip(_SERIES_I1, _SERIES_K1))[::-1])
-_CHEB_ROWS = tuple((c[:0:-1], c[0]) for c in (_CHEB_K0, _CHEB_K1))
+_CHEB_ROWS = tuple(
+    tuple((c[:1:-1], c[0], c[1], a, b) for c in tables)
+    for tables, (a, b) in (
+        ((_CHEB_LO_K0, _CHEB_LO_K1), (4.0 * _CHEB_SPLIT / (_CHEB_SPLIT - 2.0),
+                                      -(_CHEB_SPLIT + 2.0) / (_CHEB_SPLIT - 2.0))),
+        ((_CHEB_HI_K0, _CHEB_HI_K1), (2.0 * _CHEB_SPLIT, -1.0))))
 
 
 def _k_series(x, xp, n):
@@ -183,19 +210,19 @@ def _k_series(x, xp, n):
     return 1.0 / x + 0.5 * x * (lg * i - k)
 
 
-def _k_chebyshev(x, xp, n):
-    """K_n(x), n = 0 or 1, for x >= 2: Chebyshev series in u = 4/x - 1, by
-    Clenshaw.
+def _k_chebyshev(x, xp, n, piece):
+    """K_n(x), n = 0 or 1, for x >= 2: Chebyshev series in u = a/x + b, by
+    Clenshaw, on piece 0 ([2, _CHEB_SPLIT)) or 1 ([_CHEB_SPLIT, inf)).
 
     Plain arithmetic, so x may be a float (xp = math) or an array (xp = numpy).
     """
-    u = 4.0 / x - 1.0
+    rows, head, tail, a, b = _CHEB_ROWS[piece][n]
+    u = a / x + b
     u2 = u + u
     b1 = b2 = 0.0
-    rows, last = _CHEB_ROWS[n]
     for c in rows:
         b1, b2 = u2 * b1 - b2 + c, b1
-    return (u * b1 - b2 + last) * (xp.exp(-x) / xp.sqrt(x))
+    return (u * b1 - b2 + tail + head) * (xp.exp(-x) / xp.sqrt(x))
 
 
 def _bessel(x, orders):
@@ -207,7 +234,8 @@ def _bessel(x, orders):
         if xf < _SERIES_CUT:
             return tuple(_k_series(xf, math, n) for n in orders)
         if xf <= _X_UNDERFLOW:
-            return tuple(_k_chebyshev(xf, math, n) for n in orders)
+            piece = int(xf >= _CHEB_SPLIT)
+            return tuple(_k_chebyshev(xf, math, n, piece) for n in orders)
         return (0.0,) * len(orders)
 
     arr = np.asarray(x, dtype=float)
@@ -215,13 +243,16 @@ def _bessel(x, orders):
         raise ValueError(_BAD_ARGUMENT)
     out = tuple(np.zeros_like(arr) for _ in orders)
     lo = arr < _SERIES_CUT
-    hi = ~lo & (arr <= _X_UNDERFLOW)
+    hi = arr >= _CHEB_SPLIT
+    mid = ~(lo | hi)
+    hi &= arr <= _X_UNDERFLOW
     # x > 700: left as 0
-    for mask, kernel in ((lo, _k_series), (hi, _k_chebyshev)):
+    for mask, kernel, args in ((lo, _k_series, ()), (mid, _k_chebyshev, (0,)),
+                               (hi, _k_chebyshev, (1,))):
         if np.any(mask):
             part = arr[mask]
             for k, n in zip(out, orders):
-                k[mask] = kernel(part, np, n)
+                k[mask] = kernel(part, np, n, *args)
     return out
 
 

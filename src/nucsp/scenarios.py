@@ -220,7 +220,11 @@ def _rule_errors(scenario, p, rec, films, probe):
         if p["a_nm"] is not None and film != builtin_presets().get(p["lattice"]):
             yield "params.a_nm: a_nm can only override built-in lattice presets"
         elif p["a_nm"] is not None:
-            film = make_film(p["lattice"], a_nm=p["a_nm"])
+            try:
+                film = make_film(p["lattice"], a_nm=p["a_nm"])
+            except ValueError as exc:  # below the lattice floor
+                yield "params.a_nm: %s" % exc
+                return
         radius = CutoffPolicy(p["r_min_nm"], p["smooth_cutoff"]).enumeration_radius()
         m = radius * (film.a_nm if p["a_nm"] is None else p["a_nm"]) / (2.0 * math.pi)
         if not m < MAX_G_GRID or (2 * math.floor(m) + 1) ** 2 > MAX_G_GRID:

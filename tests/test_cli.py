@@ -235,6 +235,16 @@ _BREMS = "scenario: brems-compare\nprobe: {species: electron, beta: 0.9}\n"
     pytest.param("scenario: crystal-yield\nprobe: {species: electron, beta: 0.9}\n"
                  "params: {lattice: tetra, a_nm: 0.3, r_min_nm: 0.004}\n",
                  "a_nm can only override built-in lattice presets", id="a_nm-data-lattice"),
+    # a^4 in the layer prefactor underflows to 0 below 1.5e-81 nm
+    pytest.param("scenario: crystal-yield\nprobe: {species: electron, beta: 0.9}\n"
+                 "params: {lattice: bcc100, a_nm: 1.0e-81}\n",
+                 "params.a_nm: a_nm and b_z_nm must be at least 1e-05 nm",
+                 id="a_nm-below-floor"),
+    # at the floor itself, bcc100's plane spacing a/2 is below it
+    pytest.param("scenario: crystal-yield\nprobe: {species: electron, beta: 0.9}\n"
+                 "params: {lattice: bcc100, a_nm: 1.0e-5}\n",
+                 "params.a_nm: a_nm and b_z_nm must be at least 1e-05 nm (got 1e-05 and 5e-06)",
+                 id="a_nm-spacing-below-floor"),
     pytest.param("scenario: single-sweep\nprobe: {species: electron, beta: 0.9}\n"
                  "params: {sweep_values: [0.9], br_window_eV: 3.0e+4}\n",
                  "window extends to non-positive photon energies", id="window-2E0"),
@@ -313,6 +323,33 @@ def test_cross_field_rules_exit_1(command, config, message, tmp_path, capsys,
     assert main([command, str(cfg)] + (["--out", str(out_dir)] if command == "run" else [])) == 1
     assert message in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_lattice_floor_runs_to_a_finite_table(tmp_path, capsys):
+    # sc100 at the floor: a and b_z are both 10 fm, far below the wavelength,
+    # so no order radiates at any beta and every yield is 0
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("scenario: crystal-yield\nprobe: {species: electron, beta: 0.9}\n"
+                   "params: {lattice: sc100, a_nm: 1.0e-5, betas: [0.5, 0.9, 0.999999]}\n")
+    out_dir = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    _, columns, rows = parse_result_table((out_dir / "result.csv").read_text())
+    assert columns == ["beta", "order_n", "cos_theta", "yield_per_layer_per_z2"]
+    assert [r[1:] for r in rows] == [["0", "", "0.0"]] * 3
+
+
+@pytest.mark.parametrize("lattice_key", ["a_nm", "b_z_nm"])
+def test_data_file_lattice_below_floor_exits_2(lattice_key, tmp_path, capsys, monkeypatch):
+    command, text = _DATA_FILES["lattices.dat"]
+    bad = re.sub(r"(?m)^%s = .*$" % lattice_key, "%s = 9.0e-6" % lattice_key, text)
+    assert bad != text
+    (tmp_path / "lattices.dat").write_text(bad)
+    monkeypatch.setenv("NUCSP_DATA_DIR", str(tmp_path))
+    assert main([command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s:1: " % (tmp_path / "lattices.dat"))
+    assert "a_nm and b_z_nm must be at least 1e-05 nm" in err
 
 
 @pytest.mark.parametrize("nuclide", ["Fe-57", "Dy-161"])

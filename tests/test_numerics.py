@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import subprocess
 import sys
@@ -21,6 +22,19 @@ from nucsp.numerics import (
 
 mp.mp.dps = 30
 
+ROOT = Path(__file__).resolve().parents[1]
+SPLIT = numerics._CHEB_SPLIT
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+REFS = _tool("gen_bessel_refs")
+
 
 def test_constants_are_self_consistent():
     # e^2 = alpha * hbar * c and hbar c in eV nm
@@ -39,55 +53,51 @@ def test_constants_reject_inconsistent_values():
         dataclasses.replace(CONSTANTS, e2_eV_nm=1.44)
 
 
-def test_bessel_matches_high_precision_reference():
-    xs = np.logspace(-8, math.log10(699.0), 400)
+def _assert_matches_besselk(xs, rtol):
     k0, k1 = bessel_k01(xs)
     ref0 = np.array([float(mp.besselk(0, mp.mpf(float(x)))) for x in xs])
     ref1 = np.array([float(mp.besselk(1, mp.mpf(float(x)))) for x in xs])
-    np.testing.assert_allclose(k0, ref0, rtol=1e-12)
-    np.testing.assert_allclose(k1, ref1, rtol=1e-12)
+    np.testing.assert_allclose(k0, ref0, rtol=rtol)
+    np.testing.assert_allclose(k1, ref1, rtol=rtol)
+
+
+def test_bessel_matches_high_precision_reference():
+    _assert_matches_besselk(np.logspace(-8, math.log10(699.0), 400), 1e-12)
 
 
 def test_bessel_accuracy_near_branch_crossover():
-    xs = np.linspace(1.9, 2.1, 41)
-    k0, k1 = bessel_k01(xs)
-    ref0 = np.array([float(mp.besselk(0, mp.mpf(float(x)))) for x in xs])
-    ref1 = np.array([float(mp.besselk(1, mp.mpf(float(x)))) for x in xs])
-    np.testing.assert_allclose(k0, ref0, rtol=1e-13)
-    np.testing.assert_allclose(k1, ref1, rtol=1e-13)
+    _assert_matches_besselk(np.linspace(1.9, 2.1, 41), 1e-13)
 
 
-def _mp_k01(xs):
-    """mpmath K0, and K1 from the Wronskian I0 K1 + I1 K0 = 1/x (A&S 9.6.15),
-    which costs far less than mpmath's besselk(1, x)."""
-    k0, k1 = [], []
-    with mp.workdps(20):
-        for x in xs:
-            x = mp.mpf(float(x))
-            k = mp.besselk(0, x)
-            k0.append(float(k))
-            k1.append(float((1 / x - mp.besseli(1, x) * k) / mp.besseli(0, x)))
-    return np.array(k0), np.array(k1)
+def test_bessel_accuracy_near_chebyshev_split():
+    # the two Chebyshev pieces meet at SPLIT: each must be accurate up to it
+    _assert_matches_besselk(np.linspace(SPLIT - 0.1, SPLIT + 0.1, 41), 1e-13)
 
 
 def test_bessel_dense_sweep_against_mpmath():
-    # log-spaced sweep, plus the neighbourhoods of the branch point x = 2 and
-    # of the underflow cut x = 700, where the result must switch to exactly 0
-    def around(x):
-        return [x - 1e-12, x - 1e-13, np.nextafter(x, 0.0), x,
-                np.nextafter(x, np.inf), x + 1e-13, x + 1e-12]
-
-    xs = np.concatenate([np.geomspace(1e-8, 700.0, 4001), around(2.0), around(700.0)[:4]])
+    # log-spaced sweep, plus the neighbourhoods of the branch point x = 2, of
+    # the Chebyshev split and of the underflow cut x = 700, where the result
+    # must switch to exactly 0.  The mpmath references are stored by
+    # tools/gen_bessel_refs.py; every 50th sweep point and every edge point
+    # is recomputed live and must match the stored value bit for bit.
+    sweep, edges = REFS.sweep_points(), REFS.edge_points()
+    assert REFS.SPLIT == SPLIT
+    xs, ref0, ref1 = np.array([[float(v) for v in line.split()] for line in
+                               REFS.OUT.read_text(encoding="utf-8").splitlines()
+                               if not line.startswith("#")]).T
+    assert np.array_equal(xs, np.concatenate([sweep, edges]))
+    live = np.concatenate([np.arange(0, sweep.size, 50), np.arange(sweep.size, xs.size)])
+    live0, live1 = REFS.mp_k01(xs[live])
+    assert np.array_equal(live0, ref0[live]) and np.array_equal(live1, ref1[live])
     k0, k1 = bessel_k01(xs)
-    ref0, ref1 = _mp_k01(xs)
     np.testing.assert_allclose(k0, ref0, rtol=1e-12)
     np.testing.assert_allclose(k1, ref1, rtol=1e-12)
-    above = np.array(around(700.0)[4:])
+    above = np.array(REFS.around(700.0)[4:])
     assert not np.any(np.concatenate(bessel_k01(above)))
     assert [bessel_k01(float(x)) for x in above] == [(0.0, 0.0)] * above.size
 
 
-@pytest.mark.parametrize("lo,hi", [(1e-8, 2.0), (2.0, 700.0)])
+@pytest.mark.parametrize("lo,hi", [(1e-8, 2.0), (2.0, SPLIT), (SPLIT, 700.0)])
 def test_bessel_scalar_path_matches_array_path(lo, hi):
     xs = np.concatenate([np.geomspace(lo, hi, 400), [np.nextafter(hi, 0.0)]])
     k0, k1 = bessel_k01(xs)
@@ -99,14 +109,15 @@ def test_bessel_scalar_path_matches_array_path(lo, hi):
 def test_single_order_paths_are_bit_identical_to_k01():
     # bessel_k1 and bessel_k0 run only their own order's rows, with the same
     # arithmetic in the same order, so they equal bessel_k01 bit for bit:
-    # both branches, x = 2 and 700 and their neighbouring doubles, and past
-    # the underflow cut
+    # both branches, x = 2, the Chebyshev split and 700 and their neighbouring
+    # doubles, and past the underflow cut
     edges = [np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, np.inf),
+             np.nextafter(SPLIT, 0.0), SPLIT, np.nextafter(SPLIT, np.inf),
              np.nextafter(700.0, 0.0), 700.0, np.nextafter(700.0, np.inf), 701.0, 1e6]
     xs = np.concatenate([np.geomspace(1e-8, 750.0, 2002), edges])
     k0, k1 = bessel_k01(xs)
     assert np.array_equal(bessel_k1(xs), k1) and np.array_equal(bessel_k0(xs), k0)
-    assert np.array_equal(bessel_k1(xs.reshape(-1, 10)), k1.reshape(-1, 10))
+    assert np.array_equal(bessel_k1(xs.reshape(-1, 11)), k1.reshape(-1, 11))
     assert not np.any(bessel_k1(np.array(edges[-3:])))
     for x in np.concatenate([xs[::37], edges]):
         pair = bessel_k01(float(x))
@@ -120,10 +131,10 @@ def test_single_order_paths_are_bit_identical_to_k01():
 
 def test_bessel_coefficients_match_generator():
     # the literals in numerics.py are the generator's output, digit for digit
-    root = Path(__file__).resolve().parents[1]
-    out = subprocess.run([sys.executable, str(root / "tools" / "gen_bessel_coeffs.py")],
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "gen_bessel_coeffs.py")],
                          check=True, capture_output=True, text=True, timeout=60).stdout
     assert out.startswith("# BEGIN generated")
+    assert _tool("gen_bessel_coeffs").SPLIT == SPLIT
     assert out in Path(numerics.__file__).read_text(encoding="utf-8")
 
 
