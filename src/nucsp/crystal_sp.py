@@ -244,6 +244,13 @@ def sp_angles(beta: float, d_nm: float, lambda_nm: float,
     return out
 
 
+def _grid_half_width(film: LatticeFilm, policy: CutoffPolicy) -> float:
+    """Half-width m of the (2m+1)^2 index grid _enumerate_g scans: the cutoff
+    radius in units of 2 pi / a, floored.  A float, so that a radius too
+    large for any grid gives a huge or infinite m instead of an error."""
+    return float(np.floor(policy.enumeration_radius() / (2.0 * math.pi / film.a_nm)))
+
+
 def _enumerate_g(film: LatticeFilm, policy: CutoffPolicy,
                  order: int | None) -> np.ndarray:
     """Reciprocal vectors (M, 2) inside the cutoff, deterministically ordered.
@@ -253,7 +260,7 @@ def _enumerate_g(film: LatticeFilm, policy: CutoffPolicy,
     """
     g_unit = 2.0 * math.pi / film.a_nm
     radius = policy.enumeration_radius()
-    m = int(math.floor(radius / g_unit))
+    m = int(_grid_half_width(film, policy))
     idx = np.arange(-m, m + 1)
     ii, jj = np.meshgrid(idx, idx, indexing="ij")
     ii = ii.ravel()

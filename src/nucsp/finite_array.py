@@ -54,6 +54,7 @@ import numpy as np
 
 from .numerics import CONSTANTS, _veltkamp_split, bessel_k01, bessel_k1
 from .numerics import integrate_adaptive  # noqa: F401  (traced by perfbench/spans.py)
+from .crystal_sp import _LATTICE_MIN_NM
 from .nuclide import NuclideRecord
 from .probe import Probe
 from .single_nucleus import _dimensionless_scale
@@ -70,6 +71,11 @@ __all__ = [
 # and are skipped in the Monte-Carlo batch path.
 _ARG_CUT = 45.0
 _BLOCK_TERMS = 1 << 16
+# Longest period mc_plane_average takes, 1 mm as for array-pattern's spacing:
+# far above any lattice, and it keeps a^2, the squared site offsets and the
+# (delta a)^2 of the disk integral finite at every speed down to BETA_MIN for
+# lines below 1e80 eV.  At 1e160 nm they overflow and the mean is NaN.
+_PLANE_MAX_NM = 1e6
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,13 +327,13 @@ def mc_plane_average(probe: Probe, rec: NuclideRecord, a_nm: float,
     product.  The chunk's (rows x n_sites) work arrays are allocated once
     per call.  No result depends on the BLAS thread count.
 
-    Raises ValueError, naming the parameter, for a non-finite or
-    non-positive a_nm, non-finite angles, a half_extent that is not an
-    integer >= 0, an n_samples that is not an integer >= 1, and r_min_nm
-    outside the bounds above.
+    Raises ValueError, naming the parameter, for an a_nm outside [1e-5, 1e6]
+    nm (_LATTICE_MIN_NM, _PLANE_MAX_NM), non-finite angles, a half_extent that
+    is not an integer >= 0, an n_samples that is not an integer >= 1, and
+    r_min_nm outside the bounds above.
     """
-    if not (a_nm > 0 and math.isfinite(a_nm)):
-        raise ValueError("a_nm must be positive and finite")
+    if not _LATTICE_MIN_NM <= a_nm <= _PLANE_MAX_NM:
+        raise ValueError("a_nm must lie in [%g, %g] nm" % (_LATTICE_MIN_NM, _PLANE_MAX_NM))
     for name, value in (("theta", theta), ("phi", phi)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite")

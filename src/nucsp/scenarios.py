@@ -34,8 +34,8 @@ import yaml
 
 from . import __version__
 from .brems import br_spectral_density, br_window_yield
-from .crystal_sp import (CutoffPolicy, LatticeFilm, builtin_presets, emission_cones,
-                         first_radiating_order, make_film)
+from .crystal_sp import (_LATTICE_MIN_NM, CutoffPolicy, LatticeFilm, _grid_half_width,
+                         builtin_presets, emission_cones, first_radiating_order, make_film)
 from .finite_array import _line_density
 from .finite_array import angular_density  # noqa: F401  (traced by perfbench/spans.py)
 from .nuclide import NuclideRecord, radiative_rate, registry as nuclide_registry
@@ -94,25 +94,28 @@ def _check_keys(block, allowed, errors, path):
 def _coerce(kind, v, bound, at):
     """Check a given, non-null value against its kind and bound; returns it
     normalised, or raises ValueError carrying the message for path `at`."""
-    if kind == "positive":
+    if kind == "positive":  # bound: None or inclusive (lo, hi), None for no limit
         num = _as_number(v)
+        lo, hi = bound or (None, None)
         if num is None or not num > 0:
             raise ValueError(at + (": must be a number" if num is None
                                    else ": must be positive"))
         if not math.isfinite(num):
             raise ValueError(at + ": must be finite")
-        if bound is not None and num > bound:
-            raise ValueError("%s: must be at most %g" % (at, bound))
+        if lo is not None and num < lo:
+            raise ValueError("%s: must be at least %g" % (at, lo))
+        if hi is not None and num > hi:
+            raise ValueError("%s: must be at most %g" % (at, hi))
         return num
     if kind == "beta":
         num = _as_number(v)
         if num is None or not BETA_MIN <= num < 1.0:
             raise ValueError("%s: must be a number in [%g, 1)" % (at, BETA_MIN))
         return num
-    if kind == "increasing":  # a non-empty list of values of kind `bound`
+    if kind == "increasing":  # a non-empty list; bound is its values' (kind, bound)
         if not isinstance(v, list) or not v:
             raise ValueError("%s: must be a non-empty list" % at)
-        out = [_coerce(bound, x, None, "%s[%d]" % (at, i)) for i, x in enumerate(v)]
+        out = [_coerce(bound[0], x, bound[1], "%s[%d]" % (at, i)) for i, x in enumerate(v)]
         if any(b <= a for a, b in zip(out, out[1:])):
             raise ValueError("%s: values must be strictly increasing" % at)
         return out
@@ -153,13 +156,21 @@ REQUIRED = "required"
 # Every integer row has a finite bound, so none overflows a float.  A charge
 # is at most the heaviest known nucleus's (brems takes Z^4 Z_n^2).
 MAX_Z = 118
+# A distance from the beam to a nucleus is at least the size of a nucleus,
+# 10 fm (crystal_sp._LATTICE_MIN_NM); near 1e-160 nm K1^2 of the field
+# overflows and the table is no longer finite.
+DISTANCE = (_LATTICE_MIN_NM, None)
 
 # the probe's cross-field rules are in _build_probe
 PROBE = (
     Param("species", "choice", "electron", ("electron", "proton", "custom")),
     Param("beta", "beta", None),
     Param("kinetic_energy_eV", "positive", None),
-    Param("rest_energy_eV", "positive", None),
+    # 1e5 eV is below the lightest charged particle (the electron, 511 keV),
+    # and keeps the 1/(M^2 beta^4) of the bremsstrahlung prefactor below 1e270;
+    # 1e15 eV is far above the heaviest nucleus (U-238, 2.2e11 eV) and far
+    # below 1.3e154 eV, where M^2 overflows
+    Param("rest_energy_eV", "positive", None, (1.0e5, 1.0e15)),
     Param("z_charge", "nonzero", None, MAX_Z),
 )
 OUTPUT = (Param("prefix", "prefix", "result"),)
@@ -168,8 +179,9 @@ PARAMS = {
     "single-sweep": (
         Param("sweep_variable", "choice", "beta", ("beta", "r_perp_nm")),
         Param("sweep_values", "increasing", REQUIRED,
-              lambda p, films: "beta" if p["sweep_variable"] == "beta" else "positive"),
-        Param("r_perp_nm", "positive", 0.001),
+              lambda p, films: (("beta", None) if p["sweep_variable"] == "beta"
+                                else ("positive", DISTANCE))),  # r_perp: as r_perp_nm
+        Param("r_perp_nm", "positive", 0.001, DISTANCE),  # no closer than a nucleus's size
         Param("br_z_nucleus", "nonzero", 26, MAX_Z),
         Param("br_window_eV", "positive", 1.0),
     ),
@@ -179,8 +191,8 @@ PARAMS = {
         Param("n_nuclei", "int", 10, (2, 1_000_000)),
         # 1 mm is far above any lattice and far below the 4e298 nm (Dy-161)
         # where the phase step per unit cos(theta) leaves the double range
-        Param("spacing_nm", "positive", 0.286, 1.0e6),
-        Param("standoff_nm", "positive", 0.01),
+        Param("spacing_nm", "positive", 0.286, (None, 1.0e6)),
+        Param("standoff_nm", "positive", 0.01, DISTANCE),  # no closer than a nucleus's size
         Param("n_points", "int", 801, (2, 20_000)),
     ),
     "crystal-yield": (
@@ -188,11 +200,11 @@ PARAMS = {
         Param("a_nm", "positive", None),
         Param("r_min_nm", "positive", 0.001),
         Param("smooth_cutoff", "bool", False),
-        Param("betas", "increasing", None, "beta"),
+        Param("betas", "increasing", None, ("beta", None)),
         Param("order_cap", "int", 12, (1, 100)),
     ),
     "brems-compare": (
-        Param("r_perp_nm", "positive", 0.001),
+        Param("r_perp_nm", "positive", 0.001, DISTANCE),  # no closer than a nucleus's size
         Param("br_z_nucleus", "nonzero", 26, MAX_Z),
         Param("half_span_line_widths", "positive", 25.0),
         Param("n_energy", "int", 41, (3, 10_000)),
@@ -225,9 +237,8 @@ def _rule_errors(scenario, p, rec, films, probe):
             except ValueError as exc:  # below the lattice floor
                 yield "params.a_nm: %s" % exc
                 return
-        radius = CutoffPolicy(p["r_min_nm"], p["smooth_cutoff"]).enumeration_radius()
-        m = radius * (film.a_nm if p["a_nm"] is None else p["a_nm"]) / (2.0 * math.pi)
-        if not m < MAX_G_GRID or (2 * math.floor(m) + 1) ** 2 > MAX_G_GRID:
+        m = _grid_half_width(film, CutoffPolicy(p["r_min_nm"], p["smooth_cutoff"]))
+        if 2 * m + 1 > math.isqrt(MAX_G_GRID):  # (2m+1)^2 > MAX_G_GRID, without overflow
             yield ("params.r_min_nm: reciprocal grid exceeds %d entries per stacking class"
                    % MAX_G_GRID)
         yield from _order_cap_errors(p, rec, film, probe)

@@ -140,18 +140,16 @@ def test_spectral_density_vs_quad():
 
 
 def test_spectral_density_vs_brute_grid(fe):
-    # compare against an independent fixed high-order quadrature
+    # compare against an independent fixed high-order quadrature: a 192-node
+    # Gauss-Legendre rule in cos(theta) times a 96-point phi grid, evaluated
+    # as one outer product
     probe = electron(beta=0.9)
     val = br_spectral_density(probe, 26, 0.001, fe.omega0_rad_s)
     nodes, wts = np.polynomial.legendre.leggauss(192)
     n_phi = 96
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    total = 0.0
-    for c, w in zip(nodes, wts):
-        th = math.acos(c)
-        row = sum(br_density(probe, 26, 0.001, th, p, fe.omega0_rad_s)
-                  for p in phis)
-        total += w * row * (2.0 * math.pi / n_phi)
+    grid = _density_values(probe, 26, 0.001, nodes, phis, fe.omega0_rad_s)
+    total = float(wts @ grid.sum(axis=1)) * (2.0 * math.pi / n_phi)
     assert val == pytest.approx(total, rel=1e-5, abs=0.0)
 
 

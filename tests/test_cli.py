@@ -258,11 +258,27 @@ _BREMS = "scenario: brems-compare\nprobe: {species: electron, beta: 0.9}\n"
                  "params.r_perp_nm: must be finite", id="r_perp-inf"),
     pytest.param(_SWEEP + "params: {sweep_variable: r_perp_nm, sweep_values: [0.001, .inf]}\n",
                  "params.sweep_values[1]: must be finite", id="sweep-value-inf"),
+    # distances below a nucleus's size: near 1e-160 nm K1^2 overflows
+    pytest.param(_SWEEP + "params: {sweep_values: [0.9], r_perp_nm: 1.0e-160}\n",
+                 "params.r_perp_nm: must be at least 1e-05", id="r_perp-below-floor"),
+    pytest.param(_SWEEP + "params: {sweep_variable: r_perp_nm, sweep_values: [1.0e-160, 0.001]}\n",
+                 "params.sweep_values[0]: must be at least 1e-05", id="sweep-r-below-floor"),
+    pytest.param(_BREMS + "params: {r_perp_nm: 1.0e-300}\n",
+                 "params.r_perp_nm: must be at least 1e-05", id="brems-r_perp-below-floor"),
+    pytest.param(_ARRAY + "params: {standoff_nm: 1.0e-300}\n",
+                 "params.standoff_nm: must be at least 1e-05", id="standoff-below-floor"),
+    # M^2 in the bremsstrahlung prefactor overflows, or 1/M^2 does
+    pytest.param("scenario: single-sweep\nparams: {sweep_values: [0.9]}\nprobe:\n"
+                 "  {species: custom, beta: 0.9, rest_energy_eV: 1.0e+200, z_charge: 1}\n",
+                 "probe.rest_energy_eV: must be at most 1e+15", id="rest-energy-huge"),
+    pytest.param("scenario: single-sweep\nparams: {sweep_values: [0.9]}\nprobe:\n"
+                 "  {species: custom, beta: 0.9, rest_energy_eV: 1.0e-300, z_charge: 1}\n",
+                 "probe.rest_energy_eV: must be at least 100000", id="rest-energy-tiny"),
     pytest.param("scenario: single-sweep\nparams: {sweep_values: [0.9]}\nprobe:\n"
                  "  {species: custom, beta: 0.9, rest_energy_eV: .inf, z_charge: 1}\n",
                  "probe.rest_energy_eV: must be finite", id="rest-energy-inf"),
     pytest.param("scenario: single-sweep\nparams: {sweep_values: [0.9]}\nprobe:\n"
-                 "  {species: electron, beta: 0.9, rest_energy_eV: 5, z_charge: 3}\n",
+                 "  {species: electron, beta: 0.9, rest_energy_eV: 9.4e+8, z_charge: 3}\n",
                  "probe.rest_energy_eV: only custom species take it", id="non-custom-rest-energy"),
     pytest.param("scenario: array-pattern\nprobe: {species: electron, beta: 1.0e-71}\n",
                  "probe.beta: must be a number in [1e-70, 1)", id="beta-below-floor"),

@@ -24,7 +24,7 @@ from nucsp.finite_array import (
 )
 from nucsp.numerics import CONSTANTS, bessel_k1
 from nucsp.nuclide import registry
-from nucsp.probe import electron
+from nucsp.probe import BETA_MIN, electron
 from nucsp.scenarios import run_scenario, validate_config
 from nucsp.single_nucleus import _dimensionless_scale, coherent_yield
 
@@ -293,6 +293,9 @@ def test_mc_plane_average_validation(probe, fe):
     ("n_samples", dict(n_samples=2.5)),
     ("a_nm", dict(a_nm=math.nan)),
     ("a_nm", dict(a_nm=-0.2856)),
+    # outside [1e-5, 1e6] nm: nan, or a failure inside the Bessel kernel
+    *(("a_nm", dict(a_nm=a, r_min_nm=a * 1e-3))
+      for a in (1e-300, 1e-200, 1e-160, 1e160, 1e300)),
 ])
 def test_mc_plane_average_names_bad_arguments(probe, fe, name, bad):
     # unchecked, these give 0.0 or nan, or fail inside numpy
@@ -300,6 +303,15 @@ def test_mc_plane_average_names_bad_arguments(probe, fe, name, bad):
               n_samples=100)
     with pytest.raises(ValueError, match=f"^{name} "):
         mc_plane_average(probe, fe, **dict(kw, **bad))
+
+
+@pytest.mark.parametrize("a_nm", [1e-5, 1e6])
+def test_mc_plane_average_is_finite_at_the_a_nm_bounds(fe, a_nm):
+    for beta in (BETA_MIN, 0.9, 1.0 - 1e-15):
+        for r_min, control_variate in ((a_nm * 1e-12, True), (a_nm * 0.4, False)):
+            mean = mc_plane_average(electron(beta=beta), fe, a_nm, 2, 2.5, 0.3, r_min, 200,
+                                    control_variate=control_variate)
+            assert math.isfinite(mean)
 
 
 def test_mc_mean_does_not_depend_on_chunk_size(monkeypatch, probe, fe):

@@ -1,20 +1,36 @@
-"""The package's public surface: one consistent export list, and README's
+"""The package's public surface: the modules' own export lists, and README's
 library examples run as written."""
 
-import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
 import nucsp
+from nucsp import (brems, crystal_sp, finite_array, nuclide, numerics, probe, scenarios,
+                   single_nucleus)
+
+_MODULES = (numerics, nuclide, probe, single_nucleus, finite_array, crystal_sp, brems,
+            scenarios)
+_EXPORTS = [name for module in _MODULES for name in module.__all__]
 
 
-@pytest.mark.parametrize("name", [n for n in nucsp.__all__ if n != "__version__"])
+def test_package_exports_are_the_modules_exports_in_order():
+    assert nucsp.__all__ == ["__version__", *_EXPORTS]
+
+
+def test_no_name_is_exported_by_two_modules():
+    # A clash would let one star-import silently shadow another.
+    assert len(set(_EXPORTS)) == len(_EXPORTS)
+
+
+@pytest.mark.parametrize("name", _EXPORTS)
 def test_export_is_listed_by_its_defining_module(name):
+    (module,) = [m for m in _MODULES if name in m.__all__]
     obj = getattr(nucsp, name)
-    module = importlib.import_module(obj.__module__)
-    assert name in module.__all__
-    assert getattr(module, name) is obj
+    assert obj is getattr(module, name)
+    if inspect.isfunction(obj) or inspect.isclass(obj):
+        assert obj.__module__ == module.__name__
 
 
 def test_readme_python_examples_run(capsys):

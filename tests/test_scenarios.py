@@ -14,6 +14,7 @@ from nucsp.crystal_sp import CutoffPolicy, builtin_presets, emission_cones, make
 from nucsp.nuclide import registry
 from nucsp.probe import BETA_MIN, electron
 from nucsp.scenarios import (
+    MAX_G_GRID,
     OUTPUT,
     PARAMS,
     PROBE,
@@ -134,7 +135,7 @@ def test_validate_custom_only_probe_keys_are_rejected_for_other_species():
     # they used to be dropped, leaving a Z = -1 electron
     _, errors = validate_config("""
 scenario: single-sweep
-probe: {species: electron, beta: 0.9, rest_energy_eV: 5, z_charge: 3}
+probe: {species: electron, beta: 0.9, rest_energy_eV: 9.4e+8, z_charge: 3}
 params: {sweep_values: [0.5]}
 """)
     assert errors == ["probe.rest_energy_eV: only custom species take it",
@@ -437,6 +438,23 @@ def test_null_allowed_where_default_is_null():
     assert config.params["a_nm"] is None and config.params["betas"] is None
 
 
+def test_grid_cap_counts_the_grid_that_is_built():
+    # the cap once took the half-width as radius a / (2 pi), which rounds
+    # differently from floor(radius / (2 pi / a)): this bcc100 cutoff builds
+    # a 1413 x 1413 grid, under the cap, and was rejected
+    r_min = 0.0007715075261167521
+    film, policy = make_film("bcc100"), CutoffPolicy(r_min, smooth=True)
+    g = crystal_sp._enumerate_g(film, policy, None)
+    assert round(g[:, 0].max() * film.a_nm / (2.0 * math.pi)) == 706
+    assert (2 * 706 + 1) ** 2 <= MAX_G_GRID
+    cfg = ("scenario: crystal-yield\n" + _PROBE
+           + "params: {lattice: bcc100, smooth_cutoff: true, r_min_nm: %r}\n")
+    _cfg(cfg % r_min)
+    # one step past it the grid is 1415 x 1415, over the cap
+    assert validate_config(cfg % (r_min * 706.5 / 707.0))[1] == [
+        "params.r_min_nm: reciprocal grid exceeds %d entries per stacking class" % MAX_G_GRID]
+
+
 @pytest.mark.parametrize("preset", sorted(builtin_presets()))
 def test_grid_cap_admits_presets_at_smooth_default_cutoff(preset):
     _cfg("scenario: crystal-yield\n" + _PROBE
@@ -533,6 +551,34 @@ def test_every_scenario_runs_at_the_beta_floor(config):
 ])
 def test_beta_below_the_floor_is_rejected(config, message):
     assert validate_config(config)[1] == [message]
+
+
+# ---------------------------------------------------------------------------
+# the distance floor (a nucleus's size) and the rest-energy range: every
+# config at their limits runs to a finite table, at both ends of beta
+
+_LIMIT_PROBES = [
+    "{species: electron, beta: %s}",
+    "{species: custom, beta: %s, rest_energy_eV: 1.0e+5, z_charge: 118}",
+    "{species: custom, beta: %s, rest_energy_eV: 1.0e+15, z_charge: -118}",
+]
+
+
+@pytest.mark.parametrize("beta", [_FLOOR, "0.9999999999999999"])
+@pytest.mark.parametrize("probe", _LIMIT_PROBES, ids=["electron", "light", "heavy"])
+@pytest.mark.parametrize("params", [
+    "scenario: single-sweep\nparams: {sweep_values: [BETA], r_perp_nm: 1.0e-5, "
+    "br_z_nucleus: 118}\n",
+    "scenario: single-sweep\nparams: {sweep_variable: r_perp_nm, "
+    "sweep_values: [1.0e-5, 0.001], br_z_nucleus: -118}\n",
+    "scenario: brems-compare\nparams: {r_perp_nm: 1.0e-5, br_z_nucleus: 118, "
+    "n_energy: 5, n_time: 5}\n",
+    "scenario: array-pattern\nparams: {standoff_nm: 1.0e-5, n_points: 11}\n",
+], ids=["sweep", "sweep-r", "brems", "array"])
+def test_distance_floor_and_rest_energy_range_run_to_finite_tables(params, probe, beta):
+    config = _cfg("nuclide: Dy-161\nprobe: %s\n" % (probe % beta) + params.replace("BETA", beta))
+    for table in run_scenario(config):
+        assert table.to_csv()  # raises on a non-finite cell
 
 
 # ---------------------------------------------------------------------------
