@@ -6,17 +6,22 @@ frequency is
 
     Gamma_BR(Omega, omega) = [alpha^3 Z^4 Z_n^2 hbar^2 omega
                               / (pi^2 M^2 c^4 beta^4 gamma^2)]
-                             |(1 - beta cos(theta)) r_hat x F
-                              + beta (r_hat x z_hat) (r_hat . F)|^2,
+                             |D r_hat x F + beta (r_hat x z_hat) (r_hat . F)|^2,
 
     F = K1(zeta) R_hat + (i / gamma^2) K0(zeta) z_hat,
-    zeta = (1 - beta cos(theta)) omega R / v.
+    zeta = D omega R / v,    D = 1 - beta cos(theta).
 
 The nucleus direction R_hat is taken along +x, so the phi argument of the
 observation direction is measured from the beam-nucleus plane.  The result
 carries units of seconds (probability per sr per unit omega); multiplying by
 a photon-energy window w in eV gives the in-window count after dividing by
 hbar (omega window w / hbar).
+
+F's two components are in quadrature and D + beta c = 1 (c = cos(theta),
+s^2 = 1 - c^2), so the bracket is real: |...|^2 = K1^2 A + s^2 K0^2 / gamma^4,
+A = (beta s^2 sin(phi) cos(phi))^2 + (D c - beta s^2 cos^2(phi))^2
++ (D s sin(phi))^2, whose mean over phi is the sum of squares, free of
+cancellation, <A> = (D c - beta s^2 / 2)^2 + (D s)^2 / 2 + (beta s^2)^2 / 4.
 
 This is a smooth continuum: near a nuclear resonance its spectral density is
 flat on the scale of the natural linewidth, which is what makes the
@@ -50,58 +55,47 @@ def _prefactor(probe: Probe, z_nucleus: int, omega: float) -> float:
                * probe.beta ** 4 * probe.gamma ** 2))
 
 
-def _density_values(probe: Probe, z_nucleus: int, r_perp_nm: float,
-                    cos_t: np.ndarray, phi: np.ndarray, omega) -> np.ndarray:
-    """Vectorized density on an outer product of cos(theta) and phi nodes,
-    shape omega.shape + (len(cos_t), len(phi)): a leading axis per omega."""
-    w = np.asarray(omega, dtype=float)[..., None, None]
+def _k_squares(probe: Probe, z_nucleus: int, r_perp_nm: float, ct: np.ndarray,
+               omega) -> tuple[np.ndarray, np.ndarray]:
+    """Prefactor times K1(zeta)^2 and times K0(zeta)^2 / gamma^4, shape
+    omega.shape + ct.shape, after the argument checks."""
+    w = np.asarray(omega, dtype=float)[(...,) + (None,) * ct.ndim]
     if not r_perp_nm > 0:
         raise ValueError("r_perp_nm must be positive")
     if not np.all(w > 0):
         raise ValueError("omega must be positive")
     if z_nucleus == 0:
         raise ValueError("z_nucleus must be non-zero")
-    beta = probe.beta
-    gamma = probe.gamma
-    ct = cos_t[:, None]
-    st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
-    cp = np.cos(phi)[None, :]
-    sp = np.sin(phi)[None, :]
-    doppler = 1.0 - beta * ct
-
     # zeta depends on omega and theta only; one Bessel pair per (omega, node)
-    zeta = doppler * w * r_perp_nm / probe.velocity_nm_s
+    zeta = (1.0 - probe.beta * ct) * w * r_perp_nm / probe.velocity_nm_s
     k0, k1 = bessel_k01(zeta)
+    pref = _prefactor(probe, z_nucleus, w)
+    return pref * (k1 * k1), pref * (k0 / (probe.gamma * probe.gamma)) ** 2
 
-    # F = K1 x_hat + (i / gamma^2) K0 z_hat; r_hat = (st cp, st sp, ct)
-    fx = k1
-    fz = 1j * k0 / (gamma * gamma)
-    # r_hat x F = (st sp Fz - ct * 0, ct Fx - st cp Fz, -st sp Fx)
-    cx = st * sp * fz
-    cy = ct * fx - st * cp * fz
-    cz = -st * sp * fx
-    # r_hat x z_hat = (st sp, -st cp, 0); r_hat . F = st cp Fx + ct Fz
-    rdotf = st * cp * fx + ct * fz
-    vx = doppler * cx + beta * st * sp * rdotf
-    vy = doppler * cy - beta * st * cp * rdotf
-    vz = doppler * cz
-    mag2 = (np.abs(vx) ** 2 + np.abs(vy) ** 2 + np.abs(vz) ** 2)
-    return _prefactor(probe, z_nucleus, w) * mag2
+
+def _density_values(probe: Probe, z_nucleus: int, r_perp_nm: float,
+                    cos_t: np.ndarray, phi: np.ndarray, omega) -> np.ndarray:
+    """Vectorized density on an outer product of cos(theta) and phi nodes,
+    shape omega.shape + (len(cos_t), len(phi)): a leading axis per omega."""
+    ct = np.asarray(cos_t, dtype=float)[:, None]
+    p1, p0 = _k_squares(probe, z_nucleus, r_perp_nm, ct, omega)
+    s2 = np.clip(1.0 - ct * ct, 0.0, None)
+    d = 1.0 - probe.beta * ct
+    bs2 = probe.beta * s2
+    cp, sp = np.cos(phi), np.sin(phi)
+    a = (bs2 * sp * cp) ** 2 + (d * ct - bs2 * cp * cp) ** 2 + d * d * s2 * sp * sp
+    return p1 * a + p0 * s2
 
 
 def br_density(probe: Probe, z_nucleus: int, r_perp_nm: float,
                theta: float, phi: float, omega: float) -> float:
     """Photon density per sr per unit angular frequency, in seconds."""
-    val = _density_values(probe, z_nucleus, r_perp_nm,
-                          np.array([math.cos(theta)]), np.array([float(phi)]),
-                          omega)
+    val = _density_values(probe, z_nucleus, r_perp_nm, np.array([math.cos(theta)]),
+                          np.array([float(phi)]), omega)
     return float(val[0, 0])
 
 
-_N_PHI = 8
 _OMEGA_BLOCK = 8
-_PHIS = np.linspace(0.0, 2.0 * math.pi, _N_PHI, endpoint=False)
-_PHIS.flags.writeable = False
 
 
 @functools.cache
@@ -118,10 +112,12 @@ def br_spectral_density(probe: Probe, z_nucleus: int, r_perp_nm: float, omega):
     """Solid-angle integral of the density at fixed omega, in seconds.
 
     A scalar omega gives a float, an array gives an array of its shape, both
-    through one body in blocks of _OMEGA_BLOCK = 8 frequencies, so that the
-    (block x 64 x 8) complex temporaries stay near 64 kB.  A bad omega, r_perp_nm
-    or z_nucleus raises ValueError naming it, also for an empty array.
+    through one body in blocks of _OMEGA_BLOCK = 8 frequencies, whose real
+    temporaries are (block x 64).  A bad omega, r_perp_nm or z_nucleus raises
+    ValueError naming it, also for an empty array.
 
+    The phi integral is exact and in closed form: 2 pi (K1^2 <A> +
+    s^2 K0^2 / gamma^4), with <A> the mean of A over phi (module docstring).
     The density depends on theta through the Doppler factor
     1 - beta cos(theta) = e^u, which spans 1 - beta to 1 + beta (about
     1/(2 gamma^2) to 2) and shapes the forward 1/gamma cone.  A uniform grid in
@@ -130,26 +126,23 @@ def br_spectral_density(probe: Probe, z_nucleus: int, r_perp_nm: float, omega):
     5.1e-14 for beta 0.5-0.999999, electron and proton, r 0.1 pm-0.1 nm and
     E 6-100 keV, and within 7.2e-11 at beta = 1 - 1e-9.  Taking cos(theta) as
     -expm1(u) / beta keeps its precision as beta -> 0.
-
-    The azimuth uses the _N_PHI-point uniform grid _PHIS.  At fixed theta each
-    component of V is a trigonometric polynomial of degree at most 2 in phi,
-    so |V|^2 has degree at most 4 (its cos 4 phi terms cancel in the sum over
-    components), and an N-point uniform rule integrates every degree below N
-    exactly: the phi integral carries no error.
     """
     beta = probe.beta
     lo, hi = math.log1p(-beta), math.log1p(beta)
     nodes, wts = _legendre_64()
     em1 = np.expm1(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo))
     weights = wts * (1.0 + em1)
+    ct = -em1 / beta
+    s2 = np.clip(1.0 - ct * ct, 0.0, None)
+    d = 1.0 - beta * ct
+    mean_a = (d * ct - 0.5 * beta * s2) ** 2 + 0.5 * d * d * s2 + 0.25 * (beta * s2) ** 2
     w = np.asarray(omega, dtype=float)
     flat = w.ravel()
     out = np.empty(flat.size)
     for i in range(0, max(flat.size, 1), _OMEGA_BLOCK):  # an empty omega still checks
-        block = flat[i:i + _OMEGA_BLOCK]
-        vals = _density_values(probe, z_nucleus, r_perp_nm, -em1 / beta, _PHIS, block)
-        out[i:i + _OMEGA_BLOCK] = vals.sum(axis=-1) @ weights
-    out *= 0.5 * (hi - lo) / beta * (2.0 * math.pi / _N_PHI)
+        p1, p0 = _k_squares(probe, z_nucleus, r_perp_nm, ct, flat[i:i + _OMEGA_BLOCK])
+        out[i:i + _OMEGA_BLOCK] = (p1 * mean_a + p0 * s2) @ weights
+    out *= math.pi * (hi - lo) / beta
     return float(out[0]) if w.ndim == 0 else out.reshape(w.shape)
 
 

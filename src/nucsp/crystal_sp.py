@@ -370,28 +370,37 @@ def _layer_prefactor(probe: Probe, rec: NuclideRecord, film: LatticeFilm) -> flo
                * rec.kappa_s * film.b_z_nm))
 
 
+def _profile_sum(probe: Probe, rec: NuclideRecord, film: LatticeFilm,
+                 policy: CutoffPolicy, order: int | None, cos_t: float, phi):
+    """Weighted _gsum_terms over the G that order admits (all for None), summed
+    per phi in G blocks of _BLOCK_TERMS; warns as reciprocal_vectors if none."""
+    g = _enumerate_g(film, policy, order)
+    if not g.shape[0]:
+        warnings.warn("no reciprocal vectors pass the cutoff for order %d" % order,
+                      RuntimeWarning, stacklevel=3)
+    w = policy.weights(np.hypot(g[:, 0], g[:, 1]))
+    phi_arr = np.asarray(phi, dtype=float).ravel()
+    out = np.zeros(phi_arr.shape)
+    step = max(1, _BLOCK_TERMS // max(phi_arr.size, 1))
+    for lo in range(0, g.shape[0], step):
+        out += np.sum(_gsum_terms(probe, rec, g[lo:lo + step], w[lo:lo + step],
+                                  cos_t, phi_arr), axis=1)
+    return float(out[0]) if np.ndim(phi) == 0 else out.reshape(np.shape(phi))
+
+
 def azimuthal_profile(probe: Probe, rec: NuclideRecord, film: LatticeFilm,
                       n: int, phi, policy: CutoffPolicy):
     """Per-layer emission probability per azimuthal radian on cone n.
 
     Scalar phi gives a float; an array gives the profile sampled pointwise.
-    The angular factor is assembled as Q^2 cos^2(theta) + (Q . r_hat)^2, in
-    G blocks of at most _BLOCK_TERMS summands, so memory stays O(n_G).
+    An order whose stacking class keeps no reciprocal vector gives 0.0 and a
+    RuntimeWarning naming it, as in emission_cones.
     """
     cos_t = 1.0 / probe.beta - n * rec.wavelength_nm / film.z_period_nm
     if n < 1 or abs(cos_t) > 1.0:
         raise ValueError("order %d does not radiate at beta = %g" % (n, probe.beta))
-    g = _enumerate_g(film, policy, n)
-    w = policy.weights(np.hypot(g[:, 0], g[:, 1]))
     pref = _layer_prefactor(probe, rec, film)
-    phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
-    out = np.zeros(phi_arr.shape)
-    step = max(1, _BLOCK_TERMS // phi_arr.size)
-    for lo in range(0, g.shape[0], step):
-        out += np.sum(_gsum_terms(probe, rec, g[lo:lo + step], w[lo:lo + step],
-                                  cos_t, phi_arr), axis=1)
-    out *= pref
-    return float(out[0]) if np.ndim(phi) == 0 else out
+    return pref * _profile_sum(probe, rec, film, policy, n, cos_t, phi)
 
 
 @dataclass(frozen=True)
@@ -436,8 +445,8 @@ def layer_yield(probe: Probe, rec: NuclideRecord, film: LatticeFilm,
 
 
 def single_plane_averaged_intensity(probe: Probe, rec: NuclideRecord,
-                                    film: LatticeFilm, theta: float, phi: float,
-                                    policy: CutoffPolicy) -> float:
+                                    film: LatticeFilm, theta: float, phi,
+                                    policy: CutoffPolicy):
     """Impact-parameter averaged |r_hat x g|^2 for one unrestricted plane.
 
     Reciprocal-space counterpart of the Monte-Carlo average: for a single
@@ -446,9 +455,9 @@ def single_plane_averaged_intensity(probe: Probe, rec: NuclideRecord,
         <|r_hat x g|^2> = (2 pi v gamma / (A omega0))^2
                           sum_G w(G) Q^2 (1 - (r_hat . phi_hat_Q)^2)
                                       / (Q^2 + Delta^2)^2.
+
+    A scalar phi gives a float; an array gives one average per phi.
     """
-    g = _enumerate_g(film, policy, None)
-    w = policy.weights(np.hypot(g[:, 0], g[:, 1]))
     vg = probe.velocity_nm_s * probe.gamma
     pref = (2.0 * math.pi * vg / (film.cell_area_nm2 * rec.omega0_rad_s)) ** 2
-    return pref * float(np.sum(_gsum_terms(probe, rec, g, w, math.cos(theta), phi)))
+    return pref * _profile_sum(probe, rec, film, policy, None, math.cos(theta), phi)

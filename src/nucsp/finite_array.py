@@ -35,10 +35,10 @@ m = _BLOCK_TERMS // n samples, a term budget as for the angle blocks, and
 its (m x n) grids are written into work arrays allocated once per call, so
 the chunk loop makes no (m x n) temporaries of its own.  The chunk size
 does not change which samples are kept.  Its control variate subtracts the
-nearest site's own term inside a capture disk and adds back that term's
-exact mean, from the closed-form integral
+origin site's own term (each draw's nearest) inside a capture disk and adds
+back that term's exact mean, from the closed-form integral
 
-    int x K1(x)^2 dx = F(x) = (x^2/2)(K1^2 - K0^2) - x K0 K1,
+    int x K1(x)^2 dx = F(x) = x ((x/2)(K1^2 - K0^2) - K0 K1),
 
 so no quadrature runs.
 """
@@ -230,12 +230,12 @@ def square_plane_sites(a_nm: float, half_extent: int) -> np.ndarray:
 
 def _plane_terms(sites: np.ndarray, rps: np.ndarray, rhat: np.ndarray,
                  delta: float, k0: float, work: np.ndarray):
-    """Per-sample |r_hat x g|^2 for a z = 0 plane, plus nearest-site data.
+    """Per-sample |r_hat x g|^2 for a z = 0 plane, plus origin-site data.
 
     Returns (x, dn, self_term): the squared transverse amplitude for each
-    impact point in rps, the nearest-site distance, and that site's own
-    contribution K1^2 (1 - (r_hat . phi_hat)^2) for control-variate use.
-    Matches the per-point far_field_amplitude assembly to rounding.
+    impact point in rps, the distance to the origin site (in sites, and
+    nearest to every draw), and its own term K1^2 (1 - (r_hat . phi_hat)^2)
+    for control-variate use.  Matches far_field_amplitude to rounding.
 
     work is an (8, rows, n_sites) float array with rows >= len(rps): the
     eight (m x n) grids below are written into its leading rows, so a caller
@@ -270,13 +270,12 @@ def _plane_terms(sites: np.ndarray, rps: np.ndarray, rhat: np.ndarray,
     rg = rhat[0] * gx + rhat[1] * gy
     x = np.sum(gx * gx + gy * gy - rg * rg, axis=1)
 
-    rows = np.arange(m)
-    jmin = np.argmin(dist, axis=1)
-    dn = dist[rows, jmin]
-    k1n = k1[rows, jmin]
-    px = -dy[rows, jmin] / dn
-    py = dx[rows, jmin] / dn
-    self_term = k1n ** 2 * (1.0 - (rhat[0] * px + rhat[1] * py) ** 2)
+    # every draw lies in the origin site's own cell, so that site is nearest
+    o = np.flatnonzero(~sites.any(axis=1))[0]
+    dn = dist[:, o].copy()  # work is overwritten by the next chunk
+    px = -dy[:, o] / dn
+    py = dx[:, o] / dn
+    self_term = k1[:, o] ** 2 * (1.0 - (rhat[0] * px + rhat[1] * py) ** 2)
     return x, dn, self_term
 
 
@@ -286,11 +285,12 @@ def _k1_sq_disk_integral(delta: float, r_lo: float, r_hi: float) -> float:
     F(x) = (x^2/2)(K1^2 - K0^2) - x K0 K1 has F'(x) = x K1(x)^2 and
     F(inf) = 0: it is the K analogue of the Lommel integral (DLMF 10.22.5),
     int x K1^2 dx = (x^2/2)(K1^2 - K0 K2), with K2 = K0 + 2 K1 / x.  The
-    integral is (2 pi / delta^2) [F(delta r_hi) - F(delta r_lo)].
+    integral is (2 pi / delta^2) [F(delta r_hi) - F(delta r_lo)].  F is
+    taken as x ((x/2)(K1^2 - K0^2) - K0 K1): x^2 is inf past 1.3e154.
     """
     def antiderivative(x):
         k0, k1 = bessel_k01(x)
-        return 0.5 * x * x * (k1 * k1 - k0 * k0) - x * k0 * k1
+        return x * (0.5 * x * (k1 * k1 - k0 * k0) - k0 * k1)
 
     return (2.0 * math.pi / (delta * delta)
             * (antiderivative(delta * r_hi) - antiderivative(delta * r_lo)))
@@ -304,12 +304,12 @@ def mc_plane_average(probe: Probe, rec: NuclideRecord, a_nm: float,
 
     Impact points are drawn uniformly over the central unit cell of a
     (2h+1) x (2h+1) single-plane square lattice; draws closer than r_min to
-    any site are rejected and redrawn (the excluded-disk area is ~1e-5 of the
-    cell for picometer cutoffs).  Sites whose Bessel argument would exceed 45
-    contribute below 3e-20 per term and are skipped.
+    the origin site (their nearest) are rejected and redrawn (the excluded
+    disk is ~1e-5 of the cell for pm cutoffs).  Sites whose Bessel argument
+    would exceed 45 contribute below 3e-20 per term and are skipped.
 
     The variance of the plain estimator is dominated by rare close
-    encounters, so by default the nearest-site contribution inside a capture
+    encounters, so by default the origin site's contribution inside a capture
     radius is subtracted per sample and restored analytically, from the
     radial integral in closed form (_k1_sq_disk_integral); this brings ~1e5
     samples to sub-percent precision.  r_min_nm must be below a/2, and below
@@ -378,14 +378,10 @@ def mc_plane_average(probe: Probe, rec: NuclideRecord, a_nm: float,
         rps = rng.uniform(-0.5 * a_nm, 0.5 * a_nm, size=(m, 2))
         x, dn, self_term = _plane_terms(sites, rps, rhat, delta, k0, work)
         ok = dn >= r_min_nm
-        x = x[ok]
-        dn = dn[ok]
-        self_term = self_term[ok]
         if control_variate:
             x = x - np.where(dn < capture, self_term, 0.0)
-        take = min(x.size, n_samples - kept)
-        total += float(np.sum(x[:take]))
-        kept += take
+        total += float(np.sum(x[ok]))
+        kept += int(np.count_nonzero(ok))
     mean = total / n_samples
 
     if control_variate:

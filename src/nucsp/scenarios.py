@@ -158,8 +158,10 @@ REQUIRED = "required"
 MAX_Z = 118
 # A distance from the beam to a nucleus is at least the size of a nucleus,
 # 10 fm (crystal_sp._LATTICE_MIN_NM); near 1e-160 nm K1^2 of the field
-# overflows and the table is no longer finite.
-DISTANCE = (_LATTICE_MIN_NM, None)
+# overflows and the table is no longer finite.  It is at most 1 mm, as for
+# spacing_nm and mc_plane_average's a_nm: the Bessel argument omega r / v
+# overflows only near 1e236 nm at BETA_MIN.
+DISTANCE = (_LATTICE_MIN_NM, 1.0e6)
 
 # the probe's cross-field rules are in _build_probe
 PROBE = (

@@ -166,10 +166,12 @@ def _n_point_phi_spectral_density(probe, z_nucleus, r_perp_nm, omega, n):
 
 
 def test_fixed_phi_grid_matches_growing_grid():
-    # |V|^2 has phi degree at most 4, so the 8-point phi grid and an n-point
-    # one are both exact and agree to rounding
+    # the phi integral is taken in closed form, as 2 pi times the mean <A>;
+    # |V|^2 has phi degree at most 4, so a 64-point uniform phi grid is exact
+    # too, and the two agree to rounding, also up to gamma ~ 2e4
     lines = [rec.omega0_rad_s for rec in registry().values()]
-    for probe in (electron(beta=0.9), electron(beta=0.5), proton(beta=0.6)):
+    for probe in (electron(beta=0.9), electron(beta=0.5), proton(beta=0.6),
+                  electron(beta=0.999999), electron(beta=1.0 - 1e-9)):
         for z in (26, 66):
             for r in (0.0005, 0.001, 0.002):
                 for omega in lines:

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -267,6 +268,15 @@ _BREMS = "scenario: brems-compare\nprobe: {species: electron, beta: 0.9}\n"
                  "params.r_perp_nm: must be at least 1e-05", id="brems-r_perp-below-floor"),
     pytest.param(_ARRAY + "params: {standoff_nm: 1.0e-300}\n",
                  "params.standoff_nm: must be at least 1e-05", id="standoff-below-floor"),
+    # distances above 1 mm: near 1e236 nm the Bessel argument overflows
+    pytest.param(_SWEEP + "params: {sweep_values: [0.9], r_perp_nm: 1.0e+300}\n",
+                 "params.r_perp_nm: must be at most 1e+06", id="r_perp-above-ceiling"),
+    pytest.param(_SWEEP + "params: {sweep_variable: r_perp_nm, sweep_values: [0.001, 1.0e+300]}\n",
+                 "params.sweep_values[1]: must be at most 1e+06", id="sweep-r-above-ceiling"),
+    pytest.param(_BREMS + "params: {r_perp_nm: 1.0e+300}\n",
+                 "params.r_perp_nm: must be at most 1e+06", id="brems-r_perp-above-ceiling"),
+    pytest.param(_ARRAY + "params: {standoff_nm: 1.0e+300}\n",
+                 "params.standoff_nm: must be at most 1e+06", id="standoff-above-ceiling"),
     # M^2 in the bremsstrahlung prefactor overflows, or 1/M^2 does
     pytest.param("scenario: single-sweep\nparams: {sweep_values: [0.9]}\nprobe:\n"
                  "  {species: custom, beta: 0.9, rest_energy_eV: 1.0e+200, z_charge: 1}\n",
@@ -339,6 +349,25 @@ def test_cross_field_rules_exit_1(command, config, message, tmp_path, capsys,
     assert main([command, str(cfg)] + (["--out", str(out_dir)] if command == "run" else [])) == 1
     assert message in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("nuclide", ["Fe-57", "Dy-161"])
+@pytest.mark.parametrize("scenario,params", [
+    ("single-sweep", "{sweep_values: [1.0e-70], r_perp_nm: 1.0e+6}"),
+    ("single-sweep", "{sweep_variable: r_perp_nm, sweep_values: [0.001, 1.0e+6]}"),
+    ("brems-compare", "{r_perp_nm: 1.0e+6}"),
+])
+def test_distance_ceiling_runs_without_warnings(scenario, params, nuclide, tmp_path, capsys):
+    # at the 1 mm ceiling and the slowest beam every cell is computed without
+    # an overflow: nothing reaches stderr
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("scenario: %s\nnuclide: %s\nprobe: {species: electron, beta: 1.0e-70}\n"
+                   "params: %s\n" % (scenario, nuclide, params))
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert [str(w.message) for w in record] == []
+    assert capsys.readouterr().err == ""
 
 
 def test_lattice_floor_runs_to_a_finite_table(tmp_path, capsys):

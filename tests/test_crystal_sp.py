@@ -351,6 +351,34 @@ def test_azimuthal_profile_scalar_and_array(p94, fe):
     assert s == pytest.approx(arr[0], rel=1e-15)
 
 
+def test_plane_average_array_phi_equals_scalar_calls(fe):
+    # an array phi gives one average per phi, not their sum, in phi's shape
+    probe = electron(beta=0.9)
+    film = make_film("sc100")
+    pol = CutoffPolicy(0.001)
+    phis = np.array([[0.3, 1.1], [2.5, 4.0]])
+    got = single_plane_averaged_intensity(probe, fe, film, 1.0, phis, pol)
+    assert isinstance(got, np.ndarray) and got.shape == phis.shape
+    for phi, g in zip(phis.ravel().tolist(), got.ravel().tolist()):
+        one = single_plane_averaged_intensity(probe, fe, film, 1.0, phi, pol)
+        assert isinstance(one, float)
+        assert g == pytest.approx(one, rel=1e-15)
+    assert single_plane_averaged_intensity(probe, fe, film, 1.0, phis[:0], pol).shape == (0, 2)
+
+
+def test_azimuthal_profile_of_empty_stacking_class_warns(p94, fe):
+    # at r_min = 0.05 nm bcc100's odd orders keep no reciprocal vector: the
+    # profile is 0.0 and named, as emission_cones names the cone
+    film = make_film("bcc100")
+    pol = CutoffPolicy(0.05)
+    with pytest.warns(RuntimeWarning) as record:
+        profile = azimuthal_profile(p94, fe, film, 1, np.array([0.0, 0.7]), pol)
+    assert [str(w.message) for w in record] == [
+        "no reciprocal vectors pass the cutoff for order 1"]
+    assert record[0].filename == __file__
+    np.testing.assert_array_equal(profile, 0.0)
+
+
 def test_azimuthal_profile_fourfold_symmetry(p94, fe):
     film = make_film("bcc100")
     pol = CutoffPolicy(0.001)

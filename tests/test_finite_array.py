@@ -235,6 +235,12 @@ def test_capture_disk_integral_closed_form_matches_mpmath(delta, r_min):
     assert got == pytest.approx(float(ref), rel=1e-13, abs=0.0)
 
 
+def test_capture_disk_integral_is_zero_far_out():
+    # past x ~ 1.3e154, x^2 overflows while K0 and K1 are 0: the antiderivative
+    # must not form inf * 0
+    assert _k1_sq_disk_integral(1.0, 1e155, 1e160) == 0.0
+
+
 # Means recorded with the complex-sum batch path and the adaptive-Simpson
 # radial integral they replaced, at (beta, theta, phi, r_min, seed) over an
 # a = 0.2856 nm, 17 x 17 plane with 3000 samples: with the control variate
