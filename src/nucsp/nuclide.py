@@ -1,28 +1,30 @@
-"""Nuclear level data and the angular-momentum algebra behind it.
+"""Nuclear level data and the coherent fraction of an M1 transition.
 
 A target nucleus is modeled as a two-level system with ground and excited
 total angular momenta (j_g, j_e), |j_e - j_g| = 1, coupled by a pure magnetic
-dipole (M1) transition.  By the Wigner-Eckart theorem every sublevel matrix
-element of a rank-1 operator T_1 is one reduced element times a
-Clebsch-Gordan coefficient,
+dipole (M1) transition.  By the Wigner-Eckart theorem the strength of the
+sublevel pair (mu_e, mu_g), normalized per excited sublevel, is the squared
+Clebsch-Gordan coefficient |<j_g mu_g; 1 q | j_e mu_e>|^2.  The coherent
+fraction f is the mean of the nonzero strengths: the m-independent
+probability that excitation plus radiative decay returns the nucleus to its
+original sublevel.  It has a closed form,
 
-    <j_e mu_e| T_1q |j_g mu_g> = <j_g mu_g; 1 q | j_e mu_e> <j_e||T_1||j_g>
-                                 / sqrt(2 j_e + 1),
+    f = (2 j_e + 1) / (3 (2 min(j_g, j_e) + 1)),
 
-so the reduced element cancels from the strengths normalized per excited
-sublevel: the strength of (mu_e, mu_g) is |<j_g mu_g; 1 q | j_e mu_e>|^2,
-and orthonormality of the coefficients makes the downward strengths from
-each excited sublevel sum to 1.  All coefficients come from one exact Racah
-sum.  From the strength diagram we obtain the coherent fraction f (the
-m-independent average of the downward strengths, i.e. the probability that
-excitation plus radiative decay returns the nucleus to its original
-sublevel), and the coherent radiative rate
+because
+  - the downward strengths of each excited sublevel sum to 1
+    (orthonormality), so all strengths together sum to 2 j_e + 1;
+  - for |j_e - j_g| = 1 every coefficient with |mu_e - mu_g| <= 1 and both
+    mu in range is nonzero (each j_2 = 1 entry of Edmonds, Angular Momentum
+    in Quantum Mechanics (1957), Table 2, is the square root of a positive
+    product), and there are 3 (2 min(j_g, j_e) + 1) of them.
+
+So f = 1/3 for j_e < j_g and (2 j_g + 3) / (3 (2 j_g + 1)) for j_e > j_g:
+2/3 for Fe-57 and 4/9 for Dy-161.  The coherent radiative rate is
 
     kappa_r = kappa * f / (1 + alpha_IC) / branch_divisor.
 
-All spin arithmetic is exact: half-integers are stored as doubled integers
-and strengths as rationals, so the sum rules hold as identities rather than
-to rounding.
+Spins are stored as doubled integers and f as a Fraction, so it is exact.
 """
 
 from __future__ import annotations
@@ -37,9 +39,7 @@ from .numerics import CONSTANTS
 
 __all__ = [
     "NuclideRecord",
-    "TransitionDiagram",
     "DataFileError",
-    "transition_diagram",
     "coherent_fraction",
     "radiative_rate",
     "builtin_records",
@@ -50,8 +50,7 @@ __all__ = [
 ]
 
 # ---------------------------------------------------------------------------
-# exact Clebsch-Gordan coefficients, kept as rational squares so strengths
-# stay exact
+# coherent fraction, on doubled integers so it stays exact
 
 
 def _doubled(x, name: str) -> int:
@@ -62,74 +61,13 @@ def _doubled(x, name: str) -> int:
     return int(d)
 
 
-def _fact_half(nd: int) -> int:
-    """Factorial of nd/2 where nd is an even, non-negative doubled integer."""
-    if nd < 0 or nd % 2:
-        raise ValueError("factorial argument must be a non-negative integer")
-    return math.factorial(nd // 2)
+@functools.lru_cache(maxsize=64)
+def coherent_fraction(j_g, j_e) -> Fraction:
+    """Mean of the nonzero M1 strengths, (2 j_e + 1) / (3 (2 min(j_g, j_e) + 1)).
 
-
-def _cg_sq(j1d: int, m1d: int, j2d: int, m2d: int, jd: int, md: int) -> Fraction:
-    """Square of the Clebsch-Gordan coefficient <j1 m1; j2 m2 | j m> via the
-    Racah sum, on doubled-integer arguments, as an exact rational."""
-    if md != m1d + m2d:
-        return Fraction(0)
-    if not (abs(j1d - j2d) <= jd <= j1d + j2d) or (j1d + j2d + jd) % 2:
-        return Fraction(0)
-    if abs(m1d) > j1d or abs(m2d) > j2d or abs(md) > jd:
-        return Fraction(0)
-
-    pref = Fraction(
-        (jd + 1)
-        * _fact_half(j1d + j2d - jd) * _fact_half(j1d - j2d + jd) * _fact_half(-j1d + j2d + jd)
-        * _fact_half(jd + md) * _fact_half(jd - md)
-        * _fact_half(j1d - m1d) * _fact_half(j1d + m1d)
-        * _fact_half(j2d - m2d) * _fact_half(j2d + m2d),
-        _fact_half(j1d + j2d + jd + 2),
-    )
-    total = Fraction(0)
-    kd = 0
-    while True:
-        args = (kd, j1d + j2d - jd - kd, j1d - m1d - kd, j2d + m2d - kd,
-                jd - j2d + m1d + kd, jd - j1d - m2d + kd)
-        if args[1] < 0 and args[2] < 0 and args[3] < 0:
-            break
-        if all(x >= 0 for x in args):
-            den = 1
-            for x in args:
-                den *= _fact_half(x)
-            total += Fraction((-1) ** (kd // 2), den)
-        kd += 2
-    return pref * total * total
-
-
-@dataclass(frozen=True)
-class TransitionDiagram:
-    """Sublevel-resolved M1 transition strengths between two nuclear levels.
-
-    strengths maps (mu_e, mu_g) pairs (as Fractions) to exact rational
-    weights, normalized so the downward strengths from each excited sublevel
-    sum to 1.
-    """
-
-    jg2: int
-    je2: int
-    strengths: Mapping[tuple[Fraction, Fraction], Fraction]
-
-    def downward_sum(self, mu_e) -> Fraction:
-        mu = Fraction(mu_e)
-        return sum((w for (me, _), w in self.strengths.items() if me == mu), Fraction(0))
-
-    def upward_sum(self, mu_g) -> Fraction:
-        mu = Fraction(mu_g)
-        return sum((w for (_, mg), w in self.strengths.items() if mg == mu), Fraction(0))
-
-
-def transition_diagram(j_g, j_e) -> TransitionDiagram:
-    """Strength diagram for an M1 pair (j_g, j_e) with |j_e - j_g| = 1.
-
-    Entries are the squared coefficients <j_g mu_g; 1 q | j_e mu_e>^2 over
-    |q| <= 1; each excited sublevel's entries sum to 1 by orthonormality.
+    Exact for any half-integer pair with |j_e - j_g| = 1 (see the module
+    docstring).  Cached on (j_g, j_e): the result depends on the two spins
+    alone and is an immutable Fraction, so every caller can share it.
     """
     jg_d = _doubled(j_g, "j_g")
     je_d = _doubled(j_e, "j_e")
@@ -137,26 +75,7 @@ def transition_diagram(j_g, j_e) -> TransitionDiagram:
         raise ValueError("spins must be positive half-integers")
     if abs(je_d - jg_d) != 2:
         raise ValueError("only |j_e - j_g| = 1 dipole pairs are supported")
-
-    strengths: dict[tuple[Fraction, Fraction], Fraction] = {}
-    for mue_d in range(-je_d, je_d + 1, 2):
-        for mug_d in range(mue_d - 2, mue_d + 3, 2):
-            w = _cg_sq(jg_d, mug_d, 2, mue_d - mug_d, je_d, mue_d)
-            if w:
-                strengths[(Fraction(mue_d, 2), Fraction(mug_d, 2))] = w
-    return TransitionDiagram(jg2=jg_d, je2=je_d, strengths=strengths)
-
-
-@functools.lru_cache(maxsize=64)
-def coherent_fraction(j_g, j_e) -> Fraction:
-    """Arithmetic mean of the nonzero downward strengths, as an exact rational.
-
-    Cached on (j_g, j_e): the result depends on the two spins alone and is an
-    immutable Fraction, so every caller can share it.
-    """
-    diagram = transition_diagram(j_g, j_e)
-    weights = list(diagram.strengths.values())
-    return sum(weights, Fraction(0)) / len(weights)
+    return Fraction(je_d + 1, 3 * (min(jg_d, je_d) + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Emission observables for a single resonant nucleus driven by a passing
-charge: coherent photon yield, spectral line shape, temporal decay profile,
-and the incoherent angular distribution summed over a set of nuclei.
+charge: coherent photon yield, spectral line shape and temporal decay
+profile.
 
 The coherent yield for one nucleus at transverse distance R from the beam is
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
     "coherent_yield",
     "spectral_profile",
     "decay_profile",
-    "incoherent_angular",
 ]
 
 
@@ -115,26 +113,3 @@ def decay_profile(rec: NuclideRecord) -> DecayProfile:
     """
     return DecayProfile(rate_s=rec.kappa_s)
 
-
-def incoherent_angular(probe: Probe, rec: NuclideRecord,
-                       nuclei: Sequence[Sequence[float]],
-                       r_p: Sequence[float], theta: float, phi: float) -> float:
-    """Incoherent emission probability per solid angle from a set of nuclei.
-
-    (3/16 pi) (1/f - 1) sum_j [1 + sin^2(theta) sin^2(phi - phi_jp)] Gamma_j,
-    where phi_jp is the azimuth of nucleus j seen from the impact point and f
-    is the coherent fraction.  Broad and featureless by construction; its
-    solid-angle integral equals (1/f - 1) times the summed coherent yields.
-    """
-    pts = np.atleast_2d(np.asarray(nuclei, dtype=float))
-    rp = np.asarray(r_p, dtype=float)
-    d = pts - rp[None, :]
-    dist = np.hypot(d[:, 0], d[:, 1])
-    if np.any(dist == 0.0):
-        raise ValueError("a nucleus coincides with the impact point")
-    f = float(rec.coherent_fraction)
-    phi_jp = np.arctan2(d[:, 1], d[:, 0])
-    k1 = bessel_k1(bessel_argument(probe, rec, dist))
-    gamma_j = 3.0 * _dimensionless_scale(probe, rec) * k1 * k1
-    ang = 1.0 + math.sin(theta) ** 2 * np.sin(phi - phi_jp) ** 2
-    return float(3.0 / (16.0 * math.pi) * (1.0 / f - 1.0) * np.sum(ang * gamma_j))

@@ -24,20 +24,10 @@ from nucsp.crystal_sp import (
 )
 from nucsp.finite_array import NucleusSet, angular_density, mc_plane_average
 from nucsp.numerics import CONSTANTS
-from nucsp.nuclide import (
-    coherent_fraction,
-    radiative_rate,
-    registry,
-    transition_diagram,
-)
+from nucsp.nuclide import coherent_fraction, radiative_rate, registry
 from nucsp.probe import electron, proton
 from nucsp.scenarios import run_scenario, validate_config
-from nucsp.single_nucleus import (
-    coherent_yield,
-    decay_profile,
-    incoherent_angular,
-    spectral_profile,
-)
+from nucsp.single_nucleus import coherent_yield, decay_profile, spectral_profile
 
 F = Fraction
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,28 +61,12 @@ def test_radiative_lifetimes_match_tabulated():
 
 
 def test_coherent_fractions_are_exact_rationals():
-    # derived through the angular-momentum machinery, not hardcoded
+    # derived from the spins in closed form, not hardcoded
     assert coherent_fraction(F(1, 2), F(3, 2)) == F(2, 3)
     assert coherent_fraction(F(5, 2), F(7, 2)) == F(4, 9)
     assert FE.coherent_fraction == F(2, 3)
     assert DY.coherent_fraction == F(4, 9)
     _ok("coherent fractions: Fe-57 = 2/3 and Dy-161 = 4/9, exact")
-
-
-def test_transition_strength_sum_rules_exact():
-    for rec in (FE, DY):
-        diag = transition_diagram(rec.j_g, rec.j_e)
-        per_ground = F(int(2 * rec.j_e + 1), int(2 * rec.j_g + 1))
-        mu = -rec.j_e
-        while mu <= rec.j_e:
-            assert diag.downward_sum(mu) == F(1)
-            mu += 1
-        mu = -rec.j_g
-        while mu <= rec.j_g:
-            assert diag.upward_sum(mu) == per_ground
-            mu += 1
-    _ok("transition diagrams: downward sums are exactly 1 per excited "
-        "sublevel, upward sums exactly (2je+1)/(2jg+1) per ground sublevel")
 
 
 def test_total_yield_equals_angular_quadrature():
@@ -225,23 +199,6 @@ def test_order_openings_are_discontinuous():
     assert jump > 10.0 * smooth
     _ok(f"order opening at beta = {beta_open:.5f}: yield jumps by "
         f"{jump / y_hi:.1%} across the threshold, >10x the smooth drift")
-
-
-def test_incoherent_integral_identity():
-    # the solid-angle integral of the incoherent emission equals
-    # (1/f - 1) sum_j Gamma_j within 1e-6
-    probe = electron(beta=0.9)
-    nuclei = [(0.0015, 0.0), (-0.001, 0.002), (0.0005, -0.0025)]
-    rp = (0.0001, 0.0002)
-    total = _sphere_quadrature(
-        lambda th, p: incoherent_angular(probe, FE, nuclei, rp, th, p))
-    gsum = sum(coherent_yield(probe, FE,
-                              math.hypot(x - rp[0], y - rp[1]))
-               for x, y in nuclei)
-    expected = (1.0 / float(FE.coherent_fraction) - 1.0) * gsum
-    assert total == pytest.approx(expected, rel=1e-6)
-    _ok("incoherent emission integrates to (1/f - 1) of the summed "
-        "coherent yields within 1e-6")
 
 
 def test_background_comparison():

@@ -176,6 +176,23 @@ def test_data_dir_parse_error_exits_2(tmp_path, capsys, monkeypatch):
     assert "nuclides.dat:1" in err
 
 
+
+@pytest.mark.parametrize("jg2, je2, exact", [(2001, 2003, "334/1001"), (2003, 2001, "1/3")])
+def test_data_file_large_spin_runs(jg2, je2, exact, tmp_path, capsys, monkeypatch):
+    # a data-file spin has no upper bound; the coherent fraction's cost must
+    # not grow with it
+    (tmp_path / "nuclides.dat").write_text(
+        "name = Big\ne0_keV = 8.410\nlifetime_s = 5.9e-9\nalpha_ic = 285.0\n"
+        "jg2 = %d\nje2 = %d\n" % (jg2, je2))
+    monkeypatch.setenv("NUCSP_DATA_DIR", str(tmp_path))
+    cfg = tmp_path / "info.yaml"
+    cfg.write_text("scenario: nuclide-info\nnuclide: Big\noutput: {prefix: info}\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    _, cols, rows = parse_result_table((tmp_path / "out" / "info.csv").read_text())
+    row = dict(zip(cols, rows[0]))
+    assert row["coherent_fraction_exact"] == exact
+    assert (row["j_ground"], row["j_excited"]) == ("%d/2" % jg2, "%d/2" % je2)
+
 _DATA_FILES = {
     "nuclides.dat": ("list-nuclides", "name = Tm-169\ne0_keV = 8.410\nlifetime_s = 5.9e-9\n"
                      "alpha_ic = 285.0\njg2 = 1\nje2 = 3\nbranch_divisor = 1.0\n"),

@@ -8,14 +8,12 @@ from scipy.special import sph_harm_y
 from nucsp.nuclide import (
     DataFileError,
     NuclideRecord,
-    _cg_sq,
     builtin_records,
     coherent_fraction,
     parse_kv_blocks,
     parse_nuclide_file,
     radiative_rate,
     registry,
-    transition_diagram,
 )
 from nucsp.numerics import CONSTANTS
 
@@ -33,11 +31,79 @@ def dy():
 
 
 # ---------------------------------------------------------------------------
+# reference: exact Clebsch-Gordan squares from the Racah sum, and the M1
+# strength diagram built on them.  The library ships only the closed-form
+# coherent fraction; these are the exact algebra it is checked against.
+
+
+def _fact_half(nd):
+    """Factorial of nd/2 where nd is an even, non-negative doubled integer."""
+    if nd < 0 or nd % 2:
+        raise ValueError("factorial argument must be a non-negative integer")
+    return math.factorial(nd // 2)
+
+
+def _cg_sq(j1d, m1d, j2d, m2d, jd, md):
+    """Square of the Clebsch-Gordan coefficient <j1 m1; j2 m2 | j m> via the
+    Racah sum, on doubled-integer arguments, as an exact rational."""
+    if md != m1d + m2d:
+        return F(0)
+    if not (abs(j1d - j2d) <= jd <= j1d + j2d) or (j1d + j2d + jd) % 2:
+        return F(0)
+    if abs(m1d) > j1d or abs(m2d) > j2d or abs(md) > jd:
+        return F(0)
+
+    pref = F(
+        (jd + 1)
+        * _fact_half(j1d + j2d - jd) * _fact_half(j1d - j2d + jd) * _fact_half(-j1d + j2d + jd)
+        * _fact_half(jd + md) * _fact_half(jd - md)
+        * _fact_half(j1d - m1d) * _fact_half(j1d + m1d)
+        * _fact_half(j2d - m2d) * _fact_half(j2d + m2d),
+        _fact_half(j1d + j2d + jd + 2),
+    )
+    total = F(0)
+    kd = 0
+    while True:
+        args = (kd, j1d + j2d - jd - kd, j1d - m1d - kd, j2d + m2d - kd,
+                jd - j2d + m1d + kd, jd - j1d - m2d + kd)
+        if args[1] < 0 and args[2] < 0 and args[3] < 0:
+            break
+        if all(x >= 0 for x in args):
+            den = 1
+            for x in args:
+                den *= _fact_half(x)
+            total += F((-1) ** (kd // 2), den)
+        kd += 2
+    return pref * total * total
+
+
+def _strengths(jg, je):
+    """{(mu_e, mu_g): <j_g mu_g; 1 q | j_e mu_e>^2} over the nonzero entries of
+    an M1 pair, |q| <= 1; each excited sublevel's entries sum to 1."""
+    jg_d, je_d = int(2 * jg), int(2 * je)
+    out = {}
+    for mue_d in range(-je_d, je_d + 1, 2):
+        for mug_d in range(mue_d - 2, mue_d + 3, 2):
+            w = _cg_sq(jg_d, mug_d, 2, mue_d - mug_d, je_d, mue_d)
+            if w:
+                out[(F(mue_d, 2), F(mug_d, 2))] = w
+    return out
+
+
+def _downward_sum(strengths, mu_e):
+    return sum(w for (me, _), w in strengths.items() if me == mu_e)
+
+
+def _upward_sum(strengths, mu_g):
+    return sum(w for (_, mg), w in strengths.items() if mg == mu_g)
+
+
+# ---------------------------------------------------------------------------
 # angular momentum coupling
 
 
 def _spin_half_sq(l, j, mu, s):
-    """<l, mu - s; 1/2 s | j mu>^2 from the library's Racah sum."""
+    """<l, mu - s; 1/2 s | j mu>^2 from the reference Racah sum."""
     return _cg_sq(2 * l, int(2 * (mu - s)), 1, int(2 * s), int(2 * j), int(2 * mu))
 
 
@@ -62,17 +128,19 @@ def test_coupling_rejects_invalid_quantum_numbers():
     # the Racah sum is zero outside the coupling rules ...
     assert _spin_half_sq(2, F(1, 2), F(1, 2), F(1, 2)) == 0  # l not j +- 1/2
     assert _cg_sq(2, 4, 1, 1, 3, 5) == 0  # |m| > l and |mu| > j
-    # ... and the diagram built on it rejects invalid spins
-    for jg, je in ((F(1, 3), F(4, 3)), (1, 2), (F(1, 2), F(5, 2)), (-F(1, 2), F(1, 2))):
+    # ... and the coherent fraction rejects invalid spins; j_e = j_g is parity
+    # forbidden (l_e = l_g in the construction below)
+    for jg, je in ((F(1, 3), F(4, 3)), (1, 2), (F(1, 2), F(5, 2)), (-F(1, 2), F(1, 2)),
+                   (F(3, 2), F(3, 2))):
         with pytest.raises(ValueError):
-            transition_diagram(jg, je)
+            coherent_fraction(jg, je)
 
 
-# Oracle: the orbital x spin-1/2 construction the library's Wigner-Eckart
-# form replaces.  |l j mu> = sum_s <l, mu - s; 1/2 s | j mu> Y_{l, mu - s} |s>
+# Oracle for the Wigner-Eckart strengths: the orbital x spin-1/2
+# construction.  |l j mu> = sum_s <l, mu - s; 1/2 s | j mu> Y_{l, mu - s} |s>
 # with the coefficients from the closed-form table and the Gaunt integrals
 # from quadrature of scipy's spherical harmonics, so nothing here shares
-# code with nucsp's Racah sum.
+# code with the Racah sum.
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 _N_PHI = 16
@@ -126,12 +194,11 @@ def _sublevels(j):
 
 def test_dipole_matrix_elements_realizations_agree_in_magnitude():
     # each diagram strength is the squared orbital construction, normalized
-    # over the excited sublevel, in both realizations; j_e = j_g is parity
-    # forbidden (l_e = l_g) and is rejected
+    # over the excited sublevel, in both realizations
     entries = 0
     for jg, je in ((F(1, 2), F(3, 2)), (F(5, 2), F(7, 2)),
                    (F(3, 2), F(1, 2)), (F(7, 2), F(5, 2))):
-        strengths = transition_diagram(jg, je).strengths
+        strengths = _strengths(jg, je)
         entries += len(strengths)
         for upper in (True, False):
             for mu_e in _sublevels(je):
@@ -142,8 +209,6 @@ def test_dipole_matrix_elements_realizations_agree_in_magnitude():
                     assert float(strengths.get((mu_e, mu_g), 0)) == pytest.approx(
                         v / norm, abs=1e-15)
     assert entries == 3 * (2 + 6 + 2 + 6)  # 3(2 j_min + 1) per dipole pair
-    with pytest.raises(ValueError):
-        transition_diagram(F(3, 2), F(3, 2))
 
 
 def test_spin_half_oracle_table_matches_library():
@@ -160,7 +225,7 @@ def test_spin_half_oracle_table_matches_library():
 
 def test_dipole_selection_rule():
     for jg, je in ((F(1, 2), F(3, 2)), (F(5, 2), F(7, 2)), (F(7, 2), F(5, 2))):
-        assert all(abs(mu_e - mu_g) <= 1 for mu_e, mu_g in transition_diagram(jg, je).strengths)
+        assert all(abs(mu_e - mu_g) <= 1 for mu_e, mu_g in _strengths(jg, je))
 
 
 # ---------------------------------------------------------------------------
@@ -169,25 +234,23 @@ def test_dipole_selection_rule():
 
 def test_diagram_strengths_sum_to_one_per_excited_level():
     for jg, je in ((F(1, 2), F(3, 2)), (F(5, 2), F(7, 2)), (F(3, 2), F(5, 2))):
-        diag = transition_diagram(jg, je)
-        mu = -je
-        while mu <= je:
-            assert diag.downward_sum(mu) == F(1)
-            mu += 1
+        diag = _strengths(jg, je)
+        for mu_e in _sublevels(je):
+            assert _downward_sum(diag, mu_e) == F(1)
 
 
 def test_diagram_is_mirror_symmetric():
-    diag = transition_diagram(F(1, 2), F(3, 2))
-    for (mu_e, mu_g), w in diag.strengths.items():
-        assert diag.strengths[(-mu_e, -mu_g)] == w
+    diag = _strengths(F(1, 2), F(3, 2))
+    for (mu_e, mu_g), w in diag.items():
+        assert diag[(-mu_e, -mu_g)] == w
 
 
 def test_diagram_known_weights():
-    diag = transition_diagram(F(1, 2), F(3, 2))
-    assert diag.strengths[(F(3, 2), F(1, 2))] == F(1)
-    assert diag.strengths[(F(1, 2), F(1, 2))] == F(2, 3)
-    assert diag.strengths[(F(1, 2), -F(1, 2))] == F(1, 3)
-    assert (F(3, 2), -F(1, 2)) not in diag.strengths
+    diag = _strengths(F(1, 2), F(3, 2))
+    assert diag[(F(3, 2), F(1, 2))] == F(1)
+    assert diag[(F(1, 2), F(1, 2))] == F(2, 3)
+    assert diag[(F(1, 2), -F(1, 2))] == F(1, 3)
+    assert (F(3, 2), -F(1, 2)) not in diag
 
 
 def test_coherent_fraction_exact_values():
@@ -196,10 +259,18 @@ def test_coherent_fraction_exact_values():
 
 
 def test_coherent_fraction_equals_mean_nonzero_strength():
-    for jg, je in ((F(1, 2), F(3, 2)), (F(5, 2), F(7, 2)), (F(7, 2), F(9, 2))):
-        diag = transition_diagram(jg, je)
-        weights = list(diag.strengths.values())
-        assert coherent_fraction(jg, je) == sum(weights) / len(weights)
+    # the closed form against the Racah diagram, exactly, for every dipole
+    # pair with 2 j_g < 100 in both directions (j_e = j_g +- 1)
+    pairs = 0
+    for jg2 in range(1, 100, 2):
+        for je2 in (jg2 - 2, jg2 + 2):
+            if je2 < 1:
+                continue
+            jg, je = F(jg2, 2), F(je2, 2)
+            weights = list(_strengths(jg, je).values())
+            assert coherent_fraction(jg, je) == sum(weights) / len(weights)
+            pairs += 1
+    assert pairs == 99
 
 
 @pytest.mark.parametrize("jg, je, f", [
@@ -213,11 +284,23 @@ def test_coherent_fraction_equals_mean_nonzero_strength():
 ])
 def test_coherent_fraction_and_sum_rules_both_directions(jg, je, f):
     assert coherent_fraction(jg, je) == f
-    diag = transition_diagram(jg, je)
+    diag = _strengths(jg, je)
     for mu_e in _sublevels(je):
-        assert diag.downward_sum(mu_e) == F(1)
+        assert _downward_sum(diag, mu_e) == F(1)
     for mu_g in _sublevels(jg):
-        assert diag.upward_sum(mu_g) == (2 * je + 1) / (2 * jg + 1)
+        assert _upward_sum(diag, mu_g) == (2 * je + 1) / (2 * jg + 1)
+
+
+def test_transition_strength_sum_rules_exact(fe, dy):
+    # downward sums are exactly 1 per excited sublevel, upward sums exactly
+    # (2je+1)/(2jg+1) per ground sublevel, for both built-in nuclides
+    for rec in (fe, dy):
+        diag = _strengths(rec.j_g, rec.j_e)
+        per_ground = F(rec.je2 + 1, rec.jg2 + 1)
+        for mu_e in _sublevels(rec.j_e):
+            assert _downward_sum(diag, mu_e) == F(1)
+        for mu_g in _sublevels(rec.j_g):
+            assert _upward_sum(diag, mu_g) == per_ground
 
 
 # ---------------------------------------------------------------------------

@@ -311,7 +311,7 @@ params: {betas: [0.94], r_min_nm: 0.004}
 @pytest.mark.parametrize("lattice", ["bcc100", "sc100"])
 def test_crystal_yield_builds_each_stacking_class_once(lattice, monkeypatch):
     # every order and beta of a run shares its stacking class's |G| shells,
-    # and the spin algebra behind the prefactor runs once
+    # and the coherent fraction behind the prefactor is computed once
     crystal_sp._class_shells.cache_clear()
     nuclide.coherent_fraction.cache_clear()
     calls = Counter()
@@ -324,8 +324,6 @@ def test_crystal_yield_builds_each_stacking_class_once(lattice, monkeypatch):
 
     monkeypatch.setattr(crystal_sp, "_enumerate_g",
                         counted("enumerate_g", crystal_sp._enumerate_g))
-    monkeypatch.setattr(nuclide, "transition_diagram",
-                        counted("transition_diagram", nuclide.transition_diagram))
     config = _cfg("""
 scenario: crystal-yield
 probe: {species: electron, beta: 0.9}
@@ -336,7 +334,7 @@ params: {lattice: %s, betas: [0.6, 0.8, 0.9, 0.94, 0.99], r_min_nm: 0.002}
     film = make_film(lattice)
     assert len(rows) > 5 * film.stack_period
     assert 1 <= calls["enumerate_g"] <= film.stack_period
-    assert calls["transition_diagram"] <= 1
+    assert nuclide.coherent_fraction.cache_info().misses <= 1
     misses = crystal_sp._class_shells.cache_info().misses
     for cls in range(film.stack_period):
         for arr in crystal_sp._class_shells(film, CutoffPolicy(0.002), cls):

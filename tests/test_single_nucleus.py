@@ -11,7 +11,6 @@ from nucsp.single_nucleus import (
     bessel_argument,
     coherent_yield,
     decay_profile,
-    incoherent_angular,
     spectral_profile,
 )
 
@@ -134,44 +133,3 @@ def test_decay_profile_normalization(fe):
     t = np.array([0.0, 1e-7, 1e-6])
     np.testing.assert_allclose(dp.profile(t), [dp.profile(x) for x in t])
 
-
-def test_incoherent_angular_matches_hand_sum(fe):
-    probe = electron(beta=0.9)
-    nuclei = [(0.002, 0.0), (0.0, 0.003), (-0.001, -0.001)]
-    rp = (0.0005, -0.0005)
-    theta, phi = 1.1, 2.3
-    f = 2.0 / 3.0
-    total = 0.0
-    for (x, y) in nuclei:
-        dx, dy_ = x - rp[0], y - rp[1]
-        dist = math.hypot(dx, dy_)
-        phi_jp = math.atan2(dy_, dx)
-        gam = coherent_yield(probe, fe, dist)
-        total += (1.0 + math.sin(theta) ** 2 * math.sin(phi - phi_jp) ** 2) * gam
-    expected = 3.0 / (16.0 * math.pi) * (1.0 / f - 1.0) * total
-    assert incoherent_angular(probe, fe, nuclei, rp, theta, phi) == pytest.approx(
-        expected, rel=1e-12)
-
-
-def test_incoherent_solid_angle_integral(fe):
-    # integrating the smooth angular factor over the sphere gives
-    # (1/f - 1) * sum_j Gamma_j
-    probe = electron(beta=0.9)
-    nuclei = [(0.002, 0.0), (0.0, 0.003)]
-    rp = (0.0, 0.0)
-    nodes, wts = np.polynomial.legendre.leggauss(24)
-    n_phi = 48
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    total = 0.0
-    for c, w in zip(nodes, wts):
-        th = math.acos(c)
-        row = sum(incoherent_angular(probe, fe, nuclei, rp, th, p) for p in phis)
-        total += w * row * (2.0 * math.pi / n_phi)
-    gsum = sum(coherent_yield(probe, fe, math.hypot(*n)) for n in nuclei)
-    assert total == pytest.approx((1.0 / (2.0 / 3.0) - 1.0) * gsum, rel=1e-10)
-
-
-def test_incoherent_rejects_coincident_nucleus(fe):
-    probe = electron(beta=0.9)
-    with pytest.raises(ValueError):
-        incoherent_angular(probe, fe, [(0.001, 0.001)], (0.001, 0.001), 1.0, 0.0)
