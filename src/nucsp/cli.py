@@ -23,8 +23,8 @@ import os
 import sys
 from pathlib import Path
 
-from .crystal_sp import _LATTICE_FIELDS, builtin_presets, parse_lattice_file
-from .nuclide import _NUCLIDE_FIELDS, radiative_rate, registry as nuclide_registry
+from .crystal_sp import LATTICE, builtin_presets, parse_lattice_file
+from .nuclide import NUCLIDE, radiative_rate, registry as nuclide_registry
 from .scenarios import run_scenario, validate_config, write_tables
 
 DATA_DIR_ENV = "NUCSP_DATA_DIR"
@@ -78,19 +78,19 @@ def _cmd_validate(args) -> int:
 
 def _cmd_list_nuclides(args) -> int:
     reg, _ = _load_registries()
-    print("%-10s %10s %12s %10s %4s %4s %14s %12s %8s" % (
-        *_NUCLIDE_FIELDS, "tau_rad_s", "f"))
+    keys = [row.name for row in NUCLIDE]
+    print("%-10s %10s %12s %10s %4s %4s %14s %12s %8s" % (*keys, "tau_rad_s", "f"))
     for rec in reg.values():
         f = rec.coherent_fraction
         print("%-10s %10.4f %12.4g %10.4g %4d %4d %14.4g %12.4g %8s" % (
-            *(getattr(rec, key) for key in _NUCLIDE_FIELDS),
+            *(getattr(rec, key) for key in keys),
             1.0 / radiative_rate(rec), "%d/%d" % (f.numerator, f.denominator)))
     return 0
 
 
 def _cmd_list_lattices(args) -> int:
     _, films = _load_registries()
-    print("%-10s %8s %10s %10s %10s %10s %7s" % (*_LATTICE_FIELDS, "d_nm", "planes"))
+    print("%-10s %8s %10s %10s %10s %10s %7s" % (*(r.name for r in LATTICE), "d_nm", "planes"))
     for name, film in films.items():
         print("%-10s %8.4f %10.4f %10.4f %10.4f %10.4f %7d" % (
             name, film.a_nm, *film.b_par_nm, film.b_z_nm,

@@ -58,7 +58,8 @@ import numpy as np
 
 from .numerics import CONSTANTS, _veltkamp_split
 from .numerics import integrate_periodic  # noqa: F401  (traced by perfbench/spans.py)
-from .nuclide import NuclideRecord, parse_record_file, radiative_rate
+from .nuclide import (NAME, REQUIRED, NuclideRecord, Param, _check_fields, parse_record_file,
+                      radiative_rate)
 from .probe import Probe
 
 __all__ = [
@@ -82,11 +83,22 @@ _MAX_STACK_PERIOD = 16
 _SMOOTH_EXTENT = 12.0
 # Largest n_phi x n_G temporary formed when a profile is sampled.
 _BLOCK_TERMS = 1 << 16
-# Shortest in-plane period or plane spacing, 10 fm: the size of a nucleus
-# (diameter 9 fm for Fe-57, 15 fm for U-238), so no lattice of nuclei is
-# finer.  It also keeps a^4 in the layer prefactor far from its underflow
-# below 1.5e-81 nm.
+# A lattice length or a beam-nucleus distance is at least 10 fm, the size of
+# a nucleus (9 fm for Fe-57, 15 fm for U-238); K1^2 of the field overflows
+# near 1e-160 nm, a^4 of the layer prefactor below 1.5e-81 nm.  It is at most
+# 1 mm, as spacing_nm: far above any lattice, and far below the 1e236 nm where
+# omega r / v overflows at BETA_MIN.
 _LATTICE_MIN_NM = 1e-5
+DISTANCE = (_LATTICE_MIN_NM, 1.0e6)
+# A lattices.dat block.  The offset takes either sign; beyond 2^53 a, p b_par / a
+# is always an integer, so any stacking would close after one plane.
+LATTICE = (
+    NAME,
+    Param("a_nm", "positive", REQUIRED, DISTANCE),
+    Param("b_par_x_nm", "number", REQUIRED, (-DISTANCE[1], DISTANCE[1])),
+    Param("b_par_y_nm", "number", REQUIRED, (-DISTANCE[1], DISTANCE[1])),
+    Param("b_z_nm", "positive", REQUIRED, DISTANCE),
+)
 
 
 @dataclass(frozen=True)
@@ -99,15 +111,10 @@ class LatticeFilm:
     b_z_nm: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.a_nm, *self.b_par_nm, self.b_z_nm))):
-            raise ValueError("lattice lengths must be finite")
-        if not (self.a_nm >= _LATTICE_MIN_NM and self.b_z_nm >= _LATTICE_MIN_NM):
-            raise ValueError("a_nm and b_z_nm must be at least %g nm (got %g and %g)"
-                             % (_LATTICE_MIN_NM, self.a_nm, self.b_z_nm))
-        if len(self.b_par_nm) != 2:
-            raise ValueError("b_par_nm must have two components")
-        object.__setattr__(self, "b_par_nm",
-                           (float(self.b_par_nm[0]), float(self.b_par_nm[1])))
+        bx, by = self.b_par_nm
+        _check_fields(LATTICE, {"name": self.preset, "a_nm": self.a_nm, "b_par_x_nm": bx,
+                                "b_par_y_nm": by, "b_z_nm": self.b_z_nm})
+        object.__setattr__(self, "b_par_nm", (float(bx), float(by)))
         self.z_period_nm  # validate stacking closes up
 
     @property
@@ -156,20 +163,10 @@ def make_film(preset: str, a_nm: float | None = None) -> LatticeFilm:
     return LatticeFilm(preset, a, (0.0, 0.0), a)
 
 
-_LATTICE_FIELDS = {
-    "name": str,
-    "a_nm": float,
-    "b_par_x_nm": float,
-    "b_par_y_nm": float,
-    "b_z_nm": float,
-}
-
-
 def parse_lattice_file(path) -> dict[str, LatticeFilm]:
     """Read film geometries from key = value blocks separated by blank lines."""
-    films = parse_record_file(path, _LATTICE_FIELDS, lambda v: LatticeFilm(
-        preset=v["name"], a_nm=v["a_nm"], b_par_nm=(v["b_par_x_nm"], v["b_par_y_nm"]),
-        b_z_nm=v["b_z_nm"]))
+    films = parse_record_file(path, LATTICE, lambda v: LatticeFilm(
+        v["name"], v["a_nm"], (v["b_par_x_nm"], v["b_par_y_nm"]), v["b_z_nm"]))
     return {film.preset: film for film in films}
 
 

@@ -351,16 +351,16 @@ def mc_plane_average(probe: Probe, rec: NuclideRecord, a_nm: float,
     if control_variate and not r_min_nm < capture:
         raise ValueError("r_min_nm must be below the control-variate capture "
                          "radius 0.35 * a_nm")
-    sites = square_plane_sites(a_nm, half_extent)
     delta = rec.omega0_rad_s / (probe.velocity_nm_s * probe.gamma)  # 1/nm
     k0 = rec.omega0_rad_s / CONSTANTS.c_nm_s
     rhat = np.array([math.sin(theta) * math.cos(phi),
                      math.sin(theta) * math.sin(phi),
                      math.cos(theta)])
     # every draw lies within a/sqrt(2) of the origin site, so a site beyond
-    # this reach is beyond Bessel argument 45 from every draw; the origin
-    # site is always kept
+    # this reach (so of index beyond reach / a) is beyond Bessel argument 45
+    # from every draw; the origin site is always kept
     reach = _ARG_CUT / delta + a_nm / math.sqrt(2.0)
+    sites = square_plane_sites(a_nm, min(half_extent, math.floor(reach / a_nm)))
     sites = sites[np.hypot(sites[:, 0], sites[:, 1]) <= reach]
     rows = max(1, _BLOCK_TERMS // sites.shape[0])
     # one block for the eight grids, none reused for a second quantity:

@@ -25,6 +25,10 @@ So f = 1/3 for j_e < j_g and (2 j_g + 3) / (3 (2 j_g + 1)) for j_e > j_g:
     kappa_r = kappa * f / (1 + alpha_IC) / branch_divisor.
 
 Spins are stored as doubled integers and f as a Fraction, so it is exact.
+
+Input from outside is checked here, by one checker: config blocks, data-file
+blocks and both record types have a table of Param rows (NUCLIDE for
+nuclides.dat), and _validate_block checks each value against its row.
 """
 
 from __future__ import annotations
@@ -33,9 +37,10 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .numerics import CONSTANTS
+from .probe import BETA_MIN
 
 __all__ = [
     "NuclideRecord",
@@ -53,12 +58,15 @@ __all__ = [
 # coherent fraction, on doubled integers so it stays exact
 
 
-def _doubled(x, name: str) -> int:
-    """Convert a (half-)integer given as float/int/Fraction to its doubled int."""
-    d = 2 * Fraction(x)
-    if d.denominator != 1:
-        raise ValueError(f"{name} must be an integer or half-integer, got {x}")
-    return int(d)
+def _dipole_pair(j_g, j_e) -> tuple[int, int]:
+    """Doubled spins of an M1 pair: positive half-integers, |j_e - j_g| = 1."""
+    jg_d, je_d = 2 * Fraction(j_g), 2 * Fraction(j_e)
+    if not (jg_d > 0 and je_d > 0 and jg_d.denominator == je_d.denominator == 1
+            and jg_d % 2 == je_d % 2 == 1):
+        raise ValueError("spins must be positive half-integers, got %s and %s" % (j_g, j_e))
+    if abs(je_d - jg_d) != 2:
+        raise ValueError("only |j_e - j_g| = 1 dipole pairs are supported")
+    return int(jg_d), int(je_d)
 
 
 @functools.lru_cache(maxsize=64)
@@ -69,13 +77,148 @@ def coherent_fraction(j_g, j_e) -> Fraction:
     docstring).  Cached on (j_g, j_e): the result depends on the two spins
     alone and is an immutable Fraction, so every caller can share it.
     """
-    jg_d = _doubled(j_g, "j_g")
-    je_d = _doubled(j_e, "j_e")
-    if jg_d <= 0 or je_d <= 0 or jg_d % 2 == 0 or je_d % 2 == 0:
-        raise ValueError("spins must be positive half-integers")
-    if abs(je_d - jg_d) != 2:
-        raise ValueError("only |j_e - j_g| = 1 dipole pairs are supported")
+    jg_d, je_d = _dipole_pair(j_g, j_e)
     return Fraction(je_d + 1, 3 * (min(jg_d, je_d) + 1))
+
+
+# ---------------------------------------------------------------------------
+# checked input: one table of rows per config block, data file and record
+
+
+class Param(NamedTuple):
+    """A default of None lets an explicit null through, REQUIRED makes the key
+    mandatory; a callable bound is evaluated as bound(block so far, films)."""
+
+    name: str
+    kind: str
+    default: Any
+    bound: Any = None
+
+
+REQUIRED = "required"
+
+
+def _as_number(v) -> float | None:
+    """Coerce a YAML scalar or data-file text to float; tolerates '9.4e8'-style
+    strings, which YAML 1.1 loads as text because the exponent lacks a sign."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+        return None
+    try:
+        return float(v)
+    except ValueError:
+        return None
+    except OverflowError:  # an integer beyond the double range
+        return math.inf if v > 0 else -math.inf
+
+
+def _coerce(kind, v, bound, at):
+    """Check a given, non-null value against its kind and bound; returns it
+    normalised, or raises ValueError carrying the message for path `at`."""
+    if kind in ("positive", "number"):  # bound: None or inclusive (lo, hi), None for no limit
+        num = _as_number(v)
+        lo, hi = bound or (None, None)
+        if num is None or (kind == "positive" and not num > 0):
+            raise ValueError(at + (": must be a number" if num is None
+                                   else ": must be positive"))
+        if not math.isfinite(num):
+            raise ValueError(at + ": must be finite")
+        if lo is not None and num < lo:
+            raise ValueError("%s: must be at least %g" % (at, lo))
+        if hi is not None and num > hi:
+            raise ValueError("%s: must be at most %g" % (at, hi))
+        return num
+    if kind == "beta":
+        num = _as_number(v)
+        if num is None or not BETA_MIN <= num < 1.0:
+            raise ValueError("%s: must be a number in [%g, 1)" % (at, BETA_MIN))
+        return num
+    if kind == "increasing":  # a non-empty list; bound is its values' (kind, bound)
+        if not isinstance(v, list) or not v:
+            raise ValueError("%s: must be a non-empty list" % at)
+        out = [_coerce(bound[0], x, bound[1], "%s[%d]" % (at, i)) for i, x in enumerate(v)]
+        if any(b <= a for a, b in zip(out, out[1:])):
+            raise ValueError("%s: values must be strictly increasing" % at)
+        return out
+    if kind == "bool" and not isinstance(v, bool):
+        raise ValueError("%s: must be a boolean" % at)
+    if kind in ("int", "nonzero") and (not isinstance(v, int) or isinstance(v, bool)):
+        raise ValueError("%s: must be an integer" % at)
+    if kind == "int" and v < bound[0]:  # (lo, hi) inclusive
+        raise ValueError("%s: must be at least %d" % (at, bound[0]))
+    if kind == "int" and v > bound[1]:
+        raise ValueError("%s: must be at most %d" % (at, bound[1]))
+    if kind == "nonzero" and v == 0:
+        raise ValueError("%s: must be non-zero" % at)
+    if kind == "nonzero" and abs(v) > bound:
+        raise ValueError("%s: must be at most %d in magnitude" % (at, bound))
+    if kind == "choice" and v not in bound:
+        raise ValueError("%s: must be %s" % (at, " or ".join(bound)))
+    if kind == "lattice" and (not isinstance(v, str) or v not in bound):
+        raise ValueError("%s: unknown lattice %r (available: %s)"
+                         % (at, v, ", ".join(sorted(bound))))
+    if kind == "prefix" and (not isinstance(v, str) or not v
+                             or not all(c.isalnum() or c in "_-." for c in v)):
+        raise ValueError("%s: must use only letters, digits, '_', '-', '.'" % at)
+    if kind == "prefix" and v in (bound or ()):  # bound: None or reserved words
+        raise ValueError("%s: %r is reserved" % (at, v))
+    return v
+
+
+def _validate_block(path, rows, block, errors, films):
+    """Check a block against its table of rows; returns the values by name,
+    defaults applied, and appends a message per unknown or failing key, named
+    path.key, or key alone for an empty path (a data-file block or record)."""
+    p: dict[str, Any] = {}
+    if not isinstance(block, (dict, type(None))):
+        errors.append("%s: must be a mapping" % path)
+        return p
+    block = block or {}
+    prefix = path + "." if path else ""
+    names = {row.name for row in rows}
+    errors.extend("%s%s: unknown key" % (prefix, key) for key in block if key not in names)
+    for name, kind, default, bound in rows:
+        if name not in block or (block[name] is None and default in (None, REQUIRED)):
+            if default is REQUIRED:
+                errors.append("%s%s: required" % (prefix, name))
+            p[name] = default
+            continue
+        try:
+            bound = bound(p, films) if callable(bound) else bound
+            p[name] = _coerce(kind, block[name], bound, prefix + name)
+        except ValueError as exc:
+            errors.append(str(exc))
+            p[name] = default
+    return p
+
+
+def _check_fields(rows, fields: dict) -> None:
+    """A record's fields against its rows: one ValueError lists every problem."""
+    errors: list[str] = []
+    _validate_block("", rows, fields, errors, None)
+    if errors:
+        raise ValueError("; ".join(errors))
+
+
+# A data-file name has an output prefix's characters, so a CSV cell holds it;
+# 'all' selects every nuclide in a nuclide-info config, so no entry takes it.
+NAME = Param("name", "prefix", REQUIRED, ("all",))
+NUCLIDE = (  # a nuclides.dat block, each bound with its reason
+    NAME,
+    # 1 eV: below the lowest nuclear level (Th-229m, 8.3 eV); 10 MeV: above
+    # the nucleon separation energies, beyond which levels are not sharp
+    Param("e0_keV", "positive", REQUIRED, (1.0e-3, 1.0e4)),
+    # 1e-18 s: a 660 eV width, broader than any resolved line; 1e7 s: past
+    # every isomer's radiative lifetime (Th-229m, about 1e3 s)
+    Param("lifetime_s", "positive", REQUIRED, (1.0e-18, 1.0e7)),
+    # conversion only removes radiative decays; 1e10 tops Th-229m's ~1e9
+    Param("alpha_ic", "number", REQUIRED, (0.0, 1.0e10)),
+    # doubled spins: nuclei show 2j below 200, and 9999 fills list-nuclides'
+    # four-digit columns; _dipole_pair checks odd values a dipole step apart
+    Param("jg2", "int", REQUIRED, (1, 9999)),
+    Param("je2", "int", REQUIRED, (1, 9999)),
+    # a further cut of the radiative rate, so at least 1; capped as alpha_ic
+    Param("branch_divisor", "number", 1.0, (1.0, 1.0e10)),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -101,24 +244,8 @@ class NuclideRecord:
     branch_divisor: float = 1.0
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("name must be non-empty")
-        for tag in ("e0_keV", "lifetime_s", "alpha_ic", "branch_divisor"):
-            if not math.isfinite(getattr(self, tag)):
-                raise ValueError(f"{tag} must be finite")
-        if not self.e0_keV > 0:
-            raise ValueError("e0_keV must be positive")
-        if not self.lifetime_s > 0:
-            raise ValueError("lifetime_s must be positive")
-        if self.alpha_ic < 0:
-            raise ValueError("alpha_ic must be non-negative")
-        if self.branch_divisor < 1:
-            raise ValueError("branch_divisor must be >= 1")
-        for tag, jd in (("jg2", self.jg2), ("je2", self.je2)):
-            if not isinstance(jd, int) or jd <= 0 or jd % 2 == 0:
-                raise ValueError(f"{tag} must be a positive odd integer (doubled half-integer)")
-        if abs(self.je2 - self.jg2) != 2:
-            raise ValueError("|j_e - j_g| must equal 1 (M1 dipole selection)")
+        _check_fields(NUCLIDE, vars(self))
+        _dipole_pair(self.j_g, self.j_e)  # coherent_fraction's spin rules, uncached
 
     @property
     def j_g(self) -> Fraction:
@@ -209,12 +336,8 @@ def parse_kv_blocks(text: str, path: str = "<data>") -> list[tuple[int, dict[str
                 blocks.append((start, current))
                 current = {}
             continue
-        if "=" not in line:
-            raise DataFileError(path, lineno, "expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key or not value:
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not (key and eq and value):
             raise DataFileError(path, lineno, "expected 'key = value'")
         if key in current:
             raise DataFileError(path, lineno, f"duplicate key '{key}' in block")
@@ -226,51 +349,41 @@ def parse_kv_blocks(text: str, path: str = "<data>") -> list[tuple[int, dict[str
     return blocks
 
 
-def parse_record_file(path, fields: Mapping[str, Callable[[str], object]],
-                      build: Callable[[dict], object], optional: tuple[str, ...] = ()) -> list:
-    """Read one record per key/value block of a data file.
+def _from_text(kind, text: str):
+    """Data-file text as a config holds it: int(text) for an int row."""
+    try:
+        return int(text) if kind == "int" else text
+    except ValueError:
+        return text
 
-    fields maps each allowed key to the converter for its value; every key
-    not listed in optional is required.  build turns the converted mapping
-    into a record.  Unknown or missing keys, unconvertible values and a
-    ValueError from build raise DataFileError at the block's first line.
-    """
+
+def parse_record_file(path, rows, build: Callable[[dict], object]) -> list:
+    """One record per key/value block of a data file, built by build from the
+    block's values checked against rows.  Every problem of a block (a failing
+    key, a name an earlier block has, a ValueError from build) goes into one
+    DataFileError at the block's first line."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    records = []
+    kinds = {row.name: row.kind for row in rows}
+    records, first_line = [], {}
     for start, block in parse_kv_blocks(text, str(path)):
-        for key in block:
-            if key not in fields:
-                raise DataFileError(str(path), start, f"unknown key '{key}'")
-        for key in fields:
-            if key not in block and key not in optional:
-                raise DataFileError(str(path), start, f"missing key '{key}'")
-        values = {}
-        for key, raw in block.items():
+        errors: list[str] = []
+        values = _validate_block("", rows, {key: _from_text(kinds.get(key), raw)
+                                            for key, raw in block.items()}, errors, None)
+        name = values["name"]
+        if name in first_line:
+            errors.append("name: %r repeats the block at line %d" % (name, first_line[name]))
+        if not errors:
             try:
-                values[key] = fields[key](raw)
-            except ValueError:
-                raise DataFileError(str(path), start,
-                                    f"bad value for '{key}': {raw!r}") from None
-        try:
-            records.append(build(values))
-        except ValueError as exc:
-            raise DataFileError(str(path), start, str(exc)) from None
+                records.append(build(values))
+            except ValueError as exc:
+                errors.append(str(exc))
+        if errors:
+            raise DataFileError(str(path), start, "; ".join(errors))
+        first_line[name] = start
     return records
-
-
-_NUCLIDE_FIELDS = {
-    "name": str,
-    "e0_keV": float,
-    "lifetime_s": float,
-    "alpha_ic": float,
-    "jg2": int,
-    "je2": int,
-    "branch_divisor": float,
-}
 
 
 def parse_nuclide_file(path: str) -> list[NuclideRecord]:
     """Load nuclide records from a key/value data file."""
-    return parse_record_file(path, _NUCLIDE_FIELDS, lambda v: NuclideRecord(**v),
-                             optional=("branch_divisor",))
+    return parse_record_file(path, NUCLIDE, lambda v: NuclideRecord(**v))

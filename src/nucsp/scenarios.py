@@ -11,7 +11,8 @@ Five scenarios cover the library surface:
                   in time
 
 Validation checks the probe, params and output blocks against one table of
-rows each (PROBE, PARAMS per scenario, OUTPUT), then the cross-field rules
+rows each (PROBE, PARAMS per scenario, OUTPUT; nuclide._validate_block, as
+for the data files), then the cross-field rules
 once every field has passed, and reports every problem found, each tagged
 with the config path that caused it.  Runs are deterministic: rows are
 computed in input order on the calling thread, so no output can depend on a
@@ -27,20 +28,21 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable, Mapping, NamedTuple
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 import yaml
 
 from . import __version__
 from .brems import br_spectral_density, br_window_yield
-from .crystal_sp import (_LATTICE_MIN_NM, CutoffPolicy, LatticeFilm, _grid_half_width,
+from .crystal_sp import (DISTANCE, CutoffPolicy, LatticeFilm, _grid_half_width,
                          builtin_presets, emission_cones, first_radiating_order, make_film)
 from .finite_array import _line_density
 from .finite_array import angular_density  # noqa: F401  (traced by perfbench/spans.py)
-from .nuclide import NuclideRecord, radiative_rate, registry as nuclide_registry
+from .nuclide import (REQUIRED, NuclideRecord, Param, _validate_block, radiative_rate,
+                      registry as nuclide_registry)
 from .numerics import CONSTANTS
-from .probe import BETA_MIN, Probe, beta_from_kinetic, electron, proton
+from .probe import Probe, beta_from_kinetic, electron, proton
 from .single_nucleus import coherent_yield, decay_profile, spectral_profile
 
 __all__ = [
@@ -71,97 +73,9 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 # validation
 
-
-def _as_number(v) -> float | None:
-    """Coerce a YAML scalar to float; tolerates '9.4e8'-style strings, which
-    YAML 1.1 loads as text because the exponent lacks a sign."""
-    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
-        return None
-    try:
-        return float(v)
-    except ValueError:
-        return None
-    except OverflowError:  # an integer beyond the double range
-        return math.inf if v > 0 else -math.inf
-
-
-def _check_keys(block, allowed, errors, path):
-    for key in block:
-        if key not in allowed:
-            errors.append("%s.%s: unknown key" % (path, key))
-
-
-def _coerce(kind, v, bound, at):
-    """Check a given, non-null value against its kind and bound; returns it
-    normalised, or raises ValueError carrying the message for path `at`."""
-    if kind == "positive":  # bound: None or inclusive (lo, hi), None for no limit
-        num = _as_number(v)
-        lo, hi = bound or (None, None)
-        if num is None or not num > 0:
-            raise ValueError(at + (": must be a number" if num is None
-                                   else ": must be positive"))
-        if not math.isfinite(num):
-            raise ValueError(at + ": must be finite")
-        if lo is not None and num < lo:
-            raise ValueError("%s: must be at least %g" % (at, lo))
-        if hi is not None and num > hi:
-            raise ValueError("%s: must be at most %g" % (at, hi))
-        return num
-    if kind == "beta":
-        num = _as_number(v)
-        if num is None or not BETA_MIN <= num < 1.0:
-            raise ValueError("%s: must be a number in [%g, 1)" % (at, BETA_MIN))
-        return num
-    if kind == "increasing":  # a non-empty list; bound is its values' (kind, bound)
-        if not isinstance(v, list) or not v:
-            raise ValueError("%s: must be a non-empty list" % at)
-        out = [_coerce(bound[0], x, bound[1], "%s[%d]" % (at, i)) for i, x in enumerate(v)]
-        if any(b <= a for a, b in zip(out, out[1:])):
-            raise ValueError("%s: values must be strictly increasing" % at)
-        return out
-    if kind == "bool" and not isinstance(v, bool):
-        raise ValueError("%s: must be a boolean" % at)
-    if kind in ("int", "nonzero") and (not isinstance(v, int) or isinstance(v, bool)):
-        raise ValueError("%s: must be an integer" % at)
-    if kind == "int" and v < bound[0]:  # (lo, hi) inclusive
-        raise ValueError("%s: must be at least %d" % (at, bound[0]))
-    if kind == "int" and v > bound[1]:
-        raise ValueError("%s: must be at most %d" % (at, bound[1]))
-    if kind == "nonzero" and v == 0:
-        raise ValueError("%s: must be non-zero" % at)
-    if kind == "nonzero" and abs(v) > bound:
-        raise ValueError("%s: must be at most %d in magnitude" % (at, bound))
-    if kind == "choice" and v not in bound:
-        raise ValueError("%s: must be %s" % (at, " or ".join(bound)))
-    if kind == "lattice" and (not isinstance(v, str) or v not in bound):
-        raise ValueError("%s: unknown lattice %r (available: %s)"
-                         % (at, v, ", ".join(sorted(bound))))
-    if kind == "prefix" and (not isinstance(v, str) or not v
-                             or not all(c.isalnum() or c in "_-." for c in v)):
-        raise ValueError("%s: must use only letters, digits, '_', '-', '.'" % at)
-    return v
-
-
-class Param(NamedTuple):
-    """A default of None lets an explicit null through, REQUIRED makes the key
-    mandatory; a callable bound is evaluated as bound(block so far, films)."""
-
-    name: str
-    kind: str
-    default: Any
-    bound: Any = None
-
-
-REQUIRED = "required"
 # Every integer row has a finite bound, so none overflows a float.  A charge
 # is at most the heaviest known nucleus's (brems takes Z^4 Z_n^2).
 MAX_Z = 118
-# A distance from the beam to a nucleus is at least the size of a nucleus,
-# 10 fm (crystal_sp._LATTICE_MIN_NM); near 1e-160 nm K1^2 of the field
-# overflows and the table is no longer finite.  It is at most 1 mm, as for
-# spacing_nm and mc_plane_average's a_nm: the Bessel argument omega r / v
-# overflows only near 1e236 nm at BETA_MIN.
-DISTANCE = (_LATTICE_MIN_NM, 1.0e6)
 
 # the probe's cross-field rules are in _build_probe
 PROBE = (
@@ -199,7 +113,7 @@ PARAMS = {
     ),
     "crystal-yield": (
         Param("lattice", "lattice", "bcc100", lambda p, films: films),
-        Param("a_nm", "positive", None),
+        Param("a_nm", "positive", None, DISTANCE),  # a preset's period, a lattice length
         Param("r_min_nm", "positive", 0.001),
         Param("smooth_cutoff", "bool", False),
         Param("betas", "increasing", None, ("beta", None)),
@@ -261,30 +175,6 @@ def _order_cap_errors(p, rec, film, probe):
                    "(the first is n = %d)" % (cap, beta, first))
 
 
-def _validate_block(path, rows, block, errors, films):
-    """Check a config block against its table of rows; returns the values by
-    name, defaults applied, and appends a message per unknown or failing key."""
-    p: dict[str, Any] = {}
-    if not isinstance(block, (dict, type(None))):
-        errors.append("%s: must be a mapping" % path)
-        return p
-    block = block or {}
-    _check_keys(block, {row.name for row in rows}, errors, path)
-    for name, kind, default, bound in rows:
-        if name not in block or (block[name] is None and default in (None, REQUIRED)):
-            if default is REQUIRED:
-                errors.append("%s.%s: required" % (path, name))
-            p[name] = default
-            continue
-        try:
-            bound = bound(p, films) if callable(bound) else bound
-            p[name] = _coerce(kind, block[name], bound, "%s.%s" % (path, name))
-        except ValueError as exc:
-            errors.append(str(exc))
-            p[name] = default
-    return p
-
-
 def _build_probe(block, errors) -> Probe | None:
     """The probe from a block whose keys have passed PROBE, or None after
     appending the errors; cross-field rules run only once every key passed."""
@@ -335,7 +225,7 @@ def validate_config(text: str, registry: Mapping[str, NuclideRecord] | None = No
     if not isinstance(doc, dict):
         return None, ["config: top level must be a mapping"]
 
-    _check_keys(doc, _TOP_KEYS, errors, "config")
+    errors.extend("config.%s: unknown key" % key for key in doc if key not in _TOP_KEYS)
     scenario = doc.get("scenario")
     if scenario is None:
         errors.append("scenario: required")

@@ -11,8 +11,9 @@ import pytest
 
 from nucsp import crystal_sp
 from nucsp.cli import build_parser, main
-from nucsp.crystal_sp import _LATTICE_FIELDS, CutoffPolicy, LatticeFilm, emission_cones, make_film
-from nucsp.nuclide import _NUCLIDE_FIELDS, registry
+from nucsp.crystal_sp import (LATTICE, CutoffPolicy, LatticeFilm, emission_cones, make_film,
+                              parse_lattice_file)
+from nucsp.nuclide import NUCLIDE, REQUIRED, DataFileError, parse_nuclide_file, registry
 from nucsp.probe import electron
 from nucsp.scenarios import parse_result_table
 
@@ -89,13 +90,14 @@ def test_list_lattices(capsys):
 
 
 @pytest.mark.parametrize("command, fields, derived", [
-    ("list-nuclides", _NUCLIDE_FIELDS, ["tau_rad_s", "f"]),
-    ("list-lattices", _LATTICE_FIELDS, ["d_nm", "planes"]),
+    ("list-nuclides", NUCLIDE, ["tau_rad_s", "f"]),
+    ("list-lattices", LATTICE, ["d_nm", "planes"]),
 ])
 def test_list_header_names_the_data_file_keys(command, fields, derived, capsys):
     # a data file written from the printed header must parse
     assert main([command]) == 0
-    assert capsys.readouterr().out.splitlines()[0].split() == list(fields) + derived
+    header = capsys.readouterr().out.splitlines()[0].split()
+    assert header == [row.name for row in fields] + derived
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])
@@ -177,10 +179,11 @@ def test_data_dir_parse_error_exits_2(tmp_path, capsys, monkeypatch):
 
 
 
-@pytest.mark.parametrize("jg2, je2, exact", [(2001, 2003, "334/1001"), (2003, 2001, "1/3")])
+@pytest.mark.parametrize("jg2, je2, exact", [(2001, 2003, "334/1001"), (2003, 2001, "1/3"),
+                                             (9997, 9999, "5000/14997"), (9999, 9997, "1/3")])
 def test_data_file_large_spin_runs(jg2, je2, exact, tmp_path, capsys, monkeypatch):
-    # a data-file spin has no upper bound; the coherent fraction's cost must
-    # not grow with it
+    # a data-file spin may reach the jg2/je2 cap of 9999; the coherent
+    # fraction's cost must not grow with it
     (tmp_path / "nuclides.dat").write_text(
         "name = Big\ne0_keV = 8.410\nlifetime_s = 5.9e-9\nalpha_ic = 285.0\n"
         "jg2 = %d\nje2 = %d\n" % (jg2, je2))
@@ -201,14 +204,35 @@ _DATA_FILES = {
 }
 
 
-@pytest.mark.parametrize("value", ["inf", "nan"])
-@pytest.mark.parametrize("filename, key", [
-    ("nuclides.dat", "e0_keV"), ("nuclides.dat", "lifetime_s"),
-    ("nuclides.dat", "alpha_ic"), ("nuclides.dat", "branch_divisor"),
-    ("lattices.dat", "a_nm"), ("lattices.dat", "b_par_x_nm"),
-    ("lattices.dat", "b_par_y_nm"), ("lattices.dat", "b_z_nm"),
+def _bad_value(filename, key, value, named=None, id=None):
+    """A data-file case: key set to value in the second block, which the
+    error must name at that block's line (named is the key it names)."""
+    return pytest.param(filename, key, value, named or key,
+                        id=id or "%s-%s-%s" % (filename, key, value))
+
+
+@pytest.mark.parametrize("filename, key, value, named", [
+    *(_bad_value(filename, key, value) for value in ("inf", "nan") for filename, key in [
+        ("nuclides.dat", "e0_keV"), ("nuclides.dat", "lifetime_s"),
+        ("nuclides.dat", "alpha_ic"), ("nuclides.dat", "branch_divisor"),
+        ("lattices.dat", "a_nm"), ("lattices.dat", "b_par_x_nm"),
+        ("lattices.dat", "b_par_y_nm"), ("lattices.dat", "b_z_nm"),
+    ]),
+    # extremes that once ended in a traceback, a non-finite table or a film
+    # stacked after one plane, names a CSV cell or a selector cannot hold, a
+    # lattice length above 1 mm, and a name given to two blocks
+    _bad_value("nuclides.dat", "e0_keV", "1e300"),
+    _bad_value("nuclides.dat", "lifetime_s", "1e-300"),
+    _bad_value("nuclides.dat", "lifetime_s", "1e300"),
+    _bad_value("lattices.dat", "b_par_x_nm", "1e300"),
+    _bad_value("nuclides.dat", "name", "Fe,57"),
+    _bad_value("nuclides.dat", "name", "all"),
+    _bad_value("lattices.dat", "a_nm", "2e6"),
+    _bad_value("lattices.dat", "b_z_nm", "2e6"),
+    _bad_value("nuclides.dat", "e0_keV", "9.0", "name", id="nuclides.dat-repeated-name"),
+    _bad_value("lattices.dat", "b_z_nm", "0.3", "name", id="lattices.dat-repeated-name"),
 ])
-def test_data_file_non_finite_value_exits_2(filename, key, value, tmp_path, capsys,
+def test_data_file_non_finite_value_exits_2(filename, key, value, named, tmp_path, capsys,
                                             monkeypatch):
     command, text = _DATA_FILES[filename]
     # a good block first, so the error must point at the second block's first line
@@ -218,7 +242,91 @@ def test_data_file_non_finite_value_exits_2(filename, key, value, tmp_path, caps
     monkeypatch.setenv("NUCSP_DATA_DIR", str(tmp_path))
     assert main([command]) == 2
     line = text.count("\n") + 2
-    assert capsys.readouterr().err.startswith("error: %s:%d: " % (tmp_path / filename, line))
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s:%d: " % (tmp_path / filename, line))
+    # both blocks share a name unless name is the key changed, so the named
+    # key tells the bound apart from the repeat
+    assert "%s: " % named in err
+
+
+_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+
+
+def _edges():
+    """(filename, rows, key, value at the bound, value just outside) for every
+    finite bound of the data-file tables."""
+    for filename, rows in (("nuclides.dat", NUCLIDE), ("lattices.dat", LATTICE)):
+        for row in rows:
+            if row.kind in ("int", "positive", "number"):
+                for edge, away in zip(row.bound, (-math.inf, math.inf)):
+                    outside = edge + (1 if away > 0 else -1) if row.kind == "int" \
+                        else math.nextafter(edge, away)
+                    yield pytest.param(filename, rows, row.name, edge, outside,
+                                       id="%s-%s-%r" % (filename, row.name, edge))
+
+
+def _sweep_record(filename, rows, key, value):
+    """Fe-57's or tetra's block with key set to value, written by repr so it
+    reads back bit for bit."""
+    base = ({row.name: getattr(registry()["Fe-57"], row.name) for row in rows}
+            if filename == "nuclides.dat" else
+            dict(line.split(" = ") for line in _TETRA.splitlines()))
+    base[key] = value
+    return "".join("%s = %s\n" % (k, v if isinstance(v, str) else repr(v))
+                   for k, v in base.items())
+
+
+def _numbers(csv_text):
+    _, _, rows = parse_result_table(csv_text)
+    for cell in (c for r in rows for c in r):
+        try:
+            yield float(cell)
+        except ValueError:  # a name, a fraction or an empty cell
+            pass
+
+
+@pytest.mark.parametrize("filename, rows, key, edge, outside", list(_edges()))
+def test_data_file_bounds_admit_runs_and_reject_beyond(filename, rows, key, edge, outside,
+                                                       tmp_path, capsys, monkeypatch):
+    # one field at a time at its bound, the others at Fe-57's or tetra's
+    # values: every shipped config runs on that nuclide and lattice to finite
+    # tables, or exits 1 naming a config key; just outside, every run exits 2
+    # at the block's line, naming the key
+    monkeypatch.setenv("NUCSP_DATA_DIR", str(tmp_path))
+    (tmp_path / "lattices.dat").write_text(_TETRA)
+    data = tmp_path / filename
+
+    def run_all():
+        for path in _CONFIGS:
+            text = re.sub(r"(?m)^nuclide: .*$", "nuclide: Fe-57", path.read_text())
+            cfg = tmp_path / path.name
+            cfg.write_text(re.sub(r"(?m)^  lattice: .*$", "  lattice: tetra", text))
+            out_dir = tmp_path / path.stem
+            code = main(["run", str(cfg), "--out", str(out_dir)])
+            yield code, capsys.readouterr().err, sorted(out_dir.glob("*.csv"))
+
+    data.write_text(_sweep_record(filename, rows, key, edge))
+    try:
+        (parse_nuclide_file if filename == "nuclides.dat" else parse_lattice_file)(data)
+    except DataFileError as exc:
+        # the bound admits the value but a rule across the record's fields
+        # does not: a spin a dipole step from none of Fe-57's, or a 1 mm
+        # period whose 0.15 nm offset never stacks
+        assert "%s: " % key not in str(exc)
+    else:
+        for code, err, tables in run_all():
+            assert code in (0, 1), err
+            if code == 1:
+                assert err and all(re.match(r"(params|probe)[.:]", line)
+                                   for line in err.splitlines()), err
+            else:
+                assert tables and all(math.isfinite(x) for csv in tables
+                                      for x in _numbers(csv.read_text()))
+
+    data.write_text(_sweep_record(filename, rows, key, outside))
+    for code, err, _ in run_all():
+        assert code == 2
+        assert err.startswith("error: %s:1: %s: must be at " % (data, key)), err
 
 
 def test_readme_cli_examples_parse():
@@ -228,6 +336,25 @@ def test_readme_cli_examples_parse():
     assert commands
     for argv in commands:
         assert build_parser().parse_args(argv).command == argv[0]
+
+
+def test_readme_data_file_table_matches_the_row_tables():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    shown = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[0] in ("`nuclides.dat`", "`lattices.dat`"):
+            shown.setdefault(cells[0].strip("`"), []).append((cells[1].strip("`"), cells[2]))
+    for filename, rows in (("nuclides.dat", NUCLIDE), ("lattices.dat", LATTICE)):
+        assert [key for key, _ in shown[filename]] == [row.name for row in rows]
+        for row, (key, text) in zip(rows, shown[filename]):
+            if row.kind == "prefix":
+                assert "letters, digits" in text and all("`%s`" % w in text for w in row.bound)
+                continue
+            lo, hi = re.match(r"\[(\S+), (\S+)\]", text).groups()
+            assert (float(lo), float(hi)) == row.bound, key
+            default = "" if row.default is REQUIRED else ", default %g" % row.default
+            assert text == "[%s, %s]%s" % (lo, hi, default), key
 
 
 def test_threads_flag_is_rejected(config_file, capsys):
@@ -256,13 +383,11 @@ _BREMS = "scenario: brems-compare\nprobe: {species: electron, beta: 0.9}\n"
     # a^4 in the layer prefactor underflows to 0 below 1.5e-81 nm
     pytest.param("scenario: crystal-yield\nprobe: {species: electron, beta: 0.9}\n"
                  "params: {lattice: bcc100, a_nm: 1.0e-81}\n",
-                 "params.a_nm: a_nm and b_z_nm must be at least 1e-05 nm",
-                 id="a_nm-below-floor"),
+                 "params.a_nm: must be at least 1e-05", id="a_nm-below-floor"),
     # at the floor itself, bcc100's plane spacing a/2 is below it
     pytest.param("scenario: crystal-yield\nprobe: {species: electron, beta: 0.9}\n"
                  "params: {lattice: bcc100, a_nm: 1.0e-5}\n",
-                 "params.a_nm: a_nm and b_z_nm must be at least 1e-05 nm (got 1e-05 and 5e-06)",
-                 id="a_nm-spacing-below-floor"),
+                 "params.a_nm: b_z_nm: must be at least 1e-05", id="a_nm-spacing-below-floor"),
     pytest.param("scenario: single-sweep\nprobe: {species: electron, beta: 0.9}\n"
                  "params: {sweep_values: [0.9], br_window_eV: 3.0e+4}\n",
                  "window extends to non-positive photon energies", id="window-2E0"),
@@ -411,7 +536,7 @@ def test_data_file_lattice_below_floor_exits_2(lattice_key, tmp_path, capsys, mo
     assert main([command]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: %s:1: " % (tmp_path / "lattices.dat"))
-    assert "a_nm and b_z_nm must be at least 1e-05 nm" in err
+    assert "%s: must be at least 1e-05" % lattice_key in err
 
 
 @pytest.mark.parametrize("nuclide", ["Fe-57", "Dy-161"])

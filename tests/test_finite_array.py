@@ -210,6 +210,16 @@ def test_mc_plane_average_is_deterministic(probe, fe):
     assert a > 0.0
 
 
+def test_mc_sites_are_built_only_within_the_bessel_reach(probe, fe):
+    # at beta 0.9 no site beyond index 5 is within Bessel argument 45 of a
+    # draw, so half_extent 10**6 (4e12 sites if the whole grid were built)
+    # gives the half_extent 20 mean bit for bit; a narrower grid still binds
+    kw = dict(a_nm=0.2856, theta=1.0, phi=0.3, r_min_nm=0.001, n_samples=2000, seed=11)
+    mean = mc_plane_average(probe, fe, half_extent=20, **kw)
+    assert mc_plane_average(probe, fe, half_extent=10 ** 6, **kw) == mean
+    assert mc_plane_average(probe, fe, half_extent=2, **kw) != mean
+
+
 def test_mc_control_variate_consistency(probe, fe):
     # with and without the variance-reduction term the estimator targets the
     # same mean; at 20k samples the plain version is only a few percent noisy
