@@ -39,9 +39,13 @@ terms of its numerator are all non-negative, so nothing cancels, at B = 0
 by 3e-6.  The integral depends on |G| alone, and the admissible G depend on
 n only through its stacking class n mod p.  So the distinct |G| of a class,
 with their multiplicities, are found once and shared by every order and beta
-in it; a cone weight is summed over those distinct |G|, each term counted
-with its multiplicity, and a Veltkamp split keeps that sum exactly equal to
-the compensated sum over the individual vectors.
+in it, and the integrals of all orders of one class at one beta are formed
+in one array pass, (orders x |G|).  A cone weight is summed over those
+distinct |G|, each term counted with its multiplicity, and the sum is made
+exactly equal to the compensated sum over the individual vectors: count x
+is exact when the count is a power of two (1, 4, 8, 16 and 32 cover about
+96% of the shells), and only the other terms are split in two halves that
+each survive the product exactly.
 
 The sum over G diverges logarithmically and is cut off at g_max = 1/R_min,
 where R_min is the closest impact parameter the beam can reach.
@@ -130,8 +134,8 @@ class LatticeFilm:
             if (abs(fx - round(fx)) < _PARITY_TOL
                     and abs(fy - round(fy)) < _PARITY_TOL):
                 return p
-        raise ValueError("stacking offset does not close within %d planes"
-                         % _MAX_STACK_PERIOD)
+        raise ValueError("b_par_x_nm/b_par_y_nm: stacking offset does not close "
+                         "within %d planes" % _MAX_STACK_PERIOD)
 
     @property
     def z_period_nm(self) -> float:
@@ -242,36 +246,58 @@ def sp_angles(beta: float, d_nm: float, lambda_nm: float,
 
 
 def _grid_half_width(film: LatticeFilm, policy: CutoffPolicy) -> float:
-    """Half-width m of the (2m+1)^2 index grid _enumerate_g scans: the cutoff
-    radius in units of 2 pi / a, floored.  A float, so that a radius too
-    large for any grid gives a huge or infinite m instead of an error."""
+    """Half-width m of the (2m+1)^2 index square _enumerate_g draws its disk
+    from: the cutoff radius in units of 2 pi / a, floored.  A float, so that
+    a radius too large for any grid gives a huge or infinite m instead of an
+    error."""
     return float(np.floor(policy.enumeration_radius() / (2.0 * math.pi / film.a_nm)))
 
 
 def _enumerate_g(film: LatticeFilm, policy: CutoffPolicy,
                  order: int | None) -> np.ndarray:
-    """Reciprocal vectors (M, 2) inside the cutoff, deterministically ordered.
+    """Reciprocal vectors (M, 2) inside the cutoff, sorted by (i^2 + j^2, i, j).
 
+    Only the disk is built: row i gets the |j| <= sqrt(m'^2 - i^2) + 1 its
+    circle allows (m' the radius in grid units; the one is slack for
+    rounding), and the exact test (i^2 + j^2) u^2 <= r^2 picks the vectors.
     With an order given, keeps only vectors whose stacking phase closes:
     t = n b_z / d + (i b_par_x + j b_par_y) / a must be integral.
     """
     g_unit = 2.0 * math.pi / film.a_nm
     radius = policy.enumeration_radius()
     m = int(_grid_half_width(film, policy))
-    idx = np.arange(-m, m + 1)
-    ii, jj = np.meshgrid(idx, idx, indexing="ij")
-    ii = ii.ravel()
-    jj = jj.ravel()
-    keep = (ii * ii + jj * jj) * g_unit * g_unit <= radius * radius
-    ii, jj = ii[keep], jj[keep]
+    # i^2 + j^2 and the running count stay below (2m+1)^2, so int32 holds
+    # them while that is below 2^31
+    itype = np.int32 if (2 * m + 1) ** 2 < 1 << 31 else np.int64
+    rows = np.arange(-m, m + 1, dtype=itype)
+    chord = np.sqrt(np.maximum(0.0, (radius / g_unit) ** 2 - rows.astype(float) ** 2))
+    half = np.minimum(m, np.floor(chord) + 1).astype(itype)
+    width = 2 * half + 1
+    ii = np.repeat(rows, width)
+    jj = np.arange(ii.size, dtype=itype)
+    jj -= np.repeat(np.cumsum(width) - width + half, width)  # each row's start + half
+    shell = ii * ii
+    shell += jj * jj
+    keep = shell * g_unit  # (i^2 + j^2) u^2 <= r^2, formed in place
+    keep *= g_unit
+    keep = keep <= radius * radius
+    ii, jj, shell = ii[keep], jj[keep], shell[keep]
     if order is not None:
         t = (order * film.b_z_nm / film.z_period_nm
              + (ii * film.b_par_nm[0] + jj * film.b_par_nm[1]) / film.a_nm)
         ok = np.abs(t - np.round(t)) < _PARITY_TOL
-        ii, jj = ii[ok], jj[ok]
-    shell = ii * ii + jj * jj
+        ii, jj, shell = ii[ok], jj[ok], shell[ok]
+    # each index array is dropped once spent, so the peak stays below
+    # twice the result
     order_key = np.lexsort((jj, ii, shell))
-    return g_unit * np.column_stack([ii[order_key], jj[order_key]]).astype(float)
+    del shell
+    ii, jj = ii[order_key], jj[order_key]
+    del order_key
+    g = np.empty((ii.size, 2))
+    g[:, 0] = ii
+    g[:, 1] = jj
+    g *= g_unit
+    return g
 
 
 def reciprocal_vectors(film: LatticeFilm, n: int,
@@ -294,29 +320,48 @@ def reciprocal_vectors(film: LatticeFilm, n: int,
 def _class_shells(film: LatticeFilm, policy: CutoffPolicy, cls: int):
     """Distinct |G| admissible for stacking class cls = n mod stack_period.
 
-    Returns read-only (norms, weights, counts): the sorted distinct
-    np.hypot(G) values, their cutoff weights and the number of vectors with
-    each.  Norms are grouped by their float value, not by i^2 + j^2, since
+    Returns read-only (norms, weights, mult): the distinct np.hypot(G)
+    values, their cutoff weights, and _term_counts' multiplicities, whose
+    first len(norms) entries are the number of vectors with each norm.  The
+    norms are sorted within two runs, those with a power-of-two count first.
+    Norms are grouped by their float value, not by i^2 + j^2, since
     hypot(3u, 4u) and hypot(5u, 0) can differ in the last bit.
     """
     g = _enumerate_g(film, policy, cls)
     norms, counts = np.unique(np.hypot(g[:, 0], g[:, 1]), return_counts=True)
-    shells = (norms, policy.weights(norms), counts)
+    perm, mult = _term_counts(counts)
+    norms = norms[perm]
+    shells = (norms, policy.weights(norms), mult)
     for arr in shells:
         arr.flags.writeable = False
     return shells
 
 
-def _counted_fsum(x: np.ndarray, counts: np.ndarray) -> float:
-    """math.fsum of each x[k] repeated counts[k] times, bit for bit.
+def _term_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable order putting power-of-two counts first, and the multiplicity of
+    each term _counted_fsum adds for shells in that order: every count, then
+    the other counts again, for the low halves of their split."""
+    split = (counts & (counts - 1)) != 0
+    perm = np.argsort(split, kind="stable")
+    return perm, np.concatenate([counts[perm], counts[split]])
 
-    The Veltkamp split x = hi + lo leaves at most 26 significant bits in each
-    half, so count * hi and count * lo are exact while counts stay below 2^27
-    and x is a normal float; fsum of the exact parts is then the correctly
-    rounded total.
+
+def _counted_fsum(x: np.ndarray, mult: np.ndarray) -> list[float]:
+    """Per row of x (rows, M), math.fsum of each x[k] repeated counts[k]
+    times, bit for bit; mult is _term_counts(counts)[1] and the columns of x
+    are in its order.
+
+    count * x is exact when count is a power of two, so those shells give one
+    term each.  The others are split x = hi + lo (Veltkamp), which leaves at
+    most 26 significant bits in each half, so count * hi and count * lo are
+    exact while counts stay below 2^27 and x is a normal float.  fsum of the
+    exact terms, in any order, is then the correctly rounded total.
     """
-    hi, lo = _veltkamp_split(x)
-    return math.fsum(np.concatenate([counts * hi, counts * lo]).tolist())
+    n_exact = 2 * x.shape[1] - mult.size
+    hi, lo = _veltkamp_split(x[:, n_exact:])
+    terms = np.concatenate([x[:, :n_exact], hi, lo], axis=1)
+    terms *= mult
+    return [math.fsum(row) for row in terms.tolist()]
 
 
 def _gsum_terms(probe: Probe, rec: NuclideRecord, g: np.ndarray, w: np.ndarray,
@@ -342,19 +387,21 @@ def _gsum_terms(probe: Probe, rec: NuclideRecord, g: np.ndarray, w: np.ndarray,
     return w * num / den
 
 
-def _phi_integrals(probe: Probe, rec: NuclideRecord, cos_t: float,
+def _phi_integrals(probe: Probe, rec: NuclideRecord, cos_t,
                    g_norm: np.ndarray) -> np.ndarray:
     """Closed-form integral over phi of one _gsum_terms summand (unit weight),
-    per |G|; the formula and why it is free of cancellation are in the module
-    docstring."""
-    sin_t = math.sqrt(max(0.0, (1.0 - cos_t) * (1.0 + cos_t)))
+    one row per cone cosine of cos_t and one column per |G| (a scalar cos_t
+    gives one row, as a 1-d array); the formula and why it is free of
+    cancellation are in the module docstring."""
+    c = np.asarray(cos_t, dtype=float)[..., None]
+    sin_t = np.sqrt(np.maximum(0.0, (1.0 - c) * (1.0 + c)))
     k = rec.omega0_rad_s / CONSTANTS.c_nm_s * sin_t
     d2 = (rec.omega0_rad_s / (probe.velocity_nm_s * probe.gamma)) ** 2
     g2 = g_norm * g_norm
     r = np.sqrt(((k - g_norm) ** 2 + d2) * ((k + g_norm) ** 2 + d2))
     k2mg2 = (k - g_norm) * (k + g_norm)
     p = k2mg2 * k2mg2 + (k * k + g2) * d2
-    num = k * k * (k2mg2 + d2) ** 2 + p * r + cos_t * cos_t * g2 * r * r
+    num = k * k * (k2mg2 + d2) ** 2 + p * r + c * c * g2 * r * r
     return 2.0 * math.pi * num / (r ** 3 * (k * k + g2 + d2 + r))
 
 
@@ -422,15 +469,27 @@ def emission_cones(probe: Probe, rec: NuclideRecord, film: LatticeFilm,
     """
     pref = _layer_prefactor(probe, rec, film)
     period = film.stack_period
+    angles = sp_angles(probe.beta, film.z_period_nm, rec.wavelength_nm, order_cap)
+    cos_t = np.array([c for _, c in angles])
+    sums = [0.0] * len(angles)
+    empty = set()
+    # the orders are consecutive, so angles[j::period] is one stacking class:
+    # its cones are summed together, in blocks of _BLOCK_TERMS terms
+    for j in range(min(period, len(angles))):
+        cls = angles[j][0] % period
+        norms, w, mult = _class_shells(film, policy, cls)
+        if not norms.size:
+            empty.add(cls)
+        rows = cos_t[j::period]
+        step = max(1, _BLOCK_TERMS // max(mult.size, 1))
+        sums[j::period] = [s for lo in range(0, rows.size, step) for s in _counted_fsum(
+            w * _phi_integrals(probe, rec, rows[lo:lo + step], norms), mult)]
     cones = []
-    for n, cos_t in sp_angles(probe.beta, film.z_period_nm, rec.wavelength_nm,
-                              order_cap):
-        norms, w, counts = _class_shells(film, policy, n % period)
-        if not counts.size:
+    for (n, c), s in zip(angles, sums):
+        if n % period in empty:
             warnings.warn("no reciprocal vectors pass the cutoff for order %d" % n,
                           RuntimeWarning, stacklevel=2)
-        integrals = _phi_integrals(probe, rec, cos_t, norms)
-        cones.append(EmissionCone(n, cos_t, pref * _counted_fsum(w * integrals, counts)))
+        cones.append(EmissionCone(n, c, pref * s))
     return cones
 
 

@@ -245,7 +245,10 @@ class NuclideRecord:
 
     def __post_init__(self):
         _check_fields(NUCLIDE, vars(self))
-        _dipole_pair(self.j_g, self.j_e)  # coherent_fraction's spin rules, uncached
+        try:  # coherent_fraction's spin rules, uncached, naming the fields
+            _dipole_pair(self.j_g, self.j_e)
+        except ValueError as exc:
+            raise ValueError("jg2/je2: %s" % exc) from None
 
     @property
     def j_g(self) -> Fraction:

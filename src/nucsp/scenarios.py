@@ -130,9 +130,9 @@ PARAMS = {
 }
 SCENARIOS = tuple(PARAMS)
 
-# Cap on the (2m+1)^2 index grid crystal_sp._enumerate_g builds once per
-# stacking class; all presets pass at r_min_nm = 0.001 smooth (fcc100 is
-# largest, 1,890,625).
+# Cap on the (2m+1)^2 index square crystal_sp._enumerate_g draws its disk
+# from, once per stacking class; all presets pass at r_min_nm = 0.001 smooth
+# (fcc100 is largest, 1,890,625).
 MAX_G_GRID = 2_000_000
 
 

@@ -311,8 +311,10 @@ def test_data_file_bounds_admit_runs_and_reject_beyond(filename, rows, key, edge
     except DataFileError as exc:
         # the bound admits the value but a rule across the record's fields
         # does not: a spin a dipole step from none of Fe-57's, or a 1 mm
-        # period whose 0.15 nm offset never stacks
-        assert "%s: " % key not in str(exc)
+        # period whose 0.15 nm offset never stacks; the error names the rule's
+        # keys, not a bound of this one
+        assert "%s: must be" % key not in str(exc)
+        assert re.search(r": (jg2/je2|b_par_x_nm/b_par_y_nm): ", str(exc)), exc
     else:
         for code, err, tables in run_all():
             assert code in (0, 1), err
@@ -373,6 +375,23 @@ _TETRA = ("name = tetra\na_nm = 0.30\nb_par_x_nm = 0.15\n"
 _SWEEP = "scenario: single-sweep\nprobe: {species: electron, beta: 0.9}\n"
 _ARRAY = "scenario: array-pattern\nprobe: {species: electron, beta: 0.94}\n"
 _BREMS = "scenario: brems-compare\nprobe: {species: electron, beta: 0.9}\n"
+
+
+@pytest.mark.parametrize("filename, block, message", [
+    pytest.param("nuclides.dat", _DATA_FILES["nuclides.dat"][1].replace("jg2 = 1", "jg2 = 9999"),
+                 "jg2/je2: only |j_e - j_g| = 1 dipole pairs are supported", id="spins"),
+    pytest.param("lattices.dat", _TETRA.replace("a_nm = 0.30", "a_nm = 1.0e+6"),
+                 "b_par_x_nm/b_par_y_nm: stacking offset does not close within 16 planes",
+                 id="stacking"),
+])
+def test_data_file_cross_field_rule_names_its_keys(filename, block, message, tmp_path,
+                                                   capsys, monkeypatch):
+    # a rule across a record's fields names the keys it reads, as a bound
+    # names its key, at the block's first line
+    (tmp_path / filename).write_text(block)
+    monkeypatch.setenv("NUCSP_DATA_DIR", str(tmp_path))
+    assert main([_DATA_FILES[filename][0]]) == 2
+    assert capsys.readouterr().err == "error: %s:1: %s\n" % (tmp_path / filename, message)
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -7,9 +8,15 @@ import pytest
 from nucsp.crystal_sp import (
     CutoffPolicy,
     LatticeFilm,
+    _PARITY_TOL,
+    _class_shells,
+    _counted_fsum,
+    _enumerate_g,
+    _grid_half_width,
     _gsum_terms,
     _layer_prefactor,
     _phi_integrals,
+    _term_counts,
     azimuthal_profile,
     builtin_presets,
     emission_cones,
@@ -526,6 +533,115 @@ def test_cone_weights_equal_per_vector_fsum(lattice, pol, tmp_path):
                 assert c.weight == _per_vector_weight(probe, rec, film, c.n, pol)
                 classes.add(c.n % film.stack_period)
     assert classes == set(range(film.stack_period))
+
+
+def _full_grid_g(film, policy, order):
+    """_enumerate_g as it was: the whole (2m+1)^2 index grid, then the disk
+    test, the stacking phase and the (i^2 + j^2, i, j) sort."""
+    g_unit = 2.0 * math.pi / film.a_nm
+    radius = policy.enumeration_radius()
+    m = int(_grid_half_width(film, policy))
+    idx = np.arange(-m, m + 1)
+    ii, jj = (a.ravel() for a in np.meshgrid(idx, idx, indexing="ij"))
+    keep = (ii * ii + jj * jj) * g_unit * g_unit <= radius * radius
+    ii, jj = ii[keep], jj[keep]
+    if order is not None:
+        t = (order * film.b_z_nm / film.z_period_nm
+             + (ii * film.b_par_nm[0] + jj * film.b_par_nm[1]) / film.a_nm)
+        ok = np.abs(t - np.round(t)) < _PARITY_TOL
+        ii, jj = ii[ok], jj[ok]
+    key = np.lexsort((jj, ii, ii * ii + jj * jj))
+    return g_unit * np.column_stack([ii[key], jj[key]]).astype(float)
+
+
+@pytest.mark.parametrize("preset", ["bcc100", "fcc100", "sc100"])
+@pytest.mark.parametrize("pol", [CutoffPolicy(r, smooth) for r in (0.5, 0.05, 0.0123, 0.004)
+                                 for smooth in (False, True)], ids=str)
+def test_enumeration_equals_full_grid(preset, pol):
+    # the disk is built row by row; vectors and their order are unchanged,
+    # with and without a stacking order
+    film = make_film(preset)
+    for order in (None, 1, 2):
+        got = _enumerate_g(film, pol, order)
+        assert got.dtype == float and np.array_equal(got, _full_grid_g(film, pol, order))
+
+
+def test_enumeration_peak_memory_is_below_twice_its_result():
+    # fcc100 at the smooth 1 pm cutoff: 1,485,133 vectors (23.8 MB) from a
+    # 1375 x 1375 index square, which once peaked at 97 MB
+    tracemalloc.start()
+    try:
+        g = _enumerate_g(make_film("fcc100"), CutoffPolicy(0.001, smooth=True), None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.shape == (1_485_133, 2)
+    assert peak < 2 * g.nbytes
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.94, 0.99999])
+def test_phi_integrals_of_many_cosines_equal_per_cosine_calls(fe, beta):
+    # one (cosines x |G|) pass against one call per cosine, bit for bit: G = 0,
+    # |G| = |k_par| of each cosine, the 1000/nm cutoff and a real class's
+    # shells, at cos(theta) = +-(1 - 1e-6) among others
+    probe = electron(beta=beta)
+    cos_t = np.array([1.0 - 1e-6, 0.3, 0.0, -0.6, -1.0 + 1e-6])
+    k0 = fe.omega0_rad_s / CONSTANTS.c_nm_s
+    k_par = [k0 * math.sqrt((1 - c) * (1 + c)) for c in cos_t]
+    shells = _class_shells(make_film("bcc100"), CutoffPolicy(0.002), 1)[0]
+    g_norms = np.concatenate([[0.0], k_par, [1000.0], shells])
+    batch = _phi_integrals(probe, fe, cos_t, g_norms)
+    assert batch.shape == (cos_t.size, g_norms.size)
+    for c, row in zip(cos_t, batch):
+        assert np.array_equal(row, _phi_integrals(probe, fe, float(c), g_norms))
+
+
+def test_counted_fsum_equals_per_vector_fsum():
+    # counts of 1, 4 and 8 give one exact term each, 12, 24 and 36 are split;
+    # full 53-bit values over a wide exponent range, so count * x rounds
+    # wherever the count is not a power of two
+    rng = np.random.default_rng(5)
+    counts = rng.permutation(np.repeat([1, 4, 8, 12, 24, 36], 7))
+    x = rng.uniform(1.0, 2.0, (6, counts.size)) * 2.0 ** rng.integers(-80, 80, counts.size)
+    x[1] *= (-1.0) ** np.arange(counts.size)  # mixed signs cancel
+    perm, mult = _term_counts(counts)
+    assert list(mult) == list(counts[perm]) + [c for c in counts if c in (12, 24, 36)]
+    got = _counted_fsum(x[:, perm], mult)
+    assert got == [math.fsum(np.repeat(row, counts).tolist()) for row in x]
+    assert all(type(v) is float for v in got)
+
+
+def test_class_shells_put_power_of_two_counts_first():
+    # most shells have a count of 1, 4, 8, 16 or 32 and need no split
+    film, pol = make_film("bcc100"), CutoffPolicy(0.001)
+    for cls in (0, 1):
+        norms, w, mult = _class_shells(film, pol, cls)
+        counts = mult[:norms.size]
+        exact = (counts & (counts - 1)) == 0
+        n_exact = int(np.count_nonzero(exact))
+        assert exact[:n_exact].all() and not exact[n_exact:].any()
+        assert np.array_equal(mult[norms.size:], counts[n_exact:])
+        assert all(np.all(np.diff(run) > 0) for run in (norms[:n_exact], norms[n_exact:]))
+        assert np.array_equal(w, pol.weights(norms))
+        assert counts.sum() == reciprocal_vectors(film, 2 - cls, pol).shape[0]
+        assert n_exact > 0.9 * norms.size
+
+
+def test_empty_stacking_classes_warn_once_per_order_in_order(fe, tmp_path):
+    # the quarter-offset lattice stacks four planes, and at r_min = 0.05 nm
+    # only G = 0 is inside the cutoff, which serves class 0 alone: the cones
+    # of the three empty classes are batched per class but named in order
+    (tmp_path / "lattices.dat").write_text(_QUARTER_LATTICE)
+    film = parse_lattice_file(tmp_path / "lattices.dat")["quarter"]
+    probe = electron(beta=0.6)
+    with pytest.warns(RuntimeWarning) as record:
+        cones = emission_cones(probe, fe, film, CutoffPolicy(0.05))
+    assert len(cones) > film.stack_period
+    empty = [c.n for c in cones if c.n % film.stack_period]
+    assert [str(w.message) for w in record] == [
+        "no reciprocal vectors pass the cutoff for order %d" % n for n in empty]
+    assert {w.filename for w in record} == {__file__}
+    assert [c.weight == 0.0 for c in cones] == [c.n in empty for c in cones]
 
 
 def test_profile_blocks_match_one_pass_sum(p94, fe):

@@ -342,6 +342,16 @@ def test_record_validation():
                       jg2=2, je2=4)  # integer spins not supported
 
 
+def test_spin_rule_names_the_record_fields_only_on_records():
+    # a record names the fields its spins come from; the public function,
+    # which takes spins, keeps its own message
+    rule = r"only \|j_e - j_g\| = 1 dipole pairs are supported$"
+    with pytest.raises(ValueError, match="^" + rule):
+        coherent_fraction(F(9999, 2), F(3, 2))
+    with pytest.raises(ValueError, match="^jg2/je2: " + rule):
+        NuclideRecord("X", e0_keV=14.0, lifetime_s=1e-7, alpha_ic=1.0, jg2=9999, je2=3)
+
+
 # ---------------------------------------------------------------------------
 # data files
 

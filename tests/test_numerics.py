@@ -61,8 +61,24 @@ def _assert_matches_besselk(xs, rtol):
     np.testing.assert_allclose(k1, ref1, rtol=rtol)
 
 
+def _assert_matches_stored_refs(path, xs, live):
+    """bessel_k01 on xs within 1e-12 of the mpmath references stored in path
+    by tools/gen_bessel_refs.py; the points at indices live are recomputed
+    and must match the stored values bit for bit."""
+    stored, ref0, ref1 = REFS.read(path)
+    assert np.array_equal(stored, xs)
+    live0, live1 = REFS.mp_k01(xs[live])
+    assert np.array_equal(live0, ref0[live]) and np.array_equal(live1, ref1[live])
+    k0, k1 = bessel_k01(xs)
+    np.testing.assert_allclose(k0, ref0, rtol=1e-12)
+    np.testing.assert_allclose(k1, ref1, rtol=1e-12)
+
+
 def test_bessel_matches_high_precision_reference():
-    _assert_matches_besselk(np.logspace(-8, math.log10(699.0), 400), 1e-12)
+    # 400 log-spaced points up to x = 699; every 20th is recomputed live
+    xs = REFS.log_points()
+    assert np.array_equal(xs, np.logspace(-8, math.log10(699.0), 400))
+    _assert_matches_stored_refs(REFS.LOG_OUT, xs, np.arange(0, xs.size, 20))
 
 
 def test_bessel_accuracy_near_branch_crossover():
@@ -82,16 +98,9 @@ def test_bessel_dense_sweep_against_mpmath():
     # is recomputed live and must match the stored value bit for bit.
     sweep, edges = REFS.sweep_points(), REFS.edge_points()
     assert REFS.SPLIT == SPLIT
-    xs, ref0, ref1 = np.array([[float(v) for v in line.split()] for line in
-                               REFS.OUT.read_text(encoding="utf-8").splitlines()
-                               if not line.startswith("#")]).T
-    assert np.array_equal(xs, np.concatenate([sweep, edges]))
+    xs = np.concatenate([sweep, edges])
     live = np.concatenate([np.arange(0, sweep.size, 50), np.arange(sweep.size, xs.size)])
-    live0, live1 = REFS.mp_k01(xs[live])
-    assert np.array_equal(live0, ref0[live]) and np.array_equal(live1, ref1[live])
-    k0, k1 = bessel_k01(xs)
-    np.testing.assert_allclose(k0, ref0, rtol=1e-12)
-    np.testing.assert_allclose(k1, ref1, rtol=1e-12)
+    _assert_matches_stored_refs(REFS.OUT, xs, live)
     above = np.array(REFS.around(700.0)[4:])
     assert not np.any(np.concatenate(bessel_k01(above)))
     assert [bessel_k01(float(x)) for x in above] == [(0.0, 0.0)] * above.size

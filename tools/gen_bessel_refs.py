@@ -1,13 +1,19 @@
 """Write the mpmath K0/K1 references that tests/test_numerics.py's dense sweep
-reads, so the tier-1 run does not recompute all of them.
+and its 400-point log sweep read, so the tier-1 run does not recompute all of
+them.
 
     python3 tools/gen_bessel_refs.py
 
-writes ``tests/data/bessel_k01_refs.txt``: one line per point, ``x K0(x)
-K1(x)`` as three ``repr`` floats, sweep points first, then edge points.  The
-test recomputes every 50th sweep point and every edge point live with
-``mp_k01`` below and requires the stored values bit for bit.  Needs mpmath, a
-test extra: nucsp itself never imports it.
+writes two files under ``tests/data``, one line per point, ``x K0(x) K1(x)``
+as three ``repr`` floats:
+
+- ``bessel_k01_refs.txt``: sweep points first, then edge points.  The test
+  recomputes every 50th sweep point and every edge point live with
+  ``mp_k01`` below and requires the stored values bit for bit.
+- ``bessel_k01_log_refs.txt``: ``log_points()``; the test recomputes every
+  20th point live in the same way.
+
+Needs mpmath, a test extra: nucsp itself never imports it.
 """
 
 from __future__ import annotations
@@ -17,7 +23,9 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 
-OUT = Path(__file__).resolve().parents[1] / "tests" / "data" / "bessel_k01_refs.txt"
+DATA = Path(__file__).resolve().parents[1] / "tests" / "data"
+OUT = DATA / "bessel_k01_refs.txt"
+LOG_OUT = DATA / "bessel_k01_log_refs.txt"
 SPLIT = 10.0  # must equal nucsp.numerics._CHEB_SPLIT
 
 
@@ -29,6 +37,11 @@ def around(x):
 
 def sweep_points() -> np.ndarray:
     return np.geomspace(1e-8, 700.0, 4001)
+
+
+def log_points() -> np.ndarray:
+    """400 log-spaced points from 1e-8 to 699, below the underflow cut."""
+    return np.logspace(-8, np.log10(699.0), 400)
 
 
 def edge_points() -> np.ndarray:
@@ -50,12 +63,23 @@ def mp_k01(xs):
     return np.array(k0), np.array(k1)
 
 
-def main():
-    xs = np.concatenate([sweep_points(), edge_points()])
+def read(path):
+    """(xs, K0, K1) as stored in path."""
+    return np.array([[float(v) for v in line.split()] for line in
+                     path.read_text(encoding="utf-8").splitlines()
+                     if not line.startswith("#")]).T
+
+
+def write(path, xs):
     k0, k1 = mp_k01(xs)
     lines = ["# x K0(x) K1(x), written by tools/gen_bessel_refs.py"]
     lines += ["%r %r %r" % (float(x), float(a), float(b)) for x, a, b in zip(xs, k0, k1)]
-    OUT.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def main():
+    write(OUT, np.concatenate([sweep_points(), edge_points()]))
+    write(LOG_OUT, log_points())
 
 
 if __name__ == "__main__":
