@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from .crystal_sp import LATTICE, builtin_presets, parse_lattice_file
-from .nuclide import NUCLIDE, radiative_rate, registry as nuclide_registry
+from .nuclide import NUCLIDE, parse_nuclide_file, radiative_rate, registry as nuclide_registry
 from .scenarios import run_scenario, validate_config, write_tables
 
 DATA_DIR_ENV = "NUCSP_DATA_DIR"
@@ -32,17 +32,14 @@ DATA_DIR_ENV = "NUCSP_DATA_DIR"
 
 def _load_registries():
     """Built-in nuclides and lattices, plus any NUCSP_DATA_DIR overlays."""
+    reg, films = nuclide_registry(), builtin_presets()
     data_dir = os.environ.get(DATA_DIR_ENV)
-    nuclide_files = []
-    films = builtin_presets()
-    if data_dir:
-        ndat = Path(data_dir) / "nuclides.dat"
-        if ndat.is_file():
-            nuclide_files.append(ndat)
-        ldat = Path(data_dir) / "lattices.dat"
-        if ldat.is_file():
-            films.update(parse_lattice_file(ldat))
-    return nuclide_registry(extra_files=nuclide_files), films
+    for name, table, parse in (("lattices.dat", films, parse_lattice_file),
+                               ("nuclides.dat", reg, parse_nuclide_file)):
+        path = Path(data_dir) / name if data_dir else None
+        if path and path.is_file():
+            table.update(parse(path))
+    return reg, films
 
 
 def _validated(path):

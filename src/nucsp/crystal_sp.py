@@ -92,8 +92,7 @@ _BLOCK_TERMS = 1 << 16
 # near 1e-160 nm, a^4 of the layer prefactor below 1.5e-81 nm.  It is at most
 # 1 mm, as spacing_nm: far above any lattice, and far below the 1e236 nm where
 # omega r / v overflows at BETA_MIN.
-_LATTICE_MIN_NM = 1e-5
-DISTANCE = (_LATTICE_MIN_NM, 1.0e6)
+DISTANCE = (1.0e-5, 1.0e6)
 # A lattices.dat block.  The offset takes either sign; beyond 2^53 a, p b_par / a
 # is always an integer, so any stacking would close after one plane.
 LATTICE = (

@@ -54,7 +54,7 @@ import numpy as np
 
 from .numerics import CONSTANTS, _veltkamp_split, bessel_k01, bessel_k1
 from .numerics import integrate_adaptive  # noqa: F401  (traced by perfbench/spans.py)
-from .crystal_sp import _LATTICE_MIN_NM
+from .crystal_sp import DISTANCE
 from .nuclide import NuclideRecord
 from .probe import Probe
 from .single_nucleus import _dimensionless_scale
@@ -71,11 +71,6 @@ __all__ = [
 # and are skipped in the Monte-Carlo batch path.
 _ARG_CUT = 45.0
 _BLOCK_TERMS = 1 << 16
-# Longest period mc_plane_average takes, 1 mm as for array-pattern's spacing:
-# far above any lattice, and it keeps a^2, the squared site offsets and the
-# (delta a)^2 of the disk integral finite at every speed down to BETA_MIN for
-# lines below 1e80 eV.  At 1e160 nm they overflow and the mean is NaN.
-_PLANE_MAX_NM = 1e6
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,12 +323,15 @@ def mc_plane_average(probe: Probe, rec: NuclideRecord, a_nm: float,
     per call.  No result depends on the BLAS thread count.
 
     Raises ValueError, naming the parameter, for an a_nm outside [1e-5, 1e6]
-    nm (_LATTICE_MIN_NM, _PLANE_MAX_NM), non-finite angles, a half_extent that
-    is not an integer >= 0, an n_samples that is not an integer >= 1, and
-    r_min_nm outside the bounds above.
+    nm (crystal_sp.DISTANCE), non-finite angles, a half_extent that is not an
+    integer >= 0, an n_samples that is not an integer >= 1, and r_min_nm
+    outside the bounds above.
     """
-    if not _LATTICE_MIN_NM <= a_nm <= _PLANE_MAX_NM:
-        raise ValueError("a_nm must lie in [%g, %g] nm" % (_LATTICE_MIN_NM, _PLANE_MAX_NM))
+    # The 1 mm ceiling keeps a^2, the squared site offsets and the (delta a)^2
+    # of the disk integral finite at every speed down to BETA_MIN for lines
+    # below 1e80 eV; at 1e160 nm they overflow and the mean is NaN.
+    if not DISTANCE[0] <= a_nm <= DISTANCE[1]:
+        raise ValueError("a_nm must lie in [%g, %g] nm" % DISTANCE)
     for name, value in (("theta", theta), ("phi", phi)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite")

@@ -37,7 +37,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from .numerics import CONSTANTS
 from .probe import BETA_MIN
@@ -296,17 +296,13 @@ def builtin_records() -> tuple[NuclideRecord, ...]:
     )
 
 
-def registry(extra_files: Iterable[str] = ()) -> dict[str, NuclideRecord]:
-    """Name -> record mapping: built-in nuclides plus optional data files.
+def registry() -> dict[str, NuclideRecord]:
+    """Name -> record mapping of the built-in nuclides.
 
-    Later files override earlier entries of the same name.  A fresh dict is
-    returned on every call, so the mapping is read-only by construction.
+    A fresh dict is returned on every call, so a caller may overlay data-file
+    records on it (cli does) without touching the built-ins.
     """
-    out = {rec.name: rec for rec in builtin_records()}
-    for path in extra_files:
-        for rec in parse_nuclide_file(path):
-            out[rec.name] = rec
-    return out
+    return {rec.name: rec for rec in builtin_records()}
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +383,7 @@ def parse_record_file(path, rows, build: Callable[[dict], object]) -> list:
     return records
 
 
-def parse_nuclide_file(path: str) -> list[NuclideRecord]:
-    """Load nuclide records from a key/value data file."""
-    return parse_record_file(path, NUCLIDE, lambda v: NuclideRecord(**v))
+def parse_nuclide_file(path) -> dict[str, NuclideRecord]:
+    """Read nuclide records from key = value blocks separated by blank lines."""
+    return {rec.name: rec for rec in parse_record_file(path, NUCLIDE,
+                                                       lambda v: NuclideRecord(**v))}

@@ -79,14 +79,21 @@ class Probe:
         return kinetic_from_beta(self.beta, self.rest_energy_eV)
 
 
+# (charge number Z, rest energy in eV) of each named species
+SPECIES = {
+    "electron": (-1, CONSTANTS.electron_mass_eV),
+    "proton": (+1, CONSTANTS.proton_mass_eV),
+}
+
+
 def electron(beta: float | None = None, kinetic_energy_eV: float | None = None) -> Probe:
     """Electron probe (Z = -1) specified by speed or kinetic energy."""
-    return _species(-1, CONSTANTS.electron_mass_eV, beta, kinetic_energy_eV)
+    return _species(*SPECIES["electron"], beta, kinetic_energy_eV)
 
 
 def proton(beta: float | None = None, kinetic_energy_eV: float | None = None) -> Probe:
     """Proton probe (Z = +1) specified by speed or kinetic energy."""
-    return _species(+1, CONSTANTS.proton_mass_eV, beta, kinetic_energy_eV)
+    return _species(*SPECIES["proton"], beta, kinetic_energy_eV)
 
 
 def _species(z: int, rest_eV: float, beta, e_kin) -> Probe:

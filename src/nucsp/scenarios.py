@@ -36,13 +36,13 @@ import yaml
 from . import __version__
 from .brems import br_spectral_density, br_window_yield
 from .crystal_sp import (DISTANCE, CutoffPolicy, LatticeFilm, _grid_half_width,
-                         builtin_presets, emission_cones, first_radiating_order, make_film)
+                         builtin_presets, emission_cones, first_radiating_order)
 from .finite_array import _line_density
 from .finite_array import angular_density  # noqa: F401  (traced by perfbench/spans.py)
 from .nuclide import (REQUIRED, NuclideRecord, Param, _validate_block, radiative_rate,
                       registry as nuclide_registry)
 from .numerics import CONSTANTS
-from .probe import Probe, beta_from_kinetic, electron, proton
+from .probe import SPECIES, Probe, _species
 from .single_nucleus import coherent_yield, decay_profile, spectral_profile
 
 __all__ = [
@@ -79,7 +79,7 @@ MAX_Z = 118
 
 # the probe's cross-field rules are in _build_probe
 PROBE = (
-    Param("species", "choice", "electron", ("electron", "proton", "custom")),
+    Param("species", "choice", "electron", (*SPECIES, "custom")),
     Param("beta", "beta", None),
     Param("kinetic_energy_eV", "positive", None),
     # 1e5 eV is below the lightest charged particle (the electron, 511 keV),
@@ -113,7 +113,6 @@ PARAMS = {
     ),
     "crystal-yield": (
         Param("lattice", "lattice", "bcc100", lambda p, films: films),
-        Param("a_nm", "positive", None, DISTANCE),  # a preset's period, a lattice length
         Param("r_min_nm", "positive", 0.001),
         Param("smooth_cutoff", "bool", False),
         Param("betas", "increasing", None, ("beta", None)),
@@ -145,14 +144,6 @@ def _rule_errors(scenario, p, rec, films, probe):
         yield "params.half_span_line_widths: span reaches zero energy; omega must be positive"
     if scenario == "crystal-yield":
         film = films[p["lattice"]]
-        if p["a_nm"] is not None and film != builtin_presets().get(p["lattice"]):
-            yield "params.a_nm: a_nm can only override built-in lattice presets"
-        elif p["a_nm"] is not None:
-            try:
-                film = make_film(p["lattice"], a_nm=p["a_nm"])
-            except ValueError as exc:  # below the lattice floor
-                yield "params.a_nm: %s" % exc
-                return
         m = _grid_half_width(film, CutoffPolicy(p["r_min_nm"], p["smooth_cutoff"]))
         if 2 * m + 1 > math.isqrt(MAX_G_GRID):  # (2m+1)^2 > MAX_G_GRID, without overflow
             yield ("params.r_min_nm: reciprocal grid exceeds %d entries per stacking class"
@@ -195,12 +186,8 @@ def _build_probe(block, errors) -> Probe | None:
     if len(errors) > n_errors:
         return None
     try:
-        if not custom:
-            species = electron if p["species"] == "electron" else proton
-            return species(beta=beta, kinetic_energy_eV=ke)
-        rest = p["rest_energy_eV"]
-        beta = beta_from_kinetic(ke, rest) if beta is None else beta
-        return Probe(z_charge=p["z_charge"], rest_energy_eV=rest, beta=beta)
+        z, rest = SPECIES.get(p["species"], (p["z_charge"], p["rest_energy_eV"]))
+        return _species(z, rest, beta, ke)
     except ValueError as exc:
         errors.append("probe: %s" % exc)
         return None
@@ -399,7 +386,7 @@ def _run_array_pattern(config, reg, films):
 def _run_crystal_yield(config, reg, films):
     rec = reg[config.nuclide]
     p = config.params
-    film = make_film(p["lattice"], a_nm=p["a_nm"]) if p["a_nm"] else films[p["lattice"]]
+    film = films[p["lattice"]]
     policy = CutoffPolicy(p["r_min_nm"], p["smooth_cutoff"])
     betas = p["betas"] if p["betas"] is not None else [config.probe.beta]
 

@@ -1,10 +1,10 @@
-import itertools
+import importlib.util
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning, quad
 
 from nucsp.brems import (
     _density_values,
@@ -15,9 +15,20 @@ from nucsp.brems import (
 )
 from nucsp.numerics import CONSTANTS
 from nucsp.nuclide import registry
-from nucsp.probe import Probe, electron, proton
+from nucsp.probe import SPECIES, Probe, electron, proton
 
 mp.mp.dps = 30
+
+
+def _tool(name):
+    path = Path(__file__).resolve().parents[1] / "tools" / (name + ".py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+QUAD = _tool("gen_brems_refs")
 
 
 @pytest.fixture
@@ -102,41 +113,22 @@ def test_density_validation(fe):
         br_density(probe, 0, 0.001, 1.0, 0.0, fe.omega0_rad_s)
 
 
-def _quad_spectral_density(probe, z_nucleus, r_perp_nm, omega, epsrel):
-    """scipy quad in cos(theta), split at 1 - 4^j / gamma^2 so each panel
-    holds one scale of the forward cone, times an exact 16-point phi grid."""
-    phis = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
-
-    def f(c):
-        vals = _density_values(probe, z_nucleus, r_perp_nm, np.array([c]), phis, omega)
-        return float(vals.sum()) * (2.0 * math.pi / 16)
-
-    g2 = probe.gamma ** 2
-    cuts = [1.0 - 4.0 ** j / g2 for j in range(40, -2, -1) if 4.0 ** j / g2 < 2.0]
-    edges = [-1.0] + cuts + [1.0]
-    return math.fsum(quad(f, a, b, epsabs=0.0, epsrel=epsrel, limit=200)[0]
-                     for a, b in zip(edges, edges[1:]))
-
-
-@pytest.mark.filterwarnings("ignore", category=IntegrationWarning)
 def test_spectral_density_vs_quad():
     # 64 fixed nodes in u = ln(1 - beta cos(theta)) must hold up to
     # gamma ~ 2e4, where a rule in cos(theta) misses the forward 1/gamma cone
-    # (at beta = 0.999999, r = 0.1 nm and 43.8 keV such a rule was 1.9e-4 off)
-    hbar = CONSTANTS.hbar_eV_s
-    cases = itertools.product((electron, proton), (0.5, 0.9, 0.999, 0.999999),
-                              (1e-4, 0.1), (6e3, 43.8e3, 100e3))
-    for species, beta, r, e_eV in cases:
-        probe = species(beta=beta)
-        assert br_spectral_density(probe, 26, r, e_eV / hbar) == pytest.approx(
-            _quad_spectral_density(probe, 26, r, e_eV / hbar, 1e-13), rel=1e-12, abs=0.0)
-    # near beta = 1 the double cos(theta) itself limits both sides
-    cases = itertools.product((electron, proton), (1.0 - 1e-8, 1.0 - 1e-9),
-                              (1e-4, 0.1), (6e3, 100e3))
-    for species, beta, r, e_eV in cases:
-        probe = species(beta=beta)
-        assert br_spectral_density(probe, 26, r, e_eV / hbar) == pytest.approx(
-            _quad_spectral_density(probe, 26, r, e_eV / hbar, 1e-10), rel=1e-9, abs=0.0)
+    # (at beta = 0.999999, r = 0.1 nm and 43.8 keV such a rule was 1.9e-4 off);
+    # near beta = 1 the double cos(theta) itself limits both sides.  The
+    # scipy-quad values are stored by tools/gen_brems_refs.py, and every 8th
+    # is recomputed live and must match within the quad's own epsrel
+    rows = QUAD.read()
+    assert [row[:5] for row in rows] == QUAD.cases()
+    for i, (species, beta, r, e_eV, epsrel, ref) in enumerate(rows):
+        if i % 8 == 0:
+            live = QUAD.reference(species, beta, r, e_eV, epsrel)
+            assert live == pytest.approx(ref, rel=epsrel, abs=0.0)
+        probe = Probe(*SPECIES[species], beta)
+        assert br_spectral_density(probe, QUAD.Z_NUCLEUS, r, e_eV / CONSTANTS.hbar_eV_s) == \
+            pytest.approx(ref, rel={1e-13: 1e-12, 1e-10: 1e-9}[epsrel], abs=0.0)
 
 
 def test_spectral_density_vs_brute_grid(fe):

@@ -15,7 +15,7 @@ from nucsp.crystal_sp import (LATTICE, CutoffPolicy, LatticeFilm, emission_cones
                               parse_lattice_file)
 from nucsp.nuclide import NUCLIDE, REQUIRED, DataFileError, parse_nuclide_file, registry
 from nucsp.probe import electron
-from nucsp.scenarios import parse_result_table
+from nucsp.scenarios import parse_result_table, run_scenario, validate_config
 
 
 GOOD_CONFIG = """
@@ -340,6 +340,15 @@ def test_readme_cli_examples_parse():
         assert build_parser().parse_args(argv).command == argv[0]
 
 
+def test_readme_lattice_block_is_the_rescaled_preset(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = [b.split("```", 1)[0] for b in readme.split("```\n")[1:]
+                if b.startswith("name = ")]
+    (tmp_path / "lattices.dat").write_text(block)
+    assert parse_lattice_file(tmp_path / "lattices.dat") == {
+        "bcc100": make_film("bcc100", 0.29)}
+
+
 def test_readme_data_file_table_matches_the_row_tables():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     shown = {}
@@ -396,17 +405,10 @@ def test_data_file_cross_field_rule_names_its_keys(filename, block, message, tmp
 
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize("config,message", [
+    # a rescaled preset is a lattices.dat block, not a config key
     pytest.param("scenario: crystal-yield\nprobe: {species: electron, beta: 0.9}\n"
-                 "params: {lattice: tetra, a_nm: 0.3, r_min_nm: 0.004}\n",
-                 "a_nm can only override built-in lattice presets", id="a_nm-data-lattice"),
-    # a^4 in the layer prefactor underflows to 0 below 1.5e-81 nm
-    pytest.param("scenario: crystal-yield\nprobe: {species: electron, beta: 0.9}\n"
-                 "params: {lattice: bcc100, a_nm: 1.0e-81}\n",
-                 "params.a_nm: must be at least 1e-05", id="a_nm-below-floor"),
-    # at the floor itself, bcc100's plane spacing a/2 is below it
-    pytest.param("scenario: crystal-yield\nprobe: {species: electron, beta: 0.9}\n"
-                 "params: {lattice: bcc100, a_nm: 1.0e-5}\n",
-                 "params.a_nm: b_z_nm: must be at least 1e-05", id="a_nm-spacing-below-floor"),
+                 "params: {lattice: bcc100, a_nm: 0.29}\n",
+                 "params.a_nm: unknown key", id="a_nm-unknown"),
     pytest.param("scenario: single-sweep\nprobe: {species: electron, beta: 0.9}\n"
                  "params: {sweep_values: [0.9], br_window_eV: 3.0e+4}\n",
                  "window extends to non-positive photon energies", id="window-2E0"),
@@ -531,12 +533,15 @@ def test_distance_ceiling_runs_without_warnings(scenario, params, nuclide, tmp_p
     assert capsys.readouterr().err == ""
 
 
-def test_lattice_floor_runs_to_a_finite_table(tmp_path, capsys):
-    # sc100 at the floor: a and b_z are both 10 fm, far below the wavelength,
-    # so no order radiates at any beta and every yield is 0
+def test_lattice_floor_runs_to_a_finite_table(tmp_path, capsys, monkeypatch):
+    # an sc block at the floor: a and b_z are both 10 fm, far below the
+    # wavelength, so no order radiates at any beta and every yield is 0
+    (tmp_path / "lattices.dat").write_text(
+        "name = sc100\na_nm = 1.0e-5\nb_par_x_nm = 0\nb_par_y_nm = 0\nb_z_nm = 1.0e-5\n")
+    monkeypatch.setenv("NUCSP_DATA_DIR", str(tmp_path))
     cfg = tmp_path / "c.yaml"
     cfg.write_text("scenario: crystal-yield\nprobe: {species: electron, beta: 0.9}\n"
-                   "params: {lattice: sc100, a_nm: 1.0e-5, betas: [0.5, 0.9, 0.999999]}\n")
+                   "params: {lattice: sc100, betas: [0.5, 0.9, 0.999999]}\n")
     out_dir = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out_dir)]) == 0
     capsys.readouterr()
@@ -606,3 +611,34 @@ def test_data_file_lattice_overrides_preset(config_file, tmp_path, capsys, monke
     written = [(int(r[1]), float(r[2]), float(r[3])) for r in rows[:-1]]
     assert written == cone_rows(LatticeFilm("bcc100", 0.40, (0.20, 0.20), 0.20))
     assert written != cone_rows(make_film("bcc100"))
+
+
+@pytest.mark.parametrize("preset, a_nm, block", [
+    pytest.param("bcc100", 0.29, "b_par_x_nm = 0.145\nb_par_y_nm = 0.145\nb_z_nm = 0.145\n",
+                 id="bcc100"),
+    pytest.param("fcc100", 0.37,
+                 "b_par_x_nm = 0.185\nb_par_y_nm = 0.185\nb_z_nm = 0.26162950903902255\n",
+                 id="fcc100"),
+])
+def test_lattices_dat_block_writes_the_rows_of_a_rescaled_preset(preset, a_nm, block, tmp_path,
+                                                                  capsys, monkeypatch):
+    # a preset at another lattice constant is a lattices.dat block under the
+    # preset's name: the same film as make_film(preset, a_nm), so the same rows
+    (tmp_path / "lattices.dat").write_text("name = %s\na_nm = %r\n%s" % (preset, a_nm, block))
+    monkeypatch.setenv("NUCSP_DATA_DIR", str(tmp_path))
+    (shipped,) = [path for path in _CONFIGS if path.name == "crystal_yield.yaml"]
+    text = shipped.read_text().replace("bcc100", preset)
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    written = (tmp_path / "out" / "crystal_yield.csv").read_text()
+    config, errors = validate_config(text)
+    assert errors == []
+    (table,) = run_scenario(config, films={preset: make_film(preset, a_nm)})
+
+    def data_rows(csv_text):
+        return [line for line in csv_text.splitlines() if not line.startswith("#")]
+
+    assert data_rows(written) == data_rows(table.to_csv())
+    assert data_rows(written) != data_rows(run_scenario(config)[0].to_csv())

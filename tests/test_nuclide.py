@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
+from nucsp.cli import _load_registries
 from nucsp.nuclide import (
     DataFileError,
     NuclideRecord,
@@ -356,7 +357,9 @@ def test_spin_rule_names_the_record_fields_only_on_records():
 # data files
 
 
-def test_registry_overlay(tmp_path):
+def test_registry_overlay(tmp_path, monkeypatch):
+    # the CLI overlays a NUCSP_DATA_DIR nuclides.dat on the built-ins: a
+    # built-in's name replaces it in place, a new name comes after them
     data = tmp_path / "nuclides.dat"
     data.write_text(
         "name = Fe-57\n"
@@ -372,9 +375,13 @@ def test_registry_overlay(tmp_path):
         "alpha_ic = 285.0\n"
         "jg2 = 1\n"
         "je2 = 3\n")
-    reg = registry(extra_files=[data])
+    assert list(parse_nuclide_file(data)) == ["Fe-57", "Tm-169"]
+    monkeypatch.setenv("NUCSP_DATA_DIR", str(tmp_path))
+    reg, _ = _load_registries()
     assert reg["Fe-57"].e0_eV == pytest.approx(15000.0)
-    assert "Tm-169" in reg and "Dy-161" in reg
+    assert list(reg) == ["Fe-57", "Dy-161", "Tm-169"]
+    assert reg["Dy-161"] == registry()["Dy-161"]
+    assert registry()["Fe-57"].e0_eV == pytest.approx(14412.9)
 
 
 def test_kv_parser_strips_comments_and_tracks_lines():

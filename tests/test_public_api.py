@@ -1,7 +1,9 @@
 """The package's public surface: the modules' own export lists, and README's
 library examples run as written."""
 
+import ast
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -43,3 +45,17 @@ def test_readme_python_examples_run(capsys):
     printed = capsys.readouterr().out.split()
     assert len(printed) == 2 and all(float(v) > 0.0 for v in printed)
     assert namespace["density"].shape == (181,)
+
+
+def test_modules_import_only_modules_before_them_in_the_readme_map():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    paragraph = readme.split("Module map, bottom up:", 1)[1].split("\n\n", 1)[0]
+    order = re.findall(r"`(\w+)`", paragraph)
+    package = root / "src" / "nucsp"
+    assert sorted(order) == sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    for i, name in enumerate(order):
+        tree = ast.parse((package / (name + ".py")).read_text())
+        imported = {node.module.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module}
+        assert imported <= set(order[:i]), (name, sorted(imported - set(order[:i])))

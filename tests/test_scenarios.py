@@ -432,8 +432,8 @@ def test_null_sweep_values_is_required():
 
 def test_null_allowed_where_default_is_null():
     config = _cfg("scenario: crystal-yield\n" + _PROBE
-                  + "params: {a_nm: null, betas: null, r_min_nm: 0.004}\n")
-    assert config.params["a_nm"] is None and config.params["betas"] is None
+                  + "params: {betas: null, r_min_nm: 0.004}\n")
+    assert config.params["betas"] is None
 
 
 def test_grid_cap_counts_the_grid_that_is_built():
