@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from nucsp import finite_array
+from nucsp.crystal_sp import DISTANCE
 from nucsp.finite_array import (
     NucleusSet,
     _k1_sq_disk_integral,
@@ -208,6 +209,14 @@ def test_mc_plane_average_is_deterministic(probe, fe):
     c = mc_plane_average(probe, fe, **dict(kw, seed=12))
     assert c != a
     assert a > 0.0
+
+
+@pytest.mark.parametrize("a_nm", [DISTANCE[0] * 0.9, DISTANCE[1] * 1.1], ids=["below", "above"])
+def test_mc_plane_average_rejects_a_nm_outside_the_distance_bounds(probe, fe, a_nm):
+    # the lattice constant obeys the same bounds as a lattices.dat block
+    with pytest.raises(ValueError, match=r"^a_nm must lie in \[1e-05, 1e\+06\] nm$"):
+        mc_plane_average(probe, fe, a_nm=a_nm, half_extent=2, theta=1.0, phi=0.3,
+                         r_min_nm=0.001, n_samples=10, seed=11)
 
 
 def test_mc_sites_are_built_only_within_the_bessel_reach(probe, fe):

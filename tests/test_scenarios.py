@@ -12,7 +12,7 @@ import yaml
 from nucsp import crystal_sp, nuclide
 from nucsp.crystal_sp import CutoffPolicy, builtin_presets, emission_cones, make_film
 from nucsp.nuclide import registry
-from nucsp.probe import BETA_MIN, electron
+from nucsp.probe import BETA_MIN, SPECIES, electron, proton
 from nucsp.scenarios import (
     MAX_G_GRID,
     OUTPUT,
@@ -129,6 +129,18 @@ scenario: array-pattern
 probe: {species: custom, beta: 0.8}
 """)
     assert any("rest_energy_eV" in e for e in errors)
+
+
+@pytest.mark.parametrize("speed", [{"beta": 0.9}, {"kinetic_energy_eV": 1.0e+6}],
+                         ids=["beta", "kinetic_energy"])
+@pytest.mark.parametrize("species,factory", [("electron", electron), ("proton", proton)])
+def test_named_species_builds_its_factory_probe(species, factory, speed):
+    # a config's named species and the library factories share SPECIES
+    assert [row.bound for row in PROBE if row.name == "species"] == [(*SPECIES, "custom")]
+    (key, value), = speed.items()
+    config = _cfg("scenario: array-pattern\nprobe: {species: %s, %s: %r}\n"
+                  % (species, key, value))
+    assert config.probe == factory(**speed)
 
 
 def test_validate_custom_only_probe_keys_are_rejected_for_other_species():
