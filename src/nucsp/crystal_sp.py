@@ -45,7 +45,9 @@ distinct |G|, each term counted with its multiplicity, and the sum is made
 exactly equal to the compensated sum over the individual vectors: count x
 is exact when the count is a power of two (1, 4, 8, 16 and 32 cover about
 96% of the shells), and only the other terms are split in two halves that
-each survive the product exactly.
+each survive the product exactly.  math.fsum reads each row straight from the
+array's buffer.  r^3 stays numpy's pow: r*r*r rounds twice and moves the last
+bit of about a quarter of the values.
 
 The sum over G diverges logarithmically and is cut off at g_max = 1/R_min,
 where R_min is the closest impact parameter the beam can reach.
@@ -354,13 +356,14 @@ def _counted_fsum(x: np.ndarray, mult: np.ndarray) -> list[float]:
     term each.  The others are split x = hi + lo (Veltkamp), which leaves at
     most 26 significant bits in each half, so count * hi and count * lo are
     exact while counts stay below 2^27 and x is a normal float.  fsum of the
-    exact terms, in any order, is then the correctly rounded total.
+    exact terms, in any order, is then the correctly rounded total.  Each row
+    is read through memoryview, so no per-term Python list is built.
     """
     n_exact = 2 * x.shape[1] - mult.size
     hi, lo = _veltkamp_split(x[:, n_exact:])
     terms = np.concatenate([x[:, :n_exact], hi, lo], axis=1)
     terms *= mult
-    return [math.fsum(row) for row in terms.tolist()]
+    return [math.fsum(memoryview(row)) for row in terms]
 
 
 def _gsum_terms(probe: Probe, rec: NuclideRecord, g: np.ndarray, w: np.ndarray,
@@ -396,12 +399,13 @@ def _phi_integrals(probe: Probe, rec: NuclideRecord, cos_t,
     sin_t = np.sqrt(np.maximum(0.0, (1.0 - c) * (1.0 + c)))
     k = rec.omega0_rad_s / CONSTANTS.c_nm_s * sin_t
     d2 = (rec.omega0_rad_s / (probe.velocity_nm_s * probe.gamma)) ** 2
-    g2 = g_norm * g_norm
-    r = np.sqrt(((k - g_norm) ** 2 + d2) * ((k + g_norm) ** 2 + d2))
-    k2mg2 = (k - g_norm) * (k + g_norm)
-    p = k2mg2 * k2mg2 + (k * k + g2) * d2
-    num = k * k * (k2mg2 + d2) ** 2 + p * r + c * c * g2 * r * r
-    return 2.0 * math.pi * num / (r ** 3 * (k * k + g2 + d2 + r))
+    k2, g2 = k * k, g_norm * g_norm
+    km, kp = k - g_norm, k + g_norm
+    r = np.sqrt((km * km + d2) * (kp * kp + d2))
+    k2mg2 = km * kp
+    p = k2mg2 * k2mg2 + (k2 + g2) * d2
+    num = k2 * (k2mg2 + d2) ** 2 + p * r + c * c * g2 * r * r
+    return 2.0 * math.pi * num / (r ** 3 * (k2 + g2 + d2 + r))
 
 
 def _layer_prefactor(probe: Probe, rec: NuclideRecord, film: LatticeFilm) -> float:

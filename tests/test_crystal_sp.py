@@ -579,21 +579,52 @@ def test_enumeration_peak_memory_is_below_twice_its_result():
     assert peak < 2 * g.nbytes
 
 
-@pytest.mark.parametrize("beta", [0.5, 0.94, 0.99999])
-def test_phi_integrals_of_many_cosines_equal_per_cosine_calls(fe, beta):
-    # one (cosines x |G|) pass against one call per cosine, bit for bit: G = 0,
-    # |G| = |k_par| of each cosine, the 1000/nm cutoff and a real class's
-    # shells, at cos(theta) = +-(1 - 1e-6) among others
-    probe = electron(beta=beta)
+def _phi_grid(rec):
+    """Cone cosines, +-(1 - 1e-6) among them, and |G| = 0, |k_par| of each
+    cosine, the 1000/nm cutoff and a real class's shells."""
     cos_t = np.array([1.0 - 1e-6, 0.3, 0.0, -0.6, -1.0 + 1e-6])
-    k0 = fe.omega0_rad_s / CONSTANTS.c_nm_s
+    k0 = rec.omega0_rad_s / CONSTANTS.c_nm_s
     k_par = [k0 * math.sqrt((1 - c) * (1 + c)) for c in cos_t]
     shells = _class_shells(make_film("bcc100"), CutoffPolicy(0.002), 1)[0]
-    g_norms = np.concatenate([[0.0], k_par, [1000.0], shells])
+    return cos_t, np.concatenate([[0.0], k_par, [1000.0], shells])
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.94, 0.99999])
+def test_phi_integrals_of_many_cosines_equal_per_cosine_calls(fe, beta):
+    # one (cosines x |G|) pass against one call per cosine, bit for bit
+    probe = electron(beta=beta)
+    cos_t, g_norms = _phi_grid(fe)
     batch = _phi_integrals(probe, fe, cos_t, g_norms)
     assert batch.shape == (cos_t.size, g_norms.size)
     for c, row in zip(cos_t, batch):
         assert np.array_equal(row, _phi_integrals(probe, fe, float(c), g_norms))
+
+
+def _phi_integrals_as_written(probe, rec, cos_t, g_norm):
+    """_phi_integrals with every subexpression written out where it is used,
+    as the module docstring states the formula."""
+    c = np.asarray(cos_t, dtype=float)[..., None]
+    sin_t = np.sqrt(np.maximum(0.0, (1.0 - c) * (1.0 + c)))
+    k = rec.omega0_rad_s / CONSTANTS.c_nm_s * sin_t
+    d2 = (rec.omega0_rad_s / (probe.velocity_nm_s * probe.gamma)) ** 2
+    g2 = g_norm * g_norm
+    r = np.sqrt(((k - g_norm) ** 2 + d2) * ((k + g_norm) ** 2 + d2))
+    k2mg2 = (k - g_norm) * (k + g_norm)
+    p = k2mg2 * k2mg2 + (k * k + g2) * d2
+    num = k * k * (k2mg2 + d2) ** 2 + p * r + c * c * g2 * r * r
+    return 2.0 * math.pi * num / (r ** 3 * (k * k + g2 + d2 + r))
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.94, 0.99999])
+def test_phi_integrals_equal_the_formula_as_written(fe, beta):
+    # shared subexpressions must not move a bit, in one pass or per cosine
+    probe = electron(beta=beta)
+    cos_t, g_norms = _phi_grid(fe)
+    assert np.array_equal(_phi_integrals(probe, fe, cos_t, g_norms),
+                          _phi_integrals_as_written(probe, fe, cos_t, g_norms))
+    for c in cos_t:
+        assert np.array_equal(_phi_integrals(probe, fe, float(c), g_norms),
+                              _phi_integrals_as_written(probe, fe, float(c), g_norms))
 
 
 def test_counted_fsum_equals_per_vector_fsum():
@@ -609,6 +640,28 @@ def test_counted_fsum_equals_per_vector_fsum():
     got = _counted_fsum(x[:, perm], mult)
     assert got == [math.fsum(np.repeat(row, counts).tolist()) for row in x]
     assert all(type(v) is float for v in got)
+
+
+def test_counted_fsum_reads_any_layout_and_empty_shapes():
+    # rows are read from the array's buffer, so C-ordered, Fortran-ordered
+    # and column-strided x give the same floats; values stay Python floats,
+    # which ResultTable.to_csv's fast path checks with type(v) is float
+    rng = np.random.default_rng(7)
+    counts = rng.permutation(np.repeat([1, 4, 12, 36], 5))
+    x = rng.uniform(1.0, 2.0, (4, counts.size)) * 2.0 ** rng.integers(-60, 60, counts.size)
+    perm, mult = _term_counts(counts)
+    want = [math.fsum(np.repeat(row, counts).tolist()) for row in x]
+    wide = np.zeros((4, 2 * counts.size))
+    wide[:, ::2] = x[:, perm]
+    for layout in (np.ascontiguousarray(x[:, perm]), np.asfortranarray(x[:, perm]),
+                   wide[:, ::2]):
+        got = _counted_fsum(layout, mult)
+        assert got == want and all(type(v) is float for v in got)
+    assert _counted_fsum(np.empty((0, counts.size)), mult) == []
+    # an empty stacking class: no shells, each row sums to 0.0
+    none = _term_counts(np.empty(0, dtype=np.int64))[1]
+    got = _counted_fsum(np.empty((3, 0)), none)
+    assert got == [0.0] * 3 and all(type(v) is float for v in got)
 
 
 def test_class_shells_put_power_of_two_counts_first():
