@@ -151,10 +151,11 @@ def br_window_yield(probe: Probe, z_nucleus: int, r_perp_nm: float,
     """Photon count in an energy window centered on a line, per passage.
 
     Integrates the spectral density over omega in [center - w/2, center + w/2]
-    with three-point Simpson quadrature; the integrand is nearly linear in
-    omega over any window narrow compared to the center energy.  An empty
-    window gives 0.0 through the (hi - lo) factor, after the same argument
-    checks as any other window.
+    with three-point Simpson quadrature: within 2e-7 of the exact integral for
+    windows up to 2e-4 of center_eV wherever the density is a normal double
+    (README), with an error growing as the window's fourth power; nothing here
+    caps the window.  An empty window gives 0.0 through the (hi - lo) factor,
+    after the same argument checks as any other window.
     """
     if not center_eV > 0:
         raise ValueError("center_eV must be positive")

@@ -59,7 +59,7 @@ def _cmd_run(args) -> int:
     config, reg, films = _validated(args.config)
     if config is None:
         return 1
-    tables = run_scenario(config, seed=args.seed, registry=reg, films=films)
+    tables = run_scenario(config, registry=reg, films=films)
     for path in write_tables(tables, args.out):
         print(path)
     return 0
@@ -105,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a scenario config")
     p_run.add_argument("config", help="YAML scenario file")
     p_run.add_argument("--out", default=".", help="output directory (default: .)")
-    p_run.add_argument("--seed", type=int, default=1,
-                       help="random seed recorded in table metadata (default: 1)")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="check a config without running it")

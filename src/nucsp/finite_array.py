@@ -324,8 +324,8 @@ def mc_plane_average(probe: Probe, rec: NuclideRecord, a_nm: float,
 
     Raises ValueError, naming the parameter, for an a_nm outside [1e-5, 1e6]
     nm (crystal_sp.DISTANCE), non-finite angles, a half_extent that is not an
-    integer >= 0, an n_samples that is not an integer >= 1, and r_min_nm
-    outside the bounds above.
+    integer >= 0, an n_samples that is not an integer >= 1 (a bool is
+    neither), and r_min_nm outside the bounds above.
     """
     # The 1 mm ceiling keeps a^2, the squared site offsets and the (delta a)^2
     # of the disk integral finite at every speed down to BETA_MIN for lines
@@ -337,7 +337,7 @@ def mc_plane_average(probe: Probe, rec: NuclideRecord, a_nm: float,
             raise ValueError(f"{name} must be finite")
     for name, value, least in (("half_extent", half_extent, 0),
                                ("n_samples", n_samples, 1)):
-        if not isinstance(value, numbers.Integral) or value < least:
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
             raise ValueError(f"{name} must be an integer of at least {least}")
     if not r_min_nm > 0:
         raise ValueError("r_min_nm must be positive")

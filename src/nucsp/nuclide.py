@@ -87,7 +87,8 @@ def coherent_fraction(j_g, j_e) -> Fraction:
 
 class Param(NamedTuple):
     """A default of None lets an explicit null through, REQUIRED makes the key
-    mandatory; a callable bound is evaluated as bound(block so far, films)."""
+    mandatory, any other is checked as a given value; a callable bound is
+    evaluated as bound(block so far, ctx)."""
 
     name: str
     kind: str
@@ -151,11 +152,8 @@ def _coerce(kind, v, bound, at):
         raise ValueError("%s: must be non-zero" % at)
     if kind == "nonzero" and abs(v) > bound:
         raise ValueError("%s: must be at most %d in magnitude" % (at, bound))
-    if kind == "choice" and v not in bound:
-        raise ValueError("%s: must be %s" % (at, " or ".join(bound)))
-    if kind == "lattice" and (not isinstance(v, str) or v not in bound):
-        raise ValueError("%s: unknown lattice %r (available: %s)"
-                         % (at, v, ", ".join(sorted(bound))))
+    if kind == "choice" and (not isinstance(v, str) or v not in bound):  # bound: the names
+        raise ValueError("%s: unknown %r (available: %s)" % (at, v, ", ".join(bound)))
     if kind == "prefix" and (not isinstance(v, str) or not v
                              or not all(c.isalnum() or c in "_-." for c in v)):
         raise ValueError("%s: must use only letters, digits, '_', '-', '.'" % at)
@@ -164,10 +162,11 @@ def _coerce(kind, v, bound, at):
     return v
 
 
-def _validate_block(path, rows, block, errors, films):
+def _validate_block(path, rows, block, errors, ctx):
     """Check a block against its table of rows; returns the values by name,
     defaults applied, and appends a message per unknown or failing key, named
-    path.key, or key alone for an empty path (a data-file block or record)."""
+    path.key, or key alone for an empty path (a data-file block or record);
+    callable bounds read ctx, {"registry": ..., "films": ...} for a config."""
     p: dict[str, Any] = {}
     if not isinstance(block, (dict, type(None))):
         errors.append("%s: must be a mapping" % path)
@@ -177,14 +176,14 @@ def _validate_block(path, rows, block, errors, films):
     names = {row.name for row in rows}
     errors.extend("%s%s: unknown key" % (prefix, key) for key in block if key not in names)
     for name, kind, default, bound in rows:
-        if name not in block or (block[name] is None and default in (None, REQUIRED)):
+        if block.get(name) is None and default in (None, REQUIRED):
             if default is REQUIRED:
                 errors.append("%s%s: required" % (prefix, name))
             p[name] = default
             continue
         try:
-            bound = bound(p, films) if callable(bound) else bound
-            p[name] = _coerce(kind, block[name], bound, prefix + name)
+            bound = bound(p, ctx) if callable(bound) else bound
+            p[name] = _coerce(kind, block.get(name, default), bound, prefix + name)
         except ValueError as exc:
             errors.append(str(exc))
             p[name] = default

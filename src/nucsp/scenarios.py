@@ -10,9 +10,9 @@ Five scenarios cover the library surface:
   brems-compare   resonant line vs bremsstrahlung continuum, spectrally and
                   in time
 
-Validation checks the probe, params and output blocks against one table of
-rows each (PROBE, PARAMS per scenario, OUTPUT; nuclide._validate_block, as
-for the data files), then the cross-field rules
+Validation checks the top-level keys and the probe, params and output blocks
+against one table of rows each (CONFIG, PROBE, PARAMS per scenario, OUTPUT;
+nuclide._validate_block, as for the data files), then the cross-field rules
 once every field has passed, and reports every problem found, each tagged
 with the config path that caused it.  Runs are deterministic: rows are
 computed in input order on the calling thread, so no output can depend on a
@@ -95,8 +95,8 @@ PARAMS = {
     "single-sweep": (
         Param("sweep_variable", "choice", "beta", ("beta", "r_perp_nm")),
         Param("sweep_values", "increasing", REQUIRED,
-              lambda p, films: (("beta", None) if p["sweep_variable"] == "beta"
-                                else ("positive", DISTANCE))),  # r_perp: as r_perp_nm
+              lambda p, ctx: (("beta", None) if p["sweep_variable"] == "beta"
+                              else ("positive", DISTANCE))),  # r_perp: as r_perp_nm
         Param("r_perp_nm", "positive", 0.001, DISTANCE),  # no closer than a nucleus's size
         Param("br_z_nucleus", "nonzero", 26, MAX_Z),
         Param("br_window_eV", "positive", 1.0),
@@ -112,7 +112,7 @@ PARAMS = {
         Param("n_points", "int", 801, (2, 20_000)),
     ),
     "crystal-yield": (
-        Param("lattice", "lattice", "bcc100", lambda p, films: films),
+        Param("lattice", "choice", "bcc100", lambda p, ctx: sorted(ctx["films"])),
         Param("r_min_nm", "positive", 0.001),
         Param("smooth_cutoff", "bool", False),
         Param("betas", "increasing", None, ("beta", None)),
@@ -128,17 +128,25 @@ PARAMS = {
     ),
 }
 SCENARIOS = tuple(PARAMS)
+CONFIG = (  # the top-level keys other than the blocks
+    Param("scenario", "choice", REQUIRED, SCENARIOS),
+    Param("nuclide", "choice", "Fe-57", lambda p, ctx: (*ctx["registry"], "all")),
+)
 
 # Cap on the (2m+1)^2 index square crystal_sp._enumerate_g draws its disk
 # from, once per stacking class; all presets pass at r_min_nm = 0.001 smooth
 # (fcc100 is largest, 1,890,625).
 MAX_G_GRID = 2_000_000
+# Ceiling on br_window_eV / E0, where br_window_yield's three-point rule holds
+# 2e-7 (README); its error grows as the window's fourth power
+MAX_WINDOW_SHARE = 2.0e-4
 
 
 def _rule_errors(scenario, p, rec, films, probe):
     """Cross-field rules, run once every field has passed its own check."""
-    if scenario == "single-sweep" and p["br_window_eV"] >= 2.0 * rec.e0_eV:
-        yield "params.br_window_eV: window extends to non-positive photon energies"
+    if scenario == "single-sweep" and p["br_window_eV"] > MAX_WINDOW_SHARE * rec.e0_eV:
+        yield "params.br_window_eV: must be at most %g eV (%g of the line energy)" % (
+            MAX_WINDOW_SHARE * rec.e0_eV, MAX_WINDOW_SHARE)
     if scenario == "brems-compare" and (
             rec.e0_eV <= p["half_span_line_widths"] * spectral_profile(rec).fwhm_eV):
         yield "params.half_span_line_widths: span reaches zero energy; omega must be positive"
@@ -200,8 +208,8 @@ def validate_config(text: str, registry: Mapping[str, NuclideRecord] | None = No
     Returns (config, errors); config is None whenever errors is non-empty.
     Every detected problem is reported, prefixed with its config path.
     """
-    reg = nuclide_registry() if registry is None else registry
-    film_map = builtin_presets() if films is None else films
+    ctx = {"registry": nuclide_registry() if registry is None else registry,
+           "films": builtin_presets() if films is None else films}
     errors: list[str] = []
     try:
         doc = yaml.safe_load(text)
@@ -213,21 +221,10 @@ def validate_config(text: str, registry: Mapping[str, NuclideRecord] | None = No
         return None, ["config: top level must be a mapping"]
 
     errors.extend("config.%s: unknown key" % key for key in doc if key not in _TOP_KEYS)
-    scenario = doc.get("scenario")
-    if scenario is None:
-        errors.append("scenario: required")
-    elif scenario not in SCENARIOS:
-        errors.append("scenario: unknown %r (choose from %s)"
-                      % (scenario, ", ".join(SCENARIOS)))
-        scenario = None
-
-    nuclide = doc.get("nuclide", "Fe-57")
-    if not isinstance(nuclide, str):
-        errors.append("nuclide: must be a string")
-        nuclide = "Fe-57"
-    elif nuclide != "all" and nuclide not in reg:
-        errors.append("nuclide: unknown %r (available: %s)"
-                      % (nuclide, ", ".join(reg)))
+    top = _validate_block("", CONFIG, {row.name: doc[row.name] for row in CONFIG
+                                       if row.name in doc}, errors, ctx)
+    scenario = None if top["scenario"] is REQUIRED else top["scenario"]
+    nuclide = top["nuclide"]
     if nuclide == "all" and scenario is not None and scenario != "nuclide-info":
         errors.append("nuclide: 'all' is only valid for nuclide-info")
 
@@ -238,9 +235,10 @@ def validate_config(text: str, registry: Mapping[str, NuclideRecord] | None = No
         errors.append("probe: nuclide-info takes no probe block")
 
     params = _validate_block("params", PARAMS[scenario], doc.get("params"), errors,
-                             film_map) if scenario is not None else {}
+                             ctx) if scenario is not None else {}
     if not errors:
-        errors.extend(_rule_errors(scenario, params, reg.get(nuclide), film_map, probe))
+        errors.extend(_rule_errors(scenario, params, ctx["registry"].get(nuclide),
+                                   ctx["films"], probe))
     output = _validate_block("output", OUTPUT, doc.get("output"), errors, None)
 
     if errors:
@@ -435,7 +433,7 @@ _RUNNERS = {
 }
 
 
-def run_scenario(config: ScenarioConfig, threads: int = 1, seed: int = 1,
+def run_scenario(config: ScenarioConfig, threads: int = 1,
                  registry: Mapping[str, NuclideRecord] | None = None,
                  films: Mapping[str, LatticeFilm] | None = None) -> list[ResultTable]:
     """Execute a validated config and return its result tables.
@@ -452,7 +450,6 @@ def run_scenario(config: ScenarioConfig, threads: int = 1, seed: int = 1,
         "nuclide": config.nuclide,
         "config_sha256": hashlib.sha256(config.raw_text.encode("utf-8")).hexdigest(),
         "version": __version__,
-        "seed": str(seed),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     tables = []

@@ -16,6 +16,7 @@ from nucsp.brems import (
 from nucsp.numerics import CONSTANTS
 from nucsp.nuclide import registry
 from nucsp.probe import SPECIES, Probe, electron, proton
+from nucsp.scenarios import MAX_WINDOW_SHARE
 
 mp.mp.dps = 30
 
@@ -265,3 +266,22 @@ def test_window_yield_is_simpson_over_scalar_calls(fe):
     f = [br_spectral_density(probe, 26, 0.001, w) for w in (lo, mid, hi)]
     assert br_window_yield(probe, 26, 0.001, fe.e0_eV, 1.0) == pytest.approx(
         (hi - lo) / 6.0 * (f[0] + 4.0 * f[1] + f[2]), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("nuclide,make,beta,z_n,r_nm", [
+    # the worst point of a grid over every admitted beta and r_perp_nm, both
+    # species, both built-ins and Z_n 1, 26 and 118: the largest r at which the
+    # density is still a normal double, where the Bessel argument peaks
+    ("Fe-57", electron, 5e-6, 118, 2.380154814125782e-05),
+    ("Dy-161", proton, 0.9, 26, 10.0),
+    ("Fe-57", electron, 0.999999, 26, 0.001),
+])
+def test_window_yield_holds_its_error_at_the_config_ceiling(nuclide, make, beta, z_n, r_nm):
+    rec, probe = registry()[nuclide], make(beta=beta)
+    window = MAX_WINDOW_SHARE * rec.e0_eV
+    lo, hi = ((rec.e0_eV + k * 0.5 * window) / CONSTANTS.hbar_eV_s for k in (-1, 1))
+    x, w = np.polynomial.legendre.leggauss(400)
+    density = br_spectral_density(probe, z_n, r_nm, 0.5 * (hi - lo) * x + 0.5 * (hi + lo))
+    assert density.min() >= np.finfo(float).tiny
+    assert br_window_yield(probe, z_n, r_nm, rec.e0_eV, window) == pytest.approx(
+        0.5 * (hi - lo) * float(density @ w), rel=2e-7, abs=0.0)

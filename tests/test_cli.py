@@ -411,7 +411,8 @@ def test_data_file_cross_field_rule_names_its_keys(filename, block, message, tmp
                  "params.a_nm: unknown key", id="a_nm-unknown"),
     pytest.param("scenario: single-sweep\nprobe: {species: electron, beta: 0.9}\n"
                  "params: {sweep_values: [0.9], br_window_eV: 3.0e+4}\n",
-                 "window extends to non-positive photon energies", id="window-2E0"),
+                 "params.br_window_eV: must be at most 2.88258 eV (0.0002 of the line energy)",
+                 id="window-2E0"),
     pytest.param("scenario: brems-compare\nprobe: {species: electron, beta: 0.9}\n"
                  "params: {half_span_line_widths: 1.0e+13}\n",
                  "omega must be positive", id="half-span-E0"),

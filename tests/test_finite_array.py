@@ -316,6 +316,9 @@ def test_mc_plane_average_validation(probe, fe):
     ("theta", dict(theta=math.nan)),
     ("phi", dict(phi=math.inf)),
     ("n_samples", dict(n_samples=2.5)),
+    # a bool is an int to Python, but not a count (True ran one sample)
+    ("half_extent", dict(half_extent=True)),
+    ("n_samples", dict(n_samples=True)),
     ("a_nm", dict(a_nm=math.nan)),
     ("a_nm", dict(a_nm=-0.2856)),
     # outside [1e-5, 1e6] nm: nan, or a failure inside the Bessel kernel

@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import re
 import threading
@@ -15,6 +16,7 @@ from nucsp.nuclide import registry
 from nucsp.probe import BETA_MIN, SPECIES, electron, proton
 from nucsp.scenarios import (
     MAX_G_GRID,
+    MAX_WINDOW_SHARE,
     OUTPUT,
     PARAMS,
     PROBE,
@@ -412,9 +414,10 @@ params: {n_energy: 41, n_time: 100000}
 
 def test_run_metadata(tmp_path):
     config = _cfg("scenario: nuclide-info\n")
-    (table,) = run_scenario(config, seed=7)
+    (table,) = run_scenario(config)
     meta, _, _ = parse_result_table(table.to_csv())
-    assert meta["seed"] == "7"
+    assert set(meta) == {"scenario", "nuclide", "config_sha256", "version", "timestamp"}
+    assert (meta["scenario"], meta["nuclide"]) == ("nuclide-info", "Fe-57")
     assert meta["version"]
     assert len(meta["config_sha256"]) == 64
     assert "timestamp" in meta
@@ -434,6 +437,53 @@ def test_null_float_parameter_is_rejected(scenario, key):
     _, errors = validate_config("scenario: %s\n%sparams:\n%s  %s: null\n"
                                 % (scenario, _PROBE, _REQUIRED_PARAMS.get(scenario, ""), key))
     assert errors == ["params.%s: must be a number" % key]
+
+
+# a config naming each kind of name, with %s for the name, and its choices in order
+_NAMES = {
+    "scenario": ("scenario: %s\n", SCENARIOS),
+    "nuclide": ("scenario: nuclide-info\nnuclide: %s\n", (*registry(), "all")),
+    "params.lattice": ("scenario: crystal-yield\n" + _PROBE + "params: {lattice: %s}\n",
+                       sorted(builtin_presets())),
+    "probe.species": ("scenario: array-pattern\nprobe: {species: %s, beta: 0.9}\n",
+                      (*SPECIES, "custom")),
+    "params.sweep_variable": ("scenario: single-sweep\n" + _PROBE
+                              + "params: {sweep_variable: %s, sweep_values: [0.5]}\n",
+                              ("beta", "r_perp_nm")),
+}
+
+
+@pytest.mark.parametrize("value", ["teleport", 5, ["a"], {"a": 1}, True])
+@pytest.mark.parametrize("path", list(_NAMES))
+def test_unknown_name_lists_the_choices_in_order(path, value):
+    # one row kind checks every name a config gives, so every unknown name,
+    # a non-string too, gets the same message
+    text, choices = _NAMES[path]
+    _, errors = validate_config(text % json.dumps(value))
+    assert errors == ["%s: unknown %r (available: %s)" % (path, value, ", ".join(choices))]
+    assert validate_config(text % choices[0])[1] == []
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_default_nuclide_is_checked_against_the_registry(scenario):
+    # a config without a nuclide runs Fe-57, which a registry may lack
+    reg = {"Dy-161": registry()["Dy-161"]}
+    text = "scenario: %s\n%s%s" % (scenario, "" if scenario == "nuclide-info" else _PROBE,
+                                    "params: {sweep_values: [0.5]}\n"
+                                    if scenario == "single-sweep" else "")
+    config, errors = validate_config(text, reg)
+    assert (config, errors) == (None, ["nuclide: unknown 'Fe-57' (available: Dy-161, all)"])
+    config, errors = validate_config("nuclide: Dy-161\n" + text, reg)
+    assert errors == [] and config.nuclide == "Dy-161"
+
+
+def test_window_ceiling_is_inclusive():
+    edge = MAX_WINDOW_SHARE * registry()["Fe-57"].e0_eV
+    text = ("scenario: single-sweep\n" + _PROBE
+            + "params: {sweep_values: [0.5], br_window_eV: %r}\n")
+    assert validate_config(text % edge)[1] == []
+    assert validate_config(text % math.nextafter(edge, math.inf))[1] == [
+        "params.br_window_eV: must be at most %g eV (0.0002 of the line energy)" % edge]
 
 
 def test_null_sweep_values_is_required():
