@@ -89,6 +89,10 @@ _MAX_STACK_PERIOD = 16
 _SMOOTH_EXTENT = 12.0
 # Largest n_phi x n_G temporary formed when a profile is sampled.
 _BLOCK_TERMS = 1 << 16
+# Cap on the (2m+1)^2 index square _enumerate_g draws its disk from, once per
+# stacking class; all presets pass at r_min_nm = 0.001 smooth (fcc100 is
+# largest, 1,890,625).  Below 2^31, so int32 holds i^2 + j^2 and the counts.
+MAX_G_GRID = 2_000_000
 # A lattice length or a beam-nucleus distance is at least 10 fm, the size of
 # a nucleus (9 fm for Fe-57, 15 fm for U-238); K1^2 of the field overflows
 # near 1e-160 nm, a^4 of the layer prefactor below 1.5e-81 nm.  It is at most
@@ -188,8 +192,8 @@ class CutoffPolicy:
     smooth: bool = False
 
     def __post_init__(self):
-        if not self.r_min_nm > 0:
-            raise ValueError("r_min_nm must be positive")
+        if not 0 < self.r_min_nm < math.inf:
+            raise ValueError("r_min_nm must be positive and finite")
 
     @property
     def g_max_nm(self) -> float:
@@ -246,12 +250,15 @@ def sp_angles(beta: float, d_nm: float, lambda_nm: float,
     return out
 
 
-def _grid_half_width(film: LatticeFilm, policy: CutoffPolicy) -> float:
+def _grid_half_width(film: LatticeFilm, policy: CutoffPolicy) -> int:
     """Half-width m of the (2m+1)^2 index square _enumerate_g draws its disk
-    from: the cutoff radius in units of 2 pi / a, floored.  A float, so that
-    a radius too large for any grid gives a huge or infinite m instead of an
-    error."""
-    return float(np.floor(policy.enumeration_radius() / (2.0 * math.pi / film.a_nm)))
+    from: the cutoff radius in units of 2 pi / a, floored.  Raises ValueError
+    when (2m+1)^2 > MAX_G_GRID, an infinite radius included."""
+    m = np.floor(policy.enumeration_radius() / (2.0 * math.pi / film.a_nm))
+    if not 2 * m + 1 <= math.isqrt(MAX_G_GRID):
+        raise ValueError("reciprocal grid exceeds %d entries per stacking class"
+                         % MAX_G_GRID)
+    return int(m)
 
 
 def _enumerate_g(film: LatticeFilm, policy: CutoffPolicy,
@@ -266,16 +273,13 @@ def _enumerate_g(film: LatticeFilm, policy: CutoffPolicy,
     """
     g_unit = 2.0 * math.pi / film.a_nm
     radius = policy.enumeration_radius()
-    m = int(_grid_half_width(film, policy))
-    # i^2 + j^2 and the running count stay below (2m+1)^2, so int32 holds
-    # them while that is below 2^31
-    itype = np.int32 if (2 * m + 1) ** 2 < 1 << 31 else np.int64
-    rows = np.arange(-m, m + 1, dtype=itype)
+    m = _grid_half_width(film, policy)
+    rows = np.arange(-m, m + 1, dtype=np.int32)
     chord = np.sqrt(np.maximum(0.0, (radius / g_unit) ** 2 - rows.astype(float) ** 2))
-    half = np.minimum(m, np.floor(chord) + 1).astype(itype)
+    half = np.minimum(m, np.floor(chord) + 1).astype(np.int32)
     width = 2 * half + 1
     ii = np.repeat(rows, width)
-    jj = np.arange(ii.size, dtype=itype)
+    jj = np.arange(ii.size, dtype=np.int32)
     jj -= np.repeat(np.cumsum(width) - width + half, width)  # each row's start + half
     shell = ii * ii
     shell += jj * jj

@@ -133,10 +133,6 @@ CONFIG = (  # the top-level keys other than the blocks
     Param("nuclide", "choice", "Fe-57", lambda p, ctx: (*ctx["registry"], "all")),
 )
 
-# Cap on the (2m+1)^2 index square crystal_sp._enumerate_g draws its disk
-# from, once per stacking class; all presets pass at r_min_nm = 0.001 smooth
-# (fcc100 is largest, 1,890,625).
-MAX_G_GRID = 2_000_000
 # Ceiling on br_window_eV / E0, where br_window_yield's three-point rule holds
 # 2e-7 (README); its error grows as the window's fourth power
 MAX_WINDOW_SHARE = 2.0e-4
@@ -152,10 +148,10 @@ def _rule_errors(scenario, p, rec, films, probe):
         yield "params.half_span_line_widths: span reaches zero energy; omega must be positive"
     if scenario == "crystal-yield":
         film = films[p["lattice"]]
-        m = _grid_half_width(film, CutoffPolicy(p["r_min_nm"], p["smooth_cutoff"]))
-        if 2 * m + 1 > math.isqrt(MAX_G_GRID):  # (2m+1)^2 > MAX_G_GRID, without overflow
-            yield ("params.r_min_nm: reciprocal grid exceeds %d entries per stacking class"
-                   % MAX_G_GRID)
+        try:
+            _grid_half_width(film, CutoffPolicy(p["r_min_nm"], p["smooth_cutoff"]))
+        except ValueError as exc:
+            yield "params.r_min_nm: %s" % exc
         yield from _order_cap_errors(p, rec, film, probe)
 
 

@@ -515,6 +515,43 @@ def test_cross_field_rules_exit_1(command, config, message, tmp_path, capsys,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("config,message", [
+    pytest.param("scenario: single-sweep\nparams: {sweep_values: [0.9]}\n",
+                 "probe: required for this scenario", id="no-probe"),
+    pytest.param("scenario: single-sweep\nprobe: [electron]\nparams: {sweep_values: [0.9]}\n",
+                 "probe: must be a mapping", id="probe-list"),
+    pytest.param(_SWEEP + "params: 0.9\n", "params: must be a mapping", id="params-number"),
+    pytest.param(_SWEEP + "params: {sweep_values: [0.9]}\noutput: film\n",
+                 "output: must be a mapping", id="output-string"),
+    pytest.param("scenario: crystal-yield\nprobe: {species: electron, beta: 0.9}\n"
+                 "params: {betas: [1.0e-13]}\n",
+                 "params.order_cap: 12 drops every radiating order at beta = 1e-13 "
+                 "(the first is beyond n = 2^40)", id="order_cap-beyond-2^40"),
+])
+def test_config_shape_errors_exit_1_with_their_message(command, config, message, tmp_path,
+                                                       capsys):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(config)
+    out_dir = tmp_path / "out"
+    assert main([command, str(cfg)] + (["--out", str(out_dir)] if command == "run" else [])) == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_data_file_fractional_spin_exits_2(command, tmp_path, capsys, monkeypatch):
+    nuclides = tmp_path / "nuclides.dat"
+    nuclides.write_text(_DATA_FILES["nuclides.dat"][1].replace("jg2 = 1", "jg2 = 1.5"))
+    monkeypatch.setenv("NUCSP_DATA_DIR", str(tmp_path))
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(GOOD_CONFIG)
+    out_dir = tmp_path / "out"
+    assert main([command, str(cfg)] + (["--out", str(out_dir)] if command == "run" else [])) == 2
+    assert capsys.readouterr().err == "error: %s:1: jg2: must be an integer\n" % nuclides
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("nuclide", ["Fe-57", "Dy-161"])
 @pytest.mark.parametrize("scenario,params", [
     ("single-sweep", "{sweep_values: [1.0e-70], r_perp_nm: 1.0e+6}"),

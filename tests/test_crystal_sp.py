@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nucsp.crystal_sp import (
+    MAX_G_GRID,
     CutoffPolicy,
     LatticeFilm,
     _PARITY_TOL,
@@ -244,6 +245,49 @@ def test_empty_reciprocal_set_warns():
     assert g.shape == (0, 2)
 
 
+def test_reciprocal_vectors_rejects_order_zero():
+    with pytest.raises(ValueError, match="order must be a positive integer"):
+        reciprocal_vectors(make_film("bcc100"), 0, CutoffPolicy(0.01))
+
+
+# the admitted cutoff of tests/test_scenarios.py's grid-cap test builds a
+# 1413 x 1413 index square; one step past it, 1415 x 1415 is over the budget
+_ADMITTED_R_MIN = 0.0007715075261167521
+_FILM_CALLS = {
+    "reciprocal_vectors": lambda probe, rec, film, pol: reciprocal_vectors(film, 1, pol),
+    "emission_cones": emission_cones,
+    "layer_yield": layer_yield,
+    "azimuthal_profile": lambda probe, rec, film, pol: azimuthal_profile(
+        probe, rec, film, sp_angles(probe.beta, film.z_period_nm, rec.wavelength_nm)[0][0],
+        np.linspace(0.0, math.pi, 4), pol),
+    "single_plane_averaged_intensity": lambda probe, rec, film, pol:
+        single_plane_averaged_intensity(probe, rec, film, 1.0, 0.5, pol),
+}
+
+
+def test_grid_half_width_is_an_int_at_the_admitted_cutoff():
+    m = _grid_half_width(make_film("bcc100"), CutoffPolicy(_ADMITTED_R_MIN, smooth=True))
+    assert type(m) is int and m == 706
+
+
+@pytest.mark.parametrize("call", sorted(_FILM_CALLS))
+@pytest.mark.parametrize("pol", [CutoffPolicy(_ADMITTED_R_MIN * 706.5 / 707.0, smooth=True),
+                                 CutoffPolicy(1e-320)], ids=["one-step-past", "1e-320"])
+def test_film_calls_raise_past_the_grid_budget_before_they_allocate(p94, fe, call, pol):
+    # 1e-320 makes the enumeration radius infinite, which once raised
+    # OverflowError converting the half-width to int
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            _FILM_CALLS[call](p94, fe, make_film("bcc100"), pol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "reciprocal grid exceeds %d entries per stacking class" % (
+        MAX_G_GRID)
+    assert peak < 1 << 20
+
+
 def test_empty_stacking_class_warns_and_weighs_zero(p94, fe):
     # at r_min = 0.05 nm only G = 0 is inside the cutoff, and on bcc100 it
     # serves the even orders alone: each odd cone is named, weighed 0.0
@@ -270,6 +314,9 @@ def test_cutoff_policy():
                                math.exp(-1.0))
     with pytest.raises(ValueError):
         CutoffPolicy(0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="r_min_nm must be positive and finite"):
+            CutoffPolicy(bad, smooth=True)
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,12 @@ def test_amplitude_rejects_coincident_impact(probe, fe):
         far_field_amplitude(probe, fe, nuclei, (0.001, 0.002), 1.0, 0.0)
 
 
+def test_amplitude_rejects_a_three_component_impact_point(probe, fe):
+    nuclei = NucleusSet(np.array([[0.001, 0.002, 0.0]]))
+    with pytest.raises(ValueError, match="^impact point must have two transverse components$"):
+        far_field_amplitude(probe, fe, nuclei, (0.0, 0.0, 0.0), 1.0, 0.0)
+
+
 def test_single_nucleus_density_integrates_to_yield(probe, fe):
     # the |r_hat x y_hat|^2 pattern integrates to 8 pi / 3, recovering the
     # total single-nucleus yield

@@ -51,6 +51,13 @@ def test_kinetic_beta_limits():
     assert gamma == pytest.approx(1.0 + 1e6 / m, rel=1e-12)
 
 
+def test_kinetic_beta_reject_non_positive_energies():
+    with pytest.raises(ValueError, match="^energies must be positive$"):
+        beta_from_kinetic(0.0, 510998.95)
+    with pytest.raises(ValueError, match="^rest energy must be positive$"):
+        kinetic_from_beta(0.5, 0.0)
+
+
 def test_probe_factories():
     e = electron(beta=0.9)
     assert e.z_charge == -1

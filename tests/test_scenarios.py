@@ -11,11 +11,10 @@ import pytest
 import yaml
 
 from nucsp import crystal_sp, nuclide
-from nucsp.crystal_sp import CutoffPolicy, builtin_presets, emission_cones, make_film
+from nucsp.crystal_sp import MAX_G_GRID, CutoffPolicy, builtin_presets, emission_cones, make_film
 from nucsp.nuclide import registry
 from nucsp.probe import BETA_MIN, SPECIES, electron, proton
 from nucsp.scenarios import (
-    MAX_G_GRID,
     MAX_WINDOW_SHARE,
     OUTPUT,
     PARAMS,
@@ -217,6 +216,16 @@ def test_result_table_rejects_bad_cells():
         ResultTable("t", ("x",), (("a,b",),), {}).to_csv()
     with pytest.raises(ValueError):
         ResultTable("t", ("x", "y"), ((1.0,),), {}).to_csv()
+
+
+def test_result_table_names_an_unsupported_cell_type():
+    with pytest.raises(ValueError, match="^unsupported cell type 'NoneType'$"):
+        ResultTable("t", ("x",), ((None,),), {}).to_csv()
+
+
+def test_parse_result_table_skips_blank_lines():
+    assert parse_result_table("# a = 1\n\nx,y\n  \n1,2\n\n") == (
+        {"a": "1"}, ["x", "y"], [["1", "2"]])
 
 
 def _per_cell_csv(table):
