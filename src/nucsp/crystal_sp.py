@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -305,11 +306,15 @@ def _enumerate_g(film: LatticeFilm, policy: CutoffPolicy,
     return g
 
 
+def _check_order(n) -> None:
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+        raise ValueError("order must be a positive integer")
+
+
 def reciprocal_vectors(film: LatticeFilm, n: int,
                        policy: CutoffPolicy) -> np.ndarray:
     """Admissible reciprocal vectors for order n, sorted by (|G|, i, j)."""
-    if n < 1:
-        raise ValueError("order must be a positive integer")
+    _check_order(n)
     g = _enumerate_g(film, policy, n)
     if g.shape[0] == 0:
         warnings.warn("no reciprocal vectors pass the cutoff for order %d" % n,
@@ -447,8 +452,9 @@ def azimuthal_profile(probe: Probe, rec: NuclideRecord, film: LatticeFilm,
     An order whose stacking class keeps no reciprocal vector gives 0.0 and a
     RuntimeWarning naming it, as in emission_cones.
     """
+    _check_order(n)
     cos_t = 1.0 / probe.beta - n * rec.wavelength_nm / film.z_period_nm
-    if n < 1 or abs(cos_t) > 1.0:
+    if abs(cos_t) > 1.0:
         raise ValueError("order %d does not radiate at beta = %g" % (n, probe.beta))
     pref = _layer_prefactor(probe, rec, film)
     return pref * _profile_sum(probe, rec, film, policy, n, cos_t, phi)

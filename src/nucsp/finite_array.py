@@ -25,16 +25,19 @@ takes one nucleus times the grating factor of the chain.
 The Monte-Carlo average over impact parameters in one z = 0 plane forms g
 for a chunk of m samples and n sites at once, with real arithmetic only:
 dist = sqrt(dx^2 + dy^2) from the site-minus-sample offsets (dx, dy), and
-w = K1 / dist on the (m x n) grid, then g_x = (w (-dy)) @ B and
-g_y = (w dx) @ B with B = [cos phase_j, -sin phase_j] the (n x 2) site
-phases, whose two columns give the real and imaginary parts.  dist is not
-np.hypot, which is a libm call per element and several times slower:
+w = K1 / dist on the site-major (n x m) grid, then g_x = (w (-dy))^T @ B
+and g_y = (w dx)^T @ B with B = [cos phase_j, -sin phase_j] the (n x 2)
+site phases, whose two columns give the real and imaginary parts.  dist is
+not np.hypot, which is a libm call per element and several times slower:
 offsets of lattice size square without overflow or underflow, and the two
-forms differ by at most an ulp.  A chunk holds
+forms differ by at most an ulp.  The sites are sorted by radius, so K1 runs
+on three slabs of grid rows: masked bessel_k1 where an argument can fall
+below 10, the [10, 700] Chebyshev piece unmasked where every argument lies
+in [10, 45), and that piece on the arguments below 45 beyond.  A chunk holds
 m = _BLOCK_TERMS // n samples, a term budget as for the angle blocks, and
-its (m x n) grids are written into work arrays allocated once per call, so
-the chunk loop makes no (m x n) temporaries of its own.  The chunk size
-does not change which samples are kept.  Its control variate subtracts the
+its grids are written into work arrays allocated once per call, so the
+chunk loop makes no (n x m) temporaries of its own.  The chunk size does
+not change which samples are kept.  Its control variate subtracts the
 origin site's own term (each draw's nearest) inside a capture disk and adds
 back that term's exact mean, from the closed-form integral
 
@@ -52,7 +55,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import CONSTANTS, _veltkamp_split, bessel_k01, bessel_k1
+from .numerics import (CONSTANTS, _CHEB_SPLIT, _k_chebyshev, _veltkamp_split,
+                       bessel_k01, bessel_k1)
 from .numerics import integrate_adaptive  # noqa: F401  (traced by perfbench/spans.py)
 from .crystal_sp import DISTANCE
 from .nuclide import NuclideRecord
@@ -71,6 +75,7 @@ __all__ = [
 # and are skipped in the Monte-Carlo batch path.
 _ARG_CUT = 45.0
 _BLOCK_TERMS = 1 << 16
+_SLAB_MARGIN = 1e-9  # relative widening of the K1 slab bounds, far above rounding
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,13 +98,6 @@ class NucleusSet:
         return self.positions.shape[0]
 
 
-def _impact_point(r_p) -> np.ndarray:
-    rp = np.asarray(r_p, dtype=float)
-    if rp.shape != (2,):
-        raise ValueError("impact point must have two transverse components")
-    return rp
-
-
 def _direction(theta, phi) -> np.ndarray:
     """Unit vectors r_hat with shape broadcast(theta, phi) + (3,)."""
     sin_t = np.sin(theta)
@@ -114,7 +112,9 @@ def far_field_amplitude(probe: Probe, rec: NuclideRecord, nuclei: NucleusSet,
     theta and phi broadcast against each other; the result has their shape
     plus a trailing axis of 3, so scalar angles give shape (3,).
     """
-    rp = _impact_point(r_p)
+    rp = np.asarray(r_p, dtype=float)
+    if rp.shape != (2,):
+        raise ValueError("impact point must have two transverse components")
     pos = nuclei.positions
     d = pos[:, :2] - rp[None, :]
     dist = np.hypot(d[:, 0], d[:, 1])
@@ -228,49 +228,57 @@ def _plane_terms(sites: np.ndarray, rps: np.ndarray, rhat: np.ndarray,
     """Per-sample |r_hat x g|^2 for a z = 0 plane, plus origin-site data.
 
     Returns (x, dn, self_term): the squared transverse amplitude for each
-    impact point in rps, the distance to the origin site (in sites, and
-    nearest to every draw), and its own term K1^2 (1 - (r_hat . phi_hat)^2)
-    for control-variate use.  Matches far_field_amplitude to rounding.
+    impact point in rps, the distance to the origin site (sites are sorted
+    by radius, so it is the first, and nearest to every draw), and its own
+    term K1^2 (1 - (r_hat . phi_hat)^2) for control-variate use.  Matches
+    far_field_amplitude to rounding.
 
-    work is an (8, rows, n_sites) float array with rows >= len(rps): the
-    eight (m x n) grids below are written into its leading rows, so a caller
-    looping over chunks allocates them once.
+    work is a C-contiguous (8, n_sites, rows) float array, rows >= len(rps):
+    the eight (n x m) grids below fill the head of its eight blocks, so a
+    caller looping over chunks allocates them once.
     """
-    m = rps.shape[0]
-    # site-minus-sample offsets as two (m x n) arrays: an (m x n x 2) array
+    m, n = rps.shape[0], sites.shape[0]
+    # site-minus-sample offsets as two (n x m) arrays: an (n x m x 2) array
     # would run every elementwise loop over a length-2 inner axis
-    dx, dy, dist, arg, k1, w, wdy, wdx = (a[:m] for a in work)
-    np.subtract(sites[:, 0], rps[:, 0, None], out=dx)
-    np.subtract(sites[:, 1], rps[:, 1, None], out=dy)
+    dx, dy, dist, arg, k1, w, wdy, wdx = (a.reshape(-1)[:n * m].reshape(n, m) for a in work)
+    np.subtract(sites[:, 0, None], rps[:, 0], out=dx)
+    np.subtract(sites[:, 1, None], rps[:, 1], out=dy)
     # dist = sqrt(dx^2 + dy^2), with arg as scratch (see the module docstring)
     np.multiply(dx, dx, out=dist)
     np.multiply(dy, dy, out=arg)
     dist += arg
     np.sqrt(dist, out=dist)
     np.multiply(dist, delta, out=arg)
-    small = arg < _ARG_CUT
-    k1.fill(0.0)
-    k1[small] = bessel_k1(arg[small])
+    # K1 by slab (see the module docstring): the arguments at a site of
+    # radius rho lie within delta (rho -/+ r), r the farthest draw's radius
+    radius = np.hypot(sites[:, 0], sites[:, 1])
+    r = math.sqrt(float(np.max(rps[:, 0] ** 2 + rps[:, 1] ** 2)))
+    near, inner = np.searchsorted(radius, [(_CHEB_SPLIT / delta + r) * (1.0 + _SLAB_MARGIN),
+                                           (_ARG_CUT / delta - r) * (1.0 - _SLAB_MARGIN)])
+    inner = max(near, inner)
+    k1[:near].fill(0.0)
+    small = arg[:near] < _ARG_CUT
+    k1[:near][small] = bessel_k1(arg[:near][small])
+    _k_chebyshev(arg[near:inner], np, 1, 1, out=k1[near:inner])
+    k1[inner:].fill(0.0)
+    small = arg[inner:] < _ARG_CUT
+    k1[inner:][small] = _k_chebyshev(arg[inner:][small], np, 1, 1)
     # g = sum_j (K1_j / dist_j) (-dy_j, dx_j) e^{-i phase_j}: two real
     # (m x n) @ (n x 2) products, whose columns are the real and imaginary
     # parts of g_x and g_y; negating the product is exact, so g_x is
-    # -((w dy) @ B) rather than (w (-dy)) @ B
+    # -((w dy)^T @ B) rather than (w (-dy))^T @ B
     np.divide(k1, dist, out=w)
     phase = k0 * (rhat[0] * sites[:, 0] + rhat[1] * sites[:, 1])
     basis = np.column_stack([np.cos(phase), -np.sin(phase)])
-    gx = -(np.multiply(w, dy, out=wdy) @ basis)
-    gy = np.multiply(w, dx, out=wdx) @ basis
+    gx = -(np.multiply(w, dy, out=wdy).T @ basis)
+    gy = np.multiply(w, dx, out=wdx).T @ basis
     # |r_hat x g|^2 = |g|^2 - |r_hat . g|^2 for g_z = 0, summed over the
     # real and imaginary columns
     rg = rhat[0] * gx + rhat[1] * gy
     x = np.sum(gx * gx + gy * gy - rg * rg, axis=1)
 
-    # every draw lies in the origin site's own cell, so that site is nearest
-    o = np.flatnonzero(~sites.any(axis=1))[0]
-    dn = dist[:, o].copy()  # work is overwritten by the next chunk
-    px = -dy[:, o] / dn
-    py = dx[:, o] / dn
-    self_term = k1[:, o] ** 2 * (1.0 - (rhat[0] * px + rhat[1] * py) ** 2)
+    dn = dist[0].copy()  # work is overwritten by the next chunk
+    self_term = k1[0] ** 2 * (1.0 - (rhat[0] * (-dy[0] / dn) + rhat[1] * (dx[0] / dn)) ** 2)
     return x, dn, self_term
 
 
@@ -319,8 +327,9 @@ def mc_plane_average(probe: Probe, rec: NuclideRecord, a_nm: float,
     are the first n_samples accepted points of the stream whatever the chunk
     size; the chunk size moves the mean only by rounding, through the
     grouping of the per-chunk sums and the summation order of the BLAS
-    product.  The chunk's (rows x n_sites) work arrays are allocated once
-    per call.  No result depends on the BLAS thread count.
+    product.  The chunk's site-major (n_sites x rows) work arrays are
+    allocated once per call, and K1 runs on them by slab of sites (see the
+    module docstring).  No result depends on the BLAS thread count.
 
     Raises ValueError, naming the parameter, for an a_nm outside [1e-5, 1e6]
     nm (crystal_sp.DISTANCE), non-finite angles, a half_extent that is not an
@@ -360,13 +369,14 @@ def mc_plane_average(probe: Probe, rec: NuclideRecord, a_nm: float,
     reach = _ARG_CUT / delta + a_nm / math.sqrt(2.0)
     sites = square_plane_sites(a_nm, min(half_extent, math.floor(reach / a_nm)))
     sites = sites[np.hypot(sites[:, 0], sites[:, 1]) <= reach]
+    sites = sites[np.argsort(np.hypot(sites[:, 0], sites[:, 1]), kind="stable")]  # origin first
     rows = max(1, _BLOCK_TERMS // sites.shape[0])
     # one block for the eight grids, none reused for a second quantity:
     # glibc's malloc sets its heap trim threshold to twice the largest mapped
     # block freed, and a block this size keeps the Bessel kernel's per-chunk
     # temporaries in retained heap pages (with four or five grids they were
     # faulted in afresh every chunk at beta 0.99)
-    work = np.empty((8, rows, sites.shape[0]))
+    work = np.empty((8, sites.shape[0], rows))
 
     rng = np.random.default_rng(seed)
     total = 0.0

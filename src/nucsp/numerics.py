@@ -36,7 +36,7 @@ x = 2 and 4.1e-16 on the Chebyshev side.  Each branch has one helper, which
 runs the rows of one order: bessel_k1 and bessel_k0 evaluate only their own
 order, bit-identical to the matching half of bessel_k01.  A scalar argument
 runs through the helpers as a Python float with math.exp/math.log, so it
-skips numpy's per-call set-up; an array runs through them with numpy.
+skips numpy's per-call set-up; an array runs through numpy, Clenshaw in place.
 """
 
 from __future__ import annotations
@@ -210,19 +210,28 @@ def _k_series(x, xp, n):
     return 1.0 / x + 0.5 * x * (lg * i - k)
 
 
-def _k_chebyshev(x, xp, n, piece):
+def _k_chebyshev(x, xp, n, piece, out=None):
     """K_n(x), n = 0 or 1, for x >= 2: Chebyshev series in u = a/x + b, by
     Clenshaw, on piece 0 ([2, _CHEB_SPLIT)) or 1 ([_CHEB_SPLIT, inf)).
 
-    Plain arithmetic, so x may be a float (xp = math) or an array (xp = numpy).
+    x is a float (xp = math) or an array (xp = numpy); an array's steps run
+    in place in buffers allocated per call, and out, if given, gets K_n(x).
     """
     rows, head, tail, a, b = _CHEB_ROWS[piece][n]
     u = a / x + b
     u2 = u + u
-    b1 = b2 = 0.0
-    for c in rows:
-        b1, b2 = u2 * b1 - b2 + c, b1
-    return (u * b1 - b2 + tail + head) * (xp.exp(-x) / xp.sqrt(x))
+    if xp is math:
+        b1 = b2 = 0.0
+        for c in rows:
+            b1, b2 = u2 * b1 - b2 + c, b1
+        return (u * b1 - b2 + tail + head) * (xp.exp(-x) / xp.sqrt(x))
+    b1, b2, t = np.zeros((3,) + x.shape)
+    for c in rows:  # b1, b2 = u2 b1 - b2 + c, b1 as above, in place
+        np.add(np.subtract(np.multiply(u2, b1, t), b2, b2), c, b2)
+        b1, b2 = b2, b1
+    np.add(np.add(np.subtract(np.multiply(u, b1, t), b2, t), tail, t), head, t)
+    e = np.divide(np.exp(np.negative(x, b1), b1), np.sqrt(x, b2), b1)
+    return np.multiply(t, e, t if out is None else out)
 
 
 def _bessel(x, orders):

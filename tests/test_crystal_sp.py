@@ -250,6 +250,25 @@ def test_reciprocal_vectors_rejects_order_zero():
         reciprocal_vectors(make_film("bcc100"), 0, CutoffPolicy(0.01))
 
 
+@pytest.mark.parametrize("order", [1.5, 2.0, True, np.float64(2.0), "2", None])
+def test_order_must_be_an_integer(p94, fe, order):
+    # 1.5 gave no vectors (or a 0.0 profile) with a warning about "order 1",
+    # and True ran as order 1
+    film, pol = make_film("bcc100"), CutoffPolicy(0.01)
+    with pytest.raises(ValueError, match="^order must be a positive integer$"):
+        reciprocal_vectors(film, order, pol)
+    with pytest.raises(ValueError, match="^order must be a positive integer$"):
+        azimuthal_profile(p94, fe, film, order, 0.3, pol)
+
+
+def test_numpy_integer_orders_are_accepted(p94, fe):
+    film, pol = make_film("bcc100"), CutoffPolicy(0.01)
+    assert np.array_equal(reciprocal_vectors(film, np.int64(2), pol),
+                          reciprocal_vectors(film, 2, pol))
+    assert azimuthal_profile(p94, fe, film, np.int64(2), 0.3, pol) == \
+        azimuthal_profile(p94, fe, film, 2, 0.3, pol)
+
+
 # the admitted cutoff of tests/test_scenarios.py's grid-cap test builds a
 # 1413 x 1413 index square; one step past it, 1415 x 1415 is over the budget
 _ADMITTED_R_MIN = 0.0007715075261167521

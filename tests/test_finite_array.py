@@ -188,6 +188,7 @@ def test_plane_terms_match_reference_amplitude(probe, fe):
     # the batch path used by the Monte-Carlo loop must agree with the
     # reference per-point assembly
     sites = square_plane_sites(0.2856, 6)
+    sites = sites[np.argsort(np.hypot(sites[:, 0], sites[:, 1]), kind="stable")]
     positions = np.column_stack([sites, np.zeros(len(sites))])
     theta, phi = 1.1, 0.7
     delta = fe.omega0_rad_s / (probe.velocity_nm_s * probe.gamma)
@@ -196,7 +197,7 @@ def test_plane_terms_match_reference_amplitude(probe, fe):
                      math.sin(theta) * math.sin(phi), math.cos(theta)])
     rps = np.array([[0.04, 0.02], [-0.1, 0.013], [0.001, 0.001]])
     x, dn, self_term = _plane_terms(sites, rps, rhat, delta, k0,
-                                    np.empty((8, len(rps), len(sites))))
+                                    np.empty((8, len(sites), len(rps))))
     nuclei = NucleusSet(positions)
     for i, rp in enumerate(rps):
         g = far_field_amplitude(probe, fe, nuclei, rp, theta, phi)
@@ -204,6 +205,80 @@ def test_plane_terms_match_reference_amplitude(probe, fe):
         assert x[i] == pytest.approx(ref, rel=1e-10)
     # nearest-site bookkeeping
     assert dn[2] == pytest.approx(math.hypot(0.001, 0.001), rel=1e-12)
+
+
+def _k1_grid_as_bessel_k1(arg):
+    """What _plane_terms' K1 grid must hold: bessel_k1 below argument 45,
+    0 from 45 on."""
+    return np.where(arg < 45.0, bessel_k1(arg), 0.0)
+
+
+def _grids(work, n, m, *which):
+    return [work[i].reshape(-1)[:n * m].reshape(n, m) for i in which]
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.9, 0.99, 0.999])
+def test_plane_terms_k1_grid_equals_bessel_k1(monkeypatch, fe, beta):
+    # _plane_terms evaluates K1 by slabs of sites sorted by radius: masked
+    # bessel_k1 where an argument can fall below 10, the [10, 700] Chebyshev
+    # piece on whole rows where every argument lies in [10, 45), and that
+    # piece on the arguments below 45 beyond.  The grid must equal masked
+    # bessel_k1 bit for bit, and no argument may reach a piece its slab does
+    # not expect.
+    probe = electron(beta=beta)
+    delta = fe.omega0_rad_s / (probe.velocity_nm_s * probe.gamma)
+    k0 = fe.omega0_rad_s / CONSTANTS.c_nm_s
+    rhat = np.array([math.sin(1.0) * math.cos(0.3), math.sin(1.0) * math.sin(0.3),
+                     math.cos(1.0)])
+    plane_terms, chebyshev = finite_array._plane_terms, finite_array._k_chebyshev
+    seen, inner_rows = [], []
+
+    def spy(sites, rps, rhat, delta, k0, work):
+        out = plane_terms(sites, rps, rhat, delta, k0, work)
+        arg, k1 = _grids(work, len(sites), len(rps), 3, 4)
+        assert np.array_equal(k1, _k1_grid_as_bessel_k1(arg))
+        seen.append((len(sites), float(arg.min()), float(arg.max())))
+        return out
+
+    def piece_1_only(x, xp, n, piece, out=None):
+        # the inner slab passes out=, the outer slab its arguments below 45
+        assert (n, piece) == (1, 1) and np.all(x >= 10.0)
+        if out is not None:
+            assert np.all(x < 45.0)
+            inner_rows.append(x.shape[0])
+        return chebyshev(x, xp, n, piece, out=out)
+
+    monkeypatch.setattr(finite_array, "_k_chebyshev", piece_1_only)
+    monkeypatch.setattr(finite_array, "_plane_terms", spy)
+    for a_nm, half_extent in ((0.2856, 20), (1e-5, 3), (1e6, 2)):
+        seen.clear()
+        inner_rows.clear()
+        mc_plane_average(probe, fe, a_nm, half_extent, 1.0, 0.3, a_nm * 1e-3, 3000)
+        least, most = min(s[1] for s in seen), max(s[2] for s in seen)
+        if a_nm == 0.2856:  # an inner slab needs delta a / sqrt(2) < 17.5: not at 0.5
+            assert least < 10.0 and (max(inner_rows) > 0) == (beta > 0.5)
+        elif a_nm == 1e-5:  # no argument reaches 10: every site is near
+            assert most < 10.0 and not any(inner_rows)
+        else:  # only the origin site is within reach, mostly past 45
+            assert {s[0] for s in seen} == {1} and most > 45.0 and not any(inner_rows)
+
+    # a site s = 1.5 v and a draw at v / 2 (or -v / 2) are collinear with
+    # the origin, so the argument delta |s - p| sits exactly on a slab bound
+    # when delta = 10 / |v| (or 45 / (2 |v|)); rounding then puts about one
+    # case in ten on the wrong side of an unwidened bound
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        turn = rng.uniform(0.0, 2.0 * math.pi)
+        length = rng.uniform(1.0, 1.5) * 10.0 / delta
+        # on a 2^-40 grid, so that 1.5 v and v / 2 are exact
+        v = np.round(length * np.array([math.cos(turn), math.sin(turn)]) * 2.0 ** 40) / 2.0 ** 40
+        sites = np.array([[0.0, 0.0], 1.5 * v])
+        for cut, rps in ((10.0, 0.5 * v[None, :]), (45.0, -0.5 * v[None, :])):
+            d = cut / (math.hypot(*v) * (1.0 if cut == 10.0 else 2.0))
+            work = np.empty((8, 2, 1))
+            plane_terms(sites, rps, rhat, d, k0, work)
+            arg, k1 = _grids(work, 2, 1, 3, 4)
+            assert np.array_equal(k1, _k1_grid_as_bessel_k1(arg))
 
 
 def test_mc_plane_average_is_deterministic(probe, fe):
@@ -358,7 +433,7 @@ def test_mc_mean_does_not_depend_on_chunk_size(monkeypatch, probe, fe):
     plane_terms = finite_array._plane_terms
 
     def spy(sites, rps, rhat, delta, k0, work):
-        chunks.append((len(rps), work.shape[1], work.shape[2]))
+        chunks.append((len(rps), work.shape[2], work.shape[1]))
         return plane_terms(sites, rps, rhat, delta, k0, work)
 
     monkeypatch.setattr(finite_array, "_plane_terms", spy)

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import math
 import subprocess
 import sys
@@ -113,6 +114,38 @@ def test_bessel_scalar_path_matches_array_path(lo, hi):
     scalar = np.array([bessel_k01(float(x)) for x in xs])
     np.testing.assert_allclose(scalar[:, 0], k0, rtol=1e-15, atol=0.0)
     np.testing.assert_allclose(scalar[:, 1], k1, rtol=1e-15, atol=0.0)
+
+
+def _clenshaw_as_written(x, n, piece):
+    """The array Clenshaw of numerics._k_chebyshev as one expression per
+    step, with numpy allocating every intermediate: the in-place form must
+    equal it bit for bit."""
+    rows, head, tail, a, b = numerics._CHEB_ROWS[piece][n]
+    u = a / x + b
+    u2 = u + u
+    b1 = b2 = 0.0
+    for c in rows:
+        b1, b2 = u2 * b1 - b2 + c, b1
+    return (u * b1 - b2 + tail + head) * (np.exp(-x) / np.sqrt(x))
+
+
+@pytest.mark.parametrize("size", [1, 64, 512, 45_000])
+def test_array_clenshaw_equals_the_expression_as_written(size):
+    edges = [np.nextafter(v, d) for v in (2.0, SPLIT, 700.0) for d in (0.0, v, np.inf)]
+    rng = np.random.default_rng(size)
+    if size == 1:
+        inputs = [np.array([x]) for x in edges]
+    else:
+        xs = np.concatenate([edges, np.geomspace(2.0, 700.0, size - len(edges))])
+        inputs = [rng.permutation(xs), rng.permutation(xs).reshape(-1, 8 if size > 64 else 2)]
+    for xs, piece, n in itertools.product(inputs, (0, 1), (0, 1)):
+        before = xs.copy()
+        want = _clenshaw_as_written(xs, n, piece)
+        assert np.array_equal(numerics._k_chebyshev(xs, np, n, piece), want)
+        out = np.full_like(xs, np.nan)
+        assert numerics._k_chebyshev(xs, np, n, piece, out=out) is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(xs, before)
 
 
 def test_single_order_paths_are_bit_identical_to_k01():
