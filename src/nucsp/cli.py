@@ -78,10 +78,9 @@ def _cmd_list_nuclides(args) -> int:
     keys = [row.name for row in NUCLIDE]
     print("%-10s %10s %12s %10s %4s %4s %14s %12s %8s" % (*keys, "tau_rad_s", "f"))
     for rec in reg.values():
-        f = rec.coherent_fraction
         print("%-10s %10.4f %12.4g %10.4g %4d %4d %14.4g %12.4g %8s" % (
             *(getattr(rec, key) for key in keys),
-            1.0 / radiative_rate(rec), "%d/%d" % (f.numerator, f.denominator)))
+            1.0 / radiative_rate(rec), str(rec.coherent_fraction)))
     return 0
 
 

@@ -3,8 +3,8 @@ yields from the reciprocal-space sum.
 
 A film is built from square-lattice (001)-type atomic planes with in-plane
 period a, interlayer spacing b_z, and an in-plane offset b_par between
-successive planes.  The z period is d = p b_z, where p is the smallest
-number of planes after which the offset returns to a lattice vector.  A
+successive planes.  The z period is d = p b_z, where p <= 16 is the fewest
+planes with p b_par / a within 1e-9 of integers P, found once per film.  A
 charge moving along z with velocity v emits at the cone angles
 
     cos(theta_n) = c/v - n lambda0 / d,     n = 1, 2, ...
@@ -15,8 +15,8 @@ For order n and azimuth phi the per-layer emission probability is
                    sum_G' Q^2 (1 - (r_hat . phi_hat_Q)^2) / (Q^2 + Delta^2)^2,
 
 with Q = k_par + G, Delta = omega0 / (v gamma), A = a^2 the cell area, and
-the prime restricting G to vectors whose interplane phase matches the order:
-n b_z / d + (G . b_par) / (2 pi) must be an integer.  The sum is assembled
+the prime keeping the G = (2 pi / a)(i, j) in phase with order n, by the
+exact congruence (n + i P_x + j P_y) mod p == 0.  The sum is assembled
 with the equivalent numerator Q^2 cos^2(theta_n) + (Q . r_hat)^2, in one
 helper that also serves the single-plane average below.
 
@@ -125,7 +125,14 @@ class LatticeFilm:
         _check_fields(LATTICE, {"name": self.preset, "a_nm": self.a_nm, "b_par_x_nm": bx,
                                 "b_par_y_nm": by, "b_z_nm": self.b_z_nm})
         object.__setattr__(self, "b_par_nm", (float(bx), float(by)))
-        self.z_period_nm  # validate stacking closes up
+        # the film's one stacking decision, kept as (p, P_x mod p, P_y mod p)
+        for p in range(1, _MAX_STACK_PERIOD + 1):
+            f = [p * b / self.a_nm for b in self.b_par_nm]
+            if all(abs(x - round(x)) < _PARITY_TOL for x in f):
+                object.__setattr__(self, "_stacking", (p, *(round(x) % p for x in f)))
+                return
+        raise ValueError("b_par_x_nm/b_par_y_nm: stacking offset does not close "
+                         "within %d planes" % _MAX_STACK_PERIOD)
 
     @property
     def cell_area_nm2(self) -> float:
@@ -134,14 +141,7 @@ class LatticeFilm:
     @property
     def stack_period(self) -> int:
         """Number of planes per z period (offset returns to a lattice vector)."""
-        for p in range(1, _MAX_STACK_PERIOD + 1):
-            fx = p * self.b_par_nm[0] / self.a_nm
-            fy = p * self.b_par_nm[1] / self.a_nm
-            if (abs(fx - round(fx)) < _PARITY_TOL
-                    and abs(fy - round(fy)) < _PARITY_TOL):
-                return p
-        raise ValueError("b_par_x_nm/b_par_y_nm: stacking offset does not close "
-                         "within %d planes" % _MAX_STACK_PERIOD)
+        return self._stacking[0]
 
     @property
     def z_period_nm(self) -> float:
@@ -269,8 +269,8 @@ def _enumerate_g(film: LatticeFilm, policy: CutoffPolicy,
     Only the disk is built: row i gets the |j| <= sqrt(m'^2 - i^2) + 1 its
     circle allows (m' the radius in grid units; the one is slack for
     rounding), and the exact test (i^2 + j^2) u^2 <= r^2 picks the vectors.
-    With an order given, keeps only vectors whose stacking phase closes:
-    t = n b_z / d + (i b_par_x + j b_par_y) / a must be integral.
+    With an order n given, keeps only vectors whose stacking phase closes,
+    (n + i P_x + j P_y) mod p == 0 in int32, with the film's closed stacking.
     """
     g_unit = 2.0 * math.pi / film.a_nm
     radius = policy.enumeration_radius()
@@ -289,9 +289,8 @@ def _enumerate_g(film: LatticeFilm, policy: CutoffPolicy,
     keep = keep <= radius * radius
     ii, jj, shell = ii[keep], jj[keep], shell[keep]
     if order is not None:
-        t = (order * film.b_z_nm / film.z_period_nm
-             + (ii * film.b_par_nm[0] + jj * film.b_par_nm[1]) / film.a_nm)
-        ok = np.abs(t - np.round(t)) < _PARITY_TOL
+        p, px, py = film._stacking  # P < p <= 16: int32 holds i P_x + j P_y
+        ok = (ii * px + jj * py + int(order % p)) % p == 0
         ii, jj, shell = ii[ok], jj[ok], shell[ok]
     # each index array is dropped once spent, so the peak stays below
     # twice the result

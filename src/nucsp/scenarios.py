@@ -197,6 +197,20 @@ def _build_probe(block, errors) -> Probe | None:
         return None
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """yaml.SafeLoader that rejects a key given twice in one mapping."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = []  # a list: an unhashable key is left for SafeLoader to reject
+        for key_node in [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]:
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, "found duplicate key %r" % (key,), key_node.start_mark)
+            seen.append(key)
+        return super().construct_mapping(node, deep)
+
+
 def validate_config(text: str, registry: Mapping[str, NuclideRecord] | None = None,
                     films: Mapping[str, LatticeFilm] | None = None):
     """Parse and check a YAML scenario config.
@@ -208,7 +222,7 @@ def validate_config(text: str, registry: Mapping[str, NuclideRecord] | None = No
            "films": builtin_presets() if films is None else films}
     errors: list[str] = []
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         loc = " (line %d, column %d)" % (mark.line + 1, mark.column + 1) if mark else ""
@@ -324,20 +338,14 @@ def write_tables(tables: Iterable[ResultTable], out_dir) -> list[Path]:
 # runners
 
 
-def _half_str(doubled: int) -> str:
-    return "%d/2" % doubled if doubled % 2 else str(doubled // 2)
-
-
 def _run_nuclide_info(config, reg, films):
     names = list(reg) if config.nuclide == "all" else [config.nuclide]
 
     def row(name):
         rec = reg[name]
         f = rec.coherent_fraction
-        return (rec.name, rec.e0_eV / 1e3, rec.lifetime_s,
-                1.0 / radiative_rate(rec), rec.alpha_ic, float(f),
-                "%d/%d" % (f.numerator, f.denominator),
-                _half_str(rec.jg2), _half_str(rec.je2))
+        return (rec.name, rec.e0_eV / 1e3, rec.lifetime_s, 1.0 / radiative_rate(rec),
+                rec.alpha_ic, float(f), str(f), str(rec.j_g), str(rec.j_e))
 
     columns = ("name", "e0_keV", "lifetime_s", "radiative_lifetime_s",
                "alpha_ic", "coherent_fraction", "coherent_fraction_exact",

@@ -528,6 +528,18 @@ def test_cross_field_rules_exit_1(command, config, message, tmp_path, capsys,
                  "params: {betas: [1.0e-13]}\n",
                  "params.order_cap: 12 drops every radiating order at beta = 1e-13 "
                  "(the first is beyond n = 2^40)", id="order_cap-beyond-2^40"),
+    # a key given twice is an error at its second copy, not a silent override
+    pytest.param("scenario: nuclide-info\nnuclide: Fe-57\nnuclide: Dy-161\n",
+                 "config: invalid YAML (line 3, column 1): found duplicate key 'nuclide'",
+                 id="top-level-key-twice"),
+    pytest.param("scenario: single-sweep\nparams: {sweep_values: [0.9]}\n"
+                 "probe: {species: electron, beta: 0.9, beta: 0.5}\n",
+                 "config: invalid YAML (line 3, column 39): found duplicate key 'beta'",
+                 id="probe-key-twice"),
+    pytest.param("scenario: crystal-yield\nprobe: {species: electron, beta: 0.9}\n"
+                 "params:\n  r_min_nm: 0.004\n  r_min_nm: 0.002\n",
+                 "config: invalid YAML (line 5, column 3): found duplicate key 'r_min_nm'",
+                 id="params-key-twice"),
 ])
 def test_config_shape_errors_exit_1_with_their_message(command, config, message, tmp_path,
                                                        capsys):
@@ -649,6 +661,27 @@ def test_data_file_lattice_overrides_preset(config_file, tmp_path, capsys, monke
     written = [(int(r[1]), float(r[2]), float(r[3])) for r in rows[:-1]]
     assert written == cone_rows(LatticeFilm("bcc100", 0.40, (0.20, 0.20), 0.20))
     assert written != cone_rows(make_film("bcc100"))
+
+
+def test_near_rational_data_file_offset_writes_the_exact_offsets_total(tmp_path, capsys,
+                                                                       monkeypatch):
+    # a/3 + 2e-11 nm closes at three planes within 1e-9, and from then on the
+    # selection is exact, so the film writes the total of the offset a/3
+    (tmp_path / "lattices.dat").write_text(
+        "name = near\na_nm = 0.3\nb_par_x_nm = 0.10000000002\nb_par_y_nm = 0\nb_z_nm = 0.1\n\n"
+        "name = third\na_nm = 0.3\nb_par_x_nm = 0.1\nb_par_y_nm = 0\nb_z_nm = 0.1\n")
+    monkeypatch.setenv("NUCSP_DATA_DIR", str(tmp_path))
+    totals = []
+    for lattice in ("near", "third"):
+        cfg = tmp_path / ("%s.yaml" % lattice)
+        cfg.write_text("scenario: crystal-yield\nprobe: {species: electron, beta: 0.94}\n"
+                       "params: {lattice: %s}\n" % lattice)
+        assert main(["run", str(cfg), "--out", str(tmp_path / lattice)]) == 0
+        _, _, rows = parse_result_table((tmp_path / lattice / "result.csv").read_text())
+        assert rows[-1][1] == "0" and len(rows) > 4
+        totals.append(float(rows[-1][3]))
+    assert capsys.readouterr().err == ""
+    assert totals[0] == pytest.approx(totals[1], rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("preset, a_nm, block", [

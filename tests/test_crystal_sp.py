@@ -632,6 +632,36 @@ def test_enumeration_equals_full_grid(preset, pol):
         assert got.dtype == float and np.array_equal(got, _full_grid_g(film, pol, order))
 
 
+# a = 0.3 nm with the offset a/3 + 2e-11 nm: p b_par / a closes at p = 3
+# within 1e-9, but a float stacking phase per vector drifts by 6.7e-11 |i|
+_NEAR_THIRD = LatticeFilm("near", 0.3, (0.10000000002, 0.0), 0.1)
+_THIRD = LatticeFilm("third", 0.3, (0.1, 0.0), 0.1)
+
+
+def test_near_rational_offset_selects_as_its_closed_stacking():
+    # the stacking is decided once, so every order keeps all of the vectors
+    # the exact offset keeps, those past |i| = 15 included
+    pol = CutoffPolicy(0.001)
+    assert _NEAR_THIRD.stack_period == _THIRD.stack_period == 3
+    for n, size in ((1, 2388), (2, 2388), (3, 2377), (4, 2388)):
+        got = _enumerate_g(_NEAR_THIRD, pol, n)
+        assert got.shape == (size, 2) and np.array_equal(got, _enumerate_g(_THIRD, pol, n))
+
+
+def test_far_offset_selects_as_its_reduction_by_lattice_vectors():
+    # (900000.1, -600000.2) nm is (0.1, -0.2) nm plus whole lattice vectors:
+    # it closes at p = 3 with P = (9000001, -6000002), and the smooth 1 pm
+    # cutoff runs i to 572, so i P_x leaves int32 unless P is reduced mod p
+    pol = CutoffPolicy(0.001, smooth=True)
+    far = LatticeFilm("far", 0.3, (900000.1, -600000.2), 0.1)
+    reduced = LatticeFilm("reduced", 0.3, (0.1, -0.2), 0.1)
+    assert far.stack_period == reduced.stack_period == 3
+    assert _grid_half_width(far, pol) * 9000001 > 2 ** 31
+    for n in (1, 2, 3):
+        got = _enumerate_g(far, pol, n)
+        assert got.shape[0] > 340_000 and np.array_equal(got, _enumerate_g(reduced, pol, n))
+
+
 def test_enumeration_peak_memory_is_below_twice_its_result():
     # fcc100 at the smooth 1 pm cutoff: 1,485,133 vectors (23.8 MB) from a
     # 1375 x 1375 index square, which once peaked at 97 MB

@@ -81,6 +81,17 @@ def test_validate_yaml_syntax_error_has_location():
     assert "invalid YAML" in errors[0]
 
 
+def test_yaml_merge_key_still_overrides():
+    # a key given twice is rejected, but a key merged in with << and given
+    # again is YAML's override, not a repeat
+    merged, errors = validate_config(
+        "scenario: single-sweep\nparams: {sweep_values: [0.9]}\n"
+        "probe:\n  <<: {species: electron, beta: 0.9}\n  beta: 0.5\n")
+    plain, _ = validate_config("scenario: single-sweep\nparams: {sweep_values: [0.9]}\n"
+                               "probe: {species: electron, beta: 0.5}\n")
+    assert errors == [] and merged.probe == plain.probe
+
+
 def test_validate_rejects_non_mapping():
     _, errors = validate_config("- a\n- b\n")
     assert errors == ["config: top level must be a mapping"]

@@ -2,7 +2,7 @@
 so that a change to the film path can be checked bit for bit against another
 tree:
 
-    PYTHONPATH=src python3 tools/cone_digest.py
+    python3 tools/cone_digest.py
 
 Each cone adds the line ``lattice beta n cos_theta.hex() weight.hex()`` to
 the digest, with beta as its ``repr``.  The cases are:
@@ -16,15 +16,20 @@ the digest, with beta as its ``repr``.  The cases are:
 
 The digest and the number of cones go to stdout.  Only the Fe-57 record and
 nucsp's film path are used; the per-vector oracle of the tests is not run.
+The nucsp imported is this tree's src/, whatever else is installed.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
+from pathlib import Path
 
-from nucsp.crystal_sp import CutoffPolicy, LatticeFilm, emission_cones, make_film
-from nucsp.nuclide import registry
-from nucsp.probe import electron
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from nucsp.crystal_sp import CutoffPolicy, LatticeFilm, emission_cones, make_film  # noqa: E402
+from nucsp.nuclide import registry  # noqa: E402
+from nucsp.probe import electron  # noqa: E402
 
 BETAS = tuple(round(0.5 + 0.025 * i, 3) for i in range(20))
 SMOOTH_BETAS = (0.9, 0.91, 0.92, 0.93, 0.94, 0.95, 0.96)

@@ -2,7 +2,7 @@
 per line, so that a change to finite_array.mc_plane_average can be checked
 against another tree:
 
-    PYTHONPATH=src python3 tools/mc_digest.py
+    python3 tools/mc_digest.py
 
 The cases are:
 
@@ -15,14 +15,20 @@ The cases are:
 
 Each line is ``label repr(mean)``.  Two trees are compared line by line; the
 Monte-Carlo draws are the same, so their means differ by rounding only.
+The nucsp imported is this tree's src/, whatever else is installed.
 """
 
 from __future__ import annotations
 
-from nucsp.crystal_sp import make_film
-from nucsp.finite_array import mc_plane_average
-from nucsp.nuclide import registry
-from nucsp.probe import electron
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from nucsp.crystal_sp import make_film  # noqa: E402
+from nucsp.finite_array import mc_plane_average  # noqa: E402
+from nucsp.nuclide import registry  # noqa: E402
+from nucsp.probe import electron  # noqa: E402
 
 # (beta, theta, phi, r_min_nm, seed) of the recorded means
 RECORDED = ((0.9, 1.0, 0.3, 0.001, 5), (0.5, 2.0, 1.1, 0.002, 7),
