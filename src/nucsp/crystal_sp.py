@@ -195,6 +195,8 @@ class CutoffPolicy:
     def __post_init__(self):
         if not 0 < self.r_min_nm < math.inf:
             raise ValueError("r_min_nm must be positive and finite")
+        if not isinstance(self.smooth, bool):
+            raise ValueError("smooth must be a bool")
 
     @property
     def g_max_nm(self) -> float:
@@ -506,9 +508,9 @@ def emission_cones(probe: Probe, rec: NuclideRecord, film: LatticeFilm,
 
 
 def layer_yield(probe: Probe, rec: NuclideRecord, film: LatticeFilm,
-                policy: CutoffPolicy, order_cap: int | None = None) -> float:
+                policy: CutoffPolicy) -> float:
     """Total emission probability per layer and per unit charge squared."""
-    cones = emission_cones(probe, rec, film, policy, order_cap)
+    cones = emission_cones(probe, rec, film, policy)
     return sum(c.weight for c in cones) / probe.z_charge ** 2
 
 

@@ -313,8 +313,6 @@ class DataFileError(ValueError):
 
     def __init__(self, path: str, line: int, message: str):
         super().__init__(f"{path}:{line}: {message}")
-        self.path = path
-        self.line = line
 
 
 def parse_kv_blocks(text: str, path: str = "<data>") -> list[tuple[int, dict[str, str]]]:

@@ -50,7 +50,6 @@ import numpy as np
 __all__ = [
     "PhysicalConstants",
     "CONSTANTS",
-    "EULER_GAMMA",
     "ConvergenceError",
     "bessel_k0",
     "bessel_k1",
@@ -58,8 +57,6 @@ __all__ = [
     "integrate_periodic",
     "integrate_adaptive",
 ]
-
-EULER_GAMMA = 0.5772156649015328606
 
 
 class ConvergenceError(RuntimeError):
@@ -81,24 +78,17 @@ class PhysicalConstants:
     hbar_eV_s: float = 6.582119569e-16
     c_m_s: float = 299792458.0
     alpha_fs: float = 7.2973525693e-3
-    e2_eV_nm: float = 1.4399645478  # e^2 = alpha * hbar * c
     electron_mass_eV: float = 510998.95000
     proton_mass_eV: float = 938272088.16
 
     def __post_init__(self):
         if abs(self.alpha_fs - 1.0 / 137.035999) > 1e-6:
             raise ValueError("alpha_fs inconsistent with 1/137.035999")
-        if abs(self.e2_eV_nm - self.alpha_fs * self.hbar_eV_s * self.c_nm_s) > 1e-9 * self.e2_eV_nm:
-            raise ValueError("e2_eV_nm inconsistent with alpha * hbar * c")
 
     @property
     def c_nm_s(self) -> float:
         """Speed of light in the internal length unit (nm/s)."""
         return self.c_m_s * 1e9
-
-    @property
-    def hbar_c_eV_nm(self) -> float:
-        return self.hbar_eV_s * self.c_nm_s
 
 
 CONSTANTS = PhysicalConstants()

@@ -5,6 +5,7 @@ its Lorentz factor gamma = 1/sqrt(1 - beta^2), speed and kinetic energy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .numerics import CONSTANTS
@@ -22,6 +23,16 @@ __all__ = [
 # bremsstrahlung prefactor divides by leaves the normal-double range, and by
 # 1e-85 it underflows to zero.
 BETA_MIN = 1e-70
+
+# Largest charge magnitude, the heaviest known nucleus's: brems takes
+# Z^4 Z_n^2, and a finite bound keeps every integer far from overflow.
+MAX_Z = 118
+
+# Rest-energy range (eV): 1e5 eV is below the lightest charged particle (the
+# electron, 511 keV), and keeps the 1/(M^2 beta^4) of the bremsstrahlung
+# prefactor below 1e270; 1e15 eV is far above the heaviest nucleus (U-238,
+# 2.2e11 eV) and far below 1.3e154 eV, where M^2 overflows.
+REST_ENERGY_EV = (1.0e5, 1.0e15)
 
 
 def lorentz_gamma(beta: float) -> float:
@@ -58,12 +69,13 @@ class Probe:
     beta: float
 
     def __post_init__(self):
-        if self.z_charge == 0:
-            raise ValueError("z_charge must be non-zero")
-        if not self.rest_energy_eV > 0:
-            raise ValueError("rest_energy_eV must be positive")
         if not BETA_MIN <= self.beta < 1.0:
             raise ValueError("beta must lie in [%g, 1)" % BETA_MIN)
+        z = self.z_charge
+        if not isinstance(z, numbers.Integral) or isinstance(z, bool) or not 1 <= abs(z) <= MAX_Z:
+            raise ValueError("z_charge must be a non-zero integer of magnitude at most %d" % MAX_Z)
+        if not REST_ENERGY_EV[0] <= self.rest_energy_eV <= REST_ENERGY_EV[1]:
+            raise ValueError("rest_energy_eV must lie in [%g, %g]" % REST_ENERGY_EV)
 
     @property
     def gamma(self) -> float:

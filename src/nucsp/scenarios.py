@@ -42,7 +42,7 @@ from .finite_array import angular_density  # noqa: F401  (traced by perfbench/sp
 from .nuclide import (REQUIRED, NuclideRecord, Param, _validate_block, radiative_rate,
                       registry as nuclide_registry)
 from .numerics import CONSTANTS
-from .probe import SPECIES, Probe, _species
+from .probe import MAX_Z, REST_ENERGY_EV, SPECIES, Probe, _species
 from .single_nucleus import coherent_yield, decay_profile, spectral_profile
 
 __all__ = [
@@ -73,20 +73,13 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 # validation
 
-# Every integer row has a finite bound, so none overflows a float.  A charge
-# is at most the heaviest known nucleus's (brems takes Z^4 Z_n^2).
-MAX_Z = 118
-
-# the probe's cross-field rules are in _build_probe
+# probe.py holds the bounds, with their reasons, that Probe checks too; the
+# block's cross-field rules are in _build_probe
 PROBE = (
     Param("species", "choice", "electron", (*SPECIES, "custom")),
     Param("beta", "beta", None),
     Param("kinetic_energy_eV", "positive", None),
-    # 1e5 eV is below the lightest charged particle (the electron, 511 keV),
-    # and keeps the 1/(M^2 beta^4) of the bremsstrahlung prefactor below 1e270;
-    # 1e15 eV is far above the heaviest nucleus (U-238, 2.2e11 eV) and far
-    # below 1.3e154 eV, where M^2 overflows
-    Param("rest_energy_eV", "positive", None, (1.0e5, 1.0e15)),
+    Param("rest_energy_eV", "positive", None, REST_ENERGY_EV),
     Param("z_charge", "nonzero", None, MAX_Z),
 )
 OUTPUT = (Param("prefix", "prefix", "result"),)
@@ -138,8 +131,12 @@ CONFIG = (  # the top-level keys other than the blocks
 MAX_WINDOW_SHARE = 2.0e-4
 
 
-def _rule_errors(scenario, p, rec, films, probe):
-    """Cross-field rules, run once every field has passed its own check."""
+def _rule_errors(scenario, p, given, rec, films, probe):
+    """Cross-field rules, run once every field has passed its own check;
+    given is the params block as written, which tells a key from a default."""
+    if scenario == "single-sweep" and p["sweep_variable"] == "r_perp_nm" and "r_perp_nm" in given:
+        yield ("params.r_perp_nm: not taken with params.sweep_variable: r_perp_nm, "
+               "whose sweep_values give the distances")
     if scenario == "single-sweep" and p["br_window_eV"] > MAX_WINDOW_SHARE * rec.e0_eV:
         yield "params.br_window_eV: must be at most %g eV (%g of the line energy)" % (
             MAX_WINDOW_SHARE * rec.e0_eV, MAX_WINDOW_SHARE)
@@ -247,8 +244,8 @@ def validate_config(text: str, registry: Mapping[str, NuclideRecord] | None = No
     params = _validate_block("params", PARAMS[scenario], doc.get("params"), errors,
                              ctx) if scenario is not None else {}
     if not errors:
-        errors.extend(_rule_errors(scenario, params, ctx["registry"].get(nuclide),
-                                   ctx["films"], probe))
+        errors.extend(_rule_errors(scenario, params, doc.get("params") or {},
+                                   ctx["registry"].get(nuclide), ctx["films"], probe))
     output = _validate_block("output", OUTPUT, doc.get("output"), errors, None)
 
     if errors:

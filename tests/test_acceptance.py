@@ -208,7 +208,7 @@ def test_background_comparison():
     ratio = (br_density(p9, 26, 0.001, 1.0, 0.5, FE.omega0_rad_s)
              / br_density(e9, 26, 0.001, 1.0, 0.5, FE.omega0_rad_s))
     expected = (e9.rest_energy_eV / p9.rest_energy_eV) ** 2
-    assert ratio == pytest.approx(expected, rel=1e-12)
+    assert ratio == pytest.approx(expected, rel=1e-12, abs=0.0)
     # (b) integrated over a 1 eV window the continuum dominates the line
     br = br_window_yield(e9, 26, 0.001, FE.e0_eV, 1.0)
     coh = coherent_yield(e9, FE, 0.001)
@@ -226,9 +226,9 @@ def test_background_comparison():
 
 def test_decay_time_constants():
     assert decay_profile(FE).survival(142e-9) == pytest.approx(
-        math.exp(-1.0), rel=1e-12)
+        math.exp(-1.0), rel=1e-12, abs=0.0)
     assert decay_profile(DY).survival(1.2e-9) == pytest.approx(
-        math.exp(-1.0), rel=1e-12)
+        math.exp(-1.0), rel=1e-12, abs=0.0)
     _ok("excited-state survival reaches 1/e at exactly 142 ns (Fe-57) "
         "and 1.2 ns (Dy-161)")
 

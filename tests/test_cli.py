@@ -528,6 +528,11 @@ def test_cross_field_rules_exit_1(command, config, message, tmp_path, capsys,
                  "params: {betas: [1.0e-13]}\n",
                  "params.order_cap: 12 drops every radiating order at beta = 1e-13 "
                  "(the first is beyond n = 2^40)", id="order_cap-beyond-2^40"),
+    # a sweep owns the quantity it sweeps: an r_perp_nm beside it was ignored
+    pytest.param("scenario: single-sweep\nprobe: {species: electron, beta: 0.9}\n"
+                 "params: {sweep_variable: r_perp_nm, sweep_values: [0.001], r_perp_nm: 0.5}\n",
+                 "params.r_perp_nm: not taken with params.sweep_variable: r_perp_nm, "
+                 "whose sweep_values give the distances", id="r_perp-beside-its-sweep"),
     # a key given twice is an error at its second copy, not a silent override
     pytest.param("scenario: nuclide-info\nnuclide: Fe-57\nnuclide: Dy-161\n",
                  "config: invalid YAML (line 3, column 1): found duplicate key 'nuclide'",

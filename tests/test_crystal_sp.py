@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -33,6 +34,7 @@ from nucsp.finite_array import mc_plane_average
 from nucsp.nuclide import radiative_rate, registry
 from nucsp.numerics import CONSTANTS, integrate_periodic
 from nucsp.probe import electron
+from nucsp.scenarios import validate_config
 
 
 @pytest.fixture
@@ -338,6 +340,21 @@ def test_cutoff_policy():
             CutoffPolicy(bad, smooth=True)
 
 
+@pytest.mark.parametrize("smooth", [True, False, "false", 0, 1, None])
+def test_cutoff_policy_admits_what_its_config_row_admits(smooth):
+    # a "false" string once ran the smooth cutoff, at 12 / r_min
+    config, errors = validate_config(
+        "scenario: crystal-yield\nprobe: {species: electron, beta: 0.9}\n"
+        "params: {r_min_nm: 0.003, smooth_cutoff: %s}\n" % json.dumps(smooth))
+    try:
+        policy = CutoffPolicy(0.003, smooth)
+    except ValueError as exc:
+        assert str(exc) == "smooth must be a bool"
+        policy = None
+    assert (policy is not None) == (not errors), errors
+    assert config is None or config.params["smooth_cutoff"] is policy.smooth
+
+
 # ---------------------------------------------------------------------------
 # prefactor algebra
 
@@ -352,13 +369,13 @@ def test_layer_prefactor_equivalent_forms(p94, fe):
         printed = (18.0 * math.pi ** 2 * CONSTANTS.alpha_fs * kr ** 2 * c ** 3
                    / (film.a_nm ** 4 * fe.omega0_rad_s ** 4 * fe.kappa_s
                       * film.z_period_nm))
-        assert _layer_prefactor(p94, fe, film) == pytest.approx(printed, rel=1e-12)
+        assert _layer_prefactor(p94, fe, film) == pytest.approx(printed, rel=1e-12, abs=0.0)
     # the single-plane stacking has b_z = d and the factor 2 disappears
     sc = make_film("sc100")
     printed_sc = (9.0 * math.pi ** 2 * CONSTANTS.alpha_fs * kr ** 2 * c ** 3
                   / (sc.a_nm ** 4 * fe.omega0_rad_s ** 4 * fe.kappa_s
                      * sc.z_period_nm))
-    assert _layer_prefactor(p94, fe, sc) == pytest.approx(printed_sc, rel=1e-12)
+    assert _layer_prefactor(p94, fe, sc) == pytest.approx(printed_sc, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +429,7 @@ def test_plane_average_matches_transverse_oracle(fe):
     for theta, phi in [(1.0, 0.3), (2.2, 1.9), (0.6, 4.0)]:
         oracle = pref * _transverse_sum(probe, fe, g, np.ones(len(g)), theta, phi)[0]
         got = single_plane_averaged_intensity(probe, fe, film, theta, phi, pol)
-        assert got == pytest.approx(oracle, rel=1e-12)
+        assert got == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 def test_azimuthal_profile_scalar_and_array(p94, fe):
@@ -421,7 +438,7 @@ def test_azimuthal_profile_scalar_and_array(p94, fe):
     arr = azimuthal_profile(p94, fe, film, 1, np.array([0.2, 0.9]), pol)
     s = azimuthal_profile(p94, fe, film, 1, 0.2, pol)
     assert isinstance(s, float)
-    assert s == pytest.approx(arr[0], rel=1e-15)
+    assert s == pytest.approx(arr[0], rel=1e-15, abs=0.0)
 
 
 def test_plane_average_array_phi_equals_scalar_calls(fe):
@@ -435,7 +452,7 @@ def test_plane_average_array_phi_equals_scalar_calls(fe):
     for phi, g in zip(phis.ravel().tolist(), got.ravel().tolist()):
         one = single_plane_averaged_intensity(probe, fe, film, 1.0, phi, pol)
         assert isinstance(one, float)
-        assert g == pytest.approx(one, rel=1e-15)
+        assert g == pytest.approx(one, rel=1e-15, abs=0.0)
     assert single_plane_averaged_intensity(probe, fe, film, 1.0, phis[:0], pol).shape == (0, 2)
 
 
@@ -478,7 +495,7 @@ def test_gsum_terms_compose_profile(p94, fe):
     terms = _gsum_terms(p94, fe, g, w, cos_t, 0.3)
     pref = _layer_prefactor(p94, fe, film)
     total = azimuthal_profile(p94, fe, film, 1, 0.3, pol)
-    assert pref * terms.sum() == pytest.approx(total, rel=1e-12)
+    assert pref * terms.sum() == pytest.approx(total, rel=1e-12, abs=0.0)
     assert np.all(terms >= 0.0)
 
 
@@ -493,7 +510,7 @@ def test_emission_cones_structure(p94, fe):
         # the integrated weight matches a trapezoid of the profile on 64
         # points to well under a percent (the profile is nearly flat)
         trap = azimuthal_profile(p94, fe, film, c.n, phis, pol).mean() * 2.0 * math.pi
-        assert c.weight == pytest.approx(trap, rel=1e-3)
+        assert c.weight == pytest.approx(trap, rel=1e-3, abs=0.0)
 
 
 def test_emission_cones_compare_by_value(p94, fe):
@@ -561,7 +578,7 @@ def test_cone_weights_match_periodic_quadrature(fe, preset, pol):
     for c in cones:
         quad = integrate_periodic(
             lambda phi: azimuthal_profile(probe, fe, film, c.n, phi, pol), rel_tol=1e-10)
-        assert c.weight == pytest.approx(quad, rel=1e-8)
+        assert c.weight == pytest.approx(quad, rel=1e-8, abs=0.0)
 
 
 def _per_vector_weight(probe, rec, film, n, pol):
@@ -811,7 +828,7 @@ def test_layer_yield_frozen_value(p94, fe):
     film = make_film("bcc100")
     pol = CutoffPolicy(0.001)
     y = layer_yield(p94, fe, film, pol)
-    assert y == pytest.approx(1.3304641e-18, rel=1e-6)
+    assert y == pytest.approx(1.3304641e-18, rel=1e-6, abs=0.0)
 
 
 def test_layer_yield_scales_with_charge_squared(p94, fe):
@@ -820,7 +837,7 @@ def test_layer_yield_scales_with_charge_squared(p94, fe):
     pol = CutoffPolicy(0.001)
     ion = Probe(z_charge=3, rest_energy_eV=9.4e8, beta=0.94)
     assert layer_yield(ion, fe, film, pol) == pytest.approx(
-        layer_yield(p94, fe, film, pol), rel=1e-10)
+        layer_yield(p94, fe, film, pol), rel=1e-10, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ def test_single_nucleus_density_integrates_to_yield(probe, fe):
         row = sum(angular_density(probe, fe, nuclei, (0.0, 0.0), th, p)
                   for p in phis)
         total += w * row * (2.0 * math.pi / n_phi)
-    assert total == pytest.approx(coherent_yield(probe, fe, 0.001), rel=1e-10)
+    assert total == pytest.approx(coherent_yield(probe, fe, 0.001), rel=1e-10, abs=0.0)
 
 
 def test_two_nucleus_longitudinal_interference(probe, fe):
@@ -137,7 +137,7 @@ def test_two_nucleus_longitudinal_interference(probe, fe):
     rp = (0.0, 0.0)
     d1 = angular_density(probe, fe, one, rp, theta, 0.0)
     d2 = angular_density(probe, fe, two, rp, theta, 0.0)
-    assert d2 == pytest.approx(4.0 * d1, rel=1e-9)
+    assert d2 == pytest.approx(4.0 * d1, rel=1e-9, abs=0.0)
 
 
 ARRAY_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "array_pattern.yaml"
@@ -202,9 +202,9 @@ def test_plane_terms_match_reference_amplitude(probe, fe):
     for i, rp in enumerate(rps):
         g = far_field_amplitude(probe, fe, nuclei, rp, theta, phi)
         ref = float(np.sum(np.abs(g) ** 2) - np.abs(rhat @ g) ** 2)
-        assert x[i] == pytest.approx(ref, rel=1e-10)
+        assert x[i] == pytest.approx(ref, rel=1e-10, abs=0.0)
     # nearest-site bookkeeping
-    assert dn[2] == pytest.approx(math.hypot(0.001, 0.001), rel=1e-12)
+    assert dn[2] == pytest.approx(math.hypot(0.001, 0.001), rel=1e-12, abs=0.0)
 
 
 def _k1_grid_as_bessel_k1(arg):
@@ -542,8 +542,8 @@ def test_long_row_sum_against_mpmath(fe):
         ref = -complex(mp.fsum(terms.real.tolist()), mp.fsum(terms.imag.tolist()))
     assert abs(ref) < 1e-5 * k1
     assert g[0] == 0.0 and g[2] == 0.0
-    assert g[1].real == pytest.approx(ref.real, rel=1e-12)
-    assert g[1].imag == pytest.approx(ref.imag, rel=1e-12)
+    assert g[1].real == pytest.approx(ref.real, rel=1e-12, abs=0.0)
+    assert g[1].imag == pytest.approx(ref.imag, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +583,7 @@ def test_array_scenario_matches_angular_density(fe, n):
             (beta, spacing, standoff)
     assert rows[100, 0] == 0.0
     assert rows[100, 2] == pytest.approx(n * n * _one_nucleus(electron(beta=0.9), fe, 0.01),
-                                         rel=1e-12)
+                                         rel=1e-12, abs=0.0)
 
 
 def test_grating_factor_is_n_squared_where_the_step_is_whole_turns(monkeypatch, fe):

@@ -311,8 +311,8 @@ def test_transition_strength_sum_rules_exact(fe, dy):
 def test_builtin_registry_contents(fe, dy):
     names = [r.name for r in builtin_records()]
     assert names == ["Fe-57", "Dy-161"]
-    assert fe.e0_eV == pytest.approx(14412.9, rel=0)
-    assert dy.e0_eV == pytest.approx(43820.1, rel=0)
+    assert fe.e0_eV == pytest.approx(14412.9, rel=0, abs=0.0)
+    assert dy.e0_eV == pytest.approx(43820.1, rel=0, abs=0.0)
     assert fe.j_g == F(1, 2) and fe.j_e == F(3, 2)
     assert dy.j_g == F(5, 2) and dy.j_e == F(7, 2)
 

@@ -334,12 +334,12 @@ params: {betas: [0.94], r_min_nm: 0.004}
     orders = [int(r[1]) for r in rows]
     assert orders == [1, 2, 3, 4, 5, 6, 0]
     total = float(rows[-1][3])
-    assert total == pytest.approx(sum(float(r[3]) for r in rows[:-1]), rel=1e-12)
+    assert total == pytest.approx(sum(float(r[3]) for r in rows[:-1]), rel=1e-12, abs=0.0)
     assert rows[-1][2] == ""  # no single direction for the total row
     # spot-check order 1 against the library
     cones = emission_cones(electron(beta=0.94), registry()["Fe-57"],
                            make_film("bcc100"), CutoffPolicy(0.004))
-    assert float(rows[0][3]) == pytest.approx(cones[0].weight, rel=1e-12)
+    assert float(rows[0][3]) == pytest.approx(cones[0].weight, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("lattice", ["bcc100", "sc100"])
@@ -396,7 +396,7 @@ output: {prefix: cmp}
     fe = registry()["Fe-57"]
     t_mid = float(t_rows[2][0])
     assert float(t_rows[2][1]) == pytest.approx(math.exp(-t_mid / fe.lifetime_s),
-                                                rel=1e-12)
+                                                rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parents[1] / "configs")

@@ -37,15 +37,15 @@ def test_coherent_yield_against_direct_assembly(fe):
     kr = radiative_rate(fe)
     expected = (3.0 * CONSTANTS.alpha_fs / (0.9 * probe.gamma) ** 2
                 * kr * kr / (fe.omega0_rad_s * fe.kappa_s) * k1 * k1)
-    assert coherent_yield(probe, fe, r) == pytest.approx(expected, rel=1e-12)
-    assert coherent_yield(probe, fe, r) == pytest.approx(6.4075e-15, rel=1e-4)
+    assert coherent_yield(probe, fe, r) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert coherent_yield(probe, fe, r) == pytest.approx(6.4075e-15, rel=1e-4, abs=0.0)
 
 
 def test_coherent_yield_charge_scaling(fe):
     base = electron(beta=0.9)
     doubled = Probe(z_charge=-2, rest_energy_eV=base.rest_energy_eV, beta=0.9)
     assert coherent_yield(doubled, fe, 0.001) == pytest.approx(
-        4.0 * coherent_yield(base, fe, 0.001), rel=1e-14)
+        4.0 * coherent_yield(base, fe, 0.001), rel=1e-14, abs=0.0)
 
 
 def test_coherent_yield_short_distance_behaviour(fe):
@@ -53,7 +53,7 @@ def test_coherent_yield_short_distance_behaviour(fe):
     probe = electron(beta=0.9)
     y1 = coherent_yield(probe, fe, 1e-5) * 1e-5 ** 2
     y2 = coherent_yield(probe, fe, 1e-6) * 1e-6 ** 2
-    assert y1 == pytest.approx(y2, rel=1e-3)
+    assert y1 == pytest.approx(y2, rel=1e-3, abs=0.0)
 
 
 def test_coherent_yield_exponential_tail(fe):
@@ -75,7 +75,7 @@ def test_yield_rises_with_beta(fe):
 def test_bessel_argument(fe):
     probe = electron(beta=0.9)
     expected = fe.omega0_rad_s * 0.001 / (probe.velocity_nm_s * probe.gamma)
-    assert bessel_argument(probe, fe, 0.001) == pytest.approx(expected, rel=1e-15)
+    assert bessel_argument(probe, fe, 0.001) == pytest.approx(expected, rel=1e-15, abs=0.0)
     with pytest.raises(ValueError):
         coherent_yield(probe, fe, 0.0)
 
@@ -84,7 +84,7 @@ def test_spectral_profile_center_and_width(fe):
     spec = spectral_profile(fe)
     assert spec.center_eV == pytest.approx(14412.9)
     assert spec.fwhm_eV == pytest.approx(
-        CONSTANTS.hbar_eV_s / 1.42e-7, rel=1e-12)
+        CONSTANTS.hbar_eV_s / 1.42e-7, rel=1e-12, abs=0.0)
     # the offset center + fwhm/2 quantizes at ~1.8e-12 eV on a 14.4 keV
     # center, so the natural-width half-maximum only holds to ~1e-3
     peak = spec.density(spec.center_eV)
@@ -99,7 +99,7 @@ def test_spectral_profile_shape_identity():
                          alpha_ic=0.0, jg2=1, je2=3)
     spec = spectral_profile(wide)
     peak = spec.density(spec.center_eV)
-    assert peak == pytest.approx(2.0 / (math.pi * spec.fwhm_eV), rel=1e-12)
+    assert peak == pytest.approx(2.0 / (math.pi * spec.fwhm_eV), rel=1e-12, abs=0.0)
     assert spec.density(spec.center_eV + 0.5 * spec.fwhm_eV) == pytest.approx(
         0.5 * peak, rel=1e-9)
 
@@ -116,9 +116,9 @@ def test_spectral_profile_normalization(fe):
 
 def test_decay_profile_survival(fe, dy):
     assert decay_profile(fe).survival(142e-9) == pytest.approx(
-        math.exp(-1.0), rel=1e-12)
+        math.exp(-1.0), rel=1e-12, abs=0.0)
     assert decay_profile(dy).survival(1.2e-9) == pytest.approx(
-        math.exp(-1.0), rel=1e-12)
+        math.exp(-1.0), rel=1e-12, abs=0.0)
     dp = decay_profile(fe)
     assert dp.survival(0.0) == 1.0
     assert dp.survival(-1.0) == 1.0

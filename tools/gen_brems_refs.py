@@ -2,7 +2,7 @@
 ``test_spectral_density_vs_quad`` reads, so the tier-1 run does not
 recompute all 64 of them.
 
-    PYTHONPATH=src python3 tools/gen_brems_refs.py
+    python3 tools/gen_brems_refs.py
 
 writes ``tests/data/brems_quad_refs.txt``, one line per case of ``cases()``,
 ``species beta r_perp_nm e_eV epsrel value`` with the numbers as ``repr``
@@ -11,24 +11,29 @@ test recomputes every 8th case live and requires it within epsrel of the
 stored value.
 
 The integrand is nucsp's own ``brems._density_values``; only the quadrature
-is independent.  Needs scipy, a test extra: nucsp itself never imports it.
+is independent.  Runs with the nucsp of this tree's src/.  Needs scipy, a
+test extra: nucsp itself never imports it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from nucsp.brems import _density_values
-from nucsp.numerics import CONSTANTS
-from nucsp.probe import SPECIES, Probe
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
-OUT = Path(__file__).resolve().parents[1] / "tests" / "data" / "brems_quad_refs.txt"
+from nucsp.brems import _density_values  # noqa: E402
+from nucsp.numerics import CONSTANTS  # noqa: E402
+from nucsp.probe import SPECIES, Probe  # noqa: E402
+
+OUT = ROOT / "tests" / "data" / "brems_quad_refs.txt"
 Z_NUCLEUS = 26
 
 
