@@ -31,12 +31,13 @@ site phases, whose two columns give the real and imaginary parts.  dist is
 not np.hypot, which is a libm call per element and several times slower:
 offsets of lattice size square without overflow or underflow, and the two
 forms differ by at most an ulp.  The sites are sorted by radius, so K1 runs
-on three slabs of grid rows: masked bessel_k1 where an argument can fall
-below 10, the [10, 700] Chebyshev piece unmasked where every argument lies
-in [10, 45), and that piece on the arguments below 45 beyond.  A chunk holds
-m = _BLOCK_TERMS // n samples, a term budget as for the angle blocks, and
-its grids are written into work arrays allocated once per call, so the
-chunk loop makes no (n x m) temporaries of its own.  The chunk size does
+on three slabs of grid rows: bessel_k1 where an argument can fall below 10,
+the [10, 700] Chebyshev piece unmasked where every argument lies in
+[10, 45), and that piece beyond; a slab that may reach 45 takes and puts
+its arguments below 45 by position.  A chunk holds m = _BLOCK_TERMS // n
+samples, a term budget as for the angle blocks, and its five grids are
+written into one work block allocated per call (w, w dy, w dx over dist,
+dy, dx), so the chunk loop makes no (n x m) temporaries.  The chunk size does
 not change which samples are kept.  Its control variate subtracts the
 origin site's own term (each draw's nearest) inside a capture disk and adds
 back that term's exact mean, from the closed-form integral
@@ -233,16 +234,18 @@ def _plane_terms(sites: np.ndarray, rps: np.ndarray, rhat: np.ndarray,
     term K1^2 (1 - (r_hat . phi_hat)^2) for control-variate use.  Matches
     far_field_amplitude to rounding.
 
-    work is a C-contiguous (8, n_sites, rows) float array, rows >= len(rps):
-    the eight (n x m) grids below fill the head of its eight blocks, so a
-    caller looping over chunks allocates them once.
+    work is a C-contiguous (blocks, n_sites, rows) float array, blocks >= 5
+    and rows >= len(rps): the grids dx, dy, dist, arg and K1 fill the head of
+    its first five blocks, so a caller looping over chunks allocates them
+    once.  w, w dy and w dx go over dist, dy and dx; arg and K1 stay intact.
     """
     m, n = rps.shape[0], sites.shape[0]
     # site-minus-sample offsets as two (n x m) arrays: an (n x m x 2) array
     # would run every elementwise loop over a length-2 inner axis
-    dx, dy, dist, arg, k1, w, wdy, wdx = (a.reshape(-1)[:n * m].reshape(n, m) for a in work)
-    np.subtract(sites[:, 0, None], rps[:, 0], out=dx)
-    np.subtract(sites[:, 1, None], rps[:, 1], out=dy)
+    dx, dy, dist, arg, k1 = (a.reshape(-1)[:n * m].reshape(n, m) for a in work[:5])
+    px, py = rps.T.copy()  # contiguous sample columns
+    np.subtract(sites[:, 0, None], px, out=dx)
+    np.subtract(sites[:, 1, None], py, out=dy)
     # dist = sqrt(dx^2 + dy^2), with arg as scratch (see the module docstring)
     np.multiply(dx, dx, out=dist)
     np.multiply(dy, dy, out=arg)
@@ -252,34 +255,39 @@ def _plane_terms(sites: np.ndarray, rps: np.ndarray, rhat: np.ndarray,
     # K1 by slab (see the module docstring): the arguments at a site of
     # radius rho lie within delta (rho -/+ r), r the farthest draw's radius
     radius = np.hypot(sites[:, 0], sites[:, 1])
-    r = math.sqrt(float(np.max(rps[:, 0] ** 2 + rps[:, 1] ** 2)))
+    r = math.sqrt(float(np.max(px * px + py * py)))
     near, inner = np.searchsorted(radius, [(_CHEB_SPLIT / delta + r) * (1.0 + _SLAB_MARGIN),
                                            (_ARG_CUT / delta - r) * (1.0 - _SLAB_MARGIN)])
     inner = max(near, inner)
-    k1[:near].fill(0.0)
-    small = arg[:near] < _ARG_CUT
-    k1[:near][small] = bessel_k1(arg[:near][small])
+    if delta * (radius[near - 1] + r) * (1.0 + _SLAB_MARGIN) < _ARG_CUT:
+        k1[:near] = bessel_k1(arg[:near])  # no argument reaches the cut
+    else:
+        _below_cut(arg[:near], k1[:near], bessel_k1)
     _k_chebyshev(arg[near:inner], np, 1, 1, out=k1[near:inner])
-    k1[inner:].fill(0.0)
-    small = arg[inner:] < _ARG_CUT
-    k1[inner:][small] = _k_chebyshev(arg[inner:][small], np, 1, 1)
+    _below_cut(arg[inner:], k1[inner:], _k_chebyshev, np, 1, 1)
+    dn = dist[0].copy()  # read before w goes over dist
+    self_term = k1[0] ** 2 * (1.0 - (rhat[0] * (-dy[0] / dn) + rhat[1] * (dx[0] / dn)) ** 2)
     # g = sum_j (K1_j / dist_j) (-dy_j, dx_j) e^{-i phase_j}: two real
     # (m x n) @ (n x 2) products, whose columns are the real and imaginary
     # parts of g_x and g_y; negating the product is exact, so g_x is
     # -((w dy)^T @ B) rather than (w (-dy))^T @ B
-    np.divide(k1, dist, out=w)
+    w = np.divide(k1, dist, out=dist)
     phase = k0 * (rhat[0] * sites[:, 0] + rhat[1] * sites[:, 1])
     basis = np.column_stack([np.cos(phase), -np.sin(phase)])
-    gx = -(np.multiply(w, dy, out=wdy).T @ basis)
-    gy = np.multiply(w, dx, out=wdx).T @ basis
+    gx = -(np.multiply(w, dy, out=dy).T @ basis)
+    gy = np.multiply(w, dx, out=dx).T @ basis
     # |r_hat x g|^2 = |g|^2 - |r_hat . g|^2 for g_z = 0, summed over the
     # real and imaginary columns
     rg = rhat[0] * gx + rhat[1] * gy
     x = np.sum(gx * gx + gy * gy - rg * rg, axis=1)
-
-    dn = dist[0].copy()  # work is overwritten by the next chunk
-    self_term = k1[0] ** 2 * (1.0 - (rhat[0] * (-dy[0] / dn) + rhat[1] * (dx[0] / dn)) ** 2)
     return x, dn, self_term
+
+
+def _below_cut(arg, k1, kernel, *args):
+    """k1 = kernel(arg, *args) below _ARG_CUT, 0 from it, taken and put by position."""
+    idx = np.flatnonzero(arg.reshape(-1) < _ARG_CUT)
+    k1.fill(0.0)
+    k1.reshape(-1).put(idx, kernel(arg.reshape(-1).take(idx), *args))
 
 
 def _k1_sq_disk_integral(delta: float, r_lo: float, r_hi: float) -> float:
@@ -371,12 +379,12 @@ def mc_plane_average(probe: Probe, rec: NuclideRecord, a_nm: float,
     sites = sites[np.hypot(sites[:, 0], sites[:, 1]) <= reach]
     sites = sites[np.argsort(np.hypot(sites[:, 0], sites[:, 1]), kind="stable")]  # origin first
     rows = max(1, _BLOCK_TERMS // sites.shape[0])
-    # one block for the eight grids, none reused for a second quantity:
-    # glibc's malloc sets its heap trim threshold to twice the largest mapped
-    # block freed, and a block this size keeps the Bessel kernel's per-chunk
-    # temporaries in retained heap pages (with four or five grids they were
-    # faulted in afresh every chunk at beta 0.99)
-    work = np.empty((8, sites.shape[0], rows))
+    # one block for the five grids: glibc's malloc sets its heap trim
+    # threshold to twice the largest mapped block freed, and a block this size
+    # keeps the Bessel kernel's per-chunk temporaries in retained heap pages.
+    # Measured (ru_minflt, sc100 a, 1e4 samples) against eight grids: a warm
+    # call faults about 45 pages instead of 77-80, at beta 0.9 and 0.99 alike
+    work = np.empty((5, sites.shape[0], rows))
 
     rng = np.random.default_rng(seed)
     total = 0.0

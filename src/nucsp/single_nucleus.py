@@ -91,16 +91,14 @@ class DecayProfile:
     def profile(self, t_s):
         """Emission probability per second at time t after excitation."""
         t = np.asarray(t_s, dtype=float)
-        # clip both ways: the t < 0 branch is discarded but still evaluated
-        out = np.where(t < 0.0, 0.0,
-                       self.rate_s * np.exp(-np.clip(self.rate_s * t, 0.0, 700.0)))
+        # t < 0 is discarded but still evaluated: keep it off exp's overflow
+        out = np.where(t < 0.0, 0.0, self.rate_s * np.exp(-np.maximum(self.rate_s * t, 0.0)))
         return float(out) if out.ndim == 0 else out
 
     def survival(self, t_s):
         """Fraction of excited population remaining at time t."""
         t = np.asarray(t_s, dtype=float)
-        out = np.where(t < 0.0, 1.0,
-                       np.exp(-np.clip(self.rate_s * t, 0.0, 745.0)))
+        out = np.where(t < 0.0, 1.0, np.exp(-np.maximum(self.rate_s * t, 0.0)))
         return float(out) if out.ndim == 0 else out
 
 

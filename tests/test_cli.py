@@ -16,6 +16,7 @@ from nucsp.crystal_sp import (LATTICE, CutoffPolicy, LatticeFilm, emission_cones
 from nucsp.nuclide import NUCLIDE, REQUIRED, DataFileError, parse_nuclide_file, registry
 from nucsp.probe import electron
 from nucsp.scenarios import parse_result_table, run_scenario, validate_config
+from nucsp.single_nucleus import coherent_yield
 
 
 GOOD_CONFIG = """
@@ -586,6 +587,28 @@ def test_distance_ceiling_runs_without_warnings(scenario, params, nuclide, tmp_p
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert [str(w.message) for w in record] == []
     assert capsys.readouterr().err == ""
+
+
+def test_temporal_table_decays_past_700_lifetimes(tmp_path, capsys):
+    # the decay exponent is not clipped: past 700 lifetimes the cells are
+    # exp(-kappa t) as libm rounds it, subnormal and then 0, not a constant
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(_BREMS + "params: {r_perp_nm: 0.001, time_max_lifetimes: 1000}\n")
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(cfg), "--out", str(out_dir)]) == 0
+    assert capsys.readouterr().err == ""
+    _, columns, rows = parse_result_table(
+        (out_dir / "result_temporal.csv").read_text())
+    assert columns == ["time_s", "excited_fraction", "emission_rate_per_s"]
+    fe = registry()["Fe-57"]
+    rate, y = fe.kappa_s, coherent_yield(electron(beta=0.9), fe, 0.001)
+    late = [[float(c) for c in r] for r in rows if float(r[0]) * rate > 700.0]
+    assert len(late) == 16 and late[-1][1:] == [0.0, 0.0]
+    for t, fraction, emission in late:
+        assert fraction == math.exp(-(rate * t))
+        assert emission == y * (rate * math.exp(-(rate * t)))
 
 
 def test_lattice_floor_runs_to_a_finite_table(tmp_path, capsys, monkeypatch):

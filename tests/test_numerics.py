@@ -143,6 +143,82 @@ def test_array_clenshaw_equals_the_expression_as_written(size):
         assert np.array_equal(xs, before)
 
 
+def _series_as_written(x, n, xp=np):
+    """The Horner series of numerics._k_series from i = k = 0, with numpy
+    allocating every intermediate for an array: the form that starts at the
+    top row must equal it bit for bit, for a float (xp = math) as well."""
+    q = 0.25 * x * x
+    i = k = 0.0
+    for a, b in numerics._SERIES_ROWS[n]:
+        i = i * q + a
+        k = k * q + b
+    lg = xp.log(0.5 * x)
+    if n == 0:
+        return k - lg * i
+    return 1.0 / x + 0.5 * x * (lg * i - k)
+
+
+@pytest.mark.parametrize("size", [1, 64, 512, 45_000])
+def test_array_series_equals_the_expression_as_written(size):
+    edges = [np.nextafter(2.0, 0.0), 1e-300, 5e-8, 1.0]
+    rng = np.random.default_rng(size)
+    if size == 1:
+        inputs = [np.array([x]) for x in edges]
+    else:
+        xs = np.concatenate([edges, np.geomspace(1e-8, 2.0, size - len(edges), endpoint=False)])
+        inputs = [rng.permutation(xs), rng.permutation(xs).reshape(-1, 4)]
+    for xs, n in itertools.product(inputs, (0, 1)):
+        before = xs.copy()
+        want = _series_as_written(xs, n)
+        assert np.array_equal(numerics._k_series(xs, np, n), want)
+        assert np.array_equal(xs, before)
+        for x in xs.ravel()[:64].tolist():
+            assert numerics._k_series(x, math, n) == _series_as_written(x, n, math)
+
+
+def _bessel_by_mask(x, orders):
+    """The array path of numerics._bessel written with boolean masks, and
+    the series and Clenshaw as written: selecting the pieces by position
+    must give the same values bit for bit."""
+    arr = np.asarray(x, dtype=float)
+    out = tuple(np.zeros_like(arr) for _ in orders)
+    lo = arr < 2.0
+    hi = arr >= SPLIT
+    mid = ~(lo | hi)
+    hi &= arr <= 700.0
+    for mask, kernel in ((lo, _series_as_written),
+                         (mid, lambda v, n: _clenshaw_as_written(v, n, 0)),
+                         (hi, lambda v, n: _clenshaw_as_written(v, n, 1))):
+        if np.any(mask):
+            part = arr[mask]
+            for k, n in zip(out, orders):
+                k[mask] = kernel(part, n)
+    return out
+
+
+def test_positional_pieces_equal_the_masked_kernel():
+    # bessel_k0, bessel_k1 and bessel_k01 select each piece by position;
+    # they must equal the masked kernel bit for bit on the piece edges and
+    # their neighbours, past the underflow cut, and on 2-D, transposed,
+    # strided, one-element and empty inputs
+    edges = [np.nextafter(v, d) for v in (2.0, SPLIT, 700.0) for d in (0.0, v, np.inf)]
+    rng = np.random.default_rng(31)
+    xs = rng.permutation(np.concatenate([
+        edges, [701.0, 1e4, 1e300], np.geomspace(1e-8, 750.0, 9988)]))
+    grid = xs.reshape(100, 100)
+    inputs = [xs, grid, grid.T, grid[::3, 1::2], xs[::-7], xs[:1], xs[:0],
+              np.array([700.5]), np.array([2.0]), np.array([[SPLIT]])]
+    for arr in inputs:
+        before = arr.copy()
+        k0, k1 = _bessel_by_mask(arr, (0, 1))
+        for got, want in ((bessel_k0(arr), k0), (bessel_k1(arr), k1),
+                          *zip(bessel_k01(arr), (k0, k1))):
+            assert got.shape == arr.shape and got.dtype == np.float64
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(arr, before)
+
+
 def test_single_order_paths_are_bit_identical_to_k01():
     # bessel_k1 and bessel_k0 run only their own order's rows, with the same
     # arithmetic in the same order, so they equal bessel_k01 bit for bit:

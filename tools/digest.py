@@ -1,0 +1,189 @@
+"""Print digests of nucsp's outputs, so that a change can be checked bit for
+bit against another tree:
+
+    python3 tools/digest.py                  # this tree's four sections
+    python3 tools/digest.py --against TREE   # the sections that differ in TREE
+
+Each section starts with a ``== name`` line:
+
+- ``csv``: one SHA-256 per CSV that the shipped configs write, and one over
+  all of them.  Each config in the tree's configs/ is validated and run with
+  the built-in nuclides and lattices, as ``nucsp run`` runs it without
+  NUCSP_DATA_DIR; nothing is written.  A table's digest covers the CSV text,
+  header and data rows, with the ``#`` metadata lines skipped (they hold the
+  timestamp, the version and the config's own hash).  The overall digest
+  covers the lines before it, in table-name order.
+- ``cones``: one SHA-256 over the Fe-57 cone weights of a fixed set of
+  films, one ``lattice beta n cos_theta.hex() weight.hex()`` line per cone:
+  bcc100, fcc100 and sc100 at 20 betas in [0.5, 0.975] and the hard 1 pm
+  cutoff, with ``order_cap`` 12 and without it; bcc100 at the smooth 3 pm
+  cutoff at betas 0.90 to 0.96; and the quarter-offset lattice of
+  ``tests/test_crystal_sp.py`` (a = 0.30 nm, offset (0.075, 0.075) nm,
+  b_z = 0.10 nm) at the presets' betas and cutoff.
+- ``mc``: ``label repr(mean)`` of ``mc_plane_average`` for the three
+  recorded means of ``tests/test_finite_array.py`` (Fe-57, a = 0.2856 nm,
+  half_extent 8, 3000 samples), each with the control variate and without
+  it, and for the benchmark's plane-mc call (electron at beta 0.9, the sc100
+  lattice constant, half_extent 20, r_min 1 pm, 1e4 samples) at four
+  directions and seeds.
+- ``bessel``: one SHA-256 over ``x.hex() K0.hex() K1.hex()`` lines of
+  ``bessel_k01``, first on the whole grid as one array, then on each point
+  as a float.  The grid is 4001 points log-spaced over [1e-8, 800] and 2, 10
+  and 700 with the two doubles next to each.
+
+With ``--against TREE`` the sections are computed for this tree and, with
+TREE's src/ and configs/, for TREE, each in its own process; every section
+that differs is printed as both trees give it, then a count of the sections
+that differ, and the exit status is 1 if any does (2 if a tree cannot be
+digested, such as one without src/nucsp).  TREE needs no copy of this tool.
+The nucsp imported is always the tree's own src/, whatever else is
+installed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+BETAS = tuple(round(0.5 + 0.025 * i, 3) for i in range(20))
+SMOOTH_BETAS = (0.9, 0.91, 0.92, 0.93, 0.94, 0.95, 0.96)
+# (beta, theta, phi, r_min_nm, seed) of the recorded means
+RECORDED = ((0.9, 1.0, 0.3, 0.001, 5), (0.5, 2.0, 1.1, 0.002, 7),
+            (0.99, 0.6, 4.0, 0.001, 9))
+# (theta, phi, seed) of the plane-mc calls
+PLANE_MC = ((0.5, 0.0, 1), (1.0, 0.3, 2), (1.6, 2.5, 3), (2.4, 5.0, 4))
+
+
+def fail(message: str) -> None:
+    print("digest: " + message, file=sys.stderr)
+    sys.exit(2)
+
+
+def csv_section(configs: Path) -> list[str]:
+    from nucsp.scenarios import run_scenario, validate_config
+
+    digests = {}
+    for path in sorted(configs.glob("*.yaml")):
+        config, errors = validate_config(path.read_text(encoding="utf-8"))
+        if errors:
+            fail("%s: %s" % (path, "; ".join(errors)))
+        for table in run_scenario(config):
+            rows = [line for line in table.to_csv().splitlines(keepends=True)
+                    if not line.startswith("#")]
+            digests[table.name + ".csv"] = hashlib.sha256("".join(rows).encode()).hexdigest()
+    lines = ["%s  %s" % (digests[name], name) for name in sorted(digests)]
+    total = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+    return lines + ["%s  %d tables" % (total, len(lines))]
+
+
+def cone_section() -> list[str]:
+    from nucsp.crystal_sp import CutoffPolicy, LatticeFilm, emission_cones, make_film
+    from nucsp.nuclide import registry
+    from nucsp.probe import electron
+
+    hard = CutoffPolicy(0.001)
+    cases = [(make_film(p), hard, BETAS, cap) for p in ("bcc100", "fcc100", "sc100")
+             for cap in (12, None)]
+    cases.append((make_film("bcc100"), CutoffPolicy(0.003, smooth=True), SMOOTH_BETAS, 12))
+    cases.append((LatticeFilm("quarter", 0.30, (0.075, 0.075), 0.10), hard, BETAS, None))
+    rec = registry()["Fe-57"]
+    digest = hashlib.sha256()
+    n_cones = 0
+    for film, policy, betas, cap in cases:
+        for beta in betas:
+            for cone in emission_cones(electron(beta=beta), rec, film, policy, cap):
+                digest.update(("%s %r %d %s %s\n" % (
+                    film.preset, beta, cone.n, cone.cos_theta.hex(),
+                    cone.weight.hex())).encode())
+                n_cones += 1
+    return ["%s  %d cones" % (digest.hexdigest(), n_cones)]
+
+
+def mc_section() -> list[str]:
+    from nucsp.crystal_sp import make_film
+    from nucsp.finite_array import mc_plane_average
+    from nucsp.nuclide import registry
+    from nucsp.probe import electron
+
+    fe = registry()["Fe-57"]
+    lines = []
+    for beta, theta, phi, r_min, seed in RECORDED:
+        for cv in (True, False):
+            mean = mc_plane_average(electron(beta=beta), fe, 0.2856, 8, theta, phi, r_min,
+                                    3000, seed=seed, control_variate=cv)
+            lines.append("recorded beta=%r theta=%r phi=%r cv=%s %r" % (beta, theta, phi, cv, mean))
+    a_nm = make_film("sc100").a_nm
+    for theta, phi, seed in PLANE_MC:
+        mean = mc_plane_average(electron(beta=0.9), fe, a_nm, 20, theta, phi, 0.001, 10_000,
+                                seed=seed)
+        lines.append("plane-mc theta=%r phi=%r seed=%d %r" % (theta, phi, seed, mean))
+    return lines
+
+
+def bessel_section() -> list[str]:
+    import numpy as np
+    from nucsp.numerics import bessel_k01
+
+    edges = [np.nextafter(v, d) for v in (2.0, 10.0, 700.0) for d in (0.0, v, np.inf)]
+    xs = np.concatenate([np.geomspace(1e-8, 800.0, 4001), edges])
+    digest = hashlib.sha256()
+    for k0, k1 in (bessel_k01(xs), np.array([bessel_k01(float(x)) for x in xs]).T):
+        for x, a, b in zip(xs, k0, k1):
+            digest.update(("%s %s %s\n" % (float(x).hex(), float(a).hex(), float(b).hex())).encode())
+    return ["%s  %d points" % (digest.hexdigest(), 2 * xs.size)]
+
+
+def sections(tree: Path) -> dict[str, list[str]]:
+    """Every section, computed with the nucsp of tree's src/."""
+    if not (tree / "src" / "nucsp").is_dir():
+        fail("%s: no src/nucsp" % tree)
+    sys.path.insert(0, str(tree / "src"))
+    return {"csv": csv_section(tree / "configs"), "cones": cone_section(),
+            "mc": mc_section(), "bessel": bessel_section()}
+
+
+def render(name: str, lines: list[str]) -> str:
+    return "== %s\n%s\n" % (name, "\n".join(lines))
+
+
+def run_in(tree: Path) -> dict[str, list[str]]:
+    """sections(tree) in a fresh process, so that each tree imports its own nucsp."""
+    proc = subprocess.run([sys.executable, __file__, "--tree", str(tree)],
+                          stdout=subprocess.PIPE, text=True)
+    if proc.returncode:
+        sys.exit(2)  # the child has said why on stderr
+    parsed: dict[str, list[str]] = {}
+    for line in proc.stdout.splitlines():
+        if line.startswith("== "):
+            lines = parsed[line[3:]] = []
+        else:
+            lines.append(line)
+    return parsed
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--against", type=Path, metavar="TREE",
+                    help="compare every section with TREE's; exit 1 if any differs")
+    ap.add_argument("--tree", type=Path, default=ROOT, help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.against is None:
+        print("".join(render(name, lines) for name, lines in sections(args.tree).items()), end="")
+        return 0
+    against = args.against.resolve()
+    here, there = run_in(args.tree), run_in(against)
+    differ = [name for name in here if here[name] != there.get(name)]
+    for name in differ:
+        print(render("%s differs, %s" % (name, args.tree), here[name]), end="")
+        print(render("%s differs, %s" % (name, against), there.get(name, [])), end="")
+    print("%d of %d sections differ" % (len(differ), len(here)))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
