@@ -31,16 +31,17 @@ site phases, whose two columns give the real and imaginary parts.  dist is
 not np.hypot, which is a libm call per element and several times slower:
 offsets of lattice size square without overflow or underflow, and the two
 forms differ by at most an ulp.  The sites are sorted by radius, so K1 runs
-on three slabs of grid rows: bessel_k1 where an argument can fall below 10,
-the [10, 700] Chebyshev piece unmasked where every argument lies in
-[10, 45), and that piece beyond; a slab that may reach 45 takes and puts
-its arguments below 45 by position.  A chunk holds m = _BLOCK_TERMS // n
-samples, a term budget as for the angle blocks, and its five grids are
-written into one work block allocated per call (w, w dy, w dx over dist,
-dy, dx), so the chunk loop makes no (n x m) temporaries.  The chunk size does
-not change which samples are kept.  Its control variate subtracts the
-origin site's own term (each draw's nearest) inside a capture disk and adds
-back that term's exact mean, from the closed-form integral
+on three slabs of grid rows: bessel_k1 on the whole slab where an argument
+can fall below 10, its values from 45 on then set to 0; the [10, 700]
+Chebyshev piece unmasked where every argument lies in [10, 45); and beyond,
+that piece on the arguments below 45, taken and put by position.  A chunk
+holds m = _BLOCK_TERMS // n samples, a term budget as for the angle blocks,
+and its five grids are written into one work block allocated per call (w,
+w dy, w dx over dist, dy, dx), so the chunk loop makes no (n x m)
+temporaries.  The chunk size does not change which samples are kept.  Its
+control variate subtracts the origin site's own term (each draw's nearest)
+inside a capture disk and adds back that term's exact mean, from the
+closed-form integral
 
     int x K1(x)^2 dx = F(x) = x ((x/2)(K1^2 - K0^2) - K0 K1),
 
@@ -259,12 +260,13 @@ def _plane_terms(sites: np.ndarray, rps: np.ndarray, rhat: np.ndarray,
     near, inner = np.searchsorted(radius, [(_CHEB_SPLIT / delta + r) * (1.0 + _SLAB_MARGIN),
                                            (_ARG_CUT / delta - r) * (1.0 - _SLAB_MARGIN)])
     inner = max(near, inner)
-    if delta * (radius[near - 1] + r) * (1.0 + _SLAB_MARGIN) < _ARG_CUT:
-        k1[:near] = bessel_k1(arg[:near])  # no argument reaches the cut
-    else:
-        _below_cut(arg[:near], k1[:near], bessel_k1)
+    k1[:near] = bessel_k1(arg[:near])  # elementwise, so the cut can follow
+    np.putmask(k1[:near], arg[:near] >= _ARG_CUT, 0.0)
     _k_chebyshev(arg[near:inner], np, 1, 1, out=k1[near:inner])
-    _below_cut(arg[inner:], k1[inner:], _k_chebyshev, np, 1, 1)
+    outer = arg[inner:].reshape(-1)  # its arguments below the cut, by position
+    idx = np.flatnonzero(outer < _ARG_CUT)
+    k1[inner:] = 0.0
+    k1[inner:].reshape(-1).put(idx, _k_chebyshev(outer.take(idx), np, 1, 1))
     dn = dist[0].copy()  # read before w goes over dist
     self_term = k1[0] ** 2 * (1.0 - (rhat[0] * (-dy[0] / dn) + rhat[1] * (dx[0] / dn)) ** 2)
     # g = sum_j (K1_j / dist_j) (-dy_j, dx_j) e^{-i phase_j}: two real
@@ -281,13 +283,6 @@ def _plane_terms(sites: np.ndarray, rps: np.ndarray, rhat: np.ndarray,
     rg = rhat[0] * gx + rhat[1] * gy
     x = np.sum(gx * gx + gy * gy - rg * rg, axis=1)
     return x, dn, self_term
-
-
-def _below_cut(arg, k1, kernel, *args):
-    """k1 = kernel(arg, *args) below _ARG_CUT, 0 from it, taken and put by position."""
-    idx = np.flatnonzero(arg.reshape(-1) < _ARG_CUT)
-    k1.fill(0.0)
-    k1.reshape(-1).put(idx, kernel(arg.reshape(-1).take(idx), *args))
 
 
 def _k1_sq_disk_integral(delta: float, r_lo: float, r_hi: float) -> float:
@@ -383,7 +378,7 @@ def mc_plane_average(probe: Probe, rec: NuclideRecord, a_nm: float,
     # threshold to twice the largest mapped block freed, and a block this size
     # keeps the Bessel kernel's per-chunk temporaries in retained heap pages.
     # Measured (ru_minflt, sc100 a, 1e4 samples) against eight grids: a warm
-    # call faults about 45 pages instead of 77-80, at beta 0.9 and 0.99 alike
+    # call faults about 45 pages at beta 0.9 and 53 at 0.99, instead of 75-82
     work = np.empty((5, sites.shape[0], rows))
 
     rng = np.random.default_rng(seed)

@@ -281,6 +281,28 @@ def test_plane_terms_k1_grid_equals_bessel_k1(monkeypatch, fe, beta):
             assert np.array_equal(k1, _k1_grid_as_bessel_k1(arg))
 
 
+def test_near_slab_k1_is_zero_from_45(fe):
+    # a site v and a draw at -v are collinear with the origin, and v - (-v)
+    # is exact, so the argument delta |2 v| sits on 45 when delta = 45 / (2 |v|);
+    # the site is in the near slab, whose bound 10 / delta + |v| is then
+    # 13 |v| / 9, and rounding puts the argument on both sides of 45
+    k0 = fe.omega0_rad_s / CONSTANTS.c_nm_s
+    rhat = np.array([math.sin(1.0) * math.cos(0.3), math.sin(1.0) * math.sin(0.3),
+                     math.cos(1.0)])
+    rng = np.random.default_rng(7)
+    on_cut = 0
+    for _ in range(300):
+        turn = rng.uniform(0.0, 2.0 * math.pi)
+        v = 10.0 ** rng.uniform(-3.0, 3.0) * np.array([math.cos(turn), math.sin(turn)])
+        work = np.empty((5, 2, 1))
+        finite_array._plane_terms(np.array([[0.0, 0.0], v]), -v[None, :], rhat,
+                                  45.0 / (2.0 * math.hypot(*v)), k0, work)
+        arg, k1 = _grids(work, 2, 1, 3, 4)
+        assert np.array_equal(k1, _k1_grid_as_bessel_k1(arg))
+        on_cut += arg[1, 0] == 45.0
+    assert on_cut > 0
+
+
 def test_mc_plane_average_is_deterministic(probe, fe):
     kw = dict(a_nm=0.2856, half_extent=8, theta=1.0, phi=0.3,
               r_min_nm=0.001, n_samples=2000, seed=11)
