@@ -27,6 +27,9 @@ This is a smooth continuum: near a nuclear resonance its spectral density is
 flat on the scale of the natural linewidth, which is what makes the
 resonant emission stand out despite the much larger integrated
 bremsstrahlung power.
+
+br_spectral_density and br_window_yield are one-row cases of _spectral_rows,
+which takes (probe, r_perp_nm) rows at shared frequencies as one grid.
 """
 
 from __future__ import annotations
@@ -46,31 +49,33 @@ __all__ = [
 ]
 
 
-def _prefactor(probe: Probe, z_nucleus: int, omega: float) -> float:
-    """alpha^3 Z^4 Z_n^2 hbar^2 omega / (pi^2 (M c^2)^2 beta^4 gamma^2), in s."""
-    a = CONSTANTS.alpha_fs
-    return (a ** 3 * probe.z_charge ** 4 * z_nucleus ** 2
-            * CONSTANTS.hbar_eV_s ** 2 * omega
-            / (math.pi ** 2 * probe.rest_energy_eV ** 2
-               * probe.beta ** 4 * probe.gamma ** 2))
-
-
-def _k_squares(probe: Probe, z_nucleus: int, r_perp_nm: float, ct: np.ndarray,
-               omega) -> tuple[np.ndarray, np.ndarray]:
-    """Prefactor times K1(zeta)^2 and times K0(zeta)^2 / gamma^4, shape
-    omega.shape + ct.shape, after the argument checks."""
-    w = np.asarray(omega, dtype=float)[(...,) + (None,) * ct.ndim]
-    if not r_perp_nm > 0:
+def _columns(rows, z_nucleus: int, omega: np.ndarray) -> np.ndarray:
+    """beta, r_perp_nm, v, gamma^2, c and d of each (probe, r_perp_nm) row,
+    shape (6, len(rows), 1, 1), after the argument checks; the prefactor
+    alpha^3 Z^4 Z_n^2 hbar^2 omega / (pi^2 (M c^2)^2 beta^4 gamma^2) is c omega / d."""
+    if not all(r > 0 for _, r in rows):
         raise ValueError("r_perp_nm must be positive")
-    if not np.all(w > 0):
-        raise ValueError("omega must be positive")
+    if not np.all((omega > 0) & (omega < math.inf)):
+        raise ValueError("omega must be positive and finite")
     if z_nucleus == 0:
         raise ValueError("z_nucleus must be non-zero")
-    # zeta depends on omega and theta only; one Bessel pair per (omega, node)
-    zeta = (1.0 - probe.beta * ct) * w * r_perp_nm / probe.velocity_nm_s
-    k0, k1 = bessel_k01(zeta)
-    pref = _prefactor(probe, z_nucleus, w)
-    return pref * (k1 * k1), pref * (k0 / (probe.gamma * probe.gamma)) ** 2
+    a, hbar = CONSTANTS.alpha_fs, CONSTANTS.hbar_eV_s
+    table = [(p.beta, r, p.velocity_nm_s, p.gamma * p.gamma,
+              a ** 3 * p.z_charge ** 4 * z_nucleus ** 2 * hbar ** 2,
+              math.pi ** 2 * p.rest_energy_eV ** 2 * p.beta ** 4 * p.gamma ** 2)
+             for p, r in rows]
+    return np.array(table, dtype=float).reshape(-1, 6).T[..., None, None]
+
+
+def _k_squares(cols: np.ndarray, ct: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
+    """Prefactor times K1(zeta)^2 and times K0(zeta)^2 / gamma^4 at
+    zeta = (1 - beta ct) w r / v, on the broadcast of cols' rows, ct and w."""
+    beta, r, v, g2, c, d = cols
+    # zeta depends on the row, omega and theta only: one Bessel pair per
+    # (row, omega, node)
+    k0, k1 = bessel_k01((1.0 - beta * ct) * w * r / v)
+    pref = c * w / d
+    return pref * (k1 * k1), pref * (k0 / g2) ** 2
 
 
 def _density_values(probe: Probe, z_nucleus: int, r_perp_nm: float,
@@ -78,7 +83,9 @@ def _density_values(probe: Probe, z_nucleus: int, r_perp_nm: float,
     """Vectorized density on an outer product of cos(theta) and phi nodes,
     shape omega.shape + (len(cos_t), len(phi)): a leading axis per omega."""
     ct = np.asarray(cos_t, dtype=float)[:, None]
-    p1, p0 = _k_squares(probe, z_nucleus, r_perp_nm, ct, omega)
+    w = np.asarray(omega, dtype=float)
+    cols = _columns([(probe, r_perp_nm)], z_nucleus, w)[:, 0]
+    p1, p0 = _k_squares(cols, ct, w[..., None, None])
     s2 = np.clip(1.0 - ct * ct, 0.0, None)
     d = 1.0 - probe.beta * ct
     bs2 = probe.beta * s2
@@ -95,7 +102,11 @@ def br_density(probe: Probe, z_nucleus: int, r_perp_nm: float,
     return float(val[0, 0])
 
 
-_OMEGA_BLOCK = 8
+# Nodes per bessel_k01 call in _spectral_rows, a multiple of 8 x 64: each
+# temporary of a block holds at most 512 kB, whatever the numbers of rows and
+# frequencies.  On a 2-vCPU VM a call costs about 0.2 ms plus 0.1 us a node
+# up to 2^16 nodes (6.5 ms), and 0.13 us a node at 2^18.
+_GRID_TERMS = 2 ** 16
 
 
 @functools.cache
@@ -108,12 +119,44 @@ def _legendre_64() -> tuple[np.ndarray, np.ndarray]:
     return nodes, wts
 
 
+def _spectral_rows(rows, z_nucleus: int, omega: np.ndarray) -> np.ndarray:
+    """br_spectral_density of each (probe, r_perp_nm) row at each frequency of
+    the 1-D array omega, shape (len(rows), omega.size).  The grid goes to
+    bessel_k01 by whole rows at every omega, or one row at 1024 frequencies."""
+    cols = _columns(rows, z_nucleus, omega)
+    ends = np.array([(math.log1p(-p.beta), math.log1p(p.beta)) for p, _ in rows])
+    nodes, wts = _legendre_64()
+    out = np.empty((len(rows), omega.size))
+    step_w = min(omega.size, _GRID_TERMS // 64) or 1
+    step_r = _GRID_TERMS // (64 * step_w)
+    for i in range(0, len(rows), step_r):
+        rs = slice(i, i + step_r)
+        beta, (lo, hi) = cols[0, rs, 0], ends[rs].T[..., None]
+        em1 = np.expm1(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo))
+        weights = (wts * (1.0 + em1))[..., None]
+        ct = -em1 / beta
+        s2 = np.clip(1.0 - ct * ct, 0.0, None)
+        d = 1.0 - beta * ct
+        mean_a = (d * ct - 0.5 * beta * s2) ** 2 + 0.5 * d * d * s2 + 0.25 * (beta * s2) ** 2
+        for j in range(0, omega.size, step_w):
+            p1, p0 = _k_squares(cols[:, rs], ct[:, None], omega[j:j + step_w, None])
+            f = p1 * mean_a[:, None] + p0 * s2[:, None]
+            # (<= 8 x 64) @ weights per row: OpenBLAS rounds a gemv's row by
+            # the call's row count, so blocks of 8 frequencies fix the bits
+            for k in range(0, f.shape[1], 8):
+                out[rs, j + k:j + k + 8] = (f[:, k:k + 8] @ weights)[..., 0]
+        out[rs] *= math.pi * (hi - lo) / beta
+    return out
+
+
 def br_spectral_density(probe: Probe, z_nucleus: int, r_perp_nm: float, omega):
     """Solid-angle integral of the density at fixed omega, in seconds.
 
     A scalar omega gives a float, an array gives an array of its shape, both
-    through one body in blocks of _OMEGA_BLOCK = 8 frequencies, whose real
-    temporaries are (block x 64).  A bad omega, r_perp_nm or z_nucleus raises
+    as one row of _spectral_rows: one grid of (omega, node) pairs, taken by
+    bessel_k01 in blocks of at most _GRID_TERMS = 2^16 nodes, with the theta
+    sum kept as (8 x 64) @ weights per 8 frequencies for its rounding.  A bad
+    omega (non-positive, NaN or infinite), r_perp_nm or z_nucleus raises
     ValueError naming it, also for an empty array.
 
     The phi integral is exact and in closed form: 2 pi (K1^2 <A> +
@@ -127,23 +170,25 @@ def br_spectral_density(probe: Probe, z_nucleus: int, r_perp_nm: float, omega):
     E 6-100 keV, and within 7.2e-11 at beta = 1 - 1e-9.  Taking cos(theta) as
     -expm1(u) / beta keeps its precision as beta -> 0.
     """
-    beta = probe.beta
-    lo, hi = math.log1p(-beta), math.log1p(beta)
-    nodes, wts = _legendre_64()
-    em1 = np.expm1(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo))
-    weights = wts * (1.0 + em1)
-    ct = -em1 / beta
-    s2 = np.clip(1.0 - ct * ct, 0.0, None)
-    d = 1.0 - beta * ct
-    mean_a = (d * ct - 0.5 * beta * s2) ** 2 + 0.5 * d * d * s2 + 0.25 * (beta * s2) ** 2
     w = np.asarray(omega, dtype=float)
-    flat = w.ravel()
-    out = np.empty(flat.size)
-    for i in range(0, max(flat.size, 1), _OMEGA_BLOCK):  # an empty omega still checks
-        p1, p0 = _k_squares(probe, z_nucleus, r_perp_nm, ct, flat[i:i + _OMEGA_BLOCK])
-        out[i:i + _OMEGA_BLOCK] = (p1 * mean_a + p0 * s2) @ weights
-    out *= math.pi * (hi - lo) / beta
+    out = _spectral_rows([(probe, r_perp_nm)], z_nucleus, w.ravel())[0]
     return float(out[0]) if w.ndim == 0 else out.reshape(w.shape)
+
+
+def _window_yields(rows, z_nucleus: int, center_eV: float, window_eV: float) -> np.ndarray:
+    """br_window_yield of each (probe, r_perp_nm) row, from one grid."""
+    if not 0 < center_eV < math.inf:
+        raise ValueError("center_eV must be positive and finite")
+    if not window_eV >= 0:
+        raise ValueError("window_eV must be non-negative")
+    hbar = CONSTANTS.hbar_eV_s
+    lo = (center_eV - 0.5 * window_eV) / hbar
+    mid = center_eV / hbar
+    hi = (center_eV + 0.5 * window_eV) / hbar
+    if lo <= 0:
+        raise ValueError("window extends to non-positive photon energies")
+    f = _spectral_rows(rows, z_nucleus, np.array([lo, mid, hi]))
+    return (hi - lo) / 6.0 * (f[:, 0] + 4.0 * f[:, 1] + f[:, 2])
 
 
 def br_window_yield(probe: Probe, z_nucleus: int, r_perp_nm: float,
@@ -157,15 +202,4 @@ def br_window_yield(probe: Probe, z_nucleus: int, r_perp_nm: float,
     caps the window.  An empty window gives 0.0 through the (hi - lo) factor,
     after the same argument checks as any other window.
     """
-    if not center_eV > 0:
-        raise ValueError("center_eV must be positive")
-    if window_eV < 0:
-        raise ValueError("window_eV must be non-negative")
-    hbar = CONSTANTS.hbar_eV_s
-    lo = (center_eV - 0.5 * window_eV) / hbar
-    mid = center_eV / hbar
-    hi = (center_eV + 0.5 * window_eV) / hbar
-    if lo <= 0:
-        raise ValueError("window extends to non-positive photon energies")
-    f = br_spectral_density(probe, z_nucleus, r_perp_nm, np.array([lo, mid, hi]))
-    return (hi - lo) / 6.0 * float(f[0] + 4.0 * f[1] + f[2])
+    return float(_window_yields([(probe, r_perp_nm)], z_nucleus, center_eV, window_eV)[0])

@@ -34,7 +34,8 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .brems import br_spectral_density, br_window_yield
+from .brems import _window_yields, br_spectral_density
+from .brems import br_window_yield  # noqa: F401  (traced by perfbench/spans.py)
 from .crystal_sp import (DISTANCE, CutoffPolicy, LatticeFilm, _grid_half_width,
                          builtin_presets, emission_cones, first_radiating_order)
 from .finite_array import _line_density
@@ -353,23 +354,21 @@ def _run_nuclide_info(config, reg, films):
 def _run_single_sweep(config, reg, films):
     rec = reg[config.nuclide]
     p = config.params
+    if p["sweep_variable"] == "beta":
+        rows = [(dataclasses.replace(config.probe, beta=val), p["r_perp_nm"])
+                for val in p["sweep_values"]]
+    else:
+        rows = [(config.probe, val) for val in p["sweep_values"]]
+    brems = _window_yields(rows, p["br_z_nucleus"], rec.e0_eV, p["br_window_eV"])
 
-    def row(val):
-        if p["sweep_variable"] == "beta":
-            probe = dataclasses.replace(config.probe, beta=val)
-            r = p["r_perp_nm"]
-        else:
-            probe = config.probe
-            r = val
+    def row(probe, r, br):
         y = coherent_yield(probe, rec, r)
-        br = br_window_yield(probe, p["br_z_nucleus"], r, rec.e0_eV,
-                             p["br_window_eV"])
         ratio = br / y if y > 0.0 else ""
         return (probe.beta, probe.gamma, r, y, br, ratio)
 
     columns = ("beta", "gamma", "r_perp_nm", "resonant_yield",
                "brems_window_yield", "brems_over_resonant")
-    return [(columns, [row(val) for val in p["sweep_values"]])]
+    return [(columns, [row(*pr, br) for pr, br in zip(rows, brems.tolist())])]
 
 
 def _run_array_pattern(config, reg, films):

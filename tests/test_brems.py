@@ -1,5 +1,7 @@
 import importlib.util
 import math
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import mpmath as mp
@@ -7,16 +9,18 @@ import numpy as np
 import pytest
 
 from nucsp.brems import (
+    _GRID_TERMS,
     _density_values,
     _legendre_64,
+    _window_yields,
     br_density,
     br_spectral_density,
     br_window_yield,
 )
-from nucsp.numerics import CONSTANTS
+from nucsp.numerics import CONSTANTS, bessel_k01
 from nucsp.nuclide import registry
 from nucsp.probe import SPECIES, Probe, electron, proton
-from nucsp.scenarios import MAX_WINDOW_SHARE
+from nucsp.scenarios import MAX_WINDOW_SHARE, run_scenario, validate_config
 
 mp.mp.dps = 30
 
@@ -285,3 +289,98 @@ def test_window_yield_holds_its_error_at_the_config_ceiling(nuclide, make, beta,
     assert density.min() >= np.finfo(float).tiny
     assert br_window_yield(probe, z_n, r_nm, rec.e0_eV, window) == pytest.approx(
         0.5 * (hi - lo) * float(density @ w), rel=2e-7, abs=0.0)
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda probe, fe: br_window_yield(probe, 26, 0.001, fe.e0_eV, math.nan), "window_eV"),
+    (lambda probe, fe: br_window_yield(probe, 26, 0.001, math.inf, 1.0), "center_eV"),
+    (lambda probe, fe: br_spectral_density(probe, 26, 0.001, math.inf), "omega"),
+    (lambda probe, fe: br_spectral_density(probe, 26, 0.001, fe.omega0_rad_s * np.array(
+        [1.0, math.inf])), "omega"),
+], ids=["nan-window", "infinite-center", "infinite-omega", "infinite-omega-in-array"])
+def test_bad_window_or_frequency_is_named_without_a_warning(fe, call, name):
+    # a NaN window passed "window_eV < 0" and was reported as a bad omega; an
+    # infinite center or omega gave NaN with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=name):
+            call(electron(beta=0.9), fe)
+
+
+def _per_block_spectral_density(probe, z_nucleus, r_perp_nm, omega):
+    """The spectral density at a 1-D omega as one Bessel call per block of 8
+    frequencies, each block's (8 x 64) integrand contracted with the weights
+    on its own: the loop br_spectral_density ran before one grid took every
+    frequency, kept here as a bit-level oracle."""
+    beta, gamma = probe.beta, probe.gamma
+    lo, hi = math.log1p(-beta), math.log1p(beta)
+    nodes, wts = np.polynomial.legendre.leggauss(64)
+    em1 = np.expm1(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo))
+    weights = wts * (1.0 + em1)
+    ct = -em1 / beta
+    s2 = np.clip(1.0 - ct * ct, 0.0, None)
+    d = 1.0 - beta * ct
+    mean_a = (d * ct - 0.5 * beta * s2) ** 2 + 0.5 * d * d * s2 + 0.25 * (beta * s2) ** 2
+    c = (CONSTANTS.alpha_fs ** 3 * probe.z_charge ** 4 * z_nucleus ** 2
+         * CONSTANTS.hbar_eV_s ** 2)
+    den = math.pi ** 2 * probe.rest_energy_eV ** 2 * beta ** 4 * gamma ** 2
+    out = np.empty(omega.size)
+    for i in range(0, omega.size, 8):
+        w = omega[i:i + 8, None]
+        k0, k1 = bessel_k01((1.0 - beta * ct) * w * r_perp_nm / probe.velocity_nm_s)
+        pref = c * w / den
+        out[i:i + 8] = (pref * (k1 * k1) * mean_a
+                        + pref * (k0 / (gamma * gamma)) ** 2 * s2) @ weights
+    return out * (math.pi * (hi - lo) / beta)
+
+
+@pytest.mark.parametrize("probe", [electron(beta=0.5), electron(beta=0.9),
+                                   electron(beta=1.0 - 1e-9), proton(beta=0.6)],
+                         ids=["e0.5", "e0.9", "e1-1e-9", "p0.6"])
+def test_spectral_grid_equals_the_per_block_loop(fe, probe):
+    # one row takes _GRID_TERMS / 64 frequencies per Bessel call: counts
+    # either side of that, the 8-frequency blocks' edges and the n_energy cap
+    edge = _GRID_TERMS // 64
+    for r in (0.001, 3.0):
+        for n in (0, 1, 7, 8, 9, 41, edge - 1, edge + 1, 10_000):
+            omegas = fe.omega0_rad_s * np.geomspace(0.5, 2.0, n)
+            got = br_spectral_density(probe, 26, r, omegas)
+            assert np.array_equal(got, _per_block_spectral_density(probe, 26, r, omegas)), (r, n)
+
+
+def test_window_yield_rows_equal_per_row_calls(fe):
+    # a beta sweep, and an r_perp_nm sweep over more than two grid blocks of
+    # _GRID_TERMS / (3 x 64) rows; every value equal to the one-row call, and
+    # the beta sweep's to Simpson over the per-block oracle
+    hbar = CONSTANTS.hbar_eV_s
+    lo, mid, hi = ((fe.e0_eV + k * 0.5) / hbar for k in (-1, 0, 1))
+    betas = [(electron(beta=b), 0.001) for b in np.linspace(0.3, 0.999, 40).tolist()]
+    radii = [(proton(beta=0.6), r) for r in
+             np.geomspace(1e-4, 1.0, 2 * (_GRID_TERMS // 192) + 5).tolist()]
+    for rows in (betas, radii):
+        got = _window_yields(rows, 26, fe.e0_eV, 1.0)
+        assert got.shape == (len(rows),)
+        assert np.array_equal(got, [br_window_yield(p, 26, r, fe.e0_eV, 1.0) for p, r in rows])
+    for (probe, r), y in zip(betas, _window_yields(betas, 26, fe.e0_eV, 1.0).tolist()):
+        f = _per_block_spectral_density(probe, 26, r, np.array([lo, mid, hi]))
+        assert y == (hi - lo) / 6.0 * float(f[0] + 4.0 * f[1] + f[2])
+
+
+@pytest.mark.parametrize("text", [
+    "scenario: single-sweep\nparams:\n  sweep_values: [%s]\n"
+    % ", ".join(repr(b) for b in np.linspace(0.3, 0.99, 5000).tolist()),
+    "scenario: brems-compare\nparams: {n_energy: 10000}\n",
+], ids=["single-sweep-5000", "brems-compare-10000"])
+def test_bremsstrahlung_grid_is_blocked(text):
+    # sweep_values has no length cap, so the (rows x frequencies x 64) grid
+    # must go to bessel_k01 in blocks of _GRID_TERMS nodes: blocked, these
+    # runs peak near 10 MB and 8 MB, as one grid at 109 MB and 62 MB
+    config, errors = validate_config("probe: {species: electron, beta: 0.9}\n" + text)
+    assert errors == []
+    tracemalloc.start()
+    try:
+        run_scenario(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 8 * _GRID_TERMS

@@ -1,7 +1,7 @@
 """Print digests of nucsp's outputs, so that a change can be checked bit for
 bit against another tree:
 
-    python3 tools/digest.py                  # this tree's four sections
+    python3 tools/digest.py                  # this tree's five sections
     python3 tools/digest.py --against TREE   # the sections that differ in TREE
 
 Each section starts with a ``== name`` line:
@@ -30,6 +30,14 @@ Each section starts with a ``== name`` line:
   ``bessel_k01``, first on the whole grid as one array, then on each point
   as a float.  The grid is 4001 points log-spaced over [1e-8, 800] and 2, 10
   and 700 with the two doubles next to each.
+- ``brems``: one SHA-256 over ``.hex()`` lines of ``br_spectral_density``
+  (Z_n 26) at 0, 1, 7, 8, 9, 41, 1023, 1025 and 10,000 frequencies
+  geometrically spaced over [0.5, 2] times Fe-57's line, for an electron at
+  beta 0.5, 0.9 and 1 - 1e-9 and a proton at 0.6, each at r_perp_nm 1 pm
+  and 3 nm; then over the CSV data rows (header included, ``#`` lines
+  skipped) of two single-sweeps run through ``run_scenario``: 400 betas over
+  [0.3, 0.999] on Fe-57 and 700 ``r_perp_nm`` values over [1e-4, 10] nm on
+  Dy-161.
 
 With ``--against TREE`` the sections are computed for this tree and, with
 TREE's src/ and configs/, for TREE, each in its own process; every section
@@ -57,11 +65,20 @@ RECORDED = ((0.9, 1.0, 0.3, 0.001, 5), (0.5, 2.0, 1.1, 0.002, 7),
             (0.99, 0.6, 4.0, 0.001, 9))
 # (theta, phi, seed) of the plane-mc calls
 PLANE_MC = ((0.5, 0.0, 1), (1.0, 0.3, 2), (1.6, 2.5, 3), (2.4, 5.0, 4))
+# frequency counts of the brems section: the 8-frequency blocks' edges, one
+# either side of 1024 (a grid block of one row) and the n_energy cap
+BREMS_COUNTS = (0, 1, 7, 8, 9, 41, 1023, 1025, 10_000)
 
 
 def fail(message: str) -> None:
     print("digest: " + message, file=sys.stderr)
     sys.exit(2)
+
+
+def _table_rows(table) -> str:
+    """A result table's CSV text without its ``#`` metadata lines."""
+    return "".join(line for line in table.to_csv().splitlines(keepends=True)
+                   if not line.startswith("#"))
 
 
 def csv_section(configs: Path) -> list[str]:
@@ -73,9 +90,7 @@ def csv_section(configs: Path) -> list[str]:
         if errors:
             fail("%s: %s" % (path, "; ".join(errors)))
         for table in run_scenario(config):
-            rows = [line for line in table.to_csv().splitlines(keepends=True)
-                    if not line.startswith("#")]
-            digests[table.name + ".csv"] = hashlib.sha256("".join(rows).encode()).hexdigest()
+            digests[table.name + ".csv"] = hashlib.sha256(_table_rows(table).encode()).hexdigest()
     lines = ["%s  %s" % (digests[name], name) for name in sorted(digests)]
     total = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
     return lines + ["%s  %d tables" % (total, len(lines))]
@@ -138,13 +153,46 @@ def bessel_section() -> list[str]:
     return ["%s  %d points" % (digest.hexdigest(), 2 * xs.size)]
 
 
+def brems_section() -> list[str]:
+    import numpy as np
+    from nucsp.brems import br_spectral_density
+    from nucsp.nuclide import registry
+    from nucsp.probe import electron, proton
+    from nucsp.scenarios import run_scenario, validate_config
+
+    omega0 = registry()["Fe-57"].omega0_rad_s
+    digest = hashlib.sha256()
+    n_values = 0
+    for probe in (electron(beta=0.5), electron(beta=0.9), electron(beta=1.0 - 1e-9),
+                  proton(beta=0.6)):
+        for r in (0.001, 3.0):
+            for n in BREMS_COUNTS:
+                density = br_spectral_density(probe, 26, r, omega0 * np.geomspace(0.5, 2.0, n))
+                digest.update("".join(v.hex() + "\n" for v in density.tolist()).encode())
+                n_values += n
+    sweeps = (("Fe-57", "beta", np.linspace(0.3, 0.999, 400), "r_perp_nm: 0.001, "),
+              ("Dy-161", "r_perp_nm", np.geomspace(1e-4, 10.0, 700), ""))
+    n_rows = 0
+    for nuclide, variable, values, extra in sweeps:
+        text = ("scenario: single-sweep\nnuclide: %s\nprobe: {species: electron, beta: 0.9}\n"
+                "params: {sweep_variable: %s, %ssweep_values: [%s]}\n"
+                % (nuclide, variable, extra, ", ".join(repr(v) for v in values.tolist())))
+        config, errors = validate_config(text)
+        if errors:
+            fail("brems sweep: " + "; ".join(errors))
+        for table in run_scenario(config):
+            digest.update(_table_rows(table).encode())
+            n_rows += len(table.rows)
+    return ["%s  %d densities, %d sweep rows" % (digest.hexdigest(), n_values, n_rows)]
+
+
 def sections(tree: Path) -> dict[str, list[str]]:
     """Every section, computed with the nucsp of tree's src/."""
     if not (tree / "src" / "nucsp").is_dir():
         fail("%s: no src/nucsp" % tree)
     sys.path.insert(0, str(tree / "src"))
     return {"csv": csv_section(tree / "configs"), "cones": cone_section(),
-            "mc": mc_section(), "bessel": bessel_section()}
+            "mc": mc_section(), "bessel": bessel_section(), "brems": brems_section()}
 
 
 def render(name: str, lines: list[str]) -> str:
