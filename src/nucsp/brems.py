@@ -187,6 +187,8 @@ def _window_yields(rows, z_nucleus: int, center_eV: float, window_eV: float) -> 
     hi = (center_eV + 0.5 * window_eV) / hbar
     if lo <= 0:
         raise ValueError("window extends to non-positive photon energies")
+    if not hi < math.inf:
+        raise ValueError("center_eV + window_eV / 2 overflows as an angular frequency")
     f = _spectral_rows(rows, z_nucleus, np.array([lo, mid, hi]))
     return (hi - lo) / 6.0 * (f[:, 0] + 4.0 * f[:, 1] + f[:, 2])
 

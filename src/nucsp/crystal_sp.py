@@ -40,14 +40,13 @@ by 3e-6.  The integral depends on |G| alone, and the admissible G depend on
 n only through its stacking class n mod p.  So the distinct |G| of a class,
 with their multiplicities, are found once and shared by every order and beta
 in it, and the integrals of all orders of one class at one beta are formed
-in one array pass, (orders x |G|).  A cone weight is summed over those
-distinct |G|, each term counted with its multiplicity, and the sum is made
-exactly equal to the compensated sum over the individual vectors: count x
-is exact when the count is a power of two (1, 4, 8, 16 and 32 cover about
-96% of the shells), and only the other terms are split in two halves that
-each survive the product exactly.  math.fsum reads each row straight from the
-array's buffer.  r^3 stays numpy's pow: r*r*r rounds twice and moves the last
-bit of about a quarter of the values.
+in one array pass, (orders x |G|), each step written into an array already
+spent.  A cone weight sums those |G| with their multiplicities and equals
+math.fsum over the individual vectors bit for bit: exact extraction (Rump,
+Ogita and Oishi, SIAM J. Sci. Comput. 31 (2008) 189) splits each row into a
+few levels whose sums against the counts are exact in any order, and
+math.fsum rounds the level sums once.  r^3 stays numpy's pow: r*r*r rounds
+twice and moves the last bit of about a quarter of the values.
 
 The sum over G diverges logarithmically and is cut off at g_max = 1/R_min,
 where R_min is the closest impact parameter the beam can reach.
@@ -63,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import CONSTANTS, _veltkamp_split
+from .numerics import CONSTANTS
 from .numerics import integrate_periodic  # noqa: F401  (traced by perfbench/spans.py)
 from .nuclide import (NAME, REQUIRED, NuclideRecord, Param, _check_fields, parse_record_file,
                       radiative_rate)
@@ -331,49 +330,47 @@ def reciprocal_vectors(film: LatticeFilm, n: int,
 def _class_shells(film: LatticeFilm, policy: CutoffPolicy, cls: int):
     """Distinct |G| admissible for stacking class cls = n mod stack_period.
 
-    Returns read-only (norms, weights, mult): the distinct np.hypot(G)
-    values, their cutoff weights, and _term_counts' multiplicities, whose
-    first len(norms) entries are the number of vectors with each norm.  The
-    norms are sorted within two runs, those with a power-of-two count first.
-    Norms are grouped by their float value, not by i^2 + j^2, since
-    hypot(3u, 4u) and hypot(5u, 0) can differ in the last bit.
+    Returns read-only (norms, weights, counts): the distinct np.hypot(G)
+    ascending, their cutoff weights, and as floats the number of vectors
+    with each norm.  Norms are grouped by float value, not by i^2 + j^2,
+    since hypot(3u, 4u) and hypot(5u, 0) can differ in the last bit.
     """
     g = _enumerate_g(film, policy, cls)
     norms, counts = np.unique(np.hypot(g[:, 0], g[:, 1]), return_counts=True)
-    perm, mult = _term_counts(counts)
-    norms = norms[perm]
-    shells = (norms, policy.weights(norms), mult)
+    shells = (norms, policy.weights(norms), counts.astype(float))
     for arr in shells:
         arr.flags.writeable = False
     return shells
 
 
-def _term_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable order putting power-of-two counts first, and the multiplicity of
-    each term _counted_fsum adds for shells in that order: every count, then
-    the other counts again, for the low halves of their split."""
-    split = (counts & (counts - 1)) != 0
-    perm = np.argsort(split, kind="stable")
-    return perm, np.concatenate([counts[perm], counts[split]])
-
-
-def _counted_fsum(x: np.ndarray, mult: np.ndarray) -> list[float]:
+def _counted_fsum(x: np.ndarray, counts: np.ndarray) -> list[float]:
     """Per row of x (rows, M), math.fsum of each x[k] repeated counts[k]
-    times, bit for bit; mult is _term_counts(counts)[1] and the columns of x
-    are in its order.
+    times, bit for bit, for integer counts >= 0 summing below 2^m <= 2^52.
 
-    count * x is exact when count is a power of two, so those shells give one
-    term each.  The others are split x = hi + lo (Veltkamp), which leaves at
-    most 26 significant bits in each half, so count * hi and count * lo are
-    exact while counts stay below 2^27 and x is a normal float.  fsum of the
-    exact terms, in any order, is then the correctly rounded total.  Each row
-    is read through memoryview, so no per-term Python list is built.
+    With sigma = 2^(e + m) for a row whose |x| are below 2^e, q = (sigma +
+    p) - sigma keeps the bits of p from eps sigma = 2^-53 sigma up, exactly.
+    Each q, count * q and partial sum is a multiple of eps sigma below
+    sigma, so np.sum of q * counts is exact in any order (np.sum, as a BLAS
+    gemv lifts a film run's peak memory by 0.4 MB).  The next level takes
+    p - q with sigma 2^(m - 53), and math.fsum rounds the level sums once.
+    At most ceil(2098 / (53 - m)) levels run, subnormals included.  A max
+    |x| >= 2^(1023 - m), NaN or inf would give sigma = inf: ValueError.
     """
-    n_exact = 2 * x.shape[1] - mult.size
-    hi, lo = _veltkamp_split(x[:, n_exact:])
-    terms = np.concatenate([x[:, :n_exact], hi, lo], axis=1)
-    terms *= mult
-    return [math.fsum(memoryview(row)) for row in terms]
+    m = int(np.sum(counts)).bit_length()
+    p = np.array(x, dtype=float)
+    amax = np.max(np.abs(p), axis=1, initial=0.0)
+    if not (m < 53 and np.all(amax < 2.0 ** (1023 - m))):
+        raise ValueError("terms must be finite and below 2^(1023 - m), m = %d < 53" % m)
+    sigma = np.ldexp(1.0, np.frexp(amax)[1] + m)[:, None]
+    q = np.empty_like(p)
+    levels = []
+    while p.any():
+        np.add(sigma, p, out=q)
+        q -= sigma
+        p -= q
+        levels.append(np.sum(np.multiply(q, counts, out=q), axis=1))
+        sigma *= 2.0 ** (m - 53)
+    return [math.fsum(s) for s in np.reshape(levels, (len(levels), p.shape[0])).T.tolist()]
 
 
 def _gsum_terms(probe: Probe, rec: NuclideRecord, g: np.ndarray, w: np.ndarray,
@@ -410,12 +407,24 @@ def _phi_integrals(probe: Probe, rec: NuclideRecord, cos_t,
     k = rec.omega0_rad_s / CONSTANTS.c_nm_s * sin_t
     d2 = (rec.omega0_rad_s / (probe.velocity_nm_s * probe.gamma)) ** 2
     k2, g2 = k * k, g_norm * g_norm
-    km, kp = k - g_norm, k + g_norm
-    r = np.sqrt((km * km + d2) * (kp * kp + d2))
-    k2mg2 = km * kp
-    p = k2mg2 * k2mg2 + (k2 + g2) * d2
-    num = k2 * (k2mg2 + d2) ** 2 + p * r + c * c * g2 * r * r
-    return 2.0 * math.pi * num / (r ** 3 * (k2 + g2 + d2 + r))
+    # five (rows x |G|) arrays, each step put in one spent, in formula order
+    r, kg = k - g_norm, k + g_norm
+    k2mg2 = r * kg
+    np.add(np.square(r, out=r), d2, out=r)
+    r *= np.add(np.square(kg, out=kg), d2, out=kg)
+    np.sqrt(r, out=r)
+    np.add(k2, g2, out=kg)  # k^2 + G^2, formed once
+    p, t = k2mg2 * k2mg2, kg * d2
+    p += t
+    num = np.square(np.add(k2mg2, d2, out=k2mg2), out=k2mg2)
+    num *= k2
+    num += np.multiply(p, r, out=p)
+    np.multiply(c * c, g2, out=t)
+    t *= r
+    num += np.multiply(t, r, out=t)
+    den = np.power(r, 3, out=p)
+    den *= np.add(np.add(kg, d2, out=kg), r, out=kg)
+    return np.divide(np.multiply(num, 2.0 * math.pi, out=num), den, out=num)
 
 
 def _layer_prefactor(probe: Probe, rec: NuclideRecord, film: LatticeFilm) -> float:
@@ -491,13 +500,13 @@ def emission_cones(probe: Probe, rec: NuclideRecord, film: LatticeFilm,
     # its cones are summed together, in blocks of _BLOCK_TERMS terms
     for j in range(min(period, len(angles))):
         cls = angles[j][0] % period
-        norms, w, mult = _class_shells(film, policy, cls)
+        norms, w, counts = _class_shells(film, policy, cls)
         if not norms.size:
             empty.add(cls)
         rows = cos_t[j::period]
-        step = max(1, _BLOCK_TERMS // max(mult.size, 1))
+        step = max(1, _BLOCK_TERMS // max(norms.size, 1))
         sums[j::period] = [s for lo in range(0, rows.size, step) for s in _counted_fsum(
-            w * _phi_integrals(probe, rec, rows[lo:lo + step], norms), mult)]
+            w * _phi_integrals(probe, rec, rows[lo:lo + step], norms), counts)]
     cones = []
     for (n, c), s in zip(angles, sums):
         if n % period in empty:

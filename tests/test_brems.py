@@ -384,3 +384,15 @@ def test_bremsstrahlung_grid_is_blocked(text):
     finally:
         tracemalloc.stop()
     assert peak < 24 * 8 * _GRID_TERMS
+
+
+@pytest.mark.parametrize("center_eV,window_eV", [(1e300, 1.0), (1.1e293, 2e292)],
+                         ids=["center-overflows", "window-end-overflows"])
+def test_window_beyond_the_largest_frequency_names_center_without_a_warning(
+        center_eV, window_eV):
+    # center_eV / hbar overflows from about 1.2e293 eV: a finite center
+    # there, or a window reaching past it, was reported as a bad omega
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="center_eV"):
+            br_window_yield(electron(beta=0.9), 26, 0.001, center_eV, window_eV)

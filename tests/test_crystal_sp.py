@@ -18,7 +18,6 @@ from nucsp.crystal_sp import (
     _gsum_terms,
     _layer_prefactor,
     _phi_integrals,
-    _term_counts,
     azimuthal_profile,
     builtin_presets,
     emission_cones,
@@ -741,56 +740,126 @@ def test_phi_integrals_equal_the_formula_as_written(fe, beta):
 
 
 def test_counted_fsum_equals_per_vector_fsum():
-    # counts of 1, 4 and 8 give one exact term each, 12, 24 and 36 are split;
-    # full 53-bit values over a wide exponent range, so count * x rounds
-    # wherever the count is not a power of two
+    # counts of 1, 4, 8, 12, 24 and 36, in no order; full 53-bit values over
+    # a wide exponent range, so count * x rounds wherever the count is not a
+    # power of two
     rng = np.random.default_rng(5)
     counts = rng.permutation(np.repeat([1, 4, 8, 12, 24, 36], 7))
     x = rng.uniform(1.0, 2.0, (6, counts.size)) * 2.0 ** rng.integers(-80, 80, counts.size)
     x[1] *= (-1.0) ** np.arange(counts.size)  # mixed signs cancel
-    perm, mult = _term_counts(counts)
-    assert list(mult) == list(counts[perm]) + [c for c in counts if c in (12, 24, 36)]
-    got = _counted_fsum(x[:, perm], mult)
+    got = _counted_fsum(x, counts)
     assert got == [math.fsum(np.repeat(row, counts).tolist()) for row in x]
     assert all(type(v) is float for v in got)
 
 
 def test_counted_fsum_reads_any_layout_and_empty_shapes():
-    # rows are read from the array's buffer, so C-ordered, Fortran-ordered
-    # and column-strided x give the same floats; values stay Python floats,
-    # which ResultTable.to_csv's fast path checks with type(v) is float
+    # C-ordered, Fortran-ordered and column-strided x give the same floats;
+    # values stay Python floats, which ResultTable.to_csv's fast path checks
+    # with type(v) is float
     rng = np.random.default_rng(7)
     counts = rng.permutation(np.repeat([1, 4, 12, 36], 5))
     x = rng.uniform(1.0, 2.0, (4, counts.size)) * 2.0 ** rng.integers(-60, 60, counts.size)
-    perm, mult = _term_counts(counts)
     want = [math.fsum(np.repeat(row, counts).tolist()) for row in x]
     wide = np.zeros((4, 2 * counts.size))
-    wide[:, ::2] = x[:, perm]
-    for layout in (np.ascontiguousarray(x[:, perm]), np.asfortranarray(x[:, perm]),
-                   wide[:, ::2]):
-        got = _counted_fsum(layout, mult)
+    wide[:, ::2] = x
+    for layout in (np.ascontiguousarray(x), np.asfortranarray(x), wide[:, ::2]):
+        got = _counted_fsum(layout, counts)
         assert got == want and all(type(v) is float for v in got)
-    assert _counted_fsum(np.empty((0, counts.size)), mult) == []
+    assert _counted_fsum(np.empty((0, counts.size)), counts) == []
     # an empty stacking class: no shells, each row sums to 0.0
-    none = _term_counts(np.empty(0, dtype=np.int64))[1]
-    got = _counted_fsum(np.empty((3, 0)), none)
+    got = _counted_fsum(np.empty((3, 0)), np.empty(0))
     assert got == [0.0] * 3 and all(type(v) is float for v in got)
 
 
-def test_class_shells_put_power_of_two_counts_first():
-    # most shells have a count of 1, 4, 8, 16 or 32 and need no split
+def _fuzz_row(rng, counts, kind):
+    """One row for _counted_fsum: full 53-bit values at wide, subnormal,
+    cancelling or zero magnitudes with random signs; of one sign in one
+    binade, whose sum uses all the headroom that 2^m > sum(counts) leaves;
+    or +-(1 + j 2^-53), a half-way tie between two doubles for odd j."""
+    size = counts.size
+    x = rng.uniform(1.0, 2.0, size) * rng.choice([-1.0, 1.0], size)
+    if kind == "wide":
+        x *= 2.0 ** rng.integers(-200, 200, size)
+    elif kind == "subnormal":  # subnormals, and the normals just above them
+        x = np.ldexp(x, rng.integers(-1075, -1010, size))
+    elif kind == "cancel":  # the first half repeated with the opposite sign
+        x *= 2.0 ** rng.integers(-30, 30, size)
+        half = size // 2
+        x[half:2 * half] = -x[:half] * counts[:half] / counts[half:2 * half]
+        x[0] = np.nextafter(x[0], 0.0)
+    elif kind == "zeros":
+        x[rng.random(size) < 0.7] = 0.0
+    elif kind == "binade":
+        x = np.abs(x) * math.copysign(2.0 ** int(rng.integers(-100, 100)), x[0])
+    elif kind == "tie":
+        sign = math.copysign(1.0, x[0])
+        x = np.where(rng.random(size) < 0.5, sign * 2.0 ** -53, 0.0)
+        x[0] = sign / counts[0]
+    return x
+
+
+def test_counted_fsum_fuzz_equals_per_vector_fsum():
+    # 3,000 seeded rows against math.fsum over the individual vectors, in
+    # three layouts: mixed signs, wide exponents, cancellation, subnormals,
+    # zero rows, one-binade rows, ties, and counts from 1 to 64 with powers
+    # of two among them
+    rng = np.random.default_rng(33)
+    kinds = ("wide", "subnormal", "cancel", "zeros", "binade", "tie")
+    for trial in range(100):
+        counts = rng.integers(1, 65, int(rng.integers(1, 80)))
+        counts[0] = 1 << int(rng.integers(0, 6))  # so that tie rows start at +-1
+        x = np.array([_fuzz_row(rng, counts, kinds[(trial + i) % 6]) for i in range(30)])
+        x[trial % 30] = 0.0
+        want = [math.fsum(np.repeat(row, counts).tolist()) for row in x]
+        wide = np.zeros((x.shape[0], 3 * counts.size))
+        wide[:, 1::3] = x
+        for layout in (x, np.asfortranarray(x), wide[:, 1::3]):
+            got = _counted_fsum(layout, counts)
+            assert got == want and all(type(v) is float for v in got)
+
+
+def test_counted_fsum_at_a_grid_sized_count_and_the_overflow_guard():
+    # counts totalling just under MAX_G_GRID (m = 21), with a row's largest
+    # |x| one step below 2^(1023 - m) and one at it; the latter, inf and NaN
+    # raise ValueError before anything is summed.  The last four rows are
+    # negative and within a factor 2 of the top, so their sums come near
+    # -2^1023: they use all the headroom that sigma = 2^(e + m) leaves
+    rng = np.random.default_rng(21)
+    counts = np.full(64, MAX_G_GRID // 64)
+    counts[:7] -= 1
+    assert MAX_G_GRID - 64 < counts.sum() < MAX_G_GRID
+    m = int(counts.sum()).bit_length()
+    top = np.nextafter(2.0 ** (1023 - m), 0.0)
+    x = rng.uniform(-1.0, 1.0, (7, counts.size)) * 2.0 ** rng.integers(-60, 0, counts.size)
+    x *= top
+    x[0, 5] = top
+    x[1, 9] = -top
+    x[2] = top
+    x[3:] = rng.uniform(-1.0, -0.5, (4, counts.size)) * top
+    got = _counted_fsum(x, counts)
+    assert got == [math.fsum(np.repeat(row, counts).tolist()) for row in x]
+    for bad in (2.0 ** (1023 - m), -math.inf, math.nan):
+        y = x.copy()
+        y[1, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            _counted_fsum(y, counts)
+    with pytest.raises(ValueError, match="m = 53 < 53"):
+        _counted_fsum(np.ones((1, 2)), np.array([2 ** 51, 2 ** 51]))
+
+
+def test_class_shells_are_ascending_norms_with_float_counts():
+    # each distinct np.hypot norm once, ascending, with its weight and the
+    # number of vectors that have it, as read-only floats
     film, pol = make_film("bcc100"), CutoffPolicy(0.001)
     for cls in (0, 1):
-        norms, w, mult = _class_shells(film, pol, cls)
-        counts = mult[:norms.size]
-        exact = (counts & (counts - 1)) == 0
-        n_exact = int(np.count_nonzero(exact))
-        assert exact[:n_exact].all() and not exact[n_exact:].any()
-        assert np.array_equal(mult[norms.size:], counts[n_exact:])
-        assert all(np.all(np.diff(run) > 0) for run in (norms[:n_exact], norms[n_exact:]))
+        norms, w, counts = _class_shells(film, pol, cls)
+        g = reciprocal_vectors(film, 2 - cls, pol)
+        want_norms, want_counts = np.unique(np.hypot(g[:, 0], g[:, 1]), return_counts=True)
+        assert np.array_equal(norms, want_norms) and np.all(np.diff(norms) > 0)
+        assert counts.dtype == float and np.array_equal(counts, want_counts)
         assert np.array_equal(w, pol.weights(norms))
-        assert counts.sum() == reciprocal_vectors(film, 2 - cls, pol).shape[0]
-        assert n_exact > 0.9 * norms.size
+        assert counts.sum() == g.shape[0]
+        assert not any(arr.flags.writeable for arr in (norms, w, counts))
 
 
 def test_empty_stacking_classes_warn_once_per_order_in_order(fe, tmp_path):

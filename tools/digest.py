@@ -16,8 +16,9 @@ Each section starts with a ``== name`` line:
 - ``cones``: one SHA-256 over the Fe-57 cone weights of a fixed set of
   films, one ``lattice beta n cos_theta.hex() weight.hex()`` line per cone:
   bcc100, fcc100 and sc100 at 20 betas in [0.5, 0.975] and the hard 1 pm
-  cutoff, with ``order_cap`` 12 and without it; bcc100 at the smooth 3 pm
-  cutoff at betas 0.90 to 0.96; and the quarter-offset lattice of
+  cutoff, with ``order_cap`` 12 and without it; the same three at the
+  smooth 3 pm cutoff at betas 0.90 to 0.96, with ``order_cap`` 12, where a
+  cone sum takes three extraction levels; and the quarter-offset lattice of
   ``tests/test_crystal_sp.py`` (a = 0.30 nm, offset (0.075, 0.075) nm,
   b_z = 0.10 nm) at the presets' betas and cutoff.
 - ``mc``: ``label repr(mean)`` of ``mc_plane_average`` for the three
@@ -104,7 +105,8 @@ def cone_section() -> list[str]:
     hard = CutoffPolicy(0.001)
     cases = [(make_film(p), hard, BETAS, cap) for p in ("bcc100", "fcc100", "sc100")
              for cap in (12, None)]
-    cases.append((make_film("bcc100"), CutoffPolicy(0.003, smooth=True), SMOOTH_BETAS, 12))
+    smooth = CutoffPolicy(0.003, smooth=True)
+    cases += [(make_film(p), smooth, SMOOTH_BETAS, 12) for p in ("bcc100", "fcc100", "sc100")]
     cases.append((LatticeFilm("quarter", 0.30, (0.075, 0.075), 0.10), hard, BETAS, None))
     rec = registry()["Fe-57"]
     digest = hashlib.sha256()
