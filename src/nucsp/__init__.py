@@ -16,6 +16,7 @@ __version__ = "0.1.0"
 
 # Every name in a module's __all__ is public here; scenarios imports
 # __version__, so it is bound first.
+from .rows import *
 from .numerics import *
 from .nuclide import *
 from .probe import *
@@ -24,8 +25,9 @@ from .finite_array import *
 from .crystal_sp import *
 from .brems import *
 from .scenarios import *
-from . import brems, crystal_sp, finite_array, nuclide, numerics, probe, scenarios, single_nucleus
+from . import (brems, crystal_sp, finite_array, nuclide, numerics, probe, rows, scenarios,
+               single_nucleus)
 
-__all__ = ["__version__", *numerics.__all__, *nuclide.__all__, *probe.__all__,
+__all__ = ["__version__", *rows.__all__, *numerics.__all__, *nuclide.__all__, *probe.__all__,
            *single_nucleus.__all__, *finite_array.__all__, *crystal_sp.__all__,
            *brems.__all__, *scenarios.__all__]

@@ -64,9 +64,9 @@ import numpy as np
 
 from .numerics import CONSTANTS
 from .numerics import integrate_periodic  # noqa: F401  (traced by perfbench/spans.py)
-from .nuclide import (NAME, REQUIRED, NuclideRecord, Param, _check_fields, parse_record_file,
-                      radiative_rate)
+from .nuclide import NuclideRecord, radiative_rate
 from .probe import Probe
+from .rows import NAME, REQUIRED, Param, _check_fields, parse_record_file
 
 __all__ = [
     "LatticeFilm",
@@ -108,6 +108,9 @@ LATTICE = (
     Param("b_par_y_nm", "number", REQUIRED, (-DISTANCE[1], DISTANCE[1])),
     Param("b_z_nm", "positive", REQUIRED, DISTANCE),
 )
+# CutoffPolicy's fields; crystal-yield's config takes R_MIN as its r_min_nm row
+R_MIN = Param("r_min_nm", "positive", 0.001)
+CUTOFF = (R_MIN, Param("smooth", "bool", False))
 
 
 @dataclass(frozen=True)
@@ -192,10 +195,7 @@ class CutoffPolicy:
     smooth: bool = False
 
     def __post_init__(self):
-        if not 0 < self.r_min_nm < math.inf:
-            raise ValueError("r_min_nm must be positive and finite")
-        if not isinstance(self.smooth, bool):
-            raise ValueError("smooth must be a bool")
+        _check_fields(CUTOFF, vars(self))
 
     @property
     def g_max_nm(self) -> float:

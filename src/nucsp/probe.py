@@ -5,10 +5,10 @@ its Lorentz factor gamma = 1/sqrt(1 - beta^2), speed and kinetic energy.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 from .numerics import CONSTANTS
+from .rows import Param, _check_fields
 
 __all__ = [
     "Probe",
@@ -33,6 +33,11 @@ MAX_Z = 118
 # prefactor below 1e270; 1e15 eV is far above the heaviest nucleus (U-238,
 # 2.2e11 eV) and far below 1.3e154 eV, where M^2 overflows.
 REST_ENERGY_EV = (1.0e5, 1.0e15)
+
+# A Probe's fields with their bounds; scenarios.PROBE takes these rows as they are
+BETA = Param("beta", "beta", None, BETA_MIN)
+Z_CHARGE = Param("z_charge", "nonzero", None, MAX_Z)
+REST_ENERGY = Param("rest_energy_eV", "positive", None, REST_ENERGY_EV)
 
 
 def lorentz_gamma(beta: float) -> float:
@@ -69,13 +74,7 @@ class Probe:
     beta: float
 
     def __post_init__(self):
-        if not BETA_MIN <= self.beta < 1.0:
-            raise ValueError("beta must lie in [%g, 1)" % BETA_MIN)
-        z = self.z_charge
-        if not isinstance(z, numbers.Integral) or isinstance(z, bool) or not 1 <= abs(z) <= MAX_Z:
-            raise ValueError("z_charge must be a non-zero integer of magnitude at most %d" % MAX_Z)
-        if not REST_ENERGY_EV[0] <= self.rest_energy_eV <= REST_ENERGY_EV[1]:
-            raise ValueError("rest_energy_eV must lie in [%g, %g]" % REST_ENERGY_EV)
+        _check_fields((BETA, Z_CHARGE, REST_ENERGY), vars(self))
 
     @property
     def gamma(self) -> float:

@@ -12,7 +12,7 @@ Five scenarios cover the library surface:
 
 Validation checks the top-level keys and the probe, params and output blocks
 against one table of rows each (CONFIG, PROBE, PARAMS per scenario, OUTPUT;
-nuclide._validate_block, as for the data files), then the cross-field rules
+rows._validate_block, as for the data files), then the cross-field rules
 once every field has passed, and reports every problem found, each tagged
 with the config path that caused it.  Runs are deterministic: rows are
 computed in input order on the calling thread, so no output can depend on a
@@ -36,14 +36,14 @@ import yaml
 from . import __version__
 from .brems import _window_yields, br_spectral_density
 from .brems import br_window_yield  # noqa: F401  (traced by perfbench/spans.py)
-from .crystal_sp import (DISTANCE, CutoffPolicy, LatticeFilm, _grid_half_width,
+from .crystal_sp import (DISTANCE, R_MIN, CutoffPolicy, LatticeFilm, _grid_half_width,
                          builtin_presets, emission_cones, first_radiating_order)
 from .finite_array import _line_density
 from .finite_array import angular_density  # noqa: F401  (traced by perfbench/spans.py)
-from .nuclide import (REQUIRED, NuclideRecord, Param, _validate_block, radiative_rate,
-                      registry as nuclide_registry)
+from .nuclide import NuclideRecord, radiative_rate, registry as nuclide_registry
 from .numerics import CONSTANTS
-from .probe import MAX_Z, REST_ENERGY_EV, SPECIES, Probe, _species
+from .probe import BETA, MAX_Z, REST_ENERGY, SPECIES, Z_CHARGE, Probe, _species
+from .rows import REQUIRED, Param, _validate_block
 from .single_nucleus import coherent_yield, decay_profile, spectral_profile
 
 __all__ = [
@@ -74,25 +74,25 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 # validation
 
-# probe.py holds the bounds, with their reasons, that Probe checks too; the
-# block's cross-field rules are in _build_probe
+# BETA, REST_ENERGY and Z_CHARGE are Probe's rows; cross-field rules: _build_probe
 PROBE = (
     Param("species", "choice", "electron", (*SPECIES, "custom")),
-    Param("beta", "beta", None),
+    BETA,
     Param("kinetic_energy_eV", "positive", None),
-    Param("rest_energy_eV", "positive", None, REST_ENERGY_EV),
-    Param("z_charge", "nonzero", None, MAX_Z),
+    REST_ENERGY,
+    Z_CHARGE,
 )
+R_PERP = Param("r_perp_nm", "positive", 0.001, DISTANCE)  # no closer than a nucleus's size
+BR_Z_NUCLEUS = Param("br_z_nucleus", "nonzero", 26, MAX_Z)
 OUTPUT = (Param("prefix", "prefix", "result"),)
 PARAMS = {
     "nuclide-info": (),
     "single-sweep": (
         Param("sweep_variable", "choice", "beta", ("beta", "r_perp_nm")),
         Param("sweep_values", "increasing", REQUIRED,
-              lambda p, ctx: (("beta", None) if p["sweep_variable"] == "beta"
-                              else ("positive", DISTANCE))),  # r_perp: as r_perp_nm
-        Param("r_perp_nm", "positive", 0.001, DISTANCE),  # no closer than a nucleus's size
-        Param("br_z_nucleus", "nonzero", 26, MAX_Z),
+              lambda p, ctx: BETA if p["sweep_variable"] == "beta" else R_PERP),
+        R_PERP,
+        BR_Z_NUCLEUS,
         Param("br_window_eV", "positive", 1.0),
     ),
     "array-pattern": (
@@ -107,14 +107,14 @@ PARAMS = {
     ),
     "crystal-yield": (
         Param("lattice", "choice", "bcc100", lambda p, ctx: sorted(ctx["films"])),
-        Param("r_min_nm", "positive", 0.001),
+        R_MIN,
         Param("smooth_cutoff", "bool", False),
-        Param("betas", "increasing", None, ("beta", None)),
+        Param("betas", "increasing", None, BETA),
         Param("order_cap", "int", 12, (1, 100)),
     ),
     "brems-compare": (
-        Param("r_perp_nm", "positive", 0.001, DISTANCE),  # no closer than a nucleus's size
-        Param("br_z_nucleus", "nonzero", 26, MAX_Z),
+        R_PERP,
+        BR_Z_NUCLEUS,
         Param("half_span_line_widths", "positive", 25.0),
         Param("n_energy", "int", 41, (3, 10_000)),
         Param("time_max_lifetimes", "positive", 5.0),
@@ -453,10 +453,8 @@ def run_scenario(config: ScenarioConfig, threads: int = 1,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     tables = []
-    for item in produced:
-        columns, rows = item[0], item[1]
-        suffix = item[2] if len(item) > 2 else ""
-        tables.append(ResultTable(name=config.prefix + suffix,
+    for columns, rows, *suffix in produced:  # an optional third item suffixes the name
+        tables.append(ResultTable(name=config.prefix + "".join(suffix),
                                   columns=tuple(columns),
                                   rows=tuple(tuple(r) for r in rows),
                                   meta=meta))

@@ -13,8 +13,9 @@ from nucsp import crystal_sp
 from nucsp.cli import build_parser, main
 from nucsp.crystal_sp import (LATTICE, CutoffPolicy, LatticeFilm, emission_cones, make_film,
                               parse_lattice_file)
-from nucsp.nuclide import NUCLIDE, REQUIRED, DataFileError, parse_nuclide_file, registry
+from nucsp.nuclide import NUCLIDE, parse_nuclide_file, registry
 from nucsp.probe import electron
+from nucsp.rows import REQUIRED, DataFileError
 from nucsp.scenarios import parse_result_table, run_scenario, validate_config
 from nucsp.single_nucleus import coherent_yield
 
@@ -459,7 +460,7 @@ def test_data_file_cross_field_rule_names_its_keys(filename, block, message, tmp
                  "probe.beta: must be a number in [1e-70, 1)", id="beta-below-floor"),
     pytest.param("scenario: array-pattern\n"
                  "probe: {species: electron, kinetic_energy_eV: 1.0e-140}\n",
-                 "probe: beta must lie in [1e-70, 1)", id="kinetic-energy-below-floor"),
+                 "probe: beta: must be a number in [1e-70, 1)", id="kinetic-energy-below-floor"),
     pytest.param(_SWEEP + "params: {sweep_values: [1.0e-71, 0.9]}\n",
                  "params.sweep_values[0]: must be a number in [1e-70, 1)",
                  id="sweep-beta-below-floor"),

@@ -8,6 +8,7 @@ import pytest
 
 from nucsp.crystal_sp import (
     MAX_G_GRID,
+    R_MIN,
     CutoffPolicy,
     LatticeFilm,
     _PARITY_TOL,
@@ -33,7 +34,8 @@ from nucsp.finite_array import mc_plane_average
 from nucsp.nuclide import radiative_rate, registry
 from nucsp.numerics import CONSTANTS, integrate_periodic
 from nucsp.probe import electron
-from nucsp.scenarios import validate_config
+from nucsp.rows import _validate_block
+from nucsp.scenarios import PARAMS, validate_config
 
 
 @pytest.fixture
@@ -335,8 +337,23 @@ def test_cutoff_policy():
     with pytest.raises(ValueError):
         CutoffPolicy(0.0)
     for bad in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="r_min_nm must be positive and finite"):
+        with pytest.raises(ValueError, match="^r_min_nm: must be (positive|finite)$"):
             CutoffPolicy(bad, smooth=True)
+
+
+@pytest.mark.parametrize("r_min_nm", [0.0, -1.0, math.nan, math.inf, 1e-300, 0.003])
+def test_cutoff_policy_r_min_admits_what_its_config_row_admits(r_min_nm):
+    # the row alone: a config adds the grid cap, which 1e-300 fails
+    table = PARAMS["crystal-yield"]
+    assert any(row is R_MIN for row in table)
+    errors = []
+    _validate_block("params", table, {"r_min_nm": r_min_nm}, errors, {"films": builtin_presets()})
+    try:
+        CutoffPolicy(r_min_nm)
+    except ValueError as exc:
+        assert errors == ["params." + str(exc)]
+    else:
+        assert errors == []
 
 
 @pytest.mark.parametrize("smooth", [True, False, "false", 0, 1, None])
@@ -348,7 +365,7 @@ def test_cutoff_policy_admits_what_its_config_row_admits(smooth):
     try:
         policy = CutoffPolicy(0.003, smooth)
     except ValueError as exc:
-        assert str(exc) == "smooth must be a bool"
+        assert str(exc) == ("smooth: required" if smooth is None else "smooth: must be a boolean")
         policy = None
     assert (policy is not None) == (not errors), errors
     assert config is None or config.params["smooth_cutoff"] is policy.smooth

@@ -7,16 +7,15 @@ from scipy.special import sph_harm_y
 
 from nucsp.cli import _load_registries
 from nucsp.nuclide import (
-    DataFileError,
     NuclideRecord,
     builtin_records,
     coherent_fraction,
-    parse_kv_blocks,
     parse_nuclide_file,
     radiative_rate,
     registry,
 )
 from nucsp.numerics import CONSTANTS
+from nucsp.rows import DataFileError, parse_kv_blocks
 
 F = Fraction
 
@@ -341,6 +340,17 @@ def test_record_validation():
     with pytest.raises(ValueError):
         NuclideRecord("X", e0_keV=14.0, lifetime_s=1e-7, alpha_ic=1.0,
                       jg2=2, je2=4)  # integer spins not supported
+
+
+def test_record_from_numpy_integer_spins_equals_its_int_twin():
+    twin = NuclideRecord("X", 14.4, 1e-7, 1.0, 1, 3)
+    rec = NuclideRecord("X", 14.4, 1e-7, 1.0, np.int64(1), np.int64(3))
+    assert rec == twin and hash(rec) == hash(twin)
+    assert rec.coherent_fraction == twin.coherent_fraction == F(2, 3)
+    assert radiative_rate(rec) == radiative_rate(twin)
+    # float32 arithmetic would leak into every result
+    with pytest.raises(ValueError, match="^e0_keV: must be a number$"):
+        NuclideRecord("X", np.float32(14.4), 1e-7, 1.0, 1, 3)
 
 
 def test_spin_rule_names_the_record_fields_only_on_records():

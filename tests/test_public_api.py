@@ -9,10 +9,13 @@ from pathlib import Path
 import pytest
 
 import nucsp
-from nucsp import (brems, crystal_sp, finite_array, nuclide, numerics, probe, scenarios,
+from nucsp import (brems, crystal_sp, finite_array, nuclide, numerics, probe, rows, scenarios,
                    single_nucleus)
+from nucsp.crystal_sp import CutoffPolicy, LatticeFilm
+from nucsp.nuclide import NuclideRecord
+from nucsp.probe import Probe
 
-_MODULES = (numerics, nuclide, probe, single_nucleus, finite_array, crystal_sp, brems,
+_MODULES = (rows, numerics, nuclide, probe, single_nucleus, finite_array, crystal_sp, brems,
             scenarios)
 _EXPORTS = [name for module in _MODULES for name in module.__all__]
 
@@ -59,3 +62,23 @@ def test_modules_import_only_modules_before_them_in_the_readme_map():
         imported = {node.module.split(".")[0] for node in ast.walk(tree)
                     if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module}
         assert imported <= set(order[:i]), (name, sorted(imported - set(order[:i])))
+
+
+@pytest.mark.parametrize("build, message", [
+    # numeric text, which a config or data file may hold, is read into a
+    # number before a record is built; a record given it refuses it
+    (lambda: NuclideRecord("X", "14.4", 1e-7, 1.0, 1, 3), "e0_keV: must be a number"),
+    (lambda: NuclideRecord("X", 14.4, 1e-7, "1.0", 1, 3), "alpha_ic: must be a number"),
+    (lambda: LatticeFilm("x", "0.3", (0.0, 0.0), 0.3), "a_nm: must be a number"),
+    (lambda: Probe(-1, "9.4e8", 0.9), "rest_energy_eV: must be a number"),
+    (lambda: Probe(-1, 9.4e8, "0.9"), "beta: must be a number"),
+    (lambda: CutoffPolicy("0.001"), "r_min_nm: must be a number"),
+    # every field is required, whatever default a config row gives it
+    (lambda: NuclideRecord("X", 14.4, 1e-7, 1.0, 1, 3, None), "branch_divisor: required"),
+    (lambda: LatticeFilm("x", 0.3, (None, 0.0), 0.3), "b_par_x_nm: required"),
+    (lambda: Probe(-1, 9.4e8, None), "beta: required"),
+    (lambda: CutoffPolicy(0.001, None), "smooth: required"),
+])
+def test_records_refuse_text_and_none(build, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        build()

@@ -1,7 +1,7 @@
-"""Print digests of nucsp's outputs, so that a change can be checked bit for
-bit against another tree:
+"""Print digests of nucsp's outputs and its input messages, so that a change
+can be checked bit for bit against another tree:
 
-    python3 tools/digest.py                  # this tree's five sections
+    python3 tools/digest.py                  # this tree's six sections
     python3 tools/digest.py --against TREE   # the sections that differ in TREE
 
 Each section starts with a ``== name`` line:
@@ -39,22 +39,36 @@ Each section starts with a ``== name`` line:
   skipped) of two single-sweeps run through ``run_scenario``: 400 betas over
   [0.3, 0.999] on Fe-57 and 700 ``r_perp_nm`` values over [1e-4, 10] nm on
   Dy-161.
+- ``messages``: one ``label: errors`` line per case, the messages joined by
+  `` | `` (``ok`` for none).  Each row of ``CONFIG``, ``PROBE``, every
+  ``PARAMS`` table and ``OUTPUT`` is set, one at a time in a config that
+  validates, to each of its bounds, one step outside each, and a value of a
+  wrong type, and the config goes through ``validate_config``; each row of
+  ``NUCLIDE`` and ``LATTICE`` likewise in a data-file block, read by
+  ``parse_nuclide_file`` or ``parse_lattice_file``.  An open side takes the
+  extreme double (5e-324 for a positive number) and the step beyond it; a
+  ``beta`` row takes [``BETA_MIN``, 1), and a list row a non-list, an empty
+  list, a decreasing pair and one-beta lists at those bounds.  A last case
+  gives an electron a kinetic energy whose speed is below the floor.  Only
+  names that every tree has are read, so the lines of two trees compare.
 
 With ``--against TREE`` the sections are computed for this tree and, with
-TREE's src/ and configs/, for TREE, each in its own process; every section
-that differs is printed as both trees give it, then a count of the sections
-that differ, and the exit status is 1 if any does (2 if a tree cannot be
-digested, such as one without src/nucsp).  TREE needs no copy of this tool.
-The nucsp imported is always the tree's own src/, whatever else is
-installed.
+TREE's src/ and configs/, for TREE, each in its own process; for every
+section that differs, the lines that each tree gives and the other does not
+are printed, then a count of the sections that differ, and the exit status
+is 1 if any does (2 if a tree cannot be digested, such as one without
+src/nucsp).  TREE needs no copy of this tool.  The nucsp imported is always
+the tree's own src/, whatever else is installed.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -188,13 +202,94 @@ def brems_section() -> list[str]:
     return ["%s  %d densities, %d sweep rows" % (digest.hexdigest(), n_values, n_rows)]
 
 
+def _row_values(kind, bound, beta_min):
+    """Each bound of a row, one step outside each, and a value of a wrong type."""
+    if kind in ("positive", "number"):
+        lo, hi = bound if isinstance(bound, tuple) else (None, None)
+        lo = lo if lo is not None else (5e-324 if kind == "positive" else -sys.float_info.max)
+        hi = hi if hi is not None else sys.float_info.max
+        return [lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf), "x"]
+    if kind == "beta":
+        return [beta_min, math.nextafter(1.0, 0.0), math.nextafter(beta_min, 0.0), 1.0, "x"]
+    if kind == "increasing":  # every list row's values are betas by default
+        return ["x", [], [0.9, 0.5], *([v] for v in _row_values("beta", None, beta_min)[:4])]
+    if kind == "int":
+        return [bound[0], bound[1], bound[0] - 1, bound[1] + 1, 1.5]
+    if kind == "nonzero":
+        return [bound, -bound, 0, bound + 1, -bound - 1, 1.5]
+    if kind == "bool":
+        return [True, False, "false"]
+    if kind == "prefix":
+        return ["a b", "", 1, *(bound or ())]
+    return ["nope", 1]  # a choice
+
+
+def messages_section() -> list[str]:
+    import yaml
+    from nucsp.crystal_sp import LATTICE, parse_lattice_file
+    from nucsp.nuclide import NUCLIDE, parse_nuclide_file, registry
+    from nucsp.probe import BETA_MIN
+    from nucsp.scenarios import CONFIG, OUTPUT, PARAMS, PROBE, validate_config
+
+    electron = {"species": "electron", "beta": 0.9}
+    custom = {"species": "custom", "beta": 0.9, "rest_energy_eV": 9.4e8, "z_charge": 2}
+    cases = [("config", {"scenario": "array-pattern", "probe": electron}, None, CONFIG)]
+    cases += [("probe", {"scenario": "array-pattern", "probe": custom}, "probe", PROBE)]
+    for scenario, rows in PARAMS.items():
+        doc = {"scenario": scenario, "params": {}}
+        if scenario != "nuclide-info":
+            doc["probe"] = electron
+        if scenario == "single-sweep":
+            doc["params"] = {"sweep_values": [0.9]}
+        cases.append((scenario, doc, "params", rows))
+    cases.append(("output", {"scenario": "nuclide-info", "output": {}}, "output", OUTPUT))
+
+    lines = []
+    for label, base, block, rows in cases:
+        for row in rows:
+            for value in _row_values(row.kind, row.bound, BETA_MIN):
+                doc = {key: dict(v) if isinstance(v, dict) else v for key, v in base.items()}
+                where = doc[block] if block else doc
+                if row.name == "kinetic_energy_eV":
+                    del where["beta"]
+                where[row.name] = value
+                errors = validate_config(yaml.safe_dump(doc, sort_keys=False))[1]
+                lines.append("%s %s=%r: %s" % (label, row.name, value, " | ".join(errors) or "ok"))
+    doc = {"scenario": "array-pattern", "probe": {"species": "electron",
+                                                   "kinetic_energy_eV": 1e-140}}
+    errors = validate_config(yaml.safe_dump(doc, sort_keys=False))[1]
+    lines.append("kinetic-energy-below-floor: %s" % " | ".join(errors))
+
+    fe = registry()["Fe-57"]
+    blocks = (("nuclides.dat", NUCLIDE, parse_nuclide_file,
+               {row.name: repr(getattr(fe, row.name)) for row in NUCLIDE[1:]}),
+              ("lattices.dat", LATTICE, parse_lattice_file,
+               {"a_nm": "0.3", "b_par_x_nm": "0.15", "b_par_y_nm": "0.15", "b_z_nm": "0.21"}))
+    with tempfile.TemporaryDirectory() as tmp:
+        for filename, rows, parse, values in blocks:
+            path = Path(tmp) / filename
+            for row in rows:
+                for value in _row_values(row.kind, row.bound, BETA_MIN):
+                    block = {"name": "X", **values}
+                    block[row.name] = value if isinstance(value, str) else repr(value)
+                    path.write_text("".join("%s = %s\n" % kv for kv in block.items()))
+                    try:
+                        parse(path)
+                        message = "ok"
+                    except ValueError as exc:
+                        message = str(exc).replace(str(path), filename)
+                    lines.append("%s %s=%r: %s" % (filename, row.name, value, message))
+    return lines
+
+
 def sections(tree: Path) -> dict[str, list[str]]:
     """Every section, computed with the nucsp of tree's src/."""
     if not (tree / "src" / "nucsp").is_dir():
         fail("%s: no src/nucsp" % tree)
     sys.path.insert(0, str(tree / "src"))
     return {"csv": csv_section(tree / "configs"), "cones": cone_section(),
-            "mc": mc_section(), "bessel": bessel_section(), "brems": brems_section()}
+            "mc": mc_section(), "bessel": bessel_section(), "brems": brems_section(),
+            "messages": messages_section()}
 
 
 def render(name: str, lines: list[str]) -> str:
@@ -229,8 +324,11 @@ def main() -> int:
     here, there = run_in(args.tree), run_in(against)
     differ = [name for name in here if here[name] != there.get(name)]
     for name in differ:
-        print(render("%s differs, %s" % (name, args.tree), here[name]), end="")
-        print(render("%s differs, %s" % (name, against), there.get(name, [])), end="")
+        mine, theirs = here[name], there.get(name, [])
+        print(render("%s differs, %s" % (name, args.tree),
+                     [line for line in mine if line not in theirs]), end="")
+        print(render("%s differs, %s" % (name, against),
+                     [line for line in theirs if line not in mine]), end="")
     print("%d of %d sections differ" % (len(differ), len(here)))
     return 1 if differ else 0
 
