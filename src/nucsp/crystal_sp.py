@@ -39,14 +39,14 @@ terms of its numerator are all non-negative, so nothing cancels, at B = 0
 by 3e-6.  The integral depends on |G| alone, and the admissible G depend on
 n only through its stacking class n mod p.  So the distinct |G| of a class,
 with their multiplicities, are found once and shared by every order and beta
-in it, and the integrals of all orders of one class at one beta are formed
-in one array pass, (orders x |G|), each step written into an array already
-spent.  A cone weight sums those |G| with their multiplicities and equals
-math.fsum over the individual vectors bit for bit: exact extraction (Rump,
-Ogita and Oishi, SIAM J. Sci. Comput. 31 (2008) 189) splits each row into a
-few levels whose sums against the counts are exact in any order, and
-math.fsum rounds the level sums once.  r^3 stays numpy's pow: r*r*r rounds
-twice and moves the last bit of about a quarter of the values.
+in it, and the integrals of every (beta, order) row of one class, over a
+beta sweep, form one array pass, (rows x |G|), each step written into an
+array already spent.  A cone weight sums those |G| with multiplicities and
+equals math.fsum over the individual vectors bit for bit: exact extraction
+(Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31 (2008) 189) splits each
+row into a few levels whose sums against the counts are exact in any
+order, and math.fsum rounds the level sums once.  r^3 stays numpy's pow:
+r*r*r rounds twice and moves the last bit of about a quarter of the values.
 
 The sum over G diverges logarithmically and is cut off at g_max = 1/R_min,
 where R_min is the closest impact parameter the beam can reach.
@@ -396,16 +396,16 @@ def _gsum_terms(probe: Probe, rec: NuclideRecord, g: np.ndarray, w: np.ndarray,
     return w * num / den
 
 
-def _phi_integrals(probe: Probe, rec: NuclideRecord, cos_t,
-                   g_norm: np.ndarray) -> np.ndarray:
+def _phi_integrals(rec: NuclideRecord, cos_t, d2, g_norm: np.ndarray) -> np.ndarray:
     """Closed-form integral over phi of one _gsum_terms summand (unit weight),
-    one row per cone cosine of cos_t and one column per |G| (a scalar cos_t
-    gives one row, as a 1-d array); the formula and why it is free of
-    cancellation are in the module docstring."""
+    one row per cone cosine of cos_t, each with its Delta^2 = (omega0 /
+    (v gamma))^2 from d2 (one value, or one per row), and one column per |G|
+    (a scalar cos_t gives one row, as a 1-d array); the formula and why it
+    is free of cancellation are in the module docstring."""
     c = np.asarray(cos_t, dtype=float)[..., None]
+    d2 = np.asarray(d2, dtype=float)[..., None]
     sin_t = np.sqrt(np.maximum(0.0, (1.0 - c) * (1.0 + c)))
     k = rec.omega0_rad_s / CONSTANTS.c_nm_s * sin_t
-    d2 = (rec.omega0_rad_s / (probe.velocity_nm_s * probe.gamma)) ** 2
     k2, g2 = k * k, g_norm * g_norm
     # five (rows x |G|) arrays, each step put in one spent, in formula order
     r, kg = k - g_norm, k + g_norm
@@ -482,38 +482,45 @@ class EmissionCone:
     weight: float
 
 
+def _cone_sets(probes, rec: NuclideRecord, film: LatticeFilm, policy: CutoffPolicy,
+               order_cap: int | None = None) -> list[list[EmissionCone]]:
+    """emission_cones of each probe: every (probe, order) row of a stacking
+    class, with its own cos(theta_n) and Delta^2, goes into one pass in
+    blocks of _BLOCK_TERMS terms.  No element or row sum depends on which
+    rows share a block, so each weight is its one-probe value bit for bit."""
+    period = film.stack_period
+    angles = [sp_angles(p.beta, film.z_period_nm, rec.wavelength_nm, order_cap) for p in probes]
+    delta2 = [(rec.omega0_rad_s / (p.velocity_nm_s * p.gamma)) ** 2 for p in probes]
+    cls, cos_t, d2 = np.reshape([(n % period, c, d) for a, d in zip(angles, delta2) for n, c in a],
+                                (-1, 3)).T  # one row per (probe, order)
+    sums, empty = np.zeros(cos_t.size), set()
+    for k in set(cls.astype(int).tolist()):
+        norms, w, counts = _class_shells(film, policy, k)
+        if not norms.size:
+            empty.add(k)
+        at = np.flatnonzero(cls == k)
+        step = max(1, _BLOCK_TERMS // max(norms.size, 1))
+        for block in (at[lo:lo + step] for lo in range(0, at.size, step)):
+            x = _phi_integrals(rec, cos_t[block], d2[block], norms)
+            sums[block] = _counted_fsum(np.multiply(x, w, out=x), counts)  # weighted in place
+    for n in (n for a in angles for n, _ in a if n % period in empty):
+        warnings.warn("no reciprocal vectors pass the cutoff for order %d" % n,
+                      RuntimeWarning, stacklevel=3)
+    rest = iter(sums.tolist())
+    return [[EmissionCone(n, c, pref * s) for (n, c), s in zip(a, rest)]
+            for pref, a in zip([_layer_prefactor(p, rec, film) for p in probes], angles)]
+
+
 def emission_cones(probe: Probe, rec: NuclideRecord, film: LatticeFilm,
                    policy: CutoffPolicy,
                    order_cap: int | None = None) -> list[EmissionCone]:
-    """All radiating orders with their integrated cone weights.
+    """All radiating orders with their integrated cone weights, the one-probe
+    case of _cone_sets.
 
     An order whose stacking class has no reciprocal vector inside the cutoff
     gets weight 0.0 and a RuntimeWarning naming it.
     """
-    pref = _layer_prefactor(probe, rec, film)
-    period = film.stack_period
-    angles = sp_angles(probe.beta, film.z_period_nm, rec.wavelength_nm, order_cap)
-    cos_t = np.array([c for _, c in angles])
-    sums = [0.0] * len(angles)
-    empty = set()
-    # the orders are consecutive, so angles[j::period] is one stacking class:
-    # its cones are summed together, in blocks of _BLOCK_TERMS terms
-    for j in range(min(period, len(angles))):
-        cls = angles[j][0] % period
-        norms, w, counts = _class_shells(film, policy, cls)
-        if not norms.size:
-            empty.add(cls)
-        rows = cos_t[j::period]
-        step = max(1, _BLOCK_TERMS // max(norms.size, 1))
-        sums[j::period] = [s for lo in range(0, rows.size, step) for s in _counted_fsum(
-            w * _phi_integrals(probe, rec, rows[lo:lo + step], norms), counts)]
-    cones = []
-    for (n, c), s in zip(angles, sums):
-        if n % period in empty:
-            warnings.warn("no reciprocal vectors pass the cutoff for order %d" % n,
-                          RuntimeWarning, stacklevel=2)
-        cones.append(EmissionCone(n, c, pref * s))
-    return cones
+    return _cone_sets([probe], rec, film, policy, order_cap)[0]
 
 
 def layer_yield(probe: Probe, rec: NuclideRecord, film: LatticeFilm,

@@ -36,13 +36,14 @@ import yaml
 from . import __version__
 from .brems import _window_yields, br_spectral_density
 from .brems import br_window_yield  # noqa: F401  (traced by perfbench/spans.py)
-from .crystal_sp import (DISTANCE, R_MIN, CutoffPolicy, LatticeFilm, _grid_half_width,
-                         builtin_presets, emission_cones, first_radiating_order)
+from .crystal_sp import (DISTANCE, R_MIN, CutoffPolicy, LatticeFilm, _cone_sets,
+                         _grid_half_width, builtin_presets, first_radiating_order)
+from .crystal_sp import emission_cones  # noqa: F401  (traced by perfbench/spans.py)
 from .finite_array import _line_density
 from .finite_array import angular_density  # noqa: F401  (traced by perfbench/spans.py)
 from .nuclide import NuclideRecord, radiative_rate, registry as nuclide_registry
 from .numerics import CONSTANTS
-from .probe import BETA, MAX_Z, REST_ENERGY, SPECIES, Z_CHARGE, Probe, _species
+from .probe import BETA, MAX_Z, REST_ENERGY, SPECIES, Z_CHARGE, Probe, beta_from_kinetic
 from .rows import REQUIRED, Param, _validate_block
 from .single_nucleus import coherent_yield, decay_profile, spectral_profile
 
@@ -132,9 +133,10 @@ CONFIG = (  # the top-level keys other than the blocks
 MAX_WINDOW_SHARE = 2.0e-4
 
 
-def _rule_errors(scenario, p, given, rec, films, probe):
-    """Cross-field rules, run once every field has passed its own check;
-    given is the params block as written, which tells a key from a default."""
+def _rule_errors(scenario, p, doc, rec, films, probe):
+    """Cross-field rules, run once every field has passed its own check; doc
+    is the config as written, which tells a key from a default."""
+    given = doc.get("params") or {}
     if scenario == "single-sweep" and p["sweep_variable"] == "r_perp_nm" and "r_perp_nm" in given:
         yield ("params.r_perp_nm: not taken with params.sweep_variable: r_perp_nm, "
                "whose sweep_values give the distances")
@@ -150,18 +152,20 @@ def _rule_errors(scenario, p, given, rec, films, probe):
             _grid_half_width(film, CutoffPolicy(p["r_min_nm"], p["smooth_cutoff"]))
         except ValueError as exc:
             yield "params.r_min_nm: %s" % exc
-        yield from _order_cap_errors(p, rec, film, probe)
+        yield from _order_cap_errors(p, rec, film, probe, doc["probe"])
 
 
-def _order_cap_errors(p, rec, film, probe):
-    """Betas at which order_cap drops every radiating order."""
+def _order_cap_errors(p, rec, film, probe, block):
+    """Betas at which order_cap drops every radiating order; a first order
+    past 2^40 names the key that gave the beta (block: the probe as written)."""
     lam, d, cap = rec.wavelength_nm, film.z_period_nm, p["order_cap"]
-    for beta in p["betas"] if p["betas"] is not None else [probe.beta]:
+    for i, beta in enumerate(p["betas"] or [probe.beta]):
         try:
             first = first_radiating_order(beta, d, lam)
-        except ValueError:
-            yield ("params.order_cap: %d drops every radiating order at beta = %g "
-                   "(the first is beyond n = 2^40)" % (cap, beta))
+        except ValueError as exc:  # no order_cap reaches that far: the speed is at fault
+            key = ("params.betas[%d]" % i if p["betas"] else
+                   "probe.beta" if block.get("beta") is not None else "probe.kinetic_energy_eV")
+            yield "%s: %s" % (key, exc)
             continue
         if first > cap and 1.0 / beta - first * lam / d >= -1.0:
             yield ("params.order_cap: %d drops every radiating order at beta = %g "
@@ -187,11 +191,13 @@ def _build_probe(block, errors) -> Probe | None:
                                             else "only custom species take it"))
     if len(errors) > n_errors:
         return None
+    z, rest = SPECIES.get(p["species"], (p["z_charge"], p["rest_energy_eV"]))
+    beta = beta if ke is None else beta_from_kinetic(ke, rest)
     try:
-        z, rest = SPECIES.get(p["species"], (p["z_charge"], p["rest_energy_eV"]))
-        return _species(z, rest, beta, ke)
-    except ValueError as exc:
-        errors.append("probe: %s" % exc)
+        return Probe(z, rest, beta)
+    except ValueError:  # every key passed its row: only a speed from kinetic_energy_eV fails
+        errors.append("probe.kinetic_energy_eV: gives beta = %g, outside [%g, 1)"
+                      % (beta, BETA.bound))
         return None
 
 
@@ -245,8 +251,8 @@ def validate_config(text: str, registry: Mapping[str, NuclideRecord] | None = No
     params = _validate_block("params", PARAMS[scenario], doc.get("params"), errors,
                              ctx) if scenario is not None else {}
     if not errors:
-        errors.extend(_rule_errors(scenario, params, doc.get("params") or {},
-                                   ctx["registry"].get(nuclide), ctx["films"], probe))
+        errors.extend(_rule_errors(scenario, params, doc, ctx["registry"].get(nuclide),
+                                   ctx["films"], probe))
     output = _validate_block("output", OUTPUT, doc.get("output"), errors, None)
 
     if errors:
@@ -384,19 +390,15 @@ def _run_array_pattern(config, reg, films):
 def _run_crystal_yield(config, reg, films):
     rec = reg[config.nuclide]
     p = config.params
-    film = films[p["lattice"]]
-    policy = CutoffPolicy(p["r_min_nm"], p["smooth_cutoff"])
     betas = p["betas"] if p["betas"] is not None else [config.probe.beta]
-
-    def rows_for(beta):
-        probe = dataclasses.replace(config.probe, beta=beta)
-        cones = emission_cones(probe, rec, film, policy, order_cap=p["order_cap"])
-        z2 = probe.z_charge ** 2
-        out = [(beta, c.n, c.cos_theta, c.weight / z2) for c in cones]
-        out.append((beta, 0, "", sum(c.weight for c in cones) / z2))
-        return out
-
-    rows = [r for beta in betas for r in rows_for(beta)]
+    cone_sets = _cone_sets([dataclasses.replace(config.probe, beta=b) for b in betas], rec,
+                           films[p["lattice"]], CutoffPolicy(p["r_min_nm"], p["smooth_cutoff"]),
+                           p["order_cap"])
+    z2 = config.probe.z_charge ** 2
+    rows = []
+    for beta, cones in zip(betas, cone_sets):  # each beta's cones, then its total
+        rows += [(beta, c.n, c.cos_theta, c.weight / z2) for c in cones]
+        rows.append((beta, 0, "", sum(c.weight for c in cones) / z2))
     columns = ("beta", "order_n", "cos_theta", "yield_per_layer_per_z2")
     return [(columns, rows)]
 

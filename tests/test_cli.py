@@ -460,7 +460,18 @@ def test_data_file_cross_field_rule_names_its_keys(filename, block, message, tmp
                  "probe.beta: must be a number in [1e-70, 1)", id="beta-below-floor"),
     pytest.param("scenario: array-pattern\n"
                  "probe: {species: electron, kinetic_energy_eV: 1.0e-140}\n",
-                 "probe: beta: must be a number in [1e-70, 1)", id="kinetic-energy-below-floor"),
+                 "probe.kinetic_energy_eV: gives beta = 1.97836e-73, outside [1e-70, 1)",
+                 id="kinetic-energy-below-floor"),
+    # beta rounds to 1 for an electron from about 1e14 eV; at the largest
+    # double, beta_from_kinetic's T (T + 2 m) overflows and beta is inf
+    pytest.param("scenario: array-pattern\n"
+                 "probe: {species: electron, kinetic_energy_eV: 1.0e+15}\n",
+                 "probe.kinetic_energy_eV: gives beta = 1, outside [1e-70, 1)",
+                 id="kinetic-energy-beta-1"),
+    pytest.param("scenario: array-pattern\nprobe: {species: custom, rest_energy_eV: 9.4e+8, "
+                 "z_charge: 1, kinetic_energy_eV: 1.7976931348623157e+308}\n",
+                 "probe.kinetic_energy_eV: gives beta = inf, outside [1e-70, 1)",
+                 id="kinetic-energy-largest-double"),
     pytest.param(_SWEEP + "params: {sweep_values: [1.0e-71, 0.9]}\n",
                  "params.sweep_values[0]: must be a number in [1e-70, 1)",
                  id="sweep-beta-below-floor"),
@@ -528,8 +539,16 @@ def test_cross_field_rules_exit_1(command, config, message, tmp_path, capsys,
                  "output: must be a mapping", id="output-string"),
     pytest.param("scenario: crystal-yield\nprobe: {species: electron, beta: 0.9}\n"
                  "params: {betas: [1.0e-13]}\n",
-                 "params.order_cap: 12 drops every radiating order at beta = 1e-13 "
-                 "(the first is beyond n = 2^40)", id="order_cap-beyond-2^40"),
+                 "params.betas[0]: beta = 1e-13 puts the first radiating order "
+                 "beyond n = 2^40", id="betas-beyond-2^40"),
+    # no order_cap reaches such an order: the key that set the speed is named
+    pytest.param("scenario: crystal-yield\nprobe: {species: electron, beta: 1.0e-13}\n",
+                 "probe.beta: beta = 1e-13 puts the first radiating order beyond n = 2^40",
+                 id="probe-beta-beyond-2^40"),
+    pytest.param("scenario: crystal-yield\n"
+                 "probe: {species: electron, kinetic_energy_eV: 1.0e-20}\n",
+                 "probe.kinetic_energy_eV: beta = 1.97836e-13 puts the first radiating order "
+                 "beyond n = 2^40", id="kinetic-energy-beyond-2^40"),
     # a sweep owns the quantity it sweeps: an r_perp_nm beside it was ignored
     pytest.param("scenario: single-sweep\nprobe: {species: electron, beta: 0.9}\n"
                  "params: {sweep_variable: r_perp_nm, sweep_values: [0.001], r_perp_nm: 0.5}\n",

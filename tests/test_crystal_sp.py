@@ -11,6 +11,7 @@ from nucsp.crystal_sp import (
     R_MIN,
     CutoffPolicy,
     LatticeFilm,
+    _BLOCK_TERMS,
     _PARITY_TOL,
     _class_shells,
     _counted_fsum,
@@ -35,7 +36,7 @@ from nucsp.nuclide import radiative_rate, registry
 from nucsp.numerics import CONSTANTS, integrate_periodic
 from nucsp.probe import electron
 from nucsp.rows import _validate_block
-from nucsp.scenarios import PARAMS, validate_config
+from nucsp.scenarios import PARAMS, run_scenario, validate_config
 
 
 @pytest.fixture
@@ -564,6 +565,11 @@ def _phi_integral_oracle(probe, rec, cos_t, g_norm, g_angle=0.7):
         return float(mp.quad(f, pts))
 
 
+def _d2(probe, rec):
+    """Delta^2 = (omega0 / (v gamma))^2, the _phi_integrals argument of a probe."""
+    return (rec.omega0_rad_s / (probe.velocity_nm_s * probe.gamma)) ** 2
+
+
 @pytest.mark.parametrize("beta", [0.5, 0.94, 0.99999])
 @pytest.mark.parametrize("cos_t", [1.0 - 1e-6, 0.3, -0.6, -1.0 + 1e-6])
 def test_phi_integral_closed_form_matches_mpmath(fe, beta, cos_t):
@@ -573,7 +579,7 @@ def test_phi_integral_closed_form_matches_mpmath(fe, beta, cos_t):
     probe = electron(beta=beta)
     k = fe.omega0_rad_s / CONSTANTS.c_nm_s * math.sqrt((1 - cos_t) * (1 + cos_t))
     g_norms = np.array([0.0, 2.0 * math.pi / 0.2856, k, 1000.0])
-    got = _phi_integrals(probe, fe, cos_t, g_norms)
+    got = _phi_integrals(fe, cos_t, _d2(probe, fe), g_norms)
     for gn, val in zip(g_norms, got):
         assert val == pytest.approx(_phi_integral_oracle(probe, fe, cos_t, gn),
                                     rel=1e-12, abs=0.0)
@@ -604,7 +610,7 @@ def _per_vector_weight(probe, rec, film, n, pol):
     g = reciprocal_vectors(film, n, pol)
     norm = np.hypot(g[:, 0], g[:, 1])
     return (_layer_prefactor(probe, rec, film)
-            * math.fsum(pol.weights(norm) * _phi_integrals(probe, rec, cos_t, norm)))
+            * math.fsum(pol.weights(norm) * _phi_integrals(rec, cos_t, _d2(probe, rec), norm)))
 
 
 _QUARTER_LATTICE = ("name = quarter\na_nm = 0.30\nb_par_x_nm = 0.075\n"
@@ -723,10 +729,22 @@ def test_phi_integrals_of_many_cosines_equal_per_cosine_calls(fe, beta):
     # one (cosines x |G|) pass against one call per cosine, bit for bit
     probe = electron(beta=beta)
     cos_t, g_norms = _phi_grid(fe)
-    batch = _phi_integrals(probe, fe, cos_t, g_norms)
+    batch = _phi_integrals(fe, cos_t, _d2(probe, fe), g_norms)
     assert batch.shape == (cos_t.size, g_norms.size)
     for c, row in zip(cos_t, batch):
-        assert np.array_equal(row, _phi_integrals(probe, fe, float(c), g_norms))
+        assert np.array_equal(row, _phi_integrals(fe, float(c), _d2(probe, fe), g_norms))
+
+
+def test_phi_integrals_of_a_delta2_column_equal_per_beta_calls(fe):
+    # rows of three betas in one pass, each with its own Delta^2 given as a
+    # column, against one call per beta, bit for bit
+    cos_t, g_norms = _phi_grid(fe)
+    probes = [electron(beta=b) for b in (0.5, 0.94, 0.99999)]
+    batch = _phi_integrals(fe, np.tile(cos_t, len(probes)),
+                           np.repeat([_d2(p, fe) for p in probes], cos_t.size), g_norms)
+    assert batch.shape == (len(probes) * cos_t.size, g_norms.size)
+    for probe, rows in zip(probes, np.split(batch, len(probes))):
+        assert np.array_equal(rows, _phi_integrals(fe, cos_t, _d2(probe, fe), g_norms))
 
 
 def _phi_integrals_as_written(probe, rec, cos_t, g_norm):
@@ -749,10 +767,10 @@ def test_phi_integrals_equal_the_formula_as_written(fe, beta):
     # shared subexpressions must not move a bit, in one pass or per cosine
     probe = electron(beta=beta)
     cos_t, g_norms = _phi_grid(fe)
-    assert np.array_equal(_phi_integrals(probe, fe, cos_t, g_norms),
+    assert np.array_equal(_phi_integrals(fe, cos_t, _d2(probe, fe), g_norms),
                           _phi_integrals_as_written(probe, fe, cos_t, g_norms))
     for c in cos_t:
-        assert np.array_equal(_phi_integrals(probe, fe, float(c), g_norms),
+        assert np.array_equal(_phi_integrals(fe, float(c), _d2(probe, fe), g_norms),
                               _phi_integrals_as_written(probe, fe, float(c), g_norms))
 
 
@@ -894,6 +912,64 @@ def test_empty_stacking_classes_warn_once_per_order_in_order(fe, tmp_path):
         "no reciprocal vectors pass the cutoff for order %d" % n for n in empty]
     assert {w.filename for w in record} == {__file__}
     assert [c.weight == 0.0 for c in cones] == [c.n in empty for c in cones]
+
+
+_FILMS = {**builtin_presets(), "quarter": LatticeFilm("quarter", 0.30, (0.075, 0.075), 0.10)}
+
+
+def _yield_rows(lattice, pol, betas):
+    """crystal-yield's table rows for an electron at betas, with order_cap 12."""
+    config, errors = validate_config(
+        "scenario: crystal-yield\nprobe: {species: electron, beta: 0.9}\n"
+        "params: {lattice: %s, r_min_nm: %r, smooth_cutoff: %s, order_cap: 12, betas: [%s]}\n"
+        % (lattice, pol.r_min_nm, str(pol.smooth).lower(), ", ".join(map(repr, betas))),
+        films=_FILMS)
+    assert not errors
+    (table,) = run_scenario(config, films=_FILMS)
+    return table.rows
+
+
+def _per_beta_rows(rec, film, pol, betas):
+    """The same rows from one emission_cones call per beta (z^2 = 1)."""
+    rows = []
+    for beta in betas:
+        cones = emission_cones(electron(beta=beta), rec, film, pol, 12)
+        rows += [(beta, c.n, c.cos_theta, c.weight) for c in cones]
+        rows.append((beta, 0, "", sum(c.weight for c in cones)))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("pol,betas", [
+    (CutoffPolicy(0.001), np.linspace(0.5, 0.99, 120).tolist()),
+    (CutoffPolicy(0.003, smooth=True), np.linspace(0.9, 0.96, 15).tolist()),
+], ids=["hard", "smooth"])
+@pytest.mark.parametrize("lattice", ["bcc100", "fcc100", "sc100", "quarter"])
+def test_crystal_yield_over_a_beta_list_equals_per_beta_cones(fe, lattice, pol, betas):
+    # every (beta, order) row of a stacking class is summed in one pass; the
+    # betas are enough for some class to fill more than one _BLOCK_TERMS block
+    film = _FILMS[lattice]
+    rows = _yield_rows(lattice, pol, betas)
+    assert rows == _per_beta_rows(fe, film, pol, betas)
+    per_class = {}
+    for beta, n, *_ in rows:
+        if n:
+            per_class[n % film.stack_period] = per_class.get(n % film.stack_period, 0) + 1
+    assert len(per_class) == film.stack_period
+    assert any(count > _BLOCK_TERMS // _class_shells(film, pol, cls)[0].size
+               for cls, count in per_class.items())
+
+
+def test_crystal_yield_over_a_beta_list_warns_as_per_beta_cones(fe):
+    # at r_min = 0.05 nm the quarter lattice's classes 1 to 3 are empty: the
+    # batched sweep gives the per-beta warnings, in the same order
+    pol, betas = CutoffPolicy(0.05), [0.6, 0.7, 0.8]
+    with pytest.warns(RuntimeWarning) as batched:
+        rows = _yield_rows("quarter", pol, betas)
+    with pytest.warns(RuntimeWarning) as per_beta:
+        want = _per_beta_rows(fe, _FILMS["quarter"], pol, betas)
+    assert rows == want
+    assert [str(w.message) for w in batched] == [str(w.message) for w in per_beta]
+    assert len(batched) == sum(1 for _, n, *_ in rows if n % 4)
 
 
 def test_profile_blocks_match_one_pass_sum(p94, fe):

@@ -623,7 +623,7 @@ def test_every_scenario_runs_at_the_beta_floor(config):
     (_SWEEP_AT.format("{species: electron, beta: 1.0e-71}", "[0.5]"),
      "probe.beta: must be a number in [1e-70, 1)"),
     (_SWEEP_AT.format("{species: electron, kinetic_energy_eV: 1.0e-140}", "[0.5]"),
-     "probe: beta: must be a number in [1e-70, 1)"),
+     "probe.kinetic_energy_eV: gives beta = 1.97836e-73, outside [1e-70, 1)"),
     (_SWEEP_AT.format("{species: electron, beta: 0.9}", "[1.0e-71, 0.5]"),
      "params.sweep_values[0]: must be a number in [1e-70, 1)"),
     ("scenario: crystal-yield\n" + _PROBE + "params: {betas: [1.0e-71, 0.9]}\n",

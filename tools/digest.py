@@ -20,7 +20,12 @@ Each section starts with a ``== name`` line:
   smooth 3 pm cutoff at betas 0.90 to 0.96, with ``order_cap`` 12, where a
   cone sum takes three extraction levels; and the quarter-offset lattice of
   ``tests/test_crystal_sp.py`` (a = 0.30 nm, offset (0.075, 0.075) nm,
-  b_z = 0.10 nm) at the presets' betas and cutoff.
+  b_z = 0.10 nm) at the presets' betas and cutoff.  Then one SHA-256 per
+  crystal-yield config run through ``validate_config`` and ``run_scenario``
+  (CSV data rows, header included), which sums every beta of the config
+  together: each preset and the quarter lattice over the 20 betas at the
+  hard 1 pm cutoff, and each preset over the smooth betas at the smooth
+  3 pm cutoff, all with ``order_cap`` 12.
 - ``mc``: ``label repr(mean)`` of ``mc_plane_average`` for the three
   recorded means of ``tests/test_finite_array.py`` (Fe-57, a = 0.2856 nm,
   half_extent 8, 3000 samples), each with the control variate and without
@@ -112,16 +117,19 @@ def csv_section(configs: Path) -> list[str]:
 
 
 def cone_section() -> list[str]:
-    from nucsp.crystal_sp import CutoffPolicy, LatticeFilm, emission_cones, make_film
+    from nucsp.crystal_sp import (CutoffPolicy, LatticeFilm, builtin_presets, emission_cones,
+                                  make_film)
     from nucsp.nuclide import registry
     from nucsp.probe import electron
+    from nucsp.scenarios import run_scenario, validate_config
 
     hard = CutoffPolicy(0.001)
     cases = [(make_film(p), hard, BETAS, cap) for p in ("bcc100", "fcc100", "sc100")
              for cap in (12, None)]
     smooth = CutoffPolicy(0.003, smooth=True)
     cases += [(make_film(p), smooth, SMOOTH_BETAS, 12) for p in ("bcc100", "fcc100", "sc100")]
-    cases.append((LatticeFilm("quarter", 0.30, (0.075, 0.075), 0.10), hard, BETAS, None))
+    quarter = LatticeFilm("quarter", 0.30, (0.075, 0.075), 0.10)
+    cases.append((quarter, hard, BETAS, None))
     rec = registry()["Fe-57"]
     digest = hashlib.sha256()
     n_cones = 0
@@ -132,7 +140,22 @@ def cone_section() -> list[str]:
                     film.preset, beta, cone.n, cone.cos_theta.hex(),
                     cone.weight.hex())).encode())
                 n_cones += 1
-    return ["%s  %d cones" % (digest.hexdigest(), n_cones)]
+    lines = ["%s  %d cones" % (digest.hexdigest(), n_cones)]
+    films = {**builtin_presets(), "quarter": quarter}
+    runs = [(p, 0.001, "false", BETAS) for p in ("bcc100", "fcc100", "sc100", "quarter")]
+    runs += [(p, 0.003, "true", SMOOTH_BETAS) for p in ("bcc100", "fcc100", "sc100")]
+    for lattice, r_min, smooth, betas in runs:
+        text = ("scenario: crystal-yield\nprobe: {species: electron, beta: 0.9}\n"
+                "params: {lattice: %s, r_min_nm: %r, smooth_cutoff: %s, order_cap: 12, "
+                "betas: [%s]}\n" % (lattice, r_min, smooth, ", ".join(map(repr, betas))))
+        config, errors = validate_config(text, films=films)
+        if errors:
+            fail("crystal-yield %s: %s" % (lattice, "; ".join(errors)))
+        (table,) = run_scenario(config, films=films)
+        lines.append("%s  crystal-yield %s r_min=%r smooth=%s, %d rows" % (
+            hashlib.sha256(_table_rows(table).encode()).hexdigest(), lattice, r_min, smooth,
+            len(table.rows)))
+    return lines
 
 
 def mc_section() -> list[str]:
