@@ -29,9 +29,8 @@ Spins are stored as doubled integers and f as a Fraction, so it is exact.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .numerics import CONSTANTS
@@ -50,26 +49,18 @@ __all__ = [
 # coherent fraction, on doubled integers so it stays exact
 
 
-def _dipole_pair(j_g, j_e) -> tuple[int, int]:
-    """Doubled spins of an M1 pair: positive half-integers, |j_e - j_g| = 1."""
-    jg_d, je_d = 2 * Fraction(j_g), 2 * Fraction(j_e)
+def coherent_fraction(j_g, j_e) -> Fraction:
+    """Mean of the nonzero M1 strengths, (2 j_e + 1) / (3 (2 min(j_g, j_e) + 1)).
+
+    Exact for any half-integer pair with |j_e - j_g| = 1 (see the module
+    docstring).  A NuclideRecord calls it once, when it is built.
+    """
+    jg_d, je_d = 2 * Fraction(j_g), 2 * Fraction(j_e)  # doubled spins
     if not (jg_d > 0 and je_d > 0 and jg_d.denominator == je_d.denominator == 1
             and jg_d % 2 == je_d % 2 == 1):
         raise ValueError("spins must be positive half-integers, got %s and %s" % (j_g, j_e))
     if abs(je_d - jg_d) != 2:
         raise ValueError("only |j_e - j_g| = 1 dipole pairs are supported")
-    return int(jg_d), int(je_d)
-
-
-@functools.lru_cache(maxsize=64)
-def coherent_fraction(j_g, j_e) -> Fraction:
-    """Mean of the nonzero M1 strengths, (2 j_e + 1) / (3 (2 min(j_g, j_e) + 1)).
-
-    Exact for any half-integer pair with |j_e - j_g| = 1 (see the module
-    docstring).  Cached on (j_g, j_e): the result depends on the two spins
-    alone and is an immutable Fraction, so every caller can share it.
-    """
-    jg_d, je_d = _dipole_pair(j_g, j_e)
     return Fraction(je_d + 1, 3 * (min(jg_d, je_d) + 1))
 
 
@@ -88,7 +79,7 @@ NUCLIDE = (  # a nuclides.dat block, each bound with its reason
     # conversion only removes radiative decays; 1e10 tops Th-229m's ~1e9
     Param("alpha_ic", "number", REQUIRED, (0.0, 1.0e10)),
     # doubled spins: nuclei show 2j below 200, and 9999 fills list-nuclides'
-    # four-digit columns; _dipole_pair checks odd values a dipole step apart
+    # four-digit columns; coherent_fraction checks odd values a dipole step apart
     Param("jg2", "int", REQUIRED, (1, 9999)),
     Param("je2", "int", REQUIRED, (1, 9999)),
     # a further cut of the radiative rate, so at least 1; capped as alpha_ic
@@ -103,7 +94,8 @@ class NuclideRecord:
     jg2 and je2 are the doubled total angular momenta (exact half-integer
     bookkeeping); branch_divisor is an extra radiative-rate reduction applied
     on top of the internal-conversion and coherent-fraction factors, stored as
-    data because no closed formula fixes it.
+    data because no closed formula fixes it.  coherent_fraction, set from the
+    spins when the record is built, takes no part in equality, hash or repr.
     """
 
     name: str
@@ -113,13 +105,15 @@ class NuclideRecord:
     jg2: int
     je2: int
     branch_divisor: float = 1.0
+    coherent_fraction: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_fields(NUCLIDE, vars(self))
-        try:  # coherent_fraction's spin rules, uncached, naming the fields
-            _dipole_pair(self.j_g, self.j_e)
+        try:
+            f = coherent_fraction(self.j_g, self.j_e)
         except ValueError as exc:
             raise ValueError("jg2/je2: %s" % exc) from None
+        object.__setattr__(self, "coherent_fraction", f)
 
     @property
     def j_g(self) -> Fraction:
@@ -145,10 +139,6 @@ class NuclideRecord:
     def kappa_s(self) -> float:
         """Total decay rate (1/s)."""
         return 1.0 / self.lifetime_s
-
-    @property
-    def coherent_fraction(self) -> Fraction:
-        return coherent_fraction(self.j_g, self.j_e)
 
 
 def radiative_rate(rec: NuclideRecord) -> float:

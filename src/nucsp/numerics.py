@@ -33,9 +33,9 @@ one double it would bias its whole piece by up to 0.4 ulp.  Against 30-digit
 mpmath values at 11,000 points over [1e-8, 700], the neighbourhoods of 2, 10
 and 700 included, the worst relative error is 1.0e-15 on the series side of
 x = 2 and 4.1e-16 on the Chebyshev side.  Each branch has one helper, which
-runs the rows of one order (bessel_k1 and bessel_k0 evaluate only their own,
-bit-identical to the matching half of bessel_k01) from the state its first
-steps from 0 reach exactly.  A scalar runs through the helpers as a Python float
+runs the rows of one order (bessel_k1 evaluates only its own, bit-identical
+to the K1 half of bessel_k01) from the state its first steps from 0 reach
+exactly.  A scalar runs through the helpers as a Python float
 with math.exp/math.log, skipping numpy's per-call set-up; an array through
 numpy, each piece's arguments taken and put by position, Clenshaw in place.
 """
@@ -52,7 +52,6 @@ __all__ = [
     "PhysicalConstants",
     "CONSTANTS",
     "ConvergenceError",
-    "bessel_k0",
     "bessel_k1",
     "bessel_k01",
     "integrate_periodic",
@@ -267,14 +266,6 @@ def bessel_k01(x) -> tuple[np.ndarray | float, np.ndarray | float]:
     scalar runs through the same expansions as a Python float.
     """
     return _bessel(x, (0, 1))
-
-
-def bessel_k0(x):
-    """Modified Bessel function of the second kind, order 0.
-
-    Runs only the K0 rows, so it is bit-identical to bessel_k01(x)[0].
-    """
-    return _bessel(x, (0,))[0]
 
 
 def bessel_k1(x):

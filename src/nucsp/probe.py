@@ -1,5 +1,5 @@
 """Probe kinematics: a charge eZ moving with velocity v = beta*c along +z,
-its Lorentz factor gamma = 1/sqrt(1 - beta^2), speed and kinetic energy.
+and its Lorentz factor gamma = 1/sqrt(1 - beta^2).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ __all__ = [
     "Probe",
     "lorentz_gamma",
     "beta_from_kinetic",
-    "kinetic_from_beta",
     "electron",
     "proton",
 ]
@@ -56,15 +55,6 @@ def beta_from_kinetic(e_kinetic_eV: float, rest_energy_eV: float) -> float:
     return math.sqrt(t * (t + 2.0 * m)) / (t + m)
 
 
-def kinetic_from_beta(beta: float, rest_energy_eV: float) -> float:
-    """Kinetic energy (gamma - 1) m c^2 in eV."""
-    if rest_energy_eV <= 0:
-        raise ValueError("rest energy must be positive")
-    g = lorentz_gamma(beta)
-    # (g - 1) computed via beta^2 g^2 / (g + 1) to avoid cancellation at small beta
-    return rest_energy_eV * (beta * g) ** 2 / (g + 1.0)
-
-
 @dataclass(frozen=True)
 class Probe:
     """A charged projectile: charge number Z, rest energy, and speed v/c."""
@@ -84,10 +74,6 @@ class Probe:
     @property
     def velocity_nm_s(self) -> float:
         return self.beta * CONSTANTS.c_nm_s
-
-    @property
-    def kinetic_energy_eV(self) -> float:
-        return kinetic_from_beta(self.beta, self.rest_energy_eV)
 
 
 # (charge number Z, rest energy in eV) of each named species

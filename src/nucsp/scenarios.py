@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
 import numpy as np
@@ -58,6 +59,9 @@ __all__ = [
 ]
 
 _TOP_KEYS = {"scenario", "nuclide", "probe", "params", "output"}
+# What registry=None and films=None mean, built once; read-only, as every call shares them
+_REGISTRY = MappingProxyType(nuclide_registry())
+_FILMS = MappingProxyType(builtin_presets())
 
 
 @dataclass(frozen=True)
@@ -222,8 +226,8 @@ def validate_config(text: str, registry: Mapping[str, NuclideRecord] | None = No
     Returns (config, errors); config is None whenever errors is non-empty.
     Every detected problem is reported, prefixed with its config path.
     """
-    ctx = {"registry": nuclide_registry() if registry is None else registry,
-           "films": builtin_presets() if films is None else films}
+    ctx = {"registry": _REGISTRY if registry is None else registry,
+           "films": _FILMS if films is None else films}
     errors: list[str] = []
     try:
         doc = yaml.load(text, Loader=_ConfigLoader)
@@ -444,8 +448,8 @@ def run_scenario(config: ScenarioConfig, threads: int = 1,
     thread.  The keyword stays only because perfbench/workloads.py passes it,
     and goes with the next change to that harness.
     """
-    reg = nuclide_registry() if registry is None else registry
-    film_map = builtin_presets() if films is None else films
+    reg = _REGISTRY if registry is None else registry
+    film_map = _FILMS if films is None else films
     produced = _RUNNERS[config.scenario](config, reg, film_map)
     meta = {
         "scenario": config.scenario,

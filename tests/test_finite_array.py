@@ -1,8 +1,5 @@
 import itertools
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -383,27 +380,6 @@ def test_mc_plane_average_matches_recorded_means(fe, case, with_cv, without):
     assert mc_plane_average(*args, seed=seed) == pytest.approx(with_cv, rel=1e-9, abs=0.0)
     assert mc_plane_average(*args, seed=seed, control_variate=False) == pytest.approx(
         without, rel=1e-13, abs=0.0)
-
-
-def test_mc_means_do_not_depend_on_blas_threads():
-    # the g sums are BLAS matrix products; the means must not change with
-    # the BLAS thread count
-    script = (
-        "from nucsp.finite_array import mc_plane_average\n"
-        "from nucsp.nuclide import registry\n"
-        "from nucsp.probe import electron\n"
-        "fe = registry()['Fe-57']\n"
-        "for beta, th, ph, cv in ((0.9, 1.0, 0.3, True), (0.99, 2.2, 5.0, False)):\n"
-        "    print(repr(mc_plane_average(electron(beta=beta), fe, 0.2856, 20, th, ph,\n"
-        "                                0.001, 4000, seed=2, control_variate=cv)))\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        outs.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                                   capture_output=True, text=True, timeout=120).stdout)
-    assert len(outs[0].split()) == 2 and outs[0] == outs[1]
 
 
 def test_mc_plane_average_validation(probe, fe):

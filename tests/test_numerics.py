@@ -13,7 +13,6 @@ from nucsp import numerics
 from nucsp.numerics import (
     CONSTANTS,
     ConvergenceError,
-    bessel_k0,
     bessel_k01,
     bessel_k1,
     integrate_adaptive,
@@ -197,7 +196,7 @@ def _bessel_by_mask(x, orders):
 
 
 def test_positional_pieces_equal_the_masked_kernel():
-    # bessel_k0, bessel_k1 and bessel_k01 select each piece by position;
+    # bessel_k1 and bessel_k01 select each piece by position;
     # they must equal the masked kernel bit for bit on the piece edges and
     # their neighbours, past the underflow cut, and on 2-D, transposed,
     # strided, one-element and empty inputs
@@ -211,8 +210,7 @@ def test_positional_pieces_equal_the_masked_kernel():
     for arr in inputs:
         before = arr.copy()
         k0, k1 = _bessel_by_mask(arr, (0, 1))
-        for got, want in ((bessel_k0(arr), k0), (bessel_k1(arr), k1),
-                          *zip(bessel_k01(arr), (k0, k1))):
+        for got, want in ((bessel_k1(arr), k1), *zip(bessel_k01(arr), (k0, k1))):
             assert got.shape == arr.shape and got.dtype == np.float64
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -220,8 +218,8 @@ def test_positional_pieces_equal_the_masked_kernel():
 
 
 def test_single_order_paths_are_bit_identical_to_k01():
-    # bessel_k1 and bessel_k0 run only their own order's rows, with the same
-    # arithmetic in the same order, so they equal bessel_k01 bit for bit:
+    # bessel_k1 runs only its own order's rows, with the same arithmetic in
+    # the same order, so it equals bessel_k01 bit for bit:
     # both branches, x = 2, the Chebyshev split and 700 and their neighbouring
     # doubles, and past the underflow cut
     edges = [np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, np.inf),
@@ -229,15 +227,15 @@ def test_single_order_paths_are_bit_identical_to_k01():
              np.nextafter(700.0, 0.0), 700.0, np.nextafter(700.0, np.inf), 701.0, 1e6]
     xs = np.concatenate([np.geomspace(1e-8, 750.0, 2002), edges])
     k0, k1 = bessel_k01(xs)
-    assert np.array_equal(bessel_k1(xs), k1) and np.array_equal(bessel_k0(xs), k0)
+    assert np.array_equal(bessel_k1(xs), k1)
     assert np.array_equal(bessel_k1(xs.reshape(-1, 11)), k1.reshape(-1, 11))
     assert not np.any(bessel_k1(np.array(edges[-3:])))
     for x in np.concatenate([xs[::37], edges]):
         pair = bessel_k01(float(x))
-        assert (bessel_k0(float(x)), bessel_k1(float(x))) == pair
+        assert bessel_k1(float(x)) == pair[1]
         assert bessel_k1(np.float64(x)) == pair[1]
     for bad in (0.0, -1.0, math.nan, np.array([1.0, 0.0]), np.array([math.nan, 3.0])):
-        for f in (bessel_k1, bessel_k0, bessel_k01):
+        for f in (bessel_k1, bessel_k01):
             with pytest.raises(ValueError):
                 f(bad)
 
@@ -252,18 +250,18 @@ def test_bessel_coefficients_match_generator():
 
 
 def test_bessel_frozen_unit_argument():
-    assert bessel_k0(1.0) == pytest.approx(0.4210244382407083, rel=1e-14, abs=0.0)
+    assert bessel_k01(1.0)[0] == pytest.approx(0.4210244382407083, rel=1e-14, abs=0.0)
     assert bessel_k1(1.0) == pytest.approx(0.6019072301972346, rel=1e-14, abs=0.0)
 
 
 def test_bessel_small_argument_limits():
     x = 1e-8
-    assert bessel_k0(x) == pytest.approx(-(math.log(x / 2.0) + np.euler_gamma), rel=1e-12)
+    assert bessel_k01(x)[0] == pytest.approx(-(math.log(x / 2.0) + np.euler_gamma), rel=1e-12)
     assert x * bessel_k1(x) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_bessel_underflow_region_is_zero():
-    assert bessel_k0(701.0) == 0.0
+    assert bessel_k01(701.0)[0] == 0.0
     assert bessel_k1(1e6) == 0.0
     k0, k1 = bessel_k01(np.array([0.5, 800.0]))
     assert k1[1] == 0.0 and k0[1] == 0.0
@@ -285,20 +283,20 @@ def test_bessel_derivative_identity():
         d1 = (bessel_k1(x + h) - bessel_k1(x - h)) / (2.0 * h)
         d2 = (bessel_k1(x + h / 2.0) - bessel_k1(x - h / 2.0)) / h
         deriv = (4.0 * d2 - d1) / 3.0
-        expected = -bessel_k0(x) - bessel_k1(x) / x
+        expected = -bessel_k01(x)[0] - bessel_k1(x) / x
         assert deriv == pytest.approx(expected, rel=1e-8, abs=0.0)
 
 
 def test_bessel_rejects_bad_arguments():
     for bad in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
-            bessel_k0(bad)
+            bessel_k01(bad)
     with pytest.raises(ValueError):
         bessel_k1(np.array([1.0, 0.0]))
 
 
 def test_bessel_scalar_and_array_types():
-    assert isinstance(bessel_k0(1.5), float)
+    assert isinstance(bessel_k01(1.5)[0], float)
     out = bessel_k1(np.array([0.5, 3.0]))
     assert isinstance(out, np.ndarray) and out.shape == (2,)
     k0, k1 = bessel_k01(2.5)

@@ -17,7 +17,6 @@ from nucsp.probe import (
     Probe,
     beta_from_kinetic,
     electron,
-    kinetic_from_beta,
     lorentz_gamma,
     proton,
 )
@@ -39,15 +38,22 @@ def test_lorentz_gamma_domain():
             lorentz_gamma(bad)
 
 
+def _kinetic(beta, m):
+    """Kinetic energy (gamma - 1) m, as beta^2 gamma^2 / (gamma + 1) to avoid
+    cancellation at small beta: the closed-form inverse of beta_from_kinetic."""
+    g = lorentz_gamma(beta)
+    return m * (beta * g) ** 2 / (g + 1.0)
+
+
 def test_kinetic_beta_round_trip():
     m = 510998.95
     for t in (1.0, 1e3, 1e6):
         beta = beta_from_kinetic(t, m)
         assert 0.0 < beta < 1.0
-        assert kinetic_from_beta(beta, m) == pytest.approx(t, rel=1e-12)
+        assert _kinetic(beta, m) == pytest.approx(t, rel=1e-12)
     # at gamma ~ 2000 the round trip through beta costs ~eps * gamma^2
     beta = beta_from_kinetic(1e9, m)
-    assert kinetic_from_beta(beta, m) == pytest.approx(1e9, rel=1e-8)
+    assert _kinetic(beta, m) == pytest.approx(1e9, rel=1e-8)
 
 
 def test_kinetic_beta_limits():
@@ -64,8 +70,6 @@ def test_kinetic_beta_limits():
 def test_kinetic_beta_reject_non_positive_energies():
     with pytest.raises(ValueError, match="^energies must be positive$"):
         beta_from_kinetic(0.0, 510998.95)
-    with pytest.raises(ValueError, match="^rest energy must be positive$"):
-        kinetic_from_beta(0.5, 0.0)
 
 
 def test_probe_factories():
@@ -76,7 +80,7 @@ def test_probe_factories():
     assert e.velocity_nm_s == pytest.approx(0.9 * CONSTANTS.c_nm_s, rel=1e-15)
     p = proton(kinetic_energy_eV=1e9)
     assert p.z_charge == 1
-    assert p.kinetic_energy_eV == pytest.approx(1e9, rel=1e-12)
+    assert _kinetic(p.beta, p.rest_energy_eV) == pytest.approx(1e9, rel=1e-12)
 
 
 def test_probe_factories_need_exactly_one_speed_input():

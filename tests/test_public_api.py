@@ -18,6 +18,7 @@ from nucsp.probe import Probe
 _MODULES = (rows, numerics, nuclide, probe, single_nucleus, finite_array, crystal_sp, brems,
             scenarios)
 _EXPORTS = [name for module in _MODULES for name in module.__all__]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_package_exports_are_the_modules_exports_in_order():
@@ -36,6 +37,42 @@ def test_export_is_listed_by_its_defining_module(name):
     assert obj is getattr(module, name)
     if inspect.isfunction(obj) or inspect.isclass(obj):
         assert obj.__module__ == module.__name__
+
+
+def _src_references():
+    """Names that src/nucsp loads, imports or reads as attributes, outside
+    the definitions of those names and outside __all__ lists."""
+    refs = set()
+
+    def visit(node, owners):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owners = owners | {node.name}
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return
+        field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(node))
+        if field is not None and getattr(node, field) not in owners:
+            refs.add(getattr(node, field))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners)
+
+    for path in (ROOT / "src" / "nucsp").glob("*.py"):
+        visit(ast.parse(path.read_text()), frozenset())
+    return refs
+
+
+def _readme_names():
+    """Identifiers in README's code spans and Python examples."""
+    text = (ROOT / "README.md").read_text()
+    code = re.findall(r"`([^`\n]+)`", text) + text.split("```python\n")[1:]
+    return {word for span in code for word in re.findall(r"\w+", span)}
+
+
+def test_every_export_has_a_caller_in_src_or_is_named_in_readme():
+    # the public-surface rule: a name that nothing in src/ uses and README
+    # does not document is not shipped, so it is not exported either
+    shipped = _src_references() | _readme_names()
+    assert [name for name in _EXPORTS if name not in shipped] == []
 
 
 def test_readme_python_examples_run(capsys):

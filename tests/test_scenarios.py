@@ -345,9 +345,9 @@ params: {betas: [0.94], r_min_nm: 0.004}
 @pytest.mark.parametrize("lattice", ["bcc100", "sc100"])
 def test_crystal_yield_builds_each_stacking_class_once(lattice, monkeypatch):
     # every order and beta of a run shares its stacking class's |G| shells,
-    # and the coherent fraction behind the prefactor is computed once
+    # and the coherent fraction behind the prefactor is the record's own,
+    # computed when the built-in records were built, not during the run
     crystal_sp._class_shells.cache_clear()
-    nuclide.coherent_fraction.cache_clear()
     calls = Counter()
 
     def counted(name, fn):
@@ -363,17 +363,46 @@ scenario: crystal-yield
 probe: {species: electron, beta: 0.9}
 params: {lattice: %s, betas: [0.6, 0.8, 0.9, 0.94, 0.99], r_min_nm: 0.002}
 """ % lattice)
+    monkeypatch.setattr(nuclide, "coherent_fraction",
+                        counted("coherent_fraction", nuclide.coherent_fraction))
     (table,) = run_scenario(config)
     _, _, rows = parse_result_table(table.to_csv())
     film = make_film(lattice)
     assert len(rows) > 5 * film.stack_period
     assert 1 <= calls["enumerate_g"] <= film.stack_period
-    assert nuclide.coherent_fraction.cache_info().misses <= 1
+    assert calls["coherent_fraction"] == 0
     misses = crystal_sp._class_shells.cache_info().misses
     for cls in range(film.stack_period):
         for arr in crystal_sp._class_shells(film, CutoffPolicy(0.002), cls):
             assert not arr.flags.writeable
     assert crystal_sp._class_shells.cache_info().misses == misses
+
+
+def test_calls_without_mappings_build_no_records(monkeypatch):
+    # registry and films left out, or given as None, name the built-ins,
+    # which scenarios builds once: repeated calls construct no record
+    built = Counter()
+
+    def counted(cls):
+        post = cls.__post_init__
+
+        def wrapper(self):
+            built[cls.__name__] += 1
+            post(self)
+        return wrapper
+
+    for cls in (crystal_sp.LatticeFilm, nuclide.NuclideRecord):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls))
+    paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+    for path in paths * 2:
+        text = path.read_text()
+        run_scenario(_cfg(text))
+        config, errors = validate_config(text, None, None)
+        assert errors == []
+        run_scenario(config, registry=None, films=None)
+    assert built == Counter()
+    make_film("sc100")  # a construction is counted
+    assert built == Counter(LatticeFilm=1)
 
 
 def test_run_brems_compare_tables():
