@@ -32,9 +32,9 @@ not np.hypot, which is a libm call per element and several times slower:
 offsets of lattice size square without overflow or underflow, and the two
 forms differ by at most an ulp.  The sites are sorted by radius, so K1 runs
 on three slabs of grid rows: bessel_k1 on the whole slab where an argument
-can fall below 10, its values from 45 on then set to 0; the [10, 700]
-Chebyshev piece unmasked where every argument lies in [10, 45); and beyond,
-that piece on the arguments below 45, taken and put by position.  A chunk
+can fall below 10, its values from 45 on then set to 0; the [10, 700] piece
+(a polynomial in 20/x - 1) unmasked where every argument lies in [10, 45);
+and beyond, that piece on the arguments below 45, put by position.  A chunk
 holds m = _BLOCK_TERMS // n samples, a term budget as for the angle blocks,
 and its five grids are written into one work block allocated per call (w,
 w dy, w dx over dist, dy, dx), so the chunk loop makes no (n x m)

@@ -20,24 +20,24 @@ expansions, with no convergence loop, following Cody (Math. Comp. 29 (1975)
     x < 2 :  power series in q = x^2/4, 14 terms, by Horner
              K0(x) = sum_k psi(k+1) q^k / (k!)^2 - ln(x/2) I0(x)
              K1(x) = 1/x + (x/2) sum_k [ln(x/2) - (psi(k+1) + psi(k+2))/2] q^k / (k! (k+1)!)
-    2 <= x < 10:    sqrt(x) e^x K0,1(x) as Chebyshev series in u = 5/x - 3/2,
-                    20 terms, by Clenshaw
+    2 <= x < 10:    sqrt(x) e^x K0,1(x) as a Chebyshev fit in u = 5/x - 3/2,
+                    20 terms, held in powers of u and summed by Horner
     10 <= x <= 700: the same in u = 20/x - 1, 14 terms
     x > 700: exactly 0 (below the double-precision floor)
 
 with psi the digamma function and I0(x) = sum_k q^k / (k!)^2.  The
 coefficients are the literals between the "generated" markers below, printed
-by tools/gen_bessel_coeffs.py from mpmath.  Each Chebyshev series is its c_0/2
-plus a few percent, so c_0/2 is stored as a double head and tail; rounded to
-one double it would bias its whole piece by up to 0.4 ulp.  Against 30-digit
-mpmath values at 11,000 points over [1e-8, 700], the neighbourhoods of 2, 10
-and 700 included, the worst relative error is 1.0e-15 on the series side of
-x = 2 and 4.1e-16 on the Chebyshev side.  Each branch has one helper, which
+by tools/gen_bessel_coeffs.py, which converts each 40-digit Chebyshev fit to
+powers of u in mpmath; Horner's step p = (p + c) u is two array passes, where
+Clenshaw's recurrence takes three.  A fit's constant term is stored as a
+double head and tail; as one double it would bias its piece by up to 0.47
+ulp.  Against the mpmath values in tests/data (4,419 points up to 700, near
+2, 10 and 700 too), the worst |K/K_ref - 1| is 8.88e-16 below x = 2 and
+4.44e-16 from 2 on; a test holds them.  Each branch has one helper, which
 runs the rows of one order (bessel_k1 evaluates only its own, bit-identical
-to the K1 half of bessel_k01) from the state its first steps from 0 reach
-exactly.  A scalar runs through the helpers as a Python float
-with math.exp/math.log, skipping numpy's per-call set-up; an array through
-numpy, each piece's arguments taken and put by position, Clenshaw in place.
+to the K1 half of bessel_k01) from the state its first step from 0 reaches
+exactly.  A scalar runs through the helpers as a Python float with math.exp
+and math.log; an array through numpy, by position per piece, in place.
 """
 
 from __future__ import annotations
@@ -134,45 +134,45 @@ _SERIES_K1 = (  # (psi(k+1)+psi(k+2))/(2 k!(k+1)!)
     1.747964364846441e-12, 1.654957367625136e-14, 1.2993205660505643e-16,
     8.597616413496283e-19, 4.860603759411809e-21,
 )
-_CHEB_LO_K0 = (  # x < 10: sqrt(x) e^x K0(x) in T_n(5/x - 1.5); c_0/2 head, tail
-    1.2133966009728212, -7.26888380250534e-17, -0.02409118214954175,
-    0.0009021449455899708, -5.4280632290854306e-05, 4.261301871952919e-06,
-    -3.9907182000082503e-07, 4.247930970216433e-08, -4.989559047540494e-09,
-    6.340893718424816e-10, -8.598240353190751e-11, 1.2313911837246605e-11,
-    -1.8480967164932276e-12, 2.888990560160635e-13, -4.681019552694723e-14,
-    7.83032965576699e-15, -1.3478290080927986e-15, 2.3807017936028795e-16,
-    -4.304993206089472e-17, 7.953610017153742e-18, -1.4987367050600273e-18,
+_CHEB_LO_K0 = (  # x < 10: sqrt(x) e^x K0(x) in powers of 5/x - 1.5; p_0 head, tail
+    1.21249867547185, 8.565938833358984e-17, -0.023930301438957444,
+    0.001770944408552106, -0.00020941058044536968, 3.214816784750256e-05,
+    -5.861314671211034e-06, 1.2098360993573139e-06, -2.745787686808544e-07,
+    6.720632144031989e-08, -1.750055142434748e-08, 4.80076500045064e-09,
+    -1.3766983999113206e-09, 4.0896730812299194e-10, -1.2582519771929316e-10,
+    4.1737782381102195e-11, -1.3824624922242457e-11, 3.1098535625202265e-12,
+    -9.551173821893316e-13, 1.0424955721683753e-12, -3.928848348112558e-13,
 )
-_CHEB_LO_K1 = (  # x < 10: sqrt(x) e^x K1(x) in T_n(5/x - 1.5); c_0/2 head, tail
-    1.3819371714978996, -8.861461775689364e-17, 0.08121499574667079,
-    -0.0016736350738774692, 8.39764861226722e-05, -6.019332043759903e-06,
-    5.333059932722016e-07, -5.466847277861927e-08, 6.2473479286443254e-09,
-    -7.774293616072025e-10, 1.036780531305377e-10, -1.4648014307041116e-11,
-    2.1736931791795805e-12, -3.3655686296264967e-13, 5.408461870003456e-14,
-    -8.982498636798846e-15, 1.5364208828412315e-15, -2.6986488215762955e-16,
-    4.8555225001010343e-17, -8.930291959328648e-18, 1.6759001266688406e-18,
+_CHEB_LO_K1 = (  # x < 10: sqrt(x) e^x K1(x) in powers of 5/x - 1.5; p_0 head, tail
+    1.3836048411450967, 1.0467178568527785e-16, 0.08096568999670634,
+    -0.003300075355191113, 0.00032557769409125655, -4.56493684588648e-05,
+    7.875452576508491e-06, -1.5656478688204589e-06, 3.4573387925942576e-07,
+    -8.28670926675199e-08, 2.122272213683584e-08, -5.7433524192025615e-09,
+    1.6284746111010875e-09, -4.792153915024709e-10, 1.4623499734344312e-10,
+    -4.8089087482152065e-11, 1.5822338082041355e-11, -3.5756319339221455e-12,
+    1.0953112023402002e-12, -1.1705112276931245e-12, 4.3932716280547656e-13,
 )
-_CHEB_HI_K0 = (  # x >= 10: sqrt(x) e^x K0(x) in T_n(20/x - 1); c_0/2 head, tail
-    1.2457859720209132, -7.503995484668926e-17, -0.007430424623409812,
-    9.548451345584704e-05, -2.182470806968627e-06, 7.061651645798565e-08,
-    -2.9164397157911135e-09, 1.4500810264132153e-10, -8.362254288770204e-12,
-    5.451005288085904e-13, -3.9420506349785003e-14, 3.1181809677849677e-15,
-    -2.668100253083234e-16, 2.447777887091864e-17, -2.390363596363694e-18,
+_CHEB_HI_K0 = (  # x >= 10: sqrt(x) e^x K0(x) in powers of 20/x - 1; p_0 head, tail
+    1.2456905579795077, 1.6260417345897554e-18, -0.007423891735003586,
+    0.00019040668763680747, -8.672018047166208e-06, 5.580577321106584e-07,
+    -4.5743170881846275e-08, 4.504118183471736e-09, -5.132055344649389e-10,
+    6.59507864562906e-11, -9.380088244520214e-12, 1.4461171821229792e-12,
+    -2.4139294572092964e-13, 5.013049112764138e-14, -9.790929290705691e-15,
 )
-_CHEB_HI_K1 = (  # x >= 10: sqrt(x) e^x K1(x) in T_n(20/x - 1); c_0/2 head, tail
-    1.2762989281982782, 3.087708071389627e-19, 0.022818778992713278,
-    -0.00016279173257027673, 3.123569209491164e-06, -9.276289043125869e-08,
-    3.6399583944599924e-09, -1.7491367734555544e-10, 9.843628147862831e-12,
-    -6.299917366348596e-13, 4.491135093280007e-14, -3.5118468380762122e-15,
-    2.976652231060218e-16, -2.709312068664595e-17, 2.6280145899623413e-18,
+_CHEB_HI_K1 = (  # x >= 10: sqrt(x) e^x K1(x) in powers of 20/x - 1; p_0 head, tail
+    1.276461627342245, 7.829216222425936e-17, 0.022809426416372344,
+    -0.0003248444904772017, 1.2422023588419376e-05, -7.338066836348306e-07,
+    5.7155890591625836e-08, -5.439795957193354e-09, 6.049352504965287e-10,
+    -7.633104598671057e-11, 1.0702810733307233e-11, -1.6316054475962678e-12,
+    2.6982505823898764e-13, -5.5486711166250906e-14, 1.076434776048575e-14,
 )
 # END generated by tools/gen_bessel_coeffs.py
 
 # Per order n: the Horner rows (I_n coefficient, K_n coefficient), highest
 # power of q first.  Per Chebyshev piece (below, above the split) and order n:
-# the Clenshaw coefficients from the highest degree down to degree 1, the
-# head and tail of c_0/2, and (a, b) of the map u = a/x + b, derived from the
-# split.
+# the Horner rows from the highest power of u down to the first, the head and
+# tail of the constant term, and (a, b) of the map u = a/x + b, derived from
+# the split.
 _SERIES_ROWS = (tuple(zip(_SERIES_I0, _SERIES_K0))[::-1],
                 tuple(zip(_SERIES_I1, _SERIES_K1))[::-1])
 _CHEB_ROWS = tuple(
@@ -201,29 +201,25 @@ def _k_series(x, xp, n):
 
 
 def _k_chebyshev(x, xp, n, piece, out=None):
-    """K_n(x), n = 0 or 1, for x >= 2: Chebyshev series in u = a/x + b, by
-    Clenshaw, on piece 0 ([2, _CHEB_SPLIT)) or 1 ([_CHEB_SPLIT, inf)).
+    """K_n(x), n = 0 or 1, for x >= 2: the fit in powers of u = a/x + b, by
+    Horner, on piece 0 ([2, _CHEB_SPLIT)) or 1 ([_CHEB_SPLIT, inf)).
 
     x is a float (xp = math) or an array (xp = numpy); an array's steps run
-    in place in buffers allocated per call, and out, if given, gets K_n(x).
+    in place, two passes a term, in buffers allocated per call, and out, if
+    given, gets K_n(x).
     """
     rows, head, tail, a, b = _CHEB_ROWS[piece][n]
     u = a / x + b
-    u2 = u + u
+    p = u * rows[0]  # the first step from p = 0, exactly
+    for c in rows[1:]:  # p = (p + c) u, in place for an array
+        p += c
+        p *= u
+    p += tail
+    p += head
     if xp is math:
-        b1, b2 = u2 * rows[0] + rows[1], rows[0]  # two steps from b1 = b2 = 0
-        for c in rows[2:]:
-            b1, b2 = u2 * b1 - b2 + c, b1
-        return (u * b1 - b2 + tail + head) * (xp.exp(-x) / xp.sqrt(x))
-    b1, b2, t = np.empty((3,) + x.shape)
-    np.add(np.multiply(u2, rows[0], b1), rows[1], b1)
-    b2.fill(rows[0])  # the two steps from b1 = b2 = 0 give exactly these
-    for c in rows[2:]:  # b1, b2 = u2 b1 - b2 + c, b1 as above, in place
-        np.add(np.subtract(np.multiply(u2, b1, t), b2, b2), c, b2)
-        b1, b2 = b2, b1
-    np.add(np.add(np.subtract(np.multiply(u, b1, t), b2, t), tail, t), head, t)
-    e = np.divide(np.exp(np.negative(x, b1), b1), np.sqrt(x, b2), b1)
-    return np.multiply(t, e, t if out is None else out)
+        return p * (xp.exp(-x) / xp.sqrt(x))
+    e = np.divide(np.exp(np.negative(x, u), u), np.sqrt(x), u)
+    return np.multiply(p, e, p if out is None else out)
 
 
 def _bessel(x, orders):

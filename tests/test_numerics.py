@@ -110,21 +110,20 @@ def test_bessel_scalar_path_matches_array_path(lo, hi):
     np.testing.assert_allclose(scalar[:, 1], k1, rtol=1e-15, atol=0.0)
 
 
-def _clenshaw_as_written(x, n, piece):
-    """The array Clenshaw of numerics._k_chebyshev as one expression per
-    step, with numpy allocating every intermediate: the in-place form must
-    equal it bit for bit."""
+def _horner_as_written(x, n, piece):
+    """The array Horner of numerics._k_chebyshev as one expression per step,
+    from p = 0, with numpy allocating every intermediate: the in-place form
+    that starts at the first step must equal it bit for bit."""
     rows, head, tail, a, b = numerics._CHEB_ROWS[piece][n]
     u = a / x + b
-    u2 = u + u
-    b1 = b2 = 0.0
+    p = 0.0
     for c in rows:
-        b1, b2 = u2 * b1 - b2 + c, b1
-    return (u * b1 - b2 + tail + head) * (np.exp(-x) / np.sqrt(x))
+        p = p * u + c
+    return (p * u + tail + head) * (np.exp(-x) / np.sqrt(x))
 
 
 @pytest.mark.parametrize("size", [1, 64, 512, 45_000])
-def test_array_clenshaw_equals_the_expression_as_written(size):
+def test_array_horner_equals_the_expression_as_written(size):
     edges = [np.nextafter(v, d) for v in (2.0, SPLIT, 700.0) for d in (0.0, v, np.inf)]
     rng = np.random.default_rng(size)
     if size == 1:
@@ -134,12 +133,63 @@ def test_array_clenshaw_equals_the_expression_as_written(size):
         inputs = [rng.permutation(xs), rng.permutation(xs).reshape(-1, 8 if size > 64 else 2)]
     for xs, piece, n in itertools.product(inputs, (0, 1), (0, 1)):
         before = xs.copy()
-        want = _clenshaw_as_written(xs, n, piece)
+        want = _horner_as_written(xs, n, piece)
         assert np.array_equal(numerics._k_chebyshev(xs, np, n, piece), want)
         out = np.full_like(xs, np.nan)
         assert numerics._k_chebyshev(xs, np, n, piece, out=out) is out
         assert np.array_equal(out, want)
         assert np.array_equal(xs, before)
+
+
+def _clenshaw(x, c, a, b):
+    """sum_n c_n T_n(u) e^-x / sqrt(x), u = a/x + b, in doubles by Clenshaw's
+    recurrence, with c_0/2 (c[0]) as a head and tail as in numerics."""
+    head = float(c[0])
+    tail, rest = float(c[0] - head), [float(v) for v in c[:0:-1]]
+    u = a / x + b
+    u2 = u + u
+    b1 = b2 = 0.0
+    for cn in rest:
+        b1, b2 = u2 * b1 - b2 + cn, b1
+    return (u * b1 - b2 + tail + head) * (np.exp(-x) / np.sqrt(x))
+
+
+def test_power_form_agrees_with_clenshaw_on_the_chebyshev_fits():
+    # an oracle that does not share the power form's coefficients: Clenshaw's
+    # recurrence over the generator's Chebyshev fits, each coefficient
+    # rounded to a double.  Per piece and order on 20,000 points, numerics
+    # must agree with it within 2 ulp and be unbiased against it: a constant
+    # term rounded to one double, without its tail, moves the mean by 0.4 ulp
+    gen = _tool("gen_bessel_coeffs")
+    rng = np.random.default_rng(37)
+    for piece, ((a, b), (lo, hi)) in enumerate(zip(gen.chebyshev_maps(gen.SPLIT),
+                                                   ((2.0, SPLIT), (SPLIT, 700.0)))):
+        with mp.workdps(gen.DPS):
+            fits = gen.chebyshev_tables(mp.mpf(a), mp.mpf(b))
+        xs = np.concatenate([[lo, np.nextafter(hi, 0.0)], rng.uniform(lo, hi, 9999),
+                             np.geomspace(lo, hi, 9999, endpoint=False)])
+        for n, c in enumerate(fits):
+            assert numerics._CHEB_ROWS[piece][n][3:] == (a, b)
+            assert len(numerics._CHEB_ROWS[piece][n][0]) == len(c) - 1
+            want = _clenshaw(xs, c, a, b)
+            ulps = (numerics._k_chebyshev(xs, np, n, piece) - want) / np.spacing(want)
+            assert np.abs(ulps).max() <= 2.0, (piece, n, np.abs(ulps).max())
+            assert abs(ulps.mean()) <= 0.05, (piece, n, ulps.mean())
+
+
+def test_bessel_worst_error_against_stored_refs():
+    # the accuracy that the numerics docstring states: over both stored
+    # reference files, on the 4,419 points up to 700 (where K is not 0), the
+    # worst relative error |K/K_ref - 1| in doubles is 4 * 2^-52 below x = 2
+    # and 2 * 2^-52 from 2 on
+    xs, ref0, ref1 = np.concatenate([REFS.read(REFS.OUT), REFS.read(REFS.LOG_OUT)], axis=1)
+    keep = xs <= 700.0
+    xs, refs = xs[keep], (ref0[keep], ref1[keep])
+    assert xs.size == 4419 and np.all(np.concatenate(refs) > 0.0)
+    for got, ref in zip(bessel_k01(xs), refs):
+        err = np.abs(got / ref - 1.0)
+        assert err[xs < 2.0].max() <= 8.9e-16
+        assert err[xs >= 2.0].max() <= 4.5e-16
 
 
 def _series_as_written(x, n, xp=np):
@@ -177,7 +227,7 @@ def test_array_series_equals_the_expression_as_written(size):
 
 def _bessel_by_mask(x, orders):
     """The array path of numerics._bessel written with boolean masks, and
-    the series and Clenshaw as written: selecting the pieces by position
+    the series and Horner as written: selecting the pieces by position
     must give the same values bit for bit."""
     arr = np.asarray(x, dtype=float)
     out = tuple(np.zeros_like(arr) for _ in orders)
@@ -186,8 +236,8 @@ def _bessel_by_mask(x, orders):
     mid = ~(lo | hi)
     hi &= arr <= 700.0
     for mask, kernel in ((lo, _series_as_written),
-                         (mid, lambda v, n: _clenshaw_as_written(v, n, 0)),
-                         (hi, lambda v, n: _clenshaw_as_written(v, n, 1))):
+                         (mid, lambda v, n: _horner_as_written(v, n, 0)),
+                         (hi, lambda v, n: _horner_as_written(v, n, 1))):
         if np.any(mask):
             part = arr[mask]
             for k, n in zip(out, orders):

@@ -35,7 +35,12 @@ Each section starts with a ``== name`` line:
 - ``bessel``: one SHA-256 over ``x.hex() K0.hex() K1.hex()`` lines of
   ``bessel_k01``, first on the whole grid as one array, then on each point
   as a float.  The grid is 4001 points log-spaced over [1e-8, 800] and 2, 10
-  and 700 with the two doubles next to each.
+  and 700 with the two doubles next to each.  The same line gives the
+  accuracy: the worst relative error ``|K/K_ref - 1|`` of K0 and of K1, in
+  doubles, below x = 2 and from 2 on, against the mpmath references that
+  this tool's tree stores in ``tests/data/bessel_k01*_refs.txt`` (every
+  point up to 700).  So ``--against`` shows both trees' accuracy, on the
+  same points, next to the hash.
 - ``brems``: one SHA-256 over ``.hex()`` lines of ``br_spectral_density``
   (Z_n 26) at 0, 1, 7, 8, 9, 41, 1023, 1025 and 10,000 frequencies
   geometrically spaced over [0.5, 2] times Fe-57's line, for an electron at
@@ -189,7 +194,14 @@ def bessel_section() -> list[str]:
     for k0, k1 in (bessel_k01(xs), np.array([bessel_k01(float(x)) for x in xs]).T):
         for x, a, b in zip(xs, k0, k1):
             digest.update(("%s %s %s\n" % (float(x).hex(), float(a).hex(), float(b).hex())).encode())
-    return ["%s  %d points" % (digest.hexdigest(), 2 * xs.size)]
+    refs = np.concatenate([np.loadtxt(ROOT / "tests" / "data" / name, ndmin=2)
+                           for name in ("bessel_k01_refs.txt", "bessel_k01_log_refs.txt")])
+    at, ref0, ref1 = refs[refs[:, 0] <= 700.0].T
+    worst = [np.abs(k / ref - 1.0)[side].max()
+             for side in (at < 2.0, at >= 2.0)
+             for k, ref in zip(bessel_k01(at), (ref0, ref1))]
+    return ["%s  %d points; worst |K/K_ref - 1| at %d: x < 2 K0 %.3g K1 %.3g, "
+            "x >= 2 K0 %.3g K1 %.3g" % (digest.hexdigest(), 2 * xs.size, at.size, *worst)]
 
 
 def brems_section() -> list[str]:

@@ -13,7 +13,7 @@ Series tables (x < 2), power k of q = x^2/4, k = 0 .. SERIES_TERMS - 1
     K0(x) = sum_k psi(k+1) q^k / (k!)^2 - ln(x/2) I0(x)
     K1(x) = 1/x + (x/2) sum_k [ln(x/2) - (psi(k+1) + psi(k+2))/2] q^k / (k! (k+1)!)
 
-Chebyshev tables (x >= 2), in two pieces split at SPLIT = 10, each mapped
+Chebyshev fits (x >= 2), in two pieces split at SPLIT = 10, each mapped
 onto [-1, 1] by a u affine in 1/x whose constants are exact in binary:
 
     [2, 10)   :  u = 5/x - 3/2
@@ -27,10 +27,17 @@ most arguments of a Monte-Carlo plane sum lie above 10.  The c_n come from
 the discrete cosine transform of the function at CHEB_NODES Chebyshev nodes,
 whose aliasing error is below 1e-30 here.  Each piece keeps the fewest terms
 whose left-out terms sum below DROPPED for both orders: 20 terms below the
-split and 14 above it.  c_0/2 is printed as a head and the tail that its
-rounding leaves: the series are c_0/2 plus a few percent, so without the
-tail the rounding of c_0/2 alone (up to 0.4 ulp on three of the four tables)
-would bias every value on its piece.
+split and 14 above it.
+
+The tables hold each truncated fit in power form, sum_k p_k u^k, which
+numerics evaluates by Horner: two array passes a term where Clenshaw's
+recurrence takes three.  The p_k are summed from the c_n in mpmath, with
+T_n's integer coefficients from T_{n+1} = 2u T_n - T_{n-1}, and each is
+rounded to a double once.  The fits are well conditioned in this basis: the
+|p_k| sum to less than 1.07 times p_0.  p_0 is printed as a head and the
+tail that its rounding leaves: the series are p_0 plus a few percent, so
+without the tail the rounding of p_0 alone (0.35 to 0.47 ulp on three of the
+four tables) would bias every value on its piece.
 """
 
 from __future__ import annotations
@@ -68,8 +75,8 @@ def chebyshev_maps(split):
 
 def chebyshev_tables(a, b):
     """(K0, K1) Chebyshev coefficients of sqrt(x) e^x K(x) in u = a/x + b,
-    truncated to the fewest terms whose left-out sum is below DROPPED, with c_0/2
-    as head and tail."""
+    c_0/2 first, truncated to the fewest terms whose left-out sum is below
+    DROPPED."""
     n = CHEB_NODES
     thetas = [mp.pi * (j + mp.mpf(1) / 2) / n for j in range(n)]
     f0, f1 = [], []
@@ -86,7 +93,22 @@ def chebyshev_tables(a, b):
         tables.append(c)
     terms = max(next(k for k in range(1, n) if mp.fsum(abs(v) for v in c[k:]) < DROPPED)
                 for c in tables)
-    return [[c[0], c[0] - float(c[0])] + c[1:terms] for c in tables]
+    return [c[:terms] for c in tables]
+
+
+def power_form(c):
+    """p_k, lowest power first, with sum_k p_k u^k = c[0] + sum_{n>=1} c[n] T_n(u)."""
+    t = [[1], [0, 1]]  # integer coefficients of T_n, lowest power first
+    while len(t) < len(c):
+        t.append([2 * v for v in [0] + t[-1]])
+        for k, v in enumerate(t[-3]):
+            t[-1][k] -= v
+    return [mp.fsum(cn * tn[k] for cn, tn in zip(c[k:], t[k:])) for k in range(len(c))]
+
+
+def _head_tail(p):
+    """p with p_0 as its double head and the tail that its rounding leaves."""
+    return [p[0], p[0] - float(p[0])] + p[1:]
 
 
 def _literal(name, comment, values):
@@ -103,10 +125,12 @@ def block() -> str:
     mp.mp.dps = DPS
     i0, k0, i1, k1 = series_tables()
     (a_lo, b_lo), (a_hi, b_hi) = chebyshev_maps(SPLIT)
-    lo0, lo1 = chebyshev_tables(mp.mpf(a_lo), mp.mpf(b_lo))
-    hi0, hi1 = chebyshev_tables(mp.mpf(a_hi), mp.mpf(b_hi))
-    below = "x < %g: sqrt(x) e^x K%d(x) in T_n(%g/x - %g); c_0/2 head, tail"
-    above = "x >= %g: sqrt(x) e^x K%d(x) in T_n(%g/x - 1); c_0/2 head, tail"
+    lo0, lo1 = (_head_tail(power_form(c))
+                for c in chebyshev_tables(mp.mpf(a_lo), mp.mpf(b_lo)))
+    hi0, hi1 = (_head_tail(power_form(c))
+                for c in chebyshev_tables(mp.mpf(a_hi), mp.mpf(b_hi)))
+    below = "x < %g: sqrt(x) e^x K%d(x) in powers of %g/x - %g; p_0 head, tail"
+    above = "x >= %g: sqrt(x) e^x K%d(x) in powers of %g/x - 1; p_0 head, tail"
     parts = [
         "# BEGIN generated by tools/gen_bessel_coeffs.py",
         _literal("_SERIES_I0", "1/(k!)^2", i0),
