@@ -11,9 +11,9 @@ Exit codes: 0 on success, 1 for validation problems, 2 for runtime failures
 (unreadable files, data file errors).  A reader that closes the output pipe
 early, as in `nucsp list-nuclides | head -1`, ends the command quietly with 0.
 
-If the NUCSP_DATA_DIR environment variable points at a directory, any
-nuclides.dat and lattices.dat files inside it are loaded on top of the
-built-in registries; entries with matching names override the built-ins.
+A non-empty NUCSP_DATA_DIR environment variable must name a directory (else
+exit 2); any nuclides.dat and lattices.dat files inside it are loaded on top
+of the built-in registries, entries with matching names overriding them.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ def _load_registries():
     """Built-in nuclides and lattices, plus any NUCSP_DATA_DIR overlays."""
     reg, films = nuclide_registry(), builtin_presets()
     data_dir = os.environ.get(DATA_DIR_ENV)
+    if data_dir and not Path(data_dir).is_dir():
+        raise OSError("%s=%s is not a directory" % (DATA_DIR_ENV, data_dir))
     for name, table, parse in (("lattices.dat", films, parse_lattice_file),
                                ("nuclides.dat", reg, parse_nuclide_file)):
         path = Path(data_dir) / name if data_dir else None

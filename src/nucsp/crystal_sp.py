@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -111,6 +110,8 @@ LATTICE = (
 # CutoffPolicy's fields; crystal-yield's config takes R_MIN as its r_min_nm row
 R_MIN = Param("r_min_nm", "positive", 0.001)
 CUTOFF = (R_MIN, Param("smooth", "bool", False))
+# The order argument of reciprocal_vectors and azimuthal_profile
+ORDER = (Param("order", "int", REQUIRED, (1, None)),)
 
 
 @dataclass(frozen=True)
@@ -306,15 +307,10 @@ def _enumerate_g(film: LatticeFilm, policy: CutoffPolicy,
     return g
 
 
-def _check_order(n) -> None:
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
-        raise ValueError("order must be a positive integer")
-
-
 def reciprocal_vectors(film: LatticeFilm, n: int,
                        policy: CutoffPolicy) -> np.ndarray:
     """Admissible reciprocal vectors for order n, sorted by (|G|, i, j)."""
-    _check_order(n)
+    _check_fields(ORDER, {"order": n})
     g = _enumerate_g(film, policy, n)
     if g.shape[0] == 0:
         warnings.warn("no reciprocal vectors pass the cutoff for order %d" % n,
@@ -462,7 +458,7 @@ def azimuthal_profile(probe: Probe, rec: NuclideRecord, film: LatticeFilm,
     An order whose stacking class keeps no reciprocal vector gives 0.0 and a
     RuntimeWarning naming it, as in emission_cones.
     """
-    _check_order(n)
+    _check_fields(ORDER, {"order": n})
     cos_t = 1.0 / probe.beta - n * rec.wavelength_nm / film.z_period_nm
     if abs(cos_t) > 1.0:
         raise ValueError("order %d does not radiate at beta = %g" % (n, probe.beta))

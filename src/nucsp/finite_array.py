@@ -38,9 +38,10 @@ and beyond, that piece on the arguments below 45, put by position.  A chunk
 holds m = _BLOCK_TERMS // n samples, a term budget as for the angle blocks,
 and its five grids are written into one work block allocated per call (w,
 w dy, w dx over dist, dy, dx), so the chunk loop makes no (n x m)
-temporaries.  The chunk size does not change which samples are kept.  Its
-control variate subtracts the origin site's own term (each draw's nearest)
-inside a capture disk and adds back that term's exact mean, from the
+temporaries.  The chunk size does not change which samples are kept.  The
+one estimator always runs a control variate: it subtracts the origin site's
+own term (each draw's nearest) inside the capture disk r < 0.35 a, which
+r_min must lie inside, and adds back that term's exact mean, from the
 closed-form integral
 
     int x K1(x)^2 dx = F(x) = x ((x/2)(K1^2 - K0^2) - K0 K1),
@@ -51,7 +52,6 @@ so no quadrature runs.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,9 +60,10 @@ import numpy as np
 from .numerics import (CONSTANTS, _CHEB_SPLIT, _k_chebyshev, _veltkamp_split,
                        bessel_k01, bessel_k1)
 from .numerics import integrate_adaptive  # noqa: F401  (traced by perfbench/spans.py)
-from .crystal_sp import DISTANCE
+from .crystal_sp import LATTICE, R_MIN
 from .nuclide import NuclideRecord
 from .probe import Probe
+from .rows import REQUIRED, Param, _check_fields
 from .single_nucleus import _dimensionless_scale
 
 __all__ = [
@@ -78,6 +79,13 @@ __all__ = [
 _ARG_CUT = 45.0
 _BLOCK_TERMS = 1 << 16
 _SLAB_MARGIN = 1e-9  # relative widening of the K1 slab bounds, far above rounding
+# mc_plane_average's arguments, a_nm as a lattices.dat block's and r_min_nm as
+# crystal-yield's.  The 1 mm ceiling on a keeps a^2, the squared site offsets
+# and the (delta a)^2 of the disk integral finite at every speed down to
+# BETA_MIN for lines below 1e80 eV; at 1e160 nm they overflow and the mean is NaN.
+MC_ARGS = (LATTICE[1], Param("theta", "number", REQUIRED), Param("phi", "number", REQUIRED),
+           Param("half_extent", "int", REQUIRED, (0, None)),
+           Param("n_samples", "int", REQUIRED, (1, None)), R_MIN)
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,8 +312,7 @@ def _k1_sq_disk_integral(delta: float, r_lo: float, r_hi: float) -> float:
 
 def mc_plane_average(probe: Probe, rec: NuclideRecord, a_nm: float,
                      half_extent: int, theta: float, phi: float,
-                     r_min_nm: float, n_samples: int, seed: int = 1,
-                     control_variate: bool = True) -> float:
+                     r_min_nm: float, n_samples: int, seed: int = 1) -> float:
     """Monte-Carlo mean of |r_hat x g|^2 over impact parameters in one cell.
 
     Impact points are drawn uniformly over the central unit cell of a
@@ -314,12 +321,11 @@ def mc_plane_average(probe: Probe, rec: NuclideRecord, a_nm: float,
     disk is ~1e-5 of the cell for pm cutoffs).  Sites whose Bessel argument
     would exceed 45 contribute below 3e-20 per term and are skipped.
 
-    The variance of the plain estimator is dominated by rare close
-    encounters, so by default the origin site's contribution inside a capture
-    radius is subtracted per sample and restored analytically, from the
-    radial integral in closed form (_k1_sq_disk_integral); this brings ~1e5
-    samples to sub-percent precision.  r_min_nm must be below a/2, and below
-    the capture radius 0.35 a when the control variate is on.
+    The variance of a plain mean is dominated by rare close encounters, so
+    the origin site's contribution inside the capture radius 0.35 a is
+    subtracted per sample and restored analytically, from the radial
+    integral in closed form (_k1_sq_disk_integral); this brings ~1e5 samples
+    to sub-percent precision.  r_min_nm must be below the capture radius.
 
     Draw contract: the draws, and so the mean for a given seed, depend only
     on the arguments.  Samples come from numpy's default_rng(seed) in chunks
@@ -334,33 +340,18 @@ def mc_plane_average(probe: Probe, rec: NuclideRecord, a_nm: float,
     allocated once per call, and K1 runs on them by slab of sites (see the
     module docstring).  No result depends on the BLAS thread count.
 
-    Raises ValueError, naming the parameter, for an a_nm outside [1e-5, 1e6]
-    nm (crystal_sp.DISTANCE), non-finite angles, a half_extent that is not an
-    integer >= 0, an n_samples that is not an integer >= 1 (a bool is
-    neither), and r_min_nm outside the bounds above.
+    Raises ValueError, as "name: ...", for an argument outside its row in
+    MC_ARGS (a_nm in [1e-5, 1e6] nm, finite angles, a half_extent >= 0 and
+    an n_samples >= 1 that are integers and not bool, a positive r_min_nm),
+    and for an r_min_nm not below 0.35 a_nm.
     """
-    # The 1 mm ceiling keeps a^2, the squared site offsets and the (delta a)^2
-    # of the disk integral finite at every speed down to BETA_MIN for lines
-    # below 1e80 eV; at 1e160 nm they overflow and the mean is NaN.
-    if not DISTANCE[0] <= a_nm <= DISTANCE[1]:
-        raise ValueError("a_nm must lie in [%g, %g] nm" % DISTANCE)
-    for name, value in (("theta", theta), ("phi", phi)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite")
-    for name, value, least in (("half_extent", half_extent, 0),
-                               ("n_samples", n_samples, 1)):
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
-            raise ValueError(f"{name} must be an integer of at least {least}")
-    if not r_min_nm > 0:
-        raise ValueError("r_min_nm must be positive")
+    _check_fields(MC_ARGS, {"a_nm": a_nm, "theta": theta, "phi": phi, "half_extent": half_extent,
+                            "n_samples": n_samples, "r_min_nm": r_min_nm})
     # draws lie within a/sqrt(2) of a site, so r_min >= a/sqrt(2) keeps none;
-    # below a/2 the excluded disk leaves at least 1 - pi/4 of the cell
-    if not r_min_nm < 0.5 * a_nm:
-        raise ValueError("r_min_nm must be below a_nm / 2")
-    capture = 0.35 * a_nm  # control-variate radius, safely inside the cell
-    if control_variate and not r_min_nm < capture:
-        raise ValueError("r_min_nm must be below the control-variate capture "
-                         "radius 0.35 * a_nm")
+    # below the capture radius the excluded disk leaves 62% of the cell
+    capture = 0.35 * a_nm
+    if not r_min_nm < capture:
+        raise ValueError("r_min_nm: must be below the capture radius 0.35 a_nm")
     delta = rec.omega0_rad_s / (probe.velocity_nm_s * probe.gamma)  # 1/nm
     k0 = rec.omega0_rad_s / CONSTANTS.c_nm_s
     rhat = np.array([math.sin(theta) * math.cos(phi),
@@ -382,23 +373,17 @@ def mc_plane_average(probe: Probe, rec: NuclideRecord, a_nm: float,
     work = np.empty((5, sites.shape[0], rows))
 
     rng = np.random.default_rng(seed)
-    total = 0.0
-    kept = 0
+    total, kept = 0.0, 0
     while kept < n_samples:
         m = min(rows, n_samples - kept)
         rps = rng.uniform(-0.5 * a_nm, 0.5 * a_nm, size=(m, 2))
         x, dn, self_term = _plane_terms(sites, rps, rhat, delta, k0, work)
         ok = dn >= r_min_nm
-        if control_variate:
-            x = x - np.where(dn < capture, self_term, 0.0)
+        x = x - np.where(dn < capture, self_term, 0.0)
         total += float(np.sum(x[ok]))
         kept += int(np.count_nonzero(ok))
-    mean = total / n_samples
-
-    if control_variate:
-        # exact mean of the subtracted term: the capture-disk integral of
-        # K1(delta r)^2 over the cell area, times the azimuthal average of
-        # 1 - (r_hat . phi_hat)^2
-        ang = 1.0 - 0.5 * math.sin(theta) ** 2
-        mean += ang * _k1_sq_disk_integral(delta, r_min_nm, capture) / (a_nm * a_nm)
-    return mean
+    # add the exact mean of the subtracted term: the capture-disk integral of
+    # K1(delta r)^2 over the cell area, times the azimuthal average of
+    # 1 - (r_hat . phi_hat)^2
+    ang = 1.0 - 0.5 * math.sin(theta) ** 2
+    return total / n_samples + ang * _k1_sq_disk_integral(delta, r_min_nm, capture) / (a_nm * a_nm)

@@ -1,7 +1,8 @@
 """Input from outside is checked here, by one checker: config blocks,
-data-file blocks and the four library records (NuclideRecord, LatticeFilm,
-Probe, CutoffPolicy) have a table of Param rows, and _coerce checks each value
-against its row.  The key/value data files are read here too.
+data-file blocks, the four library records (NuclideRecord, LatticeFilm,
+Probe, CutoffPolicy) and the checked arguments of library calls have a table
+of Param rows, and _coerce checks each value against its row.  The key/value
+data files are read here too.
 """
 
 import math
@@ -74,9 +75,9 @@ def _coerce(kind, v, bound, at):
         raise ValueError("%s: must be a boolean" % at)
     if kind in ("int", "nonzero") and (not isinstance(v, numbers.Integral) or isinstance(v, bool)):
         raise ValueError("%s: must be an integer" % at)
-    if kind == "int" and v < bound[0]:  # (lo, hi) inclusive
+    if kind == "int" and v < bound[0]:  # (lo, hi) inclusive, hi None for no limit
         raise ValueError("%s: must be at least %d" % (at, bound[0]))
-    if kind == "int" and v > bound[1]:
+    if kind == "int" and bound[1] is not None and v > bound[1]:
         raise ValueError("%s: must be at most %d" % (at, bound[1]))
     if kind == "nonzero" and v == 0:
         raise ValueError("%s: must be non-zero" % at)

@@ -180,6 +180,32 @@ def test_data_dir_parse_error_exits_2(tmp_path, capsys, monkeypatch):
     assert "nuclides.dat:1" in err
 
 
+@pytest.mark.parametrize("kind", ["missing", "file"])
+@pytest.mark.parametrize("command", ["run", "validate", "list-nuclides", "list-lattices"])
+def test_data_dir_that_is_not_a_directory_exits_2(kind, command, config_file, tmp_path,
+                                                  capsys, monkeypatch):
+    # a mistyped overlay path must not run the built-ins under the user's names
+    data_dir = tmp_path / "absent"
+    if kind == "file":
+        data_dir = tmp_path / "lattices.dat"
+        data_dir.write_text("name = tetra\na_nm = 0.30\nb_par_x_nm = 0.15\n"
+                            "b_par_y_nm = 0.15\nb_z_nm = 0.21\n")
+    monkeypatch.setenv("NUCSP_DATA_DIR", str(data_dir))
+    out_dir = tmp_path / "out"
+    argv = {"run": ["run", str(config_file), "--out", str(out_dir)],
+            "validate": ["validate", str(config_file)]}.get(command, [command])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: NUCSP_DATA_DIR=%s is not a directory\n" % data_dir
+    assert not out_dir.exists()
+
+
+def test_empty_data_dir_means_unset(capsys, monkeypatch):
+    monkeypatch.setenv("NUCSP_DATA_DIR", "")
+    assert main(["list-lattices"]) == 0
+    assert "bcc100" in capsys.readouterr().out
+
 
 @pytest.mark.parametrize("jg2, je2, exact", [(2001, 2003, "334/1001"), (2003, 2001, "1/3"),
                                              (9997, 9999, "5000/14997"), (9999, 9997, "1/3")])

@@ -33,7 +33,7 @@ from nucsp.crystal_sp import (
 )
 from nucsp.finite_array import mc_plane_average
 from nucsp.nuclide import radiative_rate, registry
-from nucsp.numerics import CONSTANTS, integrate_periodic
+from nucsp.numerics import CONSTANTS
 from nucsp.probe import electron
 from nucsp.rows import _validate_block
 from nucsp.scenarios import PARAMS, run_scenario, validate_config
@@ -249,9 +249,14 @@ def test_empty_reciprocal_set_warns():
     assert g.shape == (0, 2)
 
 
-def test_reciprocal_vectors_rejects_order_zero():
-    with pytest.raises(ValueError, match="order must be a positive integer"):
-        reciprocal_vectors(make_film("bcc100"), 0, CutoffPolicy(0.01))
+def test_reciprocal_vectors_rejects_order_zero(p94, fe):
+    # the order row's one bound, checked by both entry points
+    film, pol = make_film("bcc100"), CutoffPolicy(0.01)
+    for order in (0, -1):
+        with pytest.raises(ValueError, match="^order: must be at least 1$"):
+            reciprocal_vectors(film, order, pol)
+        with pytest.raises(ValueError, match="^order: must be at least 1$"):
+            azimuthal_profile(p94, fe, film, order, 0.3, pol)
 
 
 @pytest.mark.parametrize("order", [1.5, 2.0, True, np.float64(2.0), "2", None])
@@ -259,9 +264,10 @@ def test_order_must_be_an_integer(p94, fe, order):
     # 1.5 gave no vectors (or a 0.0 profile) with a warning about "order 1",
     # and True ran as order 1
     film, pol = make_film("bcc100"), CutoffPolicy(0.01)
-    with pytest.raises(ValueError, match="^order must be a positive integer$"):
+    message = "^order: required$" if order is None else "^order: must be an integer$"
+    with pytest.raises(ValueError, match=message):
         reciprocal_vectors(film, order, pol)
-    with pytest.raises(ValueError, match="^order must be a positive integer$"):
+    with pytest.raises(ValueError, match=message):
         azimuthal_profile(p94, fe, film, order, 0.3, pol)
 
 
@@ -598,9 +604,26 @@ def test_cone_weights_match_periodic_quadrature(fe, preset, pol):
     cones = emission_cones(probe, fe, film, pol)
     assert cones
     for c in cones:
-        quad = integrate_periodic(
+        quad = _periodic_quadrature(
             lambda phi: azimuthal_profile(probe, fe, film, c.n, phi, pol), rel_tol=1e-10)
         assert c.weight == pytest.approx(quad, rel=1e-8, abs=0.0)
+
+
+def _periodic_quadrature(f, rel_tol):
+    """Integral of a smooth periodic f over [0, 2 pi) by the trapezoidal rule,
+    spectrally accurate here: the grid doubles from 8 points, adding the
+    midpoints, until two estimates agree to rel_tol."""
+    n = 8
+    total = float(np.sum(f(2.0 * np.pi * np.arange(n) / n)))
+    prev = 2.0 * np.pi * total / n
+    for _ in range(16):
+        total += float(np.sum(f(2.0 * np.pi * (np.arange(n) + 0.5) / n)))
+        n *= 2
+        est = 2.0 * np.pi * total / n
+        if abs(est - prev) <= rel_tol * max(abs(est), abs(prev), 1e-300):
+            return est
+        prev = est
+    raise AssertionError("the trapezoidal rule did not converge")
 
 
 def _per_vector_weight(probe, rec, film, n, pol):

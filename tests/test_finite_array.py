@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from nucsp import finite_array
+from nucsp import crystal_sp, finite_array
 from nucsp.crystal_sp import DISTANCE
 from nucsp.finite_array import (
     NucleusSet,
@@ -311,12 +311,21 @@ def test_mc_plane_average_is_deterministic(probe, fe):
     assert a > 0.0
 
 
-@pytest.mark.parametrize("a_nm", [DISTANCE[0] * 0.9, DISTANCE[1] * 1.1], ids=["below", "above"])
-def test_mc_plane_average_rejects_a_nm_outside_the_distance_bounds(probe, fe, a_nm):
+@pytest.mark.parametrize("a_nm,message", [(DISTANCE[0] * 0.9, "least 1e-05"),
+                                           (DISTANCE[1] * 1.1, "most 1e+06")],
+                         ids=["below", "above"])
+def test_mc_plane_average_rejects_a_nm_outside_the_distance_bounds(probe, fe, a_nm, message):
     # the lattice constant obeys the same bounds as a lattices.dat block
-    with pytest.raises(ValueError, match=r"^a_nm must lie in \[1e-05, 1e\+06\] nm$"):
+    with pytest.raises(ValueError, match=r"^a_nm: must be at %s$" % message.replace("+", r"\+")):
         mc_plane_average(probe, fe, a_nm=a_nm, half_extent=2, theta=1.0, phi=0.3,
-                         r_min_nm=0.001, n_samples=10, seed=11)
+                         r_min_nm=a_nm * 1e-3, n_samples=10, seed=11)
+
+
+def test_mc_rows_are_the_lattice_and_cutoff_rows():
+    # one row, so one bound and one message, for a config, a data file and the call
+    rows = {row.name: row for row in finite_array.MC_ARGS}
+    assert rows["a_nm"] is crystal_sp.LATTICE[1]
+    assert rows["r_min_nm"] is crystal_sp.R_MIN
 
 
 def test_mc_sites_are_built_only_within_the_bessel_reach(probe, fe):
@@ -329,14 +338,38 @@ def test_mc_sites_are_built_only_within_the_bessel_reach(probe, fe):
     assert mc_plane_average(probe, fe, half_extent=2, **kw) != mean
 
 
+def _plain_mean(probe, rec, a_nm, half_extent, theta, phi, r_min_nm, n_samples, seed):
+    """The plain Monte-Carlo mean, which mc_plane_average's control variate
+    replaced: its sites, draws and chunks, each kept sample's term summed as
+    it is.  The oracle of the control-variate estimator."""
+    delta = rec.omega0_rad_s / (probe.velocity_nm_s * probe.gamma)
+    k0 = rec.omega0_rad_s / CONSTANTS.c_nm_s
+    rhat = np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
+                     math.cos(theta)])
+    reach = finite_array._ARG_CUT / delta + a_nm / math.sqrt(2.0)
+    sites = square_plane_sites(a_nm, min(half_extent, math.floor(reach / a_nm)))
+    sites = sites[np.hypot(sites[:, 0], sites[:, 1]) <= reach]
+    sites = sites[np.argsort(np.hypot(sites[:, 0], sites[:, 1]), kind="stable")]
+    rows = max(1, finite_array._BLOCK_TERMS // sites.shape[0])
+    work = np.empty((5, sites.shape[0], rows))
+    rng = np.random.default_rng(seed)
+    total, kept = 0.0, 0
+    while kept < n_samples:
+        rps = rng.uniform(-0.5 * a_nm, 0.5 * a_nm, size=(min(rows, n_samples - kept), 2))
+        x, dn, _ = _plane_terms(sites, rps, rhat, delta, k0, work)
+        ok = dn >= r_min_nm
+        total += float(np.sum(x[ok]))
+        kept += int(np.count_nonzero(ok))
+    return total / n_samples
+
+
 def test_mc_control_variate_consistency(probe, fe):
     # with and without the variance-reduction term the estimator targets the
     # same mean; at 20k samples the plain version is only a few percent noisy
     kw = dict(a_nm=0.2856, half_extent=8, theta=1.0, phi=0.3,
               r_min_nm=0.001, n_samples=20000, seed=3)
-    with_cv = mc_plane_average(probe, fe, control_variate=True, **kw)
-    without = mc_plane_average(probe, fe, control_variate=False, **kw)
-    assert with_cv == pytest.approx(without, rel=0.25)
+    assert mc_plane_average(probe, fe, **kw) == pytest.approx(_plain_mean(probe, fe, **kw),
+                                                              rel=0.25)
 
 
 @pytest.mark.parametrize("delta", [10.4, 35.375, 120.0])
@@ -364,7 +397,7 @@ def test_capture_disk_integral_is_zero_far_out():
 # radial integral they replaced, at (beta, theta, phi, r_min, seed) over an
 # a = 0.2856 nm, 17 x 17 plane with 3000 samples: with the control variate
 # they may move by rounding and by that quadrature's error (1.6e-10 relative
-# at beta 0.5), without it by rounding only.
+# at beta 0.5), without it (the plain oracle) by rounding only.
 _RECORDED_MC = [
     ((0.9, 1.0, 0.3, 0.001, 5), 0.11771640920637404, 0.09228633645641034),
     ((0.5, 2.0, 1.1, 0.002, 7), 0.0030180127728311017, 0.0026372154488535754),
@@ -378,8 +411,7 @@ def test_mc_plane_average_matches_recorded_means(fe, case, with_cv, without):
     probe = electron(beta=beta)
     args = (probe, fe, 0.2856, 8, theta, phi, r_min, 3000)
     assert mc_plane_average(*args, seed=seed) == pytest.approx(with_cv, rel=1e-9, abs=0.0)
-    assert mc_plane_average(*args, seed=seed, control_variate=False) == pytest.approx(
-        without, rel=1e-13, abs=0.0)
+    assert _plain_mean(*args, seed=seed) == pytest.approx(without, rel=1e-13, abs=0.0)
 
 
 def test_mc_plane_average_validation(probe, fe):
@@ -403,30 +435,48 @@ def test_mc_plane_average_validation(probe, fe):
     # outside [1e-5, 1e6] nm: nan, or a failure inside the Bessel kernel
     *(("a_nm", dict(a_nm=a, r_min_nm=a * 1e-3))
       for a in (1e-300, 1e-200, 1e-160, 1e160, 1e300)),
+    # one step beyond each side of each bound, then a bool, numeric text and None
+    *(("a_nm", dict(a_nm=a, r_min_nm=a * 1e-3))
+      for a in (math.nextafter(1e-5, 0.0), math.nextafter(1e6, math.inf))),
+    *((angle, {angle: v}) for angle in ("theta", "phi") for v in (-math.inf, math.inf)),
+    ("n_samples", dict(n_samples=0)),
+    ("r_min_nm", dict(r_min_nm=0.0)),
+    ("r_min_nm", dict(r_min_nm=0.35 * 0.2856)),
+    *((name, {name: True}) for name in ("a_nm", "theta", "phi", "r_min_nm")),
+    *((name, {name: v}) for name in ("a_nm", "theta", "phi", "half_extent", "n_samples",
+                                     "r_min_nm") for v in ("1", None)),
 ])
 def test_mc_plane_average_names_bad_arguments(probe, fe, name, bad):
     # unchecked, these give 0.0 or nan, or fail inside numpy
     kw = dict(a_nm=0.2856, half_extent=8, theta=1.0, phi=0.0, r_min_nm=0.001,
               n_samples=100)
-    with pytest.raises(ValueError, match=f"^{name} "):
+    with pytest.raises(ValueError, match=f"^{name}: "):
         mc_plane_average(probe, fe, **dict(kw, **bad))
+
+
+def test_mc_plane_average_runs_at_the_bounds(probe, fe):
+    # the first value inside each bound runs
+    kw = dict(a_nm=0.2856, half_extent=8, theta=1.0, phi=0.0, r_min_nm=0.001, n_samples=10)
+    for bound in (dict(half_extent=0), dict(n_samples=1),
+                  dict(r_min_nm=math.nextafter(0.35 * 0.2856, 0.0))):
+        assert mc_plane_average(probe, fe, **dict(kw, **bound)) > 0.0
 
 
 @pytest.mark.parametrize("a_nm", [1e-5, 1e6])
 def test_mc_plane_average_is_finite_at_the_a_nm_bounds(fe, a_nm):
+    # r_min from far inside the cell to just inside the capture radius 0.35 a
     for beta in (BETA_MIN, 0.9, 1.0 - 1e-15):
-        for r_min, control_variate in ((a_nm * 1e-12, True), (a_nm * 0.4, False)):
-            mean = mc_plane_average(electron(beta=beta), fe, a_nm, 2, 2.5, 0.3, r_min, 200,
-                                    control_variate=control_variate)
+        for r_min in (a_nm * 1e-12, a_nm * 0.34):
+            mean = mc_plane_average(electron(beta=beta), fe, a_nm, 2, 2.5, 0.3, r_min, 200)
             assert math.isfinite(mean)
 
 
 def test_mc_mean_does_not_depend_on_chunk_size(monkeypatch, probe, fe):
     # the kept samples are the first n_samples accepted points of the stream
     # whatever the chunk size, so chunks of one row, the default term budget
-    # and 2000 rows give one mean up to rounding.  r_min 0.1 nm without the
-    # control variate rejects ~38% of draws, so the last chunks are top-ups
-    # of the samples still needed.
+    # and 2000 rows give one mean up to rounding.  r_min 0.099 nm, just
+    # inside the capture radius, rejects 37.7% of draws, so the last chunks
+    # are top-ups of the samples still needed.
     chunks = []
     plane_terms = finite_array._plane_terms
 
@@ -438,15 +488,15 @@ def test_mc_mean_does_not_depend_on_chunk_size(monkeypatch, probe, fe):
     mc_plane_average(probe, fe, 0.2856, 8, 1.0, 0.3, 0.001, 10)
     n_sites = chunks[0][2]
     default_rows = finite_array._BLOCK_TERMS // n_sites
-    for r_min, cv in ((0.001, True), (0.1, False)):
+    for r_min in (0.001, 0.099):
         means = []
         for rows in (default_rows, 1, 2000):
             monkeypatch.setattr(finite_array, "_BLOCK_TERMS", rows * n_sites)
             chunks.clear()
             means.append(mc_plane_average(probe, fe, 0.2856, 8, 1.0, 0.3, r_min, 1500,
-                                          seed=4, control_variate=cv))
+                                          seed=4))
             assert {c[1] for c in chunks} == {rows}
-            if not cv and rows > 1:
+            if r_min == 0.099 and rows > 1:
                 assert chunks[-1][0] < rows  # a top-up of the samples still needed ran
         assert means[1] == pytest.approx(means[0], rel=1e-14, abs=0.0)
         assert means[2] == pytest.approx(means[0], rel=1e-14, abs=0.0)
@@ -483,16 +533,13 @@ def test_mc_plane_average_allocation_peak(probe, fe):
     assert peak < 10e6
 
 
-def test_mc_plane_average_rejects_r_min_before_sampling(probe, fe):
-    # r_min >= a/2 keeps too few draws (none at all from a/sqrt(2) on), and
-    # with the control variate r_min must lie inside the capture radius 0.35 a
-    a = 0.2856
-    for r_min, cv in ((0.1, True), (0.15, False), (0.21, False)):
-        with pytest.raises(ValueError, match="r_min_nm"):
-            mc_plane_average(probe, fe, a, 8, 1.0, 0.0, r_min, 10,
-                             control_variate=cv)
-    assert mc_plane_average(probe, fe, a, 8, 1.0, 0.0, 0.1, 10,
-                            control_variate=False) > 0.0
+def test_mc_plane_average_rejects_r_min_before_sampling(monkeypatch, probe, fe):
+    # r_min must lie inside the capture radius 0.35 a of the control variate;
+    # from a/sqrt(2) on no draw would be kept at all
+    monkeypatch.setattr(finite_array, "_plane_terms", None)  # no chunk may run
+    for r_min in (0.1, 0.15, 0.21):
+        with pytest.raises(ValueError, match="^r_min_nm: must be below the capture radius"):
+            mc_plane_average(probe, fe, 0.2856, 8, 1.0, 0.0, r_min, 10)
 
 
 def test_angle_arrays_equal_scalar_calls(probe, fe):
