@@ -22,27 +22,30 @@ _BLOCK_TERMS, so memory is O(N) in nuclei.  The array-pattern scenario no
 longer uses this fsum path, which stays as its test oracle: _line_density
 takes one nucleus times the grating factor of the chain.
 
-The Monte-Carlo average over impact parameters in one z = 0 plane forms g
-for a chunk of m samples and n sites at once, with real arithmetic only:
-dist = sqrt(dx^2 + dy^2) from the site-minus-sample offsets (dx, dy), and
-w = K1 / dist on the site-major (n x m) grid, then g_x = (w (-dy))^T @ B
-and g_y = (w dx)^T @ B with B = [cos phase_j, -sin phase_j] the (n x 2)
-site phases, whose two columns give the real and imaginary parts.  dist is
-not np.hypot, which is a libm call per element and several times slower:
-offsets of lattice size square without overflow or underflow, and the two
-forms differ by at most an ulp.  The sites are sorted by radius, so K1 runs
-on three slabs of grid rows: bessel_k1 on the whole slab where an argument
-can fall below 10, its values from 45 on then set to 0; the [10, 700] piece
-(a polynomial in 20/x - 1) unmasked where every argument lies in [10, 45);
-and beyond, that piece on the arguments below 45, put by position.  A chunk
-holds m = _BLOCK_TERMS // n samples, a term budget as for the angle blocks,
-and its five grids are written into one work block allocated per call (w,
-w dy, w dx over dist, dy, dx), so the chunk loop makes no (n x m)
-temporaries.  The chunk size does not change which samples are kept.  The
-one estimator always runs a control variate: it subtracts the origin site's
-own term (each draw's nearest) inside the capture disk r < 0.35 a, which
-r_min must lie inside, and adds back that term's exact mean, from the
-closed-form integral
+The Monte-Carlo average over impact parameters in one z = 0 plane draws
+every impact point in the cell square [-a/2, a/2]^2, so it keeps only the
+sites within 45 / delta of that square (delta the Bessel argument per nm):
+a site farther out is beyond argument 45 from every draw and can only add
+zeros.  It forms g for a chunk of m samples and n sites at once, with real
+arithmetic only: dist = sqrt(dx^2 + dy^2) from the site-minus-sample
+offsets (dx, dy), and w = K1 / dist on the site-major (n x m) grid, then
+g_x = (w (-dy))^T @ B and g_y = (w dx)^T @ B with B = [cos phase_j,
+-sin phase_j] the (n x 2) site phases, whose two columns give the real and
+imaginary parts.  dist is not np.hypot, which is a libm call per element
+and several times slower: offsets of lattice size square without overflow
+or underflow, and the two forms differ by at most an ulp.  The sites are
+sorted by radius, so K1 runs on three slabs of grid rows: bessel_k1 on the
+whole slab where an argument can fall below 10, its values from 45 on then
+set to 0; the [10, 700] piece (a polynomial in 20/x - 1) unmasked where
+every argument lies in [10, 45); and beyond, that piece on the arguments
+below 45, put by position.  A chunk holds m = _BLOCK_TERMS // n samples, a
+term budget as for the angle blocks, and its five grids are written into
+one work block allocated per call (w, w dy, w dx over dist, dy, dx), so the
+chunk loop makes no (n x m) temporaries.  The chunk size does not change
+which samples are kept.  The one estimator always runs a control variate:
+it subtracts the origin site's own term (each draw's nearest) inside the
+capture disk r < 0.35 a, which r_min must lie inside, and adds back that
+term's exact mean, from the closed-form integral
 
     int x K1(x)^2 dx = F(x) = x ((x/2)(K1^2 - K0^2) - K0 K1),
 
@@ -318,8 +321,10 @@ def mc_plane_average(probe: Probe, rec: NuclideRecord, a_nm: float,
     Impact points are drawn uniformly over the central unit cell of a
     (2h+1) x (2h+1) single-plane square lattice; draws closer than r_min to
     the origin site (their nearest) are rejected and redrawn (the excluded
-    disk is ~1e-5 of the cell for pm cutoffs).  Sites whose Bessel argument
-    would exceed 45 contribute below 3e-20 per term and are skipped.
+    disk is ~1e-5 of the cell for pm cutoffs).  A site farther than 45 / delta
+    from the cell square is beyond Bessel argument 45 from every draw, where
+    a term is below 3e-20, so only the sites within that reach of the square
+    are built and summed.
 
     The variance of a plain mean is dominated by rare close encounters, so
     the origin site's contribution inside the capture radius 0.35 a is
@@ -357,19 +362,20 @@ def mc_plane_average(probe: Probe, rec: NuclideRecord, a_nm: float,
     rhat = np.array([math.sin(theta) * math.cos(phi),
                      math.sin(theta) * math.sin(phi),
                      math.cos(theta)])
-    # every draw lies within a/sqrt(2) of the origin site, so a site beyond
-    # this reach (so of index beyond reach / a) is beyond Bessel argument 45
-    # from every draw; the origin site is always kept
-    reach = _ARG_CUT / delta + a_nm / math.sqrt(2.0)
-    sites = square_plane_sites(a_nm, min(half_extent, math.floor(reach / a_nm)))
-    sites = sites[np.hypot(sites[:, 0], sites[:, 1]) <= reach]
+    # every draw lies in the cell square [-a/2, a/2]^2, so a site farther than
+    # 45 / delta from the square is beyond Bessel argument 45 from every draw
+    # and adds only zeros; the reach is widened as the K1 slabs are.  A site of
+    # index i is at least (i - 1/2) a from the square, which caps the grid; the
+    # origin site, in the square, is always kept
+    reach = _ARG_CUT / delta * (1.0 + _SLAB_MARGIN)
+    sites = square_plane_sites(a_nm, min(half_extent, math.floor(reach / a_nm + 0.5)))
+    gap = np.maximum(np.abs(sites) - 0.5 * a_nm, 0.0)  # offset to the square, per axis
+    sites = sites[np.hypot(gap[:, 0], gap[:, 1]) <= reach]
     sites = sites[np.argsort(np.hypot(sites[:, 0], sites[:, 1]), kind="stable")]  # origin first
     rows = max(1, _BLOCK_TERMS // sites.shape[0])
     # one block for the five grids: glibc's malloc sets its heap trim
     # threshold to twice the largest mapped block freed, and a block this size
-    # keeps the Bessel kernel's per-chunk temporaries in retained heap pages.
-    # Measured (ru_minflt, sc100 a, 1e4 samples) against eight grids: a warm
-    # call faults about 45 pages at beta 0.9 and 53 at 0.99, instead of 75-82
+    # keeps the Bessel kernel's per-chunk temporaries in retained heap pages
     work = np.empty((5, sites.shape[0], rows))
 
     rng = np.random.default_rng(seed)

@@ -328,14 +328,66 @@ def test_mc_rows_are_the_lattice_and_cutoff_rows():
     assert rows["r_min_nm"] is crystal_sp.R_MIN
 
 
-def test_mc_sites_are_built_only_within_the_bessel_reach(probe, fe):
-    # at beta 0.9 no site beyond index 5 is within Bessel argument 45 of a
-    # draw, so half_extent 10**6 (4e12 sites if the whole grid were built)
-    # gives the half_extent 20 mean bit for bit; a narrower grid still binds
-    kw = dict(a_nm=0.2856, theta=1.0, phi=0.3, r_min_nm=0.001, n_samples=2000, seed=11)
+def _plain_mean_over(sites, probe, rec, a_nm, theta, phi, r_min_nm, n_samples, seed):
+    """_plain_mean's loop on the given sites (sorted by radius, origin first)."""
+    delta = rec.omega0_rad_s / (probe.velocity_nm_s * probe.gamma)
+    k0 = rec.omega0_rad_s / CONSTANTS.c_nm_s
+    rhat = np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
+                     math.cos(theta)])
+    rows = max(1, finite_array._BLOCK_TERMS // sites.shape[0])
+    work = np.empty((5, sites.shape[0], rows))
+    rng = np.random.default_rng(seed)
+    total, kept = 0.0, 0
+    while kept < n_samples:
+        rps = rng.uniform(-0.5 * a_nm, 0.5 * a_nm, size=(min(rows, n_samples - kept), 2))
+        x, dn, _ = _plane_terms(sites, rps, rhat, delta, k0, work)
+        ok = dn >= r_min_nm
+        total += float(np.sum(x[ok]))
+        kept += int(np.count_nonzero(ok))
+    return total / n_samples
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.9, 0.95, 0.99])
+def test_mc_sites_are_built_only_within_the_bessel_reach(monkeypatch, fe, beta):
+    # every draw lies in the cell square [-a/2, a/2]^2, so the call keeps the
+    # sites within 45 / delta of that square (widened as the K1 slabs are),
+    # sorted by radius with the origin first: 77 at beta 0.9, where the disk
+    # of radius 45 / delta + a / sqrt(2) about the origin holds 89.  At beta
+    # 0.95, 45 / delta is 6.56 a, so sites of index 7, 6.5 a from the square,
+    # are in reach
+    probe = electron(beta=beta)
+    a_nm = 0.2856
+    delta = fe.omega0_rad_s / (probe.velocity_nm_s * probe.gamma)
+    grid = square_plane_sites(a_nm, 20)
+    to_square = np.hypot(*(grid - np.clip(grid, -0.5 * a_nm, 0.5 * a_nm)).T)
+    want = grid[to_square <= 45.0 / delta * (1.0 + finite_array._SLAB_MARGIN)]
+    want = want[np.argsort(np.hypot(want[:, 0], want[:, 1]), kind="stable")]
+    # the origin comes first, and the reach ends inside the grid
+    assert np.all(want[0] == 0.0) and np.max(np.abs(want)) < 20 * a_nm
+    passed = []
+    plane_terms = finite_array._plane_terms
+
+    def spy(sites, *args):
+        passed.append(sites.copy())
+        return plane_terms(sites, *args)
+
+    monkeypatch.setattr(finite_array, "_plane_terms", spy)
+    kw = dict(a_nm=a_nm, theta=1.0, phi=0.3, r_min_nm=0.001, n_samples=2000, seed=11)
     mean = mc_plane_average(probe, fe, half_extent=20, **kw)
+    assert passed and all(np.array_equal(sites, want) for sites in passed)
+    if beta == 0.9:
+        assert len(want) == 77
+    left_out = ~(grid[:, None, :] == want[None, :, :]).all(axis=2).any(axis=1)
+    assert np.all(to_square[left_out] > 45.0 / delta)
+    # the sites left out add only exact zeros, so a plain mean without them
+    # is the plain mean over the disk set up to the grouping of the sums
+    assert _plain_mean_over(want, probe, fe, **kw) == pytest.approx(
+        _plain_mean(probe, fe, half_extent=20, **kw), rel=1e-15, abs=0.0)
+    # half_extent 10**6 (4e12 sites if the whole grid were built) gives the
+    # half_extent 20 mean bit for bit; a grid half as wide as the reach binds
     assert mc_plane_average(probe, fe, half_extent=10 ** 6, **kw) == mean
-    assert mc_plane_average(probe, fe, half_extent=2, **kw) != mean
+    short = round(np.max(np.abs(want)) / a_nm) // 2
+    assert mc_plane_average(probe, fe, half_extent=short, **kw) != mean
 
 
 def _plain_mean(probe, rec, a_nm, half_extent, theta, phi, r_min_nm, n_samples, seed):
