@@ -29,7 +29,8 @@ resonant emission stand out despite the much larger integrated
 bremsstrahlung power.
 
 br_spectral_density and br_window_yield are one-row cases of _spectral_rows,
-which takes (probe, r_perp_nm) rows at shared frequencies as one grid.
+which takes (probe, r_perp_nm) rows at shared frequencies as one grid.  Every
+call checks r_perp_nm by probe.R_PERP and z_nucleus by Z_NUCLEUS, as configs do.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ import math
 import numpy as np
 
 from .numerics import CONSTANTS, bessel_k01
-from .probe import Probe
+from .probe import MAX_Z, R_PERP, Probe
+from .rows import REQUIRED, Param, _check_fields
 
 __all__ = [
     "br_density",
@@ -48,17 +50,18 @@ __all__ = [
     "br_window_yield",
 ]
 
+Z_NUCLEUS = Param("z_nucleus", "nonzero", REQUIRED, MAX_Z)  # bounded as scenarios.BR_Z_NUCLEUS
+
 
 def _columns(rows, z_nucleus: int, omega: np.ndarray) -> np.ndarray:
     """beta, r_perp_nm, v, gamma^2, c and d of each (probe, r_perp_nm) row,
     shape (6, len(rows), 1, 1), after the argument checks; the prefactor
     alpha^3 Z^4 Z_n^2 hbar^2 omega / (pi^2 (M c^2)^2 beta^4 gamma^2) is c omega / d."""
-    if not all(r > 0 for _, r in rows):
-        raise ValueError("r_perp_nm must be positive")
+    for r in {id(r): r for _, r in rows}.values():  # each distance once: a beta sweep shares one
+        _check_fields((R_PERP,), {"r_perp_nm": r})
     if not np.all((omega > 0) & (omega < math.inf)):
         raise ValueError("omega must be positive and finite")
-    if z_nucleus == 0:
-        raise ValueError("z_nucleus must be non-zero")
+    _check_fields((Z_NUCLEUS,), {"z_nucleus": z_nucleus})
     a, hbar = CONSTANTS.alpha_fs, CONSTANTS.hbar_eV_s
     table = [(p.beta, r, p.velocity_nm_s, p.gamma * p.gamma,
               a ** 3 * p.z_charge ** 4 * z_nucleus ** 2 * hbar ** 2,
@@ -157,7 +160,7 @@ def br_spectral_density(probe: Probe, z_nucleus: int, r_perp_nm: float, omega):
     bessel_k01 in blocks of at most _GRID_TERMS = 2^16 nodes, with the theta
     sum kept as (8 x 64) @ weights per 8 frequencies for its rounding.  A bad
     omega (non-positive, NaN or infinite), r_perp_nm or z_nucleus raises
-    ValueError naming it, also for an empty array.
+    ValueError naming it, also for an empty array; the last two as "name: ...".
 
     The phi integral is exact and in closed form: 2 pi (K1^2 <A> +
     s^2 K0^2 / gamma^4), with <A> the mean of A over phi (module docstring).

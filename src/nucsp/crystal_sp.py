@@ -64,7 +64,7 @@ import numpy as np
 from .numerics import CONSTANTS
 from .numerics import integrate_periodic  # noqa: F401  (traced by perfbench/spans.py)
 from .nuclide import NuclideRecord, radiative_rate
-from .probe import Probe
+from .probe import DISTANCE, Probe
 from .rows import NAME, REQUIRED, Param, _check_fields, parse_record_file
 
 __all__ = [
@@ -86,18 +86,13 @@ __all__ = [
 _PARITY_TOL = 1e-9
 _MAX_STACK_PERIOD = 16
 _SMOOTH_EXTENT = 12.0
-# Largest n_phi x n_G temporary formed when a profile is sampled.
+# Largest n_phi x n_G temporary formed when a profile is sampled; finite_array's
+# angle blocks and Monte-Carlo chunks take the same term budget.
 _BLOCK_TERMS = 1 << 16
 # Cap on the (2m+1)^2 index square _enumerate_g draws its disk from, once per
 # stacking class; all presets pass at r_min_nm = 0.001 smooth (fcc100 is
 # largest, 1,890,625).  Below 2^31, so int32 holds i^2 + j^2 and the counts.
 MAX_G_GRID = 2_000_000
-# A lattice length or a beam-nucleus distance is at least 10 fm, the size of
-# a nucleus (9 fm for Fe-57, 15 fm for U-238); K1^2 of the field overflows
-# near 1e-160 nm, a^4 of the layer prefactor below 1.5e-81 nm.  It is at most
-# 1 mm, as spacing_nm: far above any lattice, and far below the 1e236 nm where
-# omega r / v overflows at BETA_MIN.
-DISTANCE = (1.0e-5, 1.0e6)
 # A lattices.dat block.  The offset takes either sign; beyond 2^53 a, p b_par / a
 # is always an integer, so any stacking would close after one plane.
 LATTICE = (

@@ -63,11 +63,11 @@ import numpy as np
 from .numerics import (CONSTANTS, _CHEB_SPLIT, _k_chebyshev, _veltkamp_split,
                        bessel_k01, bessel_k1)
 from .numerics import integrate_adaptive  # noqa: F401  (traced by perfbench/spans.py)
-from .crystal_sp import LATTICE, R_MIN
+from .crystal_sp import _BLOCK_TERMS, LATTICE, R_MIN
 from .nuclide import NuclideRecord
 from .probe import Probe
 from .rows import REQUIRED, Param, _check_fields
-from .single_nucleus import _dimensionless_scale
+from .single_nucleus import _dimensionless_scale, bessel_argument
 
 __all__ = [
     "NucleusSet",
@@ -80,7 +80,6 @@ __all__ = [
 # Bessel arguments beyond this bound contribute below 3e-20 of a unit term
 # and are skipped in the Monte-Carlo batch path.
 _ARG_CUT = 45.0
-_BLOCK_TERMS = 1 << 16
 _SLAB_MARGIN = 1e-9  # relative widening of the K1 slab bounds, far above rounding
 # mc_plane_average's arguments, a_nm as a lattices.dat block's and r_min_nm as
 # crystal-yield's.  The 1 mm ceiling on a keeps a^2, the squared site offsets
@@ -134,8 +133,7 @@ def far_field_amplitude(probe: Probe, rec: NuclideRecord, nuclei: NucleusSet,
     if np.any(dist == 0.0):
         raise ValueError("a nucleus transversely coincides with the impact point")
 
-    vg = probe.velocity_nm_s * probe.gamma
-    k1 = bessel_k1(rec.omega0_rad_s * dist / vg)
+    k1 = bessel_k1(bessel_argument(probe, rec, dist))
     k0n = rec.omega0_rad_s / CONSTANTS.c_nm_s
     two_pi = 2.0 * math.pi
     z_phase = np.mod(rec.omega0_rad_s * pos[:, 2] / probe.velocity_nm_s, two_pi)
@@ -207,7 +205,7 @@ def _line_density(probe: Probe, rec: NuclideRecord, n_nuclei: int, spacing_nm: f
     pattern zeros included, where the per-term fsum path is 8e-13 of the
     column maximum off at N = 1e3.
     """
-    k1 = bessel_k1(rec.omega0_rad_s * standoff_nm / (probe.velocity_nm_s * probe.gamma))
+    k1 = bessel_k1(bessel_argument(probe, rec, standoff_nm))
     rate = Fraction(rec.omega0_rad_s) * Fraction(spacing_nm) / _TWO_PI
     a_hi, a_lo = _double_double(rate / Fraction(probe.velocity_nm_s) % 1)
     # turns per spacing and unit cos(theta)

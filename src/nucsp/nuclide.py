@@ -40,7 +40,6 @@ __all__ = [
     "NuclideRecord",
     "coherent_fraction",
     "radiative_rate",
-    "builtin_records",
     "registry",
     "parse_nuclide_file",
 ]
@@ -147,23 +146,18 @@ def radiative_rate(rec: NuclideRecord) -> float:
     return rec.kappa_s * f / (1.0 + rec.alpha_ic) / rec.branch_divisor
 
 
-def builtin_records() -> tuple[NuclideRecord, ...]:
-    """The two nuclides shipped with the package."""
-    return (
-        NuclideRecord(name="Fe-57", e0_keV=14.4129, lifetime_s=1.42e-7,
-                      alpha_ic=8.544, jg2=1, je2=3),
-        NuclideRecord(name="Dy-161", e0_keV=43.8201, lifetime_s=1.20e-9,
-                      alpha_ic=4.213, jg2=5, je2=7, branch_divisor=2.25),
-    )
-
-
 def registry() -> dict[str, NuclideRecord]:
-    """Name -> record mapping of the built-in nuclides.
+    """Name -> record mapping of the two nuclides shipped with the package.
 
     A fresh dict is returned on every call, so a caller may overlay data-file
     records on it (cli does) without touching the built-ins.
     """
-    return {rec.name: rec for rec in builtin_records()}
+    return {rec.name: rec for rec in (
+        NuclideRecord(name="Fe-57", e0_keV=14.4129, lifetime_s=1.42e-7,
+                      alpha_ic=8.544, jg2=1, je2=3),
+        NuclideRecord(name="Dy-161", e0_keV=43.8201, lifetime_s=1.20e-9,
+                      alpha_ic=4.213, jg2=5, je2=7, branch_divisor=2.25),
+    )}
 
 
 def parse_nuclide_file(path) -> dict[str, NuclideRecord]:

@@ -33,10 +33,18 @@ MAX_Z = 118
 # 2.2e11 eV) and far below 1.3e154 eV, where M^2 overflows.
 REST_ENERGY_EV = (1.0e5, 1.0e15)
 
+# A lattice length or a beam-nucleus distance is at least 10 fm, the size of
+# a nucleus (9 fm for Fe-57, 15 fm for U-238); K1^2 of the field overflows
+# near 1e-160 nm, a^4 of the layer prefactor below 1.5e-81 nm.  It is at most
+# 1 mm, as spacing_nm: far above any lattice, and far below the 1e236 nm where
+# omega r / v overflows at BETA_MIN.
+DISTANCE = (1.0e-5, 1.0e6)
+
 # A Probe's fields with their bounds; scenarios.PROBE takes these rows as they are
 BETA = Param("beta", "beta", None, BETA_MIN)
 Z_CHARGE = Param("z_charge", "nonzero", None, MAX_Z)
 REST_ENERGY = Param("rest_energy_eV", "positive", None, REST_ENERGY_EV)
+R_PERP = Param("r_perp_nm", "positive", 0.001, DISTANCE)  # distance of library calls and configs
 
 
 def lorentz_gamma(beta: float) -> float:

@@ -37,14 +37,15 @@ import yaml
 from . import __version__
 from .brems import _window_yields, br_spectral_density
 from .brems import br_window_yield  # noqa: F401  (traced by perfbench/spans.py)
-from .crystal_sp import (DISTANCE, R_MIN, CutoffPolicy, LatticeFilm, _cone_sets,
+from .crystal_sp import (R_MIN, CutoffPolicy, LatticeFilm, _cone_sets,
                          _grid_half_width, builtin_presets, first_radiating_order)
 from .crystal_sp import emission_cones  # noqa: F401  (traced by perfbench/spans.py)
 from .finite_array import _line_density
 from .finite_array import angular_density  # noqa: F401  (traced by perfbench/spans.py)
 from .nuclide import NuclideRecord, radiative_rate, registry as nuclide_registry
 from .numerics import CONSTANTS
-from .probe import BETA, MAX_Z, REST_ENERGY, SPECIES, Z_CHARGE, Probe, beta_from_kinetic
+from .probe import (BETA, DISTANCE, MAX_Z, R_PERP, REST_ENERGY, SPECIES, Z_CHARGE, Probe,
+                    beta_from_kinetic)
 from .rows import REQUIRED, Param, _validate_block
 from .single_nucleus import coherent_yield, decay_profile, spectral_profile
 
@@ -87,7 +88,6 @@ PROBE = (
     REST_ENERGY,
     Z_CHARGE,
 )
-R_PERP = Param("r_perp_nm", "positive", 0.001, DISTANCE)  # no closer than a nucleus's size
 BR_Z_NUCLEUS = Param("br_z_nucleus", "nonzero", 26, MAX_Z)
 OUTPUT = (Param("prefix", "prefix", "result"),)
 PARAMS = {

@@ -24,7 +24,8 @@ import numpy as np
 
 from .numerics import CONSTANTS, bessel_k1
 from .nuclide import NuclideRecord, radiative_rate
-from .probe import Probe
+from .probe import R_PERP, Probe
+from .rows import _check_fields
 
 __all__ = [
     "EmissionSpectrum",
@@ -52,12 +53,11 @@ def bessel_argument(probe: Probe, rec: NuclideRecord, r_perp_nm: float) -> float
 def coherent_yield(probe: Probe, rec: NuclideRecord, r_perp_nm: float) -> float:
     """Probability of coherent photon emission from one nucleus.
 
-    Diverges as 1/r^2 for small separations and decays exponentially beyond
-    the evanescent range v gamma / omega0; callers impose the physical
-    minimum-distance clamp.
+    Grows as 1/r^2 toward small separations and decays exponentially beyond
+    the evanescent range v gamma / omega0.  r_perp_nm is checked by its row,
+    probe.R_PERP, as a config's: outside [1e-5, 1e6] nm it raises ValueError.
     """
-    if not r_perp_nm > 0:
-        raise ValueError("r_perp_nm must be positive")
+    _check_fields((R_PERP,), {"r_perp_nm": r_perp_nm})
     k1 = bessel_k1(bessel_argument(probe, rec, r_perp_nm))
     return 3.0 * _dimensionless_scale(probe, rec) * k1 * k1
 

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -19,7 +20,7 @@ from nucsp.brems import (
 )
 from nucsp.numerics import CONSTANTS, bessel_k01
 from nucsp.nuclide import registry
-from nucsp.probe import SPECIES, Probe, electron, proton
+from nucsp.probe import DISTANCE, SPECIES, Probe, electron, proton
 from nucsp.scenarios import MAX_WINDOW_SHARE, run_scenario, validate_config
 
 mp.mp.dps = 30
@@ -201,20 +202,52 @@ def test_window_yield_validation(fe):
         br_window_yield(probe, 26, 0.001, 0.4, 1.0)  # window crosses zero
 
 
-def test_zero_nuclear_charge_rejected_on_every_path(fe):
+def _every_path(fe, z_nucleus, r_perp_nm, window_eV=1.0):
+    """Each brems entry point at (z_nucleus, r_perp_nm), as a thunk; the
+    two-row _window_yields call puts r_perp_nm behind a good distance."""
     probe = electron(beta=0.9)
-    with pytest.raises(ValueError, match="z_nucleus"):
-        br_spectral_density(probe, 0, 0.001, fe.omega0_rad_s)
-    with pytest.raises(ValueError, match="z_nucleus"):
-        br_window_yield(probe, 0, 0.001, fe.e0_eV, 1.0)
+    return [
+        lambda: br_density(probe, z_nucleus, r_perp_nm, 1.0, 0.5, fe.omega0_rad_s),
+        lambda: br_spectral_density(probe, z_nucleus, r_perp_nm, fe.omega0_rad_s),
+        lambda: br_spectral_density(probe, z_nucleus, r_perp_nm, np.array([])),
+        lambda: br_window_yield(probe, z_nucleus, r_perp_nm, fe.e0_eV, window_eV),
+        lambda: _window_yields([(probe, 0.001), (probe, r_perp_nm)], z_nucleus,
+                               fe.e0_eV, window_eV),
+    ]
+
+
+# Each fails the probe.R_PERP row: one double beyond either DISTANCE bound,
+# a non-positive, NaN or infinite distance, and values no record takes as a number
+BAD_R_PERP = [math.nextafter(DISTANCE[0], 0.0), math.nextafter(DISTANCE[1], math.inf), 0.0,
+              -1.0, math.nan, math.inf, -math.inf, True, "0.001", None, np.float32(0.001)]
+
+
+def test_zero_nuclear_charge_rejected_on_every_path(fe):
+    # brems.Z_NUCLEUS, a config's br_z_nucleus row: a non-zero integer up to
+    # MAX_Z in magnitude; 119 once gave a finite density
+    for z_nucleus, window_eV in itertools.product([0, 119, -119, True, 1.5], (0.0, 1.0)):
+        for call in _every_path(fe, z_nucleus, 0.001, window_eV):
+            with pytest.raises(ValueError, match="^z_nucleus: "):
+                call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for z in (118, -118):
+            for call in _every_path(fe, z, 0.001):
+                assert np.all(np.isfinite(call()))
 
 
 def test_empty_window_still_checks_its_arguments(fe):
-    probe = electron(beta=0.9)
-    with pytest.raises(ValueError, match="r_perp_nm"):
-        br_window_yield(probe, 0, -1.0, fe.e0_eV, 0.0)
-    with pytest.raises(ValueError, match="z_nucleus"):
-        br_window_yield(probe, 0, 0.001, fe.e0_eV, 0.0)
+    # an empty window or frequency array checks the distance as any other
+    # call does; r = 1e-300 once overflowed to inf with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for r_perp_nm, window_eV in itertools.product(BAD_R_PERP, (0.0, 1.0)):
+            for call in _every_path(fe, 26, r_perp_nm, window_eV):
+                with pytest.raises(ValueError, match="^r_perp_nm: "):
+                    call()
+        for r in DISTANCE:  # both bounds are admitted and finite
+            for call in _every_path(fe, 26, r):
+                assert np.all(np.isfinite(call()))
 
 
 def test_gauss_legendre_nodes_are_shared_read_only():

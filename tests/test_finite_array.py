@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from nucsp import crystal_sp, finite_array
-from nucsp.crystal_sp import DISTANCE
 from nucsp.finite_array import (
     NucleusSet,
     _k1_sq_disk_integral,
@@ -22,7 +21,7 @@ from nucsp.finite_array import (
 )
 from nucsp.numerics import CONSTANTS, bessel_k1
 from nucsp.nuclide import registry
-from nucsp.probe import BETA_MIN, electron
+from nucsp.probe import BETA_MIN, DISTANCE, electron
 from nucsp.scenarios import run_scenario, validate_config
 from nucsp.single_nucleus import _dimensionless_scale, coherent_yield
 

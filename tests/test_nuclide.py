@@ -8,7 +8,6 @@ from scipy.special import sph_harm_y
 from nucsp.cli import _load_registries
 from nucsp.nuclide import (
     NuclideRecord,
-    builtin_records,
     coherent_fraction,
     parse_nuclide_file,
     radiative_rate,
@@ -308,7 +307,7 @@ def test_transition_strength_sum_rules_exact(fe, dy):
 
 
 def test_builtin_registry_contents(fe, dy):
-    names = [r.name for r in builtin_records()]
+    names = list(registry())
     assert names == ["Fe-57", "Dy-161"]
     assert fe.e0_eV == pytest.approx(14412.9, rel=0, abs=0.0)
     assert dy.e0_eV == pytest.approx(43820.1, rel=0, abs=0.0)

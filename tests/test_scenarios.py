@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 import yaml
 
-from nucsp import crystal_sp, nuclide
+from nucsp import brems, crystal_sp, nuclide
 from nucsp.crystal_sp import MAX_G_GRID, CutoffPolicy, builtin_presets, emission_cones, make_film
 from nucsp.nuclide import registry
-from nucsp.probe import BETA_MIN, SPECIES, electron, proton
+from nucsp.probe import BETA_MIN, DISTANCE, MAX_Z, R_PERP, SPECIES, electron, proton
 from nucsp.scenarios import (
+    BR_Z_NUCLEUS,
     MAX_WINDOW_SHARE,
     OUTPUT,
     PARAMS,
@@ -153,6 +154,16 @@ def test_named_species_builds_its_factory_probe(species, factory, speed):
     config = _cfg("scenario: array-pattern\nprobe: {species: %s, %s: %r}\n"
                   % (species, key, value))
     assert config.probe == factory(**speed)
+
+
+def test_distance_and_charge_rows_are_the_probe_and_brems_rows():
+    # one row, so one bound and one message, for a config and the library call
+    for scenario in ("single-sweep", "brems-compare"):
+        assert any(row is R_PERP for row in PARAMS[scenario])
+    assert crystal_sp.LATTICE[1].name == "a_nm"
+    assert crystal_sp.LATTICE[1].bound is DISTANCE
+    assert brems.Z_NUCLEUS.bound is MAX_Z
+    assert BR_Z_NUCLEUS.bound is MAX_Z
 
 
 def test_validate_custom_only_probe_keys_are_rejected_for_other_species():

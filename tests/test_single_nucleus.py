@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from nucsp.numerics import CONSTANTS
 from nucsp.nuclide import radiative_rate, registry
-from nucsp.probe import Probe, electron
+from nucsp.probe import DISTANCE, Probe, electron
 from nucsp.single_nucleus import (
     bessel_argument,
     coherent_yield,
@@ -70,11 +71,14 @@ def test_coherent_yield_charge_scaling(fe):
 
 
 def test_coherent_yield_short_distance_behaviour(fe):
-    # K1(x) ~ 1/x for small x, so the yield approaches a 1/r^2 law
+    # K1(x) ~ 1/x for small x, so the yield approaches a 1/r^2 law down to
+    # DISTANCE[0] = 10 fm, a nucleus's size; 1 fm is inside one and refused
     probe = electron(beta=0.9)
-    y1 = coherent_yield(probe, fe, 1e-5) * 1e-5 ** 2
-    y2 = coherent_yield(probe, fe, 1e-6) * 1e-6 ** 2
+    y1 = coherent_yield(probe, fe, 1e-4) * 1e-4 ** 2
+    y2 = coherent_yield(probe, fe, 1e-5) * 1e-5 ** 2
     assert y1 == pytest.approx(y2, rel=1e-3, abs=0.0)
+    with pytest.raises(ValueError, match="^r_perp_nm: must be at least 1e-05$"):
+        coherent_yield(probe, fe, 1e-6)
 
 
 def test_coherent_yield_exponential_tail(fe):
@@ -97,8 +101,16 @@ def test_bessel_argument(fe):
     probe = electron(beta=0.9)
     expected = fe.omega0_rad_s * 0.001 / (probe.velocity_nm_s * probe.gamma)
     assert bessel_argument(probe, fe, 0.001) == pytest.approx(expected, rel=1e-15, abs=0.0)
-    with pytest.raises(ValueError):
-        coherent_yield(probe, fe, 0.0)
+    # coherent_yield checks the distance by probe.R_PERP, as configs do;
+    # r = 1e-300 once returned inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for r in (math.nextafter(DISTANCE[0], 0.0), math.nextafter(DISTANCE[1], math.inf),
+                  0.0, -1.0, math.nan, math.inf, -math.inf, True, "0.001", None,
+                  np.float32(0.001)):
+            with pytest.raises(ValueError, match="^r_perp_nm: "):
+                coherent_yield(probe, fe, r)
+        assert all(math.isfinite(coherent_yield(probe, fe, r)) for r in DISTANCE)
 
 
 def test_spectral_profile_center_and_width(fe):
